@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import DecisionSetFamily, InputError, LabeledDataset, evaluate
 from .net import SelectiveModel, forward_batch
-from .select import evaluate_grid, harden, pick_error_constrained
+from .select import SelectionGrid, evaluate_grid, harden, pick_error_constrained
 
 __all__ = [
     "CurvePoint",
@@ -75,11 +75,15 @@ def coverage_error_curve(
     test: LabeledDataset,
     targets: Sequence[float],
     method: str = "osp",
+    grid: SelectionGrid | None = None,
 ) -> list[CurvePoint]:
     """Select at each target error on ``val`` and measure on ``test``.
 
-    Targets must be sorted ascending.  The validation grid is evaluated
-    once and re-picked per target.  A target no grid cell satisfies
+    Targets must be sorted ascending.  The validation grid is re-picked
+    per target.  A caller that already has it from `evaluate_grid` on
+    ``val`` passes it as ``grid``, which skips scoring it again (one
+    forward pass and one sort per model and class); its mu and t values
+    must be those of ``models`` and ``t_values``.  A target no grid cell satisfies
     yields a point built from the fallback cell with ``feasible`` False.
     """
     targets = [float(e) for e in targets]
@@ -87,7 +91,13 @@ def coverage_error_curve(
         raise InputError("curve needs at least one target error")
     if any(b < a for a, b in zip(targets, targets[1:])):
         raise InputError("target errors must be sorted ascending")
-    grid = evaluate_grid(models, t_values, val)
+    if grid is None:
+        grid = evaluate_grid(models, t_values, val)
+    elif (grid.mu_values, grid.t_values) != (
+        tuple(float(m) for m in models),
+        tuple(float(t) for t in t_values),
+    ):
+        raise InputError("the given grid does not match the models and thresholds")
     points = []
     for eps in targets:
         res = pick_error_constrained(grid, eps)

@@ -109,27 +109,16 @@ class DifferenceSet:
         return out
 
 
-class IntersectionSet:
-    def __init__(self, *parts: Callable):
-        self.parts = parts
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.parts[0](X), dtype=bool)
-        for p in self.parts[1:]:
-            out = out & np.asarray(p(X), dtype=bool)
-        return out
+_INTERVAL_LIKE = (UpperThresholdSet, LowerThresholdSet, IntervalSet)
 
 
-class ComplementOfUnionSet:
-    def __init__(self, *parts: Callable):
-        self.parts = parts
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        n = np.atleast_2d(X).shape[0]
-        out = np.zeros(n, dtype=bool)
-        for p in self.parts:
-            out = out | np.asarray(p(X), dtype=bool)
-        return ~out
+def _interval_bounds(p) -> tuple[float, float, bool]:
+    """(lo, hi, open_lo): the set is {lo < x <= hi}, or {x <= hi} when open_lo."""
+    if isinstance(p, UpperThresholdSet):
+        return p.cut, np.inf, False
+    if isinstance(p, LowerThresholdSet):
+        return -np.inf, p.cut, True
+    return p.lo, p.hi, False
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +148,43 @@ class FiniteHypothesisClass:
         """(size, n) boolean candidate-by-point membership."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return np.vstack([np.asarray(p(X), dtype=bool) for p in self.predicates])
+
+    def counts(self, data: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+        """Exact candidate coverage ``(size,)`` and violations ``(K, size)``.
+
+        ``violations[k, c]`` counts the points in candidate c labeled other
+        than k.  Both are int64 and equal the row sums of
+        `membership_matrix`.  For threshold and interval candidates the
+        coordinate-0 values of each class are sorted once and each
+        candidate costs two `np.searchsorted` lookups per class: O(n log n
+        + K * size * log n) time and O(n + K * size) memory, against the
+        dense (size, n) matrix.  A NaN coordinate is in no set, and a
+        candidate with a NaN bound contains no point.  Any other candidate
+        (explicit point sets) sends the class to the dense matrix.
+        """
+        K = data.num_classes
+        if all(isinstance(p, _INTERVAL_LIKE) for p in self.predicates):
+            x = data.features[:, 0]
+            lo, hi, open_lo = map(
+                np.array, zip(*(_interval_bounds(p) for p in self.predicates))
+            )
+            nan_bound = np.isnan(lo) | np.isnan(hi)
+            own = np.empty((K, self.size), dtype=np.int64)
+            for j in range(K):
+                # sorted last, a NaN x is above every bound, inf included
+                xs = np.sort(x[data.labels == j])
+                # #(x <= hi) - #(x <= lo); a reversed interval is empty
+                upto_hi = np.searchsorted(xs, hi, side="right")
+                upto_lo = np.searchsorted(xs, lo, side="right")
+                upto_lo[open_lo] = 0
+                own[j] = np.where(nan_bound, 0, np.maximum(upto_hi - upto_lo, 0))
+        else:
+            M = self.membership_matrix(data.features)
+            own = np.vstack(
+                [M[:, data.labels == j].sum(axis=1) for j in range(K)]
+            ).astype(np.int64)
+        coverage = own.sum(axis=0)
+        return coverage, coverage - own
 
     @classmethod
     def upper_thresholds(cls, cuts: Sequence[float]) -> "FiniteHypothesisClass":
@@ -312,6 +338,21 @@ def _empty_solution(num_sets: int, dim: int) -> OracleSolution:
     return OracleSolution(fam, 0.0, True, chosen_indices=tuple([None] * num_sets))
 
 
+def _lazy_rows(
+    hclass: FiniteHypothesisClass, X: np.ndarray
+) -> Callable[[int], np.ndarray]:
+    """Membership row of one candidate on ``X``, computed on first use."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    cache: dict[int, np.ndarray] = {}
+
+    def row(c: int) -> np.ndarray:
+        if c not in cache:
+            cache[c] = np.asarray(hclass.predicates[c](X), dtype=bool)
+        return cache[c]
+
+    return row
+
+
 def solve_osp_exact(
     data: LabeledDataset,
     hclass: FiniteHypothesisClass,
@@ -329,10 +370,8 @@ def solve_osp_exact(
         raise InputError(f"class index {k} outside [0, {data.num_classes})")
     if eps_k < 0:
         raise InputError("error level must be nonnegative")
-    M = hclass.membership_matrix(data.features)
-    cov = M.sum(axis=1)
-    viol = (M & (data.labels != k)).sum(axis=1)
-    feasible = viol <= eps_k * data.n + _TOL
+    cov, viol = hclass.counts(data)
+    feasible = viol[k] <= eps_k * data.n + _TOL
     if not feasible.any():
         return _empty_solution(1, data.dim)
     idx_feas = np.flatnonzero(feasible)
@@ -368,11 +407,7 @@ def solve_sc_exact(
         raise CapacityError(
             f"enumeration of {m}^{K} = {n_tuples} tuples exceeds cap {cap}"
         )
-    M = hclass.membership_matrix(data.features)
-    cov = M.sum(axis=1).astype(np.int64)
-    err = np.vstack(
-        [(M & (data.labels != k)).sum(axis=1) for k in range(K)]
-    ).astype(np.int64)
+    cov, err = hclass.counts(data)
 
     # tuple-level tables by broadcasting one axis per class slot
     shape = (m,) * K
@@ -395,12 +430,13 @@ def solve_sc_exact(
         return _empty_solution(K, data.dim)
     covs = total_cov.ravel()[cand]
     order = np.lexsort((cand, -covs))
+    row = _lazy_rows(hclass, data.features)
     for pos in order:
         flat = cand[pos]
         idxs = np.unravel_index(flat, shape)
         ok = True
         for a, b in itertools.combinations(range(K), 2):
-            if np.any(M[idxs[a]] & M[idxs[b]]):
+            if np.any(row(idxs[a]) & row(idxs[b])):
                 ok = False
                 break
         if ok:
@@ -443,9 +479,8 @@ def solve_osp_decoupled(
         if len(a) != K:
             raise InputError(f"allocation {a.shares} has {len(a)} shares, need {K}")
 
-    M = hclass.membership_matrix(data.features)
-    cov = M.sum(axis=1)
-    viol = np.vstack([(M & (data.labels != k)).sum(axis=1) for k in range(K)])
+    cov, viol = hclass.counts(data)
+    row = _lazy_rows(hclass, data.features)
 
     n = data.n
     # feasible-candidate choice depends only on the integer count budget
@@ -472,7 +507,7 @@ def solve_osp_decoupled(
             c = best_candidate(k, budget)
             chosen.append(c)
             if c is not None:
-                union = union | M[c]
+                union = union | row(c)
         value = float(union.sum() / n)
         if value > best_value + _TOL:
             best_value = value
@@ -542,81 +577,6 @@ def sample_analytic_example(n: int, seed: int) -> LabeledDataset:
     x = rng.random(n)
     y = np.where(rng.random(n) < x, 0, 1)
     return LabeledDataset(x[:, None], y, 2)
-
-
-# ---------------------------------------------------------------------------
-# representation conversions
-
-
-def gating_to_sets(
-    gate: Callable,
-    partition: Sequence[Callable],
-    reference: LabeledDataset | np.ndarray,
-) -> DecisionSetFamily:
-    """Build decision sets from a plain classifier plus an accept region.
-
-    ``partition`` must assign each reference point to exactly one cell;
-    set k is cell k intersected with the accept region, so rejection is
-    exactly the accept region's complement.
-    """
-    X = reference.features if isinstance(reference, LabeledDataset) else np.atleast_2d(reference)
-    counts = np.zeros(X.shape[0], dtype=np.int64)
-    for p in partition:
-        counts += np.asarray(p(X), dtype=bool)
-    if not np.all(counts == 1):
-        bad = int(np.sum(counts != 1))
-        raise InputError(
-            f"partition check failed: {bad} reference points not covered exactly once"
-        )
-    preds = [IntersectionSet(p, gate) for p in partition]
-    return DecisionSetFamily.from_predicates(preds, dim=X.shape[1], disjoint=True)
-
-
-def sets_to_confidence(family: DecisionSetFamily) -> tuple:
-    """Per-class confidence sets: everything not claimed by another class.
-
-    Requires a disjoint family.  Each confidence set is the class's own
-    set plus the shared rejection region; any two of them intersect in
-    exactly that rejection region.
-    """
-    if not family.disjoint:
-        raise InputError("confidence sets are defined for disjoint families only")
-    K = family.num_sets
-
-    def make(k: int):
-        others = [_FamilyMember(family, j) for j in range(K) if j != k]
-        return ComplementOfUnionSet(*others)
-
-    return tuple(make(k) for k in range(K))
-
-
-def confidence_to_sets(
-    cover_sets: Sequence[Callable], dim: int
-) -> DecisionSetFamily:
-    """Inverse conversion: set k is confidence set k minus all the others."""
-    K = len(cover_sets)
-    if K < 2:
-        raise InputError("need at least two confidence sets")
-    preds = [
-        DifferenceSet(cover_sets[k], [cover_sets[j] for j in range(K) if j != k])
-        for k in range(K)
-    ]
-    return DecisionSetFamily.from_predicates(preds, dim=dim, disjoint=True)
-
-
-class _FamilyMember:
-    """Single-set view into a family, usable as a standalone predicate."""
-
-    def __init__(self, family: DecisionSetFamily, k: int):
-        self.family = family
-        self.k = k
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return self.family.membership(X)[:, self.k]
-
-
-def family_member(family: DecisionSetFamily, k: int) -> Callable:
-    return _FamilyMember(family, k)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,8 @@ class RunConfig:
             raise InputError("mu grid must not be empty")
         if any(m < 0.0 for m in mus):
             raise InputError("mu grid values must be nonnegative")
+        if len(set(mus)) != len(mus):
+            raise InputError(f"mu grid values must be distinct, got {mus}")
         ts = tuple(float(t) for t in self.t_grid)
         if not ts:
             raise InputError("threshold grid must not be empty")
@@ -529,7 +531,12 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             stage = "curve"
             curve = tuple(
                 coverage_error_curve(
-                    models, config.t_grid, val_d, test_d, config.curve_targets
+                    models,
+                    config.t_grid,
+                    val_d,
+                    test_d,
+                    config.curve_targets,
+                    grid=grid,
                 )
             )
             _write_table(

@@ -172,6 +172,32 @@ class SelectionResult:
         return float(self.grid.error[self.mu_index, self.t_index])
 
 
+def _threshold_counts(
+    probs: np.ndarray, labels: np.ndarray, ts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact hardened counts at every threshold from sorted top scores.
+
+    Returns the covered count ``(T,)`` and the per-class wrong count
+    ``(T, K)``: points whose top class is k, whose label is not k, and
+    whose top score is >= t.  Equal to counting `_harden_membership` at
+    each t.  A NaN score fails ``>= t`` there, so NaN rows are dropped
+    before sorting; `np.sort` would otherwise place them last, as covered.
+    """
+    K = probs.shape[1]
+    top = np.argmax(probs, axis=1)
+    s = probs[np.arange(probs.shape[0]), top]
+    keep = ~np.isnan(s)
+    top, s, wrong = top[keep], s[keep], labels[keep] != top[keep]
+
+    def at_or_above(scores: np.ndarray) -> np.ndarray:
+        return scores.size - np.searchsorted(np.sort(scores), ts, side="left")
+
+    wrong_cnt = np.empty((ts.size, K), dtype=np.int64)
+    for k in range(K):
+        wrong_cnt[:, k] = at_or_above(s[wrong & (top == k)])
+    return at_or_above(s), wrong_cnt
+
+
 def evaluate_grid(
     models: Mapping[float, SelectiveModel],
     t_values: Sequence[float],
@@ -179,8 +205,13 @@ def evaluate_grid(
 ) -> SelectionGrid:
     """Fill the (mu, t) grid with held-out coverage and error.
 
-    Each model is scored once on ``val``; every threshold then reuses the
-    cached scores through the same membership rule as `harden`.
+    Each model is scored once on ``val``.  Its top scores are sorted
+    once, and the misclassified ones once more per class, so the counts
+    at every threshold come from `np.searchsorted`: O(n log n + K T log n)
+    per model instead of T dense (n, K) membership scans.
+    The counts are exact and the grid is bitwise equal to counting
+    `harden` membership at each t.  A row with a NaN score is rejected at
+    every threshold, as it is under ``probs >= t``.
     """
     if not models:
         raise InputError("selection needs at least one trained model")
@@ -193,6 +224,8 @@ def evaluate_grid(
     mus = tuple(float(m) for m in models)
     cov = np.zeros((len(mus), len(ts)))
     err = np.zeros((len(mus), len(ts)))
+    t_arr = np.asarray(ts)
+    n = val.n
     for i, mu_key in enumerate(models):
         model = models[mu_key]
         if model.num_classes != val.num_classes:
@@ -200,13 +233,42 @@ def evaluate_grid(
                 f"model for mu={mu_key} has {model.num_classes} classes "
                 f"but the validation data has {val.num_classes}"
             )
-        probs = forward_batch(model, val.features)
-        for j, t in enumerate(ts):
-            member = _harden_membership(probs, t)
-            cov[i, j] = member.any(axis=1).mean()
-            wrong = member & (val.labels[:, None] != np.arange(val.num_classes))
-            err[i, j] = wrong.mean(axis=0).sum()
+        covered, wrong = _threshold_counts(
+            forward_batch(model, val.features), val.labels, t_arr
+        )
+        cov[i] = covered / n
+        # same float ops as summing the per-class wrong-membership means
+        err[i] = (wrong / n).sum(axis=1)
     return SelectionGrid(mus, ts, cov, err)
+
+
+def _pick(grid: SelectionGrid, admissible, key, fallback_key) -> SelectionResult:
+    """Lexicographic argmax of ``key`` over the admissible cells.
+
+    ``admissible``, ``key`` and ``fallback_key`` map the ``(coverage,
+    error, t, mu)`` tables to a mask and to a tuple of tables, most
+    significant first.  With no admissible cell the argmax of
+    ``fallback_key`` over all cells is returned, flagged infeasible.
+    Full ties go to the first cell in mu-major order.
+    """
+    shape = grid.coverage.shape
+    tables = (
+        grid.coverage,
+        grid.error,
+        np.broadcast_to(np.asarray(grid.t_values), shape),
+        np.broadcast_to(np.asarray(grid.mu_values)[:, None], shape),
+    )
+    cells = np.flatnonzero(admissible(*tables))
+    feasible = cells.size > 0
+    if not feasible:
+        cells, key = np.arange(grid.num_cells), fallback_key
+    # np.lexsort sorts by its last key first; -cells ranks earlier cells higher
+    sort_keys = [k.ravel()[cells] for k in reversed(key(*tables))]
+    order = np.lexsort([-cells] + sort_keys)
+    i, j = np.unravel_index(cells[order[-1]], shape)
+    return SelectionResult(
+        grid.mu_values[i], grid.t_values[j], int(i), int(j), grid, feasible
+    )
 
 
 def pick_error_constrained(grid: SelectionGrid, eps: float) -> SelectionResult:
@@ -219,29 +281,12 @@ def pick_error_constrained(grid: SelectionGrid, eps: float) -> SelectionResult:
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
         raise InputError(f"target error must lie in [0, 1], got {eps}")
-    best = None
-    best_key = None
-    for i, mu in enumerate(grid.mu_values):
-        for j, t in enumerate(grid.t_values):
-            if grid.error[i, j] > eps:
-                continue
-            key = (grid.coverage[i, j], t, -mu)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = (i, j)
-    if best is not None:
-        i, j = best
-        return SelectionResult(grid.mu_values[i], grid.t_values[j], i, j, grid, True)
-    fallback = None
-    fb_key = None
-    for i, mu in enumerate(grid.mu_values):
-        for j, t in enumerate(grid.t_values):
-            key = (-grid.error[i, j], grid.coverage[i, j], t, -mu)
-            if fb_key is None or key > fb_key:
-                fb_key = key
-                fallback = (i, j)
-    i, j = fallback
-    return SelectionResult(grid.mu_values[i], grid.t_values[j], i, j, grid, False)
+    return _pick(
+        grid,
+        lambda c, e, t, mu: e <= eps,
+        lambda c, e, t, mu: (c, t, -mu),
+        lambda c, e, t, mu: (-e, c, t, -mu),
+    )
 
 
 def pick_coverage_constrained(grid: SelectionGrid, rho: float) -> SelectionResult:
@@ -254,29 +299,12 @@ def pick_coverage_constrained(grid: SelectionGrid, rho: float) -> SelectionResul
     rho = float(rho)
     if not 0.0 <= rho <= 1.0:
         raise InputError(f"target coverage must lie in [0, 1], got {rho}")
-    best = None
-    best_key = None
-    for i, mu in enumerate(grid.mu_values):
-        for j, t in enumerate(grid.t_values):
-            if grid.coverage[i, j] < rho:
-                continue
-            key = (-grid.error[i, j], grid.coverage[i, j], t, -mu)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = (i, j)
-    if best is not None:
-        i, j = best
-        return SelectionResult(grid.mu_values[i], grid.t_values[j], i, j, grid, True)
-    fallback = None
-    fb_key = None
-    for i, mu in enumerate(grid.mu_values):
-        for j, t in enumerate(grid.t_values):
-            key = (grid.coverage[i, j], -grid.error[i, j], t, -mu)
-            if fb_key is None or key > fb_key:
-                fb_key = key
-                fallback = (i, j)
-    i, j = fallback
-    return SelectionResult(grid.mu_values[i], grid.t_values[j], i, j, grid, False)
+    return _pick(
+        grid,
+        lambda c, e, t, mu: c >= rho,
+        lambda c, e, t, mu: (-e, c, t, -mu),
+        lambda c, e, t, mu: (c, -e, t, -mu),
+    )
 
 
 def select_error_constrained(

@@ -1,5 +1,7 @@
 """Tests for baseline hardening, curves, overlap mass, and nestedness."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,18 @@ def test_curve_matches_single_selection_route():
         assert point.target_error == eps
         assert point.feasible == res.feasible
         assert point.method == "osp"
+
+
+def test_curve_reuses_given_grid():
+    models, ts, val, test = curve_setup(6)
+    targets = (0.05, 0.3)
+    grid = evaluate_grid(models, ts, val)
+    with mock.patch("onesided.evaluation.evaluate_grid") as scored:
+        given = coverage_error_curve(models, ts, val, test, targets, grid=grid)
+    scored.assert_not_called()
+    assert given == coverage_error_curve(models, ts, val, test, targets)
+    with pytest.raises(InputError):
+        coverage_error_curve(models, ts[:-1], val, test, targets, grid=grid)
 
 
 def test_curve_single_target():

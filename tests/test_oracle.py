@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from onesided.core import (
     CapacityError,
-    DecisionSetFamily,
     InputError,
     LabeledDataset,
     evaluate,
@@ -26,14 +25,10 @@ from onesided.oracle import (
     analytic_example_coverage,
     budget_alpha_grid,
     canonical_cuts,
-    confidence_to_sets,
     default_alpha_grid,
     erm_feasibility_trend,
-    family_member,
-    gating_to_sets,
     overlap_mass,
     sample_analytic_example,
-    sets_to_confidence,
     solve_osp_decoupled,
     solve_osp_exact,
     solve_sc_exact,
@@ -166,6 +161,72 @@ def test_threshold_behavior_count():
         np.linspace(-0.5, 1.5, 500)
     ).membership_matrix(x[:, None])
     assert len({tuple(r) for r in dense}) <= 41
+
+
+# Data values are drawn from a small pool so that duplicates are common,
+# and cuts come from the same pool so that they hit data values exactly.
+POOL = (0.0, 0.2, 0.5, 0.5000000000000001, 0.8, 1.0, -np.inf, np.inf)
+
+
+@st.composite
+def count_instance(draw):
+    n = draw(st.integers(min_value=1, max_value=30))
+    K = draw(st.integers(min_value=2, max_value=4))
+    value = st.one_of(
+        st.sampled_from(POOL),
+        st.floats(min_value=-0.5, max_value=1.5),
+        st.just(float("nan")),
+    )
+    xs = draw(st.lists(value, min_size=n, max_size=n))
+    ys = draw(
+        st.lists(st.integers(min_value=0, max_value=K - 1), min_size=n, max_size=n)
+    )
+    cut = st.one_of(st.sampled_from(xs), value)
+    cuts = draw(st.lists(cut, min_size=1, max_size=8))
+    edges = draw(st.lists(cut, min_size=2, max_size=6))
+    kind = draw(st.sampled_from(["upper", "lower", "interval", "union"]))
+    return xs, ys, K, cuts, edges, kind
+
+
+def dense_counts(cls, data):
+    M = cls.membership_matrix(data.features)
+    viol = [(M & (data.labels != k)).sum(axis=1) for k in range(data.num_classes)]
+    return M.sum(axis=1), np.vstack(viol)
+
+
+@given(count_instance())
+@settings(max_examples=150, deadline=None)
+def test_class_counts_equal_membership_row_sums(inst):
+    xs, ys, K, cuts, edges, kind = inst
+    data = LabeledDataset(np.array(xs)[:, None], ys, K)
+    classes = {
+        "upper": lambda: FiniteHypothesisClass.upper_thresholds(cuts),
+        "lower": lambda: FiniteHypothesisClass.lower_thresholds(cuts),
+        "interval": lambda: FiniteHypothesisClass.intervals(edges),
+        "union": lambda: FiniteHypothesisClass.union(
+            FiniteHypothesisClass.upper_thresholds(cuts),
+            FiniteHypothesisClass.intervals(edges),
+            FiniteHypothesisClass.lower_thresholds(cuts),
+        ),
+    }
+    cls = classes[kind]()
+    cov, viol = cls.counts(data)
+    want_cov, want_viol = dense_counts(cls, data)
+    assert cov.dtype == np.int64 and viol.dtype == np.int64
+    assert np.array_equal(cov, want_cov)
+    assert np.array_equal(viol, want_viol)
+
+
+def test_class_counts_explicit_sets_use_dense_path():
+    X = np.array([[0.1], [0.4], [0.4], [0.9]])
+    data = LabeledDataset(X, [0, 1, 0, 1], 2)
+    cls = FiniteHypothesisClass.explicit_sets(
+        X, [np.array([1, 1, 0, 0]), np.array([0, 1, 1, 1])]
+    )
+    cov, viol = cls.counts(data)
+    want_cov, want_viol = dense_counts(cls, data)
+    assert np.array_equal(cov, want_cov)
+    assert np.array_equal(viol, want_viol)
 
 
 # ---------------------------------------------------------------------------
@@ -416,77 +477,6 @@ def test_analytic_sample_deterministic():
     b = sample_analytic_example(1000, seed=9)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
-
-
-# ---------------------------------------------------------------------------
-# conversions
-
-
-def _slab_partition(edges):
-    def slab(lo, hi):
-        return lambda X: (X[:, 0] > lo) & (X[:, 0] <= hi)
-
-    return [slab(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-
-
-def test_gating_to_sets_and_rejection_region():
-    rng = np.random.default_rng(0)
-    X = rng.random((100, 1))
-    cells = _slab_partition([-0.1, 0.3, 0.7, 1.1])
-    gate = UpperThresholdSet(0.5)
-    fam = gating_to_sets(gate, cells, X)
-    M = fam.membership(X)
-    accepted = np.asarray(gate(X))
-    # union of the sets is exactly the accept region
-    assert np.array_equal(M.any(axis=1), accepted)
-    for k, cell in enumerate(cells):
-        assert np.array_equal(M[:, k], np.asarray(cell(X)) & accepted)
-
-
-def test_gating_to_sets_rejects_non_partition():
-    X = np.array([[0.1], [0.5], [0.9]])
-    overlapping = [UpperThresholdSet(0.0), UpperThresholdSet(0.4)]
-    with pytest.raises(InputError):
-        gating_to_sets(UpperThresholdSet(0.2), overlapping, X)
-
-
-def test_confidence_round_trip():
-    rng = np.random.default_rng(1)
-    X = rng.random((200, 1))
-    edges = [-0.1, 0.25, 0.6, 1.1]
-    cells = _slab_partition(edges)
-    gate = LowerThresholdSet(0.8)
-    fam = gating_to_sets(gate, cells, X)
-    cover = sets_to_confidence(fam)
-    M = fam.membership(X)
-    reject = ~M.any(axis=1)
-    K = fam.num_sets
-    for i in range(K):
-        ci = np.asarray(cover[i](X))
-        # confidence set = own set plus the rejection region
-        assert np.array_equal(ci, M[:, i] | reject)
-        for j in range(i + 1, K):
-            cj = np.asarray(cover[j](X))
-            assert np.array_equal(ci & cj, reject)
-    back = confidence_to_sets(cover, dim=1)
-    assert np.array_equal(back.membership(X), M)
-
-
-def test_sets_to_confidence_requires_disjoint():
-    fam = DecisionSetFamily.from_predicates(
-        [UpperThresholdSet(0.1), UpperThresholdSet(0.5)], dim=1, disjoint=False
-    )
-    with pytest.raises(InputError):
-        sets_to_confidence(fam)
-
-
-def test_family_member_view():
-    fam = DecisionSetFamily.from_predicates(
-        [UpperThresholdSet(0.5), LowerThresholdSet(0.2)], dim=1, disjoint=True
-    )
-    X = np.array([[0.1], [0.6]])
-    assert family_member(fam, 0)(X).tolist() == [False, True]
-    assert family_member(fam, 1)(X).tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,9 @@ def test_run_config_validation(tmp_path):
         blob_config(tmp_path, mu_grid=())
     with pytest.raises(InputError):
         blob_config(tmp_path, mu_grid=(-1.0,))
+    # models are keyed by mu, so a repeated value would drop a trained model
+    with pytest.raises(InputError, match="distinct"):
+        blob_config(tmp_path, mu_grid=(0.5, 2.0, 0.5))
     with pytest.raises(InputError):
         blob_config(tmp_path, t_grid=(0.5, 1.2))
     with pytest.raises(InputError):

@@ -1,13 +1,16 @@
 """Tests for hardening and (mu, t)-grid model selection."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onesided.core import InputError, LabeledDataset, assign, evaluate
 from onesided.net import BackboneSpec, SelectiveModel, forward_batch, init_model
 from onesided.select import (
+    _harden_membership,
     SelectionCriterion,
     SelectionGrid,
     SelectionResult,
@@ -150,6 +153,83 @@ def test_evaluate_grid_input_errors():
         evaluate_grid({1.0: random_model(0)}, (1.2,), val)
     with pytest.raises(InputError):
         evaluate_grid({1.0: random_model(0, num_classes=4)}, (0.5,), val)
+
+
+# Scores and thresholds share a few exact values so that scores fall
+# exactly on thresholds and repeat across rows.
+SHARED_VALUES = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def score_table(draw):
+    K = draw(st.integers(min_value=2, max_value=10))
+    n = draw(st.integers(min_value=1, max_value=40))
+    value = st.one_of(
+        st.sampled_from(SHARED_VALUES),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.just(float("nan")),
+    )
+    probs = np.array(
+        draw(st.lists(value, min_size=n * K, max_size=n * K)), dtype=np.float64
+    ).reshape(n, K)
+    labels = draw(
+        st.lists(st.integers(min_value=0, max_value=K - 1), min_size=n, max_size=n)
+    )
+    ts = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(SHARED_VALUES), st.floats(min_value=0.0, max_value=1.0)
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return probs, np.array(labels), K, ts
+
+
+def dense_grid_row(probs, labels, K, ts):
+    """One membership matrix per threshold, counted as the grid defines it."""
+    cov, err = [], []
+    for t in ts:
+        member = _harden_membership(probs, t)
+        cov.append(member.any(axis=1).mean())
+        wrong = member & (labels[:, None] != np.arange(K))
+        err.append(wrong.mean(axis=0).sum())
+    return np.array(cov), np.array(err)
+
+
+# One wrong point in each of three classes out of ten: 0.1 + 0.1 + 0.1 is
+# not 3 / 10 in floating point, so the error must sum per-class rates.
+THREE_WRONG = (
+    np.vstack([np.eye(3)[[0, 1, 2]], np.tile(np.eye(3)[0], (7, 1))]),
+    np.array([1, 2, 0] + [0] * 7),
+    3,
+    [0.5],
+)
+
+
+@given(score_table())
+@example(THREE_WRONG)
+@settings(max_examples=150, deadline=None)
+def test_evaluate_grid_sorted_counts_equal_dense_scan(table):
+    probs, labels, K, ts = table
+    val = LabeledDataset(np.zeros((len(labels), 1)), labels, K)
+    model = random_model(0, dim=1, num_classes=K)
+    with mock.patch("onesided.select.forward_batch", return_value=probs):
+        grid = evaluate_grid({1.0: model}, ts, val)
+    cov, err = dense_grid_row(probs, labels, K, grid.t_values)
+    assert grid.coverage[0].tobytes() == cov.tobytes()
+    assert grid.error[0].tobytes() == err.tobytes()
+
+
+def test_evaluate_grid_rejects_nan_rows():
+    probs = np.array([[np.nan, 0.2], [0.3, 0.7], [0.9, np.nan]])
+    val = LabeledDataset(np.zeros((3, 1)), [0, 0, 1], 2)
+    model = random_model(0, dim=1, num_classes=2)
+    with mock.patch("onesided.select.forward_batch", return_value=probs):
+        grid = evaluate_grid({1.0: model}, (0.0, 0.7, 0.71), val)
+    assert grid.coverage.tolist() == [[1 / 3, 1 / 3, 0.0]]
+    assert grid.error.tolist() == [[1 / 3, 1 / 3, 0.0]]
 
 
 def test_selection_grid_validation():
