@@ -34,6 +34,8 @@ from .pipeline import (
     CURVE_COLUMNS,
     GRID_COLUMNS,
     RunConfig,
+    _log_to_doc,
+    _write_json,
     _write_table,
     load_config,
     run_pipeline,
@@ -71,7 +73,8 @@ def _comma_ints(text: str) -> tuple[int, ...]:
         raise InputError(f"expected comma-separated integers, got {text!r}")
 
 
-def _load_models(args) -> dict:
+def _load_models(args) -> tuple[dict, int]:
+    """The models keyed by mu, and the class count they all share."""
     if not args.model:
         raise InputError("need at least one --model")
     if len(args.model) != len(args.mu):
@@ -85,7 +88,10 @@ def _load_models(args) -> dict:
         except OSError as exc:
             raise InputError(f"cannot read model {path}: {exc}")
         models[float(mu)] = deserialize(payload)
-    return models
+    counts = sorted({m.num_classes for m in models.values()})
+    if len(counts) > 1:
+        raise InputError(f"models disagree on the class count: {counts}")
+    return models, counts[0]
 
 
 def _threshold_values(args) -> tuple[float, ...]:
@@ -158,29 +164,14 @@ def _cmd_train(args) -> int:
         f"leaks={[round(v, 6) for v in final.leaks]}"
     )
     if args.log is not None:
-        doc = {
-            "mu": args.mu,
-            "records": [
-                {
-                    "epoch": int(r.epoch),
-                    "fit_sum": float(r.fit_sum),
-                    "leaks": [float(v) for v in r.leaks],
-                    "lambdas": [float(v) for v in r.lambdas],
-                    "phis": [float(v) for v in r.phis],
-                }
-                for r in log.records
-            ],
-        }
-        Path(args.log).write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(Path(args.log), _log_to_doc(args.mu, log))
     print(f"model written to {args.out}")
     return 0
 
 
 def _cmd_select(args) -> int:
-    val = ingest_csv(args.val)
-    models = _load_models(args)
+    models, num_classes = _load_models(args)
+    val = ingest_csv(args.val, num_classes)
     ts = _threshold_values(args)
     grid = evaluate_grid(models, ts, val)
     criterion = SelectionCriterion(args.mode, args.target)
@@ -196,11 +187,11 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    data = ingest_csv(args.data)
     try:
         model = deserialize(Path(args.model).read_bytes())
     except OSError as exc:
         raise InputError(f"cannot read model {args.model}: {exc}")
+    data = ingest_csv(args.data, model.num_classes)
     metrics = evaluate(harden(model, args.t), data)
     overlap = osp_overlap(model, args.t, data)
     print(f"coverage={metrics.coverage:.6f}")
@@ -212,9 +203,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    val = ingest_csv(args.val)
-    test = ingest_csv(args.test)
-    models = _load_models(args)
+    models, num_classes = _load_models(args)
+    val = ingest_csv(args.val, num_classes)
+    test = ingest_csv(args.test, num_classes)
     ts = _threshold_values(args)
     points = coverage_error_curve(models, ts, val, test, args.targets)
     rows = [

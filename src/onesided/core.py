@@ -110,14 +110,12 @@ class DecisionSetFamily:
     """K membership predicates over feature space.
 
     ``member_fn`` maps an ``(n, dim)`` batch to an ``(n, K)`` boolean
-    membership matrix.  ``disjoint`` declares that the sets cannot overlap;
-    classification trusts it only for skipping tie-breaks, never for metrics.
+    membership matrix.
     """
 
     member_fn: Callable[[np.ndarray], np.ndarray]
     num_sets: int
     dim: int
-    disjoint: bool = False
 
     def membership(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -138,7 +136,6 @@ class DecisionSetFamily:
         cls,
         predicates: Sequence[Callable[[np.ndarray], np.ndarray]],
         dim: int,
-        disjoint: bool = False,
     ) -> "DecisionSetFamily":
         preds = tuple(predicates)
         if not preds:
@@ -149,7 +146,7 @@ class DecisionSetFamily:
                 [np.asarray(p(X), dtype=bool).ravel() for p in preds]
             )
 
-        return cls(member, len(preds), dim, disjoint)
+        return cls(member, len(preds), dim)
 
 
 @dataclass(frozen=True)

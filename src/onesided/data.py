@@ -262,8 +262,13 @@ def two_class_mixture(
     )
 
 
-def ingest_csv(path: str | Path) -> LabeledDataset:
-    """Load a dataset from a headered CSV with a trailing label column."""
+def ingest_csv(path: str | Path, num_classes: int | None = None) -> LabeledDataset:
+    """Load a dataset from a headered CSV with a trailing label column.
+
+    Features must be finite.  The class count is ``num_classes`` when given,
+    so a file may lack the highest labels; a label at or above it is a
+    format error.  Without it the count is the largest label plus one.
+    """
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -289,11 +294,14 @@ def ingest_csv(path: str | Path) -> LabeledDataset:
                 f"{path} line {line_no}: expected {dim + 1} fields, got {len(row)}"
             )
         try:
-            feats.append([float(cell) for cell in row[:-1]])
+            values = [float(cell) for cell in row[:-1]]
         except ValueError:
             raise FormatError(
                 f"{path} line {line_no}: non-numeric feature value"
             )
+        if not np.isfinite(values).all():
+            raise FormatError(f"{path} line {line_no}: non-finite feature value")
+        feats.append(values)
         cell = row[-1].strip()
         try:
             label = int(cell)
@@ -305,11 +313,17 @@ def ingest_csv(path: str | Path) -> LabeledDataset:
             raise FormatError(
                 f"{path} line {line_no}: label {label} is negative"
             )
+        if num_classes is not None and label >= num_classes:
+            raise FormatError(
+                f"{path} line {line_no}: label {label} outside [0, {num_classes})"
+            )
         labels.append(label)
     if not feats:
         raise InputError(f"{path} has a header but no data rows")
     labels = np.array(labels, dtype=np.int64)
-    return LabeledDataset(np.array(feats), labels, int(labels.max()) + 1)
+    if num_classes is None:
+        num_classes = int(labels.max()) + 1
+    return LabeledDataset(np.array(feats), labels, num_classes)
 
 
 def write_csv(data: LabeledDataset, path: str | Path) -> None:

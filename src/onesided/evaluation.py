@@ -47,7 +47,7 @@ def sr_baseline(model: SelectiveModel, t: float) -> DecisionSetFamily:
         out[np.arange(probs.shape[0]), top] = accept
         return out
 
-    return DecisionSetFamily(member, model.num_classes, model.spec.input_dim, disjoint=True)
+    return DecisionSetFamily(member, model.num_classes, model.spec.input_dim)
 
 
 @dataclass(frozen=True)

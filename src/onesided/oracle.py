@@ -334,7 +334,7 @@ class OracleSolution:
 
 def _empty_solution(num_sets: int, dim: int) -> OracleSolution:
     preds = [EmptySet() for _ in range(num_sets)]
-    fam = DecisionSetFamily.from_predicates(preds, dim=dim, disjoint=True)
+    fam = DecisionSetFamily.from_predicates(preds, dim=dim)
     return OracleSolution(fam, 0.0, True, chosen_indices=tuple([None] * num_sets))
 
 
@@ -376,9 +376,7 @@ def solve_osp_exact(
         return _empty_solution(1, data.dim)
     idx_feas = np.flatnonzero(feasible)
     best = idx_feas[np.argmax(cov[idx_feas])]
-    fam = DecisionSetFamily.from_predicates(
-        [hclass.predicates[best]], dim=data.dim, disjoint=True
-    )
+    fam = DecisionSetFamily.from_predicates([hclass.predicates[best]], dim=data.dim)
     return OracleSolution(
         fam, float(cov[best] / data.n), True, chosen_indices=(int(best),)
     )
@@ -441,9 +439,7 @@ def solve_sc_exact(
                 break
         if ok:
             preds = [hclass.predicates[i] for i in idxs]
-            fam = DecisionSetFamily.from_predicates(
-                preds, dim=data.dim, disjoint=True
-            )
+            fam = DecisionSetFamily.from_predicates(preds, dim=data.dim)
             return OracleSolution(
                 fam,
                 float(covs[pos] / data.n),
@@ -526,7 +522,7 @@ def solve_osp_decoupled(
             final_preds.append(raw_preds[0])
         else:
             final_preds.append(DifferenceSet(raw_preds[k], raw_preds[:k]))
-    fam = DecisionSetFamily.from_predicates(final_preds, dim=data.dim, disjoint=True)
+    fam = DecisionSetFamily.from_predicates(final_preds, dim=data.dim)
     return OracleSolution(
         fam,
         best_value,

@@ -60,7 +60,7 @@ def harden(model: SelectiveModel, t: float) -> DecisionSetFamily:
     def member(X: np.ndarray) -> np.ndarray:
         return _harden_membership(forward_batch(model, X), t)
 
-    return DecisionSetFamily(member, model.num_classes, model.spec.input_dim, disjoint=True)
+    return DecisionSetFamily(member, model.num_classes, model.spec.input_dim)
 
 
 @dataclass(frozen=True)

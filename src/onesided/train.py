@@ -8,6 +8,13 @@ variables phi_k, and a budget price mu:
 
     sum_k [ fit_k + lambda_k * (leak_k - phi_k) + mu * phi_k ]
 
+Every fit and leak loss here is a weighted view of one masked pass,
+`class_terms`, with weights fit_w and leak_w: (e_k, 0) for the fit loss,
+(0, e_k) for the leak loss, (1, lambda) for the saddle objective.  A term
+with no rows in the batch is absent: it reads 0 and adds no gradient.
+Scores are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] before every log, with
+zero gradient where the clamp is active.
+
 Network weights and slacks descend on a fast learning rate while the
 multipliers ascend on a slow one; the shared backbone accumulates its
 descent steps and applies them only every few epochs, keeping the
@@ -16,8 +23,8 @@ per-class heads quasi-independent in between.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,55 +129,87 @@ def _clamped(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
-def _fit_value(probs, labels, k, restricted):
+class ClassTerms(NamedTuple):
+    """Per-class means and absence flags from :func:`class_terms`."""
+
+    fit: np.ndarray
+    leak: np.ndarray
+    absent_fit: np.ndarray
+    absent_leak: np.ndarray
+    dprobs: np.ndarray | None
+
+
+def class_terms(probs, labels, fit_w=None, leak_w=None, restricted=True) -> ClassTerms:
+    """Every class's fit and leak term in one masked pass over ``(n, K)`` scores.
+
+    ``fit[k]`` is the mean -log p_k over the class-k rows (every row unless
+    ``restricted``), ``leak[k]`` the mean -log(1 - p_k) over the other rows.
+    An empty row set makes a term absent: it reads 0 and its ``absent_*``
+    flag is set.  Scores are clamped to ``[PROB_FLOOR, 1 - PROB_FLOOR]``
+    before the log; the gradient is zero where the clamp is active.  With
+    weights (scalars or length-K vectors, ``None`` meaning 0), ``dprobs`` is
+    the gradient of ``sum_k fit_w[k] * fit[k] + leak_w[k] * leak[k]``.
+    """
+    n, K = probs.shape
+    own = labels[:, None] == np.arange(K)
+    n_own = np.bincount(labels, minlength=K)
     if restricted:
-        mask = labels == k
-        if not mask.any():
-            return 0.0, True
-        return float(np.mean(-np.log(_clamped(probs[mask, k])))), False
-    return float(np.mean(-np.log(_clamped(probs[:, k])))), False
+        fit_rows, n_fit = own, n_own
+    else:
+        fit_rows, n_fit = np.ones_like(own), np.full(K, n)
+    leak_rows, n_leak = ~own, n - n_own
+    # absent columns have no rows to divide over
+    d_fit = np.maximum(n_fit, 1)
+    d_leak = np.maximum(n_leak, 1)
+    p = _clamped(probs)
+    q = _clamped(1.0 - probs)
+    fit = np.where(fit_rows, -np.log(p), 0.0).sum(axis=0) / d_fit
+    leak = np.where(leak_rows, -np.log(q), 0.0).sum(axis=0) / d_leak
+    dprobs = None
+    if fit_w is not None or leak_w is not None:
+        fit_w = 0.0 if fit_w is None else fit_w
+        leak_w = 0.0 if leak_w is None else leak_w
+        interior = (probs > PROB_FLOOR) & (probs < 1.0 - PROB_FLOOR)
+        dprobs = np.where(fit_rows & interior, -fit_w / (d_fit * p), 0.0) + np.where(
+            leak_rows & interior, leak_w / (d_leak * q), 0.0
+        )
+    return ClassTerms(fit, leak, n_fit == 0, n_leak == 0, dprobs)
 
 
-def _leak_value(probs, labels, k):
-    mask = labels != k
-    if not mask.any():
-        return 0.0, True
-    return float(np.mean(-np.log(_clamped(1.0 - probs[mask, k])))), False
+def _saddle_value(terms: ClassTerms, state: LagrangianState) -> float:
+    lam = state.lambdas
+    return float(terms.fit.sum() + lam @ terms.leak + (state.mu - lam) @ state.phis)
+
+
+def _batch_terms(model, batch, restricted=True) -> ClassTerms:
+    return class_terms(
+        forward_batch(model, batch.features), batch.labels, restricted=restricted
+    )
 
 
 def restricted_loss(model: SelectiveModel, batch: LabeledDataset, k: int) -> float:
     """Mean -log f_k over the batch's class-k points (0 when absent)."""
     _check_class(model, k)
-    probs = forward_batch(model, batch.features)
-    return _fit_value(probs, batch.labels, k, True)[0]
+    return float(_batch_terms(model, batch).fit[k])
 
 
 def unrestricted_loss(model: SelectiveModel, batch: LabeledDataset, k: int) -> float:
     """Mean -log f_k over every batch point, regardless of label."""
     _check_class(model, k)
-    probs = forward_batch(model, batch.features)
-    return _fit_value(probs, batch.labels, k, False)[0]
+    return float(_batch_terms(model, batch, restricted=False).fit[k])
 
 
 def constraint_loss(model: SelectiveModel, batch: LabeledDataset, k: int) -> float:
     """Mean -log(1 - f_k) over the batch's non-k points (0 when absent)."""
     _check_class(model, k)
-    probs = forward_batch(model, batch.features)
-    return _leak_value(probs, batch.labels, k)[0]
+    return float(_batch_terms(model, batch).leak[k])
 
 
 def lagrangian(
     model: SelectiveModel, batch: LabeledDataset, state: LagrangianState
 ) -> float:
     """Full saddle objective at the given multipliers and slacks."""
-    probs = forward_batch(model, batch.features)
-    K = model.num_classes
-    total = 0.0
-    for k in range(K):
-        fit, _ = _fit_value(probs, batch.labels, k, True)
-        leak, _ = _leak_value(probs, batch.labels, k)
-        total += fit + state.lambdas[k] * (leak - state.phis[k]) + state.mu * state.phis[k]
-    return float(total)
+    return _saddle_value(_batch_terms(model, batch), state)
 
 
 def _check_class(model: SelectiveModel, k: int) -> None:
@@ -189,17 +228,8 @@ class RestrictedFitLoss:
         self.k = k
 
     def value_and_grad(self, probs, labels):
-        k = self.k
-        mask = labels == k
-        dprobs = np.zeros_like(probs)
-        if not mask.any():
-            return 0.0, dprobs
-        p_raw = probs[mask, k]
-        p = _clamped(p_raw)
-        value = float(np.mean(-np.log(p)))
-        interior = (p_raw > PROB_FLOOR) & (p_raw < 1.0 - PROB_FLOOR)
-        dprobs[mask, k] = np.where(interior, -1.0 / (mask.sum() * p), 0.0)
-        return value, dprobs
+        terms = class_terms(probs, labels, fit_w=np.eye(probs.shape[1])[self.k])
+        return float(terms.fit[self.k]), terms.dprobs
 
 
 class LeakLoss:
@@ -209,17 +239,8 @@ class LeakLoss:
         self.k = k
 
     def value_and_grad(self, probs, labels):
-        k = self.k
-        mask = labels != k
-        dprobs = np.zeros_like(probs)
-        if not mask.any():
-            return 0.0, dprobs
-        p_raw = probs[mask, k]
-        q = _clamped(1.0 - p_raw)
-        value = float(np.mean(-np.log(q)))
-        interior = (p_raw > PROB_FLOOR) & (p_raw < 1.0 - PROB_FLOOR)
-        dprobs[mask, k] = np.where(interior, 1.0 / (mask.sum() * q), 0.0)
-        return value, dprobs
+        terms = class_terms(probs, labels, leak_w=np.eye(probs.shape[1])[self.k])
+        return float(terms.leak[self.k]), terms.dprobs
 
 
 class LagrangianLoss:
@@ -239,51 +260,13 @@ class LagrangianLoss:
         self.last_absent_leak: np.ndarray | None = None
 
     def value_and_grad(self, probs, labels):
-        state = self.state
-        K = probs.shape[1]
-        n = probs.shape[0]
-        dprobs = np.zeros_like(probs)
-        total = 0.0
-        leaks = np.zeros(K)
-        absent_fit = np.zeros(K, dtype=bool)
-        absent_leak = np.zeros(K, dtype=bool)
-        for k in range(K):
-            if self.restricted:
-                mask = labels == k
-                if mask.any():
-                    p_raw = probs[mask, k]
-                    p = _clamped(p_raw)
-                    total += float(np.mean(-np.log(p)))
-                    interior = (p_raw > PROB_FLOOR) & (p_raw < 1.0 - PROB_FLOOR)
-                    dprobs[mask, k] += np.where(
-                        interior, -1.0 / (mask.sum() * p), 0.0
-                    )
-                else:
-                    absent_fit[k] = True
-            else:
-                p_raw = probs[:, k]
-                p = _clamped(p_raw)
-                total += float(np.mean(-np.log(p)))
-                interior = (p_raw > PROB_FLOOR) & (p_raw < 1.0 - PROB_FLOOR)
-                dprobs[:, k] += np.where(interior, -1.0 / (n * p), 0.0)
-            cmask = labels != k
-            if cmask.any():
-                p_raw = probs[cmask, k]
-                q = _clamped(1.0 - p_raw)
-                leak = float(np.mean(-np.log(q)))
-                leaks[k] = leak
-                total += state.lambdas[k] * leak
-                interior = (p_raw > PROB_FLOOR) & (p_raw < 1.0 - PROB_FLOOR)
-                dprobs[cmask, k] += np.where(
-                    interior, state.lambdas[k] / (cmask.sum() * q), 0.0
-                )
-            else:
-                absent_leak[k] = True
-            total += (state.mu - state.lambdas[k]) * state.phis[k]
-        self.last_leaks = leaks
-        self.last_absent_fit = absent_fit
-        self.last_absent_leak = absent_leak
-        return float(total), dprobs
+        terms = class_terms(
+            probs, labels, 1.0, self.state.lambdas, restricted=self.restricted
+        )
+        self.last_leaks = terms.leak
+        self.last_absent_fit = terms.absent_fit
+        self.last_absent_leak = terms.absent_leak
+        return _saddle_value(terms, self.state), terms.dprobs
 
 
 class GamblersLoss:
@@ -319,15 +302,8 @@ class GamblersLoss:
 
 def dg_loss(model: SelectiveModel, batch: LabeledDataset, config: DGConfig) -> float:
     """Opt-out training loss of the extra-head baseline model."""
-    K = model.num_classes - 1
-    if K < 1:
-        raise InputError("opt-out model needs at least 2 heads")
-    if not 1.0 <= config.payoff < K:
-        raise InputError(f"payoff must lie in [1, {K}), got {config.payoff}")
     probs = forward_batch(model, batch.features)
-    idx = np.arange(probs.shape[0])
-    s = _clamped(probs[idx, batch.labels] + probs[:, K] / config.payoff)
-    return float(np.mean(-np.log(s)))
+    return GamblersLoss(config.payoff).value_and_grad(probs, batch.labels)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +365,11 @@ class _Adam:
 def _full_data_record(
     model, data, state, epoch, absent_fit, absent_leak
 ) -> EpochRecord:
-    probs = forward_batch(model, data.features)
-    K = model.num_classes
-    fit_sum = 0.0
-    leaks = []
-    for k in range(K):
-        fit_sum += _fit_value(probs, data.labels, k, True)[0]
-        leaks.append(_leak_value(probs, data.labels, k)[0])
+    terms = class_terms(forward_batch(model, data.features), data.labels)
     return EpochRecord(
         epoch=epoch,
-        fit_sum=float(fit_sum),
-        leaks=tuple(leaks),
+        fit_sum=float(terms.fit.sum()),
+        leaks=tuple(float(v) for v in terms.leak),
         lambdas=tuple(float(v) for v in state.lambdas),
         phis=tuple(float(v) for v in state.phis),
         absent_fit=tuple(int(v) for v in absent_fit),

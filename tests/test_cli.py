@@ -97,6 +97,8 @@ def test_train_writes_model_and_log(tmp_path, capsys):
     log = json.loads((tmp_path / "log.json").read_text())
     assert log["mu"] == 1.0
     assert len(log["records"]) == 6
+    for record in log["records"]:
+        assert len(record["absent_fit"]) == 3 and len(record["absent_leak"]) == 3
     out = capsys.readouterr().out
     assert "fit_sum=" in out
 
@@ -165,6 +167,41 @@ def test_eval_prints_metrics(tmp_path, capsys):
     out = capsys.readouterr().out
     for field in ("coverage=", "error=", "per_class_error=", "overlap="):
         assert field in out
+
+
+def test_heldout_csv_is_read_with_the_models_class_count(tmp_path, capsys):
+    data = synth_csv(tmp_path / "d.csv")
+    m1 = train_model(data, tmp_path / "m1.npz")
+    lines = data.read_text().splitlines()
+    no_top = tmp_path / "no_top.csv"
+    no_top.write_text("\n".join(l for l in lines if not l.endswith(",2")) + "\n")
+    assert run("eval", "--data", str(no_top), "--model", str(m1), "--t", "0.5") == 0
+    grid = ["--model", str(m1), "--mu", "1.0", "--t-size", "5"]
+    assert run("select", "--val", str(no_top), "--target", "1.0", *grid) == 0
+    curve_out = str(tmp_path / "curve.csv")
+    assert run(
+        "curve", "--val", str(no_top), "--test", str(no_top), "--targets", "1.0",
+        "--out", curve_out, *grid,
+    ) == 0
+    capsys.readouterr()
+    too_high = tmp_path / "too_high.csv"
+    too_high.write_text("\n".join(lines[:3] + ["0.0,0.0,3"]) + "\n")
+    assert run("eval", "--data", str(too_high), "--model", str(m1), "--t", "0.5") == 1
+    assert "line 4" in capsys.readouterr().err
+
+
+def test_select_rejects_models_with_different_class_counts(tmp_path, capsys):
+    three = train_model(synth_csv(tmp_path / "d3.csv"), tmp_path / "m3.npz")
+    two_csv = tmp_path / "d2.csv"
+    synth = ("synth", "--kind", "blobs", "--classes", "2", "--n", "120")
+    assert run(*synth, "--out", str(two_csv)) == 0
+    two = train_model(two_csv, tmp_path / "m2.npz")
+    code = run(
+        "select", "--val", str(two_csv), "--target", "0.1",
+        "--model", str(three), "--mu", "1.0", "--model", str(two), "--mu", "2.0",
+    )
+    assert code == 1
+    assert "class count" in capsys.readouterr().err
 
 
 def test_curve_writes_points(tmp_path):

@@ -30,9 +30,7 @@ def four_point_family():
     # hand-checked: S0 = {x > 0.5} grabs 0.6 (label 1, wrong) and 0.9
     # (label 0, right); S1 = {x <= 0.2} grabs 0.1 (label 1, right)
     data = LabeledDataset([[0.1], [0.4], [0.6], [0.9]], [1, 0, 1, 0], 2)
-    fam = DecisionSetFamily.from_predicates(
-        [upper(0.5), lower(0.2)], dim=1, disjoint=True
-    )
+    fam = DecisionSetFamily.from_predicates([upper(0.5), lower(0.2)], dim=1)
     return data, fam
 
 
@@ -79,9 +77,7 @@ def test_dataset_arrays_are_read_only():
 
 
 def test_classify_tie_break_smallest_index():
-    fam = DecisionSetFamily.from_predicates(
-        [upper(0.0), upper(0.0)], dim=1, disjoint=False
-    )
+    fam = DecisionSetFamily.from_predicates([upper(0.0), upper(0.0)], dim=1)
     d = classify(fam, np.array([0.5]))
     assert d == SelectiveDecision.predict(0)
 
@@ -145,9 +141,7 @@ def random_instance(draw):
 def test_metric_identities(inst):
     xs, ys, K, cuts = inst
     data = LabeledDataset(np.array(xs)[:, None], ys, K)
-    fam = DecisionSetFamily.from_predicates(
-        [upper(c) for c in cuts], dim=1, disjoint=False
-    )
+    fam = DecisionSetFamily.from_predicates([upper(c) for c in cuts], dim=1)
     m = evaluate(fam, data)
     assert abs(m.coverage + m.rejection_rate - 1.0) <= 1e-12
     assert m.raw_error <= m.coverage + 1e-12
@@ -168,7 +162,7 @@ def test_disjoint_family_coverage_decomposes(inst):
         return lambda X: (X[:, 0] > lo) & (X[:, 0] <= hi)
 
     preds = [slab(edges[i], edges[i + 1]) for i in range(K)]
-    fam = DecisionSetFamily.from_predicates(preds, dim=1, disjoint=True)
+    fam = DecisionSetFamily.from_predicates(preds, dim=1)
     M = fam.membership(data.features)
     assert (M.sum(axis=1) <= 1).all()
     m = evaluate(fam, data)

@@ -220,6 +220,7 @@ def test_ingest_csv_errors(tmp_path):
         ("1.0,2.0,-1\n", 2),
         ("1.0,2.0,0\n1.0,2.0\n", 3),
         ("1.0,2.0,1.5\n", 2),
+        ("1.0,2.0,0\n\n1.0,nan,1\n-inf,2.0,0\n", 4),
     ],
 )
 def test_ingest_csv_parse_errors_carry_line_numbers(tmp_path, body, line):

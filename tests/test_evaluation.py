@@ -193,7 +193,7 @@ def test_overlap_uses_strict_comparison():
 
 def mask_family(reference, masks):
     preds = [PointMaskSet(reference, m) for m in masks]
-    return DecisionSetFamily.from_predicates(preds, reference.shape[1], disjoint=True)
+    return DecisionSetFamily.from_predicates(preds, reference.shape[1])
 
 
 def nested_setup():

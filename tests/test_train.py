@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onesided.core import InputError, LabeledDataset, NumericError
-from onesided.net import BackboneSpec, forward_batch, init_model
+from onesided.net import PROB_FLOOR, BackboneSpec, forward_batch, init_model
 from onesided.train import (
     DGConfig,
     GamblersLoss,
@@ -13,6 +15,7 @@ from onesided.train import (
     LeakLoss,
     RestrictedFitLoss,
     TrainConfig,
+    class_terms,
     constraint_loss,
     dg_loss,
     lagrangian,
@@ -134,6 +137,107 @@ def test_unrestricted_loss_covers_all_points():
     assert unrestricted_loss(model, batch, 0) == pytest.approx(expected, rel=1e-14)
     with pytest.raises(InputError):
         unrestricted_loss(model, batch, 5)
+
+
+# ---------------------------------------------------------------------------
+# the class-term kernel against a per-class loop
+
+
+def loop_terms(probs, labels, fit_w, leak_w, restricted=True):
+    """Reference: each class's fit and leak term, one class at a time."""
+    n, K = probs.shape
+    fit, leak = np.zeros(K), np.zeros(K)
+    absent_fit, absent_leak = np.zeros(K, dtype=bool), np.zeros(K, dtype=bool)
+    dprobs = np.zeros_like(probs)
+    for k in range(K):
+        rows = labels == k if restricted else np.ones(n, dtype=bool)
+        if rows.any():
+            p_raw = probs[rows, k]
+            p = np.clip(p_raw, PROB_FLOOR, 1.0 - PROB_FLOOR)
+            fit[k] = np.mean(-np.log(p))
+            inside = (p_raw > PROB_FLOOR) & (p_raw < 1.0 - PROB_FLOOR)
+            dprobs[rows, k] += np.where(inside, -fit_w[k] / (rows.sum() * p), 0.0)
+        else:
+            absent_fit[k] = True
+        rows = labels != k
+        if rows.any():
+            p_raw = probs[rows, k]
+            q = np.clip(1.0 - p_raw, PROB_FLOOR, 1.0 - PROB_FLOOR)
+            leak[k] = np.mean(-np.log(q))
+            inside = (p_raw > PROB_FLOOR) & (p_raw < 1.0 - PROB_FLOOR)
+            dprobs[rows, k] += np.where(inside, leak_w[k] / (rows.sum() * q), 0.0)
+        else:
+            absent_leak[k] = True
+    return fit, leak, absent_fit, absent_leak, dprobs
+
+
+def close(got, want):
+    return got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    K=st.integers(1, 10),
+    n=st.integers(1, 40),
+    present=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    restricted=st.booleans(),
+)
+def test_class_terms_and_losses_match_per_class_loop(K, n, present, seed, restricted):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=(n, K)) * rng.choice([1.0, 30.0])
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[rng.random(n) < 0.2] = np.eye(K)[rng.integers(0, K)]  # scores at 0 and 1
+    labels = rng.integers(0, min(present, K), size=n)  # classes >= present are absent
+    fit_w = rng.random(K) * (rng.random(K) < 0.7)
+    leak_w = rng.random(K) * (rng.random(K) < 0.7)
+
+    got = class_terms(probs, labels, fit_w, leak_w, restricted)
+    fit, leak, absent_fit, absent_leak, dprobs = loop_terms(
+        probs, labels, fit_w, leak_w, restricted
+    )
+    assert close(got.fit, fit) and close(got.leak, leak)
+    assert np.array_equal(got.absent_fit, absent_fit)
+    assert np.array_equal(got.absent_leak, absent_leak)
+    assert got.dprobs.tobytes() == dprobs.tobytes()
+    assert class_terms(probs, labels, restricted=restricted).dprobs is None
+
+    zero = np.zeros(K)
+    for k in range(K):
+        e_k = np.eye(K)[k]
+        value, grad = RestrictedFitLoss(k).value_and_grad(probs, labels)
+        want = loop_terms(probs, labels, e_k, zero)
+        assert close(value, want[0][k]) and grad.tobytes() == want[4].tobytes()
+        value, grad = LeakLoss(k).value_and_grad(probs, labels)
+        want = loop_terms(probs, labels, zero, e_k)
+        assert close(value, want[1][k]) and grad.tobytes() == want[4].tobytes()
+
+    state = LagrangianState(2.0 * rng.random(K), rng.random(K), mu=float(rng.random()))
+    loss = LagrangianLoss(state, restricted)
+    value, grad = loss.value_and_grad(probs, labels)
+    fit, leak, absent_fit, absent_leak, dprobs = loop_terms(
+        probs, labels, np.ones(K), state.lambdas, restricted
+    )
+    lam, phi = state.lambdas, state.phis
+    assert close(value, np.sum(fit + lam * leak + (state.mu - lam) * phi))
+    assert grad.tobytes() == dprobs.tobytes()
+    assert close(loss.last_leaks, leak)
+    assert np.array_equal(loss.last_absent_fit, absent_fit)
+    assert np.array_equal(loss.last_absent_leak, absent_leak)
+
+    model = small_model(seed=seed % 1000, K=K, widths=(2, 3, 3))
+    batch = LabeledDataset(rng.normal(size=(n, 2)), labels, K)
+    probs = forward_batch(model, batch.features)
+    fit, leak = loop_terms(probs, labels, zero, zero)[:2]
+    all_rows_fit = loop_terms(probs, labels, zero, zero, restricted=False)[0]
+    for k in range(K):
+        assert close(restricted_loss(model, batch, k), fit[k])
+        assert close(unrestricted_loss(model, batch, k), all_rows_fit[k])
+        assert close(constraint_loss(model, batch, k), leak[k])
+    assert close(
+        lagrangian(model, batch, state), np.sum(fit + lam * leak + (state.mu - lam) * phi)
+    )
 
 
 # ---------------------------------------------------------------------------
