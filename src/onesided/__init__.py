@@ -86,6 +86,7 @@ from .train import (
     TrainConfig,
     TrainingLog,
     sgda_train,
+    sgda_train_grid,
     warm_start,
 )
 

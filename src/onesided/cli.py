@@ -364,7 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--split-seed", type=int)
     p.add_argument("--out-dir")
-    p.add_argument("--workers", type=int)
+    p.add_argument(
+        "--workers",
+        type=int,
+        help="deprecated, no effect: the mu grid trains in lockstep",
+    )
     p.add_argument("--mode", choices=("error", "coverage"))
     p.add_argument("--target", type=float)
     p.set_defaults(func=_cmd_pipeline)

@@ -148,16 +148,22 @@ def _activation_grad(h: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _forward_pass(model: SelectiveModel, X: np.ndarray):
-    """Returns (per-layer activations, logits, softmax probabilities)."""
+    """Returns (per-layer activations, logits, softmax probabilities).
+
+    Parameters may carry a leading model axis (``W`` of shape ``(M, out,
+    in)``); the outputs then gain it too, one ``(n, K)`` slice per model,
+    each computed exactly as for that model alone.
+    """
     h = X
     acts = [h]
     for W, b in zip(model.weights, model.biases):
-        h = _activate(h @ W.T + b, model.spec.activation)
+        a = np.matmul(h, W.swapaxes(-1, -2)) + b[..., None, :]
+        h = _activate(a, model.spec.activation)
         acts.append(h)
-    logits = h @ model.head_w.T + model.head_b
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    logits = np.matmul(h, model.head_w.swapaxes(-1, -2)) + model.head_b[..., None, :]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = e / e.sum(axis=-1, keepdims=True)
     return acts, logits, probs
 
 
@@ -217,28 +223,44 @@ def backward(
     the softmax Jacobian, head, and backbone chains are applied here.
     """
     X = _check_batch(model, batch.features)
+    return _backward(model, X, batch.labels, loss_spec)
+
+
+def _backward(model, X: np.ndarray, labels: np.ndarray, loss_spec: LossSpec):
+    """:func:`backward` on arrays; parameters may carry a leading model axis.
+
+    With M stacked models the loss returns one value per model and every
+    gradient gains the model axis.  A non-finite value raises
+    :class:`NumericError` whose ``model_index`` names the first bad model.
+    """
     acts, _, probs = _forward_pass(model, X)
-    value, dprobs = loss_spec.value_and_grad(probs, batch.labels)
-    if not np.isfinite(value):
-        raise NumericError(f"loss evaluated to a non-finite value: {value}")
+    value, dprobs = loss_spec.value_and_grad(probs, labels)
+    bad = ~np.isfinite(value)
+    if bad.any():
+        m = int(np.argmax(bad))
+        exc = NumericError(
+            f"loss evaluated to a non-finite value: {np.ravel(value)[m]}"
+        )
+        exc.model_index = m
+        raise exc
 
     # softmax vector-Jacobian product, row-wise
-    inner = np.sum(dprobs * probs, axis=1, keepdims=True)
+    inner = np.sum(dprobs * probs, axis=-1, keepdims=True)
     dlogits = probs * (dprobs - inner)
 
     feat = acts[-1]
-    g_head_w = dlogits.T @ feat
-    g_head_b = dlogits.sum(axis=0)
-    d_h = dlogits @ model.head_w
+    g_head_w = np.matmul(dlogits.swapaxes(-1, -2), feat)
+    g_head_b = dlogits.sum(axis=-2)
+    d_h = np.matmul(dlogits, model.head_w)
 
     g_ws: list = [None] * len(model.weights)
     g_bs: list = [None] * len(model.biases)
     kind = model.spec.activation
     for i in range(len(model.weights) - 1, -1, -1):
         da = d_h * _activation_grad(acts[i + 1], kind)
-        g_ws[i] = da.T @ acts[i]
-        g_bs[i] = da.sum(axis=0)
-        d_h = da @ model.weights[i]
+        g_ws[i] = np.matmul(da.swapaxes(-1, -2), acts[i])
+        g_bs[i] = da.sum(axis=-2)
+        d_h = np.matmul(da, model.weights[i])
     return value, GradientBundle(g_ws, g_bs, g_head_w, g_head_b)
 
 
@@ -295,8 +317,9 @@ def warm_start(
     for _ in range(epochs):
         perm = np.arange(n) if batch_size >= n else rng.permutation(n)
         for start in range(0, n, batch_size):
-            batch = data.subset(perm[start : start + batch_size])
-            _, grads = backward(model, batch, CROSS_ENTROPY)
+            idx = perm[start : start + batch_size]
+            X, y = data.features[idx], data.labels[idx]
+            _, grads = _backward(model, X, y, CROSS_ENTROPY)
             sgd_step(model, grads, lr)
     return model
 

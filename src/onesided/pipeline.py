@@ -2,10 +2,11 @@
 
 A run loads or synthesizes a dataset, splits it, warm starts one
 backbone, trains one constrained model per mu-grid value from that
-shared warm start, selects a (mu, t) cell on the validation split, and
-reports test metrics.  Every artifact lands in the run directory and is
-stamped with the config hash and seed; a stage failure still persists
-the completed stages plus an error manifest.
+shared warm start (all of them in lockstep, in one process), selects a
+(mu, t) cell on the validation split, and reports test metrics.  Every
+artifact lands in the run directory and is stamped with the config hash
+and seed; a stage failure still persists the completed stages plus an
+error manifest.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +29,7 @@ from .data import (
     synthesize,
 )
 from .evaluation import CurvePoint, coverage_error_curve, osp_overlap
-from .net import BackboneSpec, deserialize, serialize, warm_start
+from .net import BackboneSpec, serialize, warm_start
 from .select import (
     SelectionCriterion,
     SelectionResult,
@@ -37,7 +37,7 @@ from .select import (
     harden,
     quick_mu_grid,
 )
-from .train import TrainConfig, TrainingLog, sgda_train
+from .train import TrainConfig, TrainingLog, sgda_train_grid
 
 __all__ = [
     "RunConfig",
@@ -74,10 +74,12 @@ class RunConfig:
     """Everything one pipeline run depends on.
 
     Exactly one of ``source_path`` and ``synthetic`` names the dataset.
-    ``train`` is a template whose ``mu`` and ``seed`` fields are replaced
-    per grid value and by the run seed.  ``split_seed`` is deliberately
-    separate from ``seed`` so seed sweeps can vary optimization while
-    keeping the data split fixed.
+    ``train`` is a template: the grid supplies ``mu`` and the run seed
+    replaces ``seed``.  ``split_seed`` is deliberately separate from
+    ``seed`` so seed sweeps can vary optimization while keeping the data
+    split fixed.  ``workers`` is deprecated and has no effect: the grid
+    trains in lockstep in one process.  It is still validated (at least 1)
+    and read from config files so that older configs keep loading.
     """
 
     seed: int
@@ -333,9 +335,8 @@ def load_config(path: str | Path) -> RunConfig:
 def config_hash(config: RunConfig) -> str:
     """Hash of everything that influences results.
 
-    The output directory and worker count only steer where and how fast
-    results land, so they are excluded and a rerun elsewhere hashes the
-    same.
+    The output directory and the deprecated worker count do not change
+    results, so they are excluded and a rerun elsewhere hashes the same.
     """
     doc = config_to_dict(config)
     del doc["out_dir"]
@@ -381,13 +382,6 @@ def _log_to_doc(mu: float, log: TrainingLog) -> dict:
             for r in log.records
         ],
     }
-
-
-def _train_for_mu(payload) -> tuple[float, bytes, TrainingLog]:
-    data, spec, cfg, warm_bytes = payload
-    warm = deserialize(warm_bytes)
-    model, _, log = sgda_train(data, spec, cfg, initial_model=warm)
-    return cfg.mu, serialize(model), log
 
 
 @dataclass(frozen=True)
@@ -457,33 +451,25 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             config.seed,
             config.train.batch_size,
         )
-        warm_bytes = serialize(warm)
         completed.append(stage)
 
         stage = "train"
-        payloads = [
-            (
-                train_d,
-                config.backbone,
-                dataclasses.replace(config.train, mu=mu, seed=config.seed),
-                warm_bytes,
-            )
-            for mu in config.mu_grid
-        ]
-        if config.workers > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                trained = list(pool.map(_train_for_mu, payloads))
-        else:
-            trained = [_train_for_mu(p) for p in payloads]
+        trained = sgda_train_grid(
+            train_d,
+            config.backbone,
+            dataclasses.replace(config.train, seed=config.seed),
+            config.mu_grid,
+            initial_model=warm,
+        )
         models = {}
         model_dir = out / "models"
         model_dir.mkdir(exist_ok=True)
         log_docs = []
         model_files = {}
-        for i, (mu, model_bytes, log) in enumerate(trained):
-            models[mu] = deserialize(model_bytes)
+        for i, (mu, (model, _, log)) in enumerate(zip(config.mu_grid, trained)):
+            models[mu] = model
             name = f"models/model_{i:02d}.npz"
-            (out / name).write_bytes(model_bytes)
+            (out / name).write_bytes(serialize(model))
             model_files[repr(float(mu))] = name
             log_docs.append(_log_to_doc(mu, log))
         _write_json(

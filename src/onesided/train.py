@@ -19,6 +19,10 @@ Network weights and slacks descend on a fast learning rate while the
 multipliers ascend on a slow one; the shared backbone accumulates its
 descent steps and applies them only every few epochs, keeping the
 per-class heads quasi-independent in between.
+
+A grid of budget prices trains in lockstep: `sgda_train_grid` holds the
+M runs as one stack of parameters, multipliers and slacks with a leading
+mu axis, and `sgda_train` is its one-price case.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .net import (
     BackboneSpec,
     GradientBundle,
     SelectiveModel,
-    backward,
+    _backward,
     forward_batch,
     warm_start,
 )
@@ -45,7 +49,9 @@ class LagrangianState:
     """Multipliers, slacks, and the budget price.
 
     ``lambdas`` and ``phis`` are kept nonnegative by projection after
-    every update; ``mu`` prices slack and caps the multipliers.
+    every update; ``mu`` prices slack and caps the multipliers.  A stack of
+    M states holds ``(M, K)`` multipliers and slacks and an ``(M, 1)``
+    column of prices.
     """
 
     lambdas: np.ndarray
@@ -59,7 +65,7 @@ class LagrangianState:
             raise InputError("lambda and phi vectors must share a shape")
         if (self.lambdas < 0).any() or (self.phis < 0).any():
             raise InputError("multipliers and slacks must be nonnegative")
-        if self.mu < 0:
+        if np.any(np.asarray(self.mu) < 0):
             raise InputError("budget price mu must be nonnegative")
 
     @classmethod
@@ -111,10 +117,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class DGConfig:
-    """Extra-output baseline: payoff odds and the thresholds to scan."""
+    """Extra-output baseline: the payoff odds of the opt-out head."""
 
     payoff: float
-    thresholds: tuple = tuple(np.linspace(0.0, 1.0, 100))
 
     def __post_init__(self) -> None:
         if self.payoff < 1.0:
@@ -149,8 +154,11 @@ def class_terms(probs, labels, fit_w=None, leak_w=None, restricted=True) -> Clas
     before the log; the gradient is zero where the clamp is active.  With
     weights (scalars or length-K vectors, ``None`` meaning 0), ``dprobs`` is
     the gradient of ``sum_k fit_w[k] * fit[k] + leak_w[k] * leak[k]``.
+
+    Scores may be a stack ``(M, n, K)`` of M models on the same rows, with
+    ``(M, K)`` weights; the means and ``dprobs`` then gain the model axis.
     """
-    n, K = probs.shape
+    n, K = probs.shape[-2:]
     own = labels[:, None] == np.arange(K)
     n_own = np.bincount(labels, minlength=K)
     if restricted:
@@ -163,12 +171,14 @@ def class_terms(probs, labels, fit_w=None, leak_w=None, restricted=True) -> Clas
     d_leak = np.maximum(n_leak, 1)
     p = _clamped(probs)
     q = _clamped(1.0 - probs)
-    fit = np.where(fit_rows, -np.log(p), 0.0).sum(axis=0) / d_fit
-    leak = np.where(leak_rows, -np.log(q), 0.0).sum(axis=0) / d_leak
+    # one log per entry: own rows fit, the other rows leak
+    nll = -np.log(np.where(own, p, q))
+    fit_nll = nll if restricted else -np.log(p)
+    fit = np.where(fit_rows, fit_nll, 0.0).sum(axis=-2) / d_fit
+    leak = np.where(leak_rows, nll, 0.0).sum(axis=-2) / d_leak
     dprobs = None
     if fit_w is not None or leak_w is not None:
-        fit_w = 0.0 if fit_w is None else fit_w
-        leak_w = 0.0 if leak_w is None else leak_w
+        fit_w, leak_w = _per_row(fit_w), _per_row(leak_w)
         interior = (probs > PROB_FLOOR) & (probs < 1.0 - PROB_FLOOR)
         dprobs = np.where(fit_rows & interior, -fit_w / (d_fit * p), 0.0) + np.where(
             leak_rows & interior, leak_w / (d_leak * q), 0.0
@@ -176,9 +186,20 @@ def class_terms(probs, labels, fit_w=None, leak_w=None, restricted=True) -> Clas
     return ClassTerms(fit, leak, n_fit == 0, n_leak == 0, dprobs)
 
 
-def _saddle_value(terms: ClassTerms, state: LagrangianState) -> float:
+def _per_row(w) -> np.ndarray:
+    """A scalar, ``(K,)`` or ``(M, K)`` class weight, shaped to broadcast over rows."""
+    w = np.asarray(0.0 if w is None else w, dtype=np.float64)
+    return w[..., None, :] if w.ndim else w
+
+
+def _saddle_value(terms: ClassTerms, state: LagrangianState):
+    """The saddle objective, one value per model of a stacked state."""
     lam = state.lambdas
-    return float(terms.fit.sum() + lam @ terms.leak + (state.mu - lam) @ state.phis)
+    return (
+        terms.fit.sum(axis=-1)
+        + (lam * terms.leak).sum(axis=-1)
+        + ((state.mu - lam) * state.phis).sum(axis=-1)
+    )
 
 
 def _batch_terms(model, batch, restricted=True) -> ClassTerms:
@@ -209,7 +230,7 @@ def lagrangian(
     model: SelectiveModel, batch: LabeledDataset, state: LagrangianState
 ) -> float:
     """Full saddle objective at the given multipliers and slacks."""
-    return _saddle_value(_batch_terms(model, batch), state)
+    return float(_saddle_value(_batch_terms(model, batch), state))
 
 
 def _check_class(model: SelectiveModel, k: int) -> None:
@@ -249,7 +270,8 @@ class LagrangianLoss:
     ``last_leaks`` (per class) feeds the multiplier ascent step after each
     backward pass; ``last_absent_fit`` / ``last_absent_leak`` flag classes
     whose term was skipped because the batch had no (or only) points of
-    that class.
+    that class.  With a stacked state the value and ``last_leaks`` carry
+    one row per model.
     """
 
     def __init__(self, state: LagrangianState, restricted: bool = True):
@@ -362,40 +384,75 @@ class _Adam:
         return GradientBundle(ws, bs, hw, hb)
 
 
-def _full_data_record(
-    model, data, state, epoch, absent_fit, absent_leak
-) -> EpochRecord:
-    terms = class_terms(forward_batch(model, data.features), data.labels)
-    return EpochRecord(
-        epoch=epoch,
-        fit_sum=float(terms.fit.sum()),
-        leaks=tuple(float(v) for v in terms.leak),
-        lambdas=tuple(float(v) for v in state.lambdas),
-        phis=tuple(float(v) for v in state.phis),
-        absent_fit=tuple(int(v) for v in absent_fit),
-        absent_leak=tuple(int(v) for v in absent_leak),
+def _mapped(params, f) -> tuple:
+    """``(weights, biases, head_w, head_b)`` of ``params`` with ``f`` applied."""
+    return (
+        [f(W) for W in params.weights],
+        [f(b) for b in params.biases],
+        f(params.head_w),
+        f(params.head_b),
     )
 
 
-def sgda_train(
+class _Stack:
+    """M models' parameters with a leading model axis (see ``_forward_pass``)."""
+
+    def __init__(self, spec, num_classes, weights, biases, head_w, head_b):
+        self.spec, self.num_classes = spec, num_classes
+        self.weights, self.biases = weights, biases
+        self.head_w, self.head_b = head_w, head_b
+
+    def copy(self) -> "_Stack":
+        return _Stack(self.spec, self.num_classes, *_mapped(self, np.copy))
+
+    def model(self, m: int) -> SelectiveModel:
+        """Model m, copied out of the stack."""
+        return SelectiveModel(
+            self.spec, self.num_classes, *_mapped(self, lambda a: a[m].copy())
+        )
+
+
+def _state_of(stacked: LagrangianState, m: int) -> LagrangianState:
+    return LagrangianState(
+        stacked.lambdas[m], stacked.phis[m], float(stacked.mu[m, 0])
+    )
+
+
+def sgda_train_grid(
     data: LabeledDataset,
     spec: BackboneSpec,
     config: TrainConfig,
+    mu_grid,
     initial_model: SelectiveModel | None = None,
-) -> tuple[SelectiveModel, LagrangianState, TrainingLog]:
-    """Warm start, then alternating descent/ascent over minibatches.
+) -> list:
+    """One saddle-point run per budget price in ``mu_grid``, all in lockstep.
+
+    Every run starts from the same model (``initial_model`` or the warm
+    start) and, the batch order being drawn from ``config.seed`` alone,
+    sees the same batches.  So the M runs advance together as one stack of
+    parameters, multipliers and slacks with a leading mu axis: one forward,
+    loss and backward per batch for the whole grid.  Each slice does the
+    arithmetic of a lone run, so its result does not depend on the other
+    grid values.  ``config.mu`` is not read.
 
     Heads and slacks take descent steps at ``lr_min`` each batch; the
     multipliers take ascent steps at ``lr_max``, clipped to
     ``[0, lambda_max]``.  Backbone gradients accumulate and land every
     ``backbone_update_interval`` epochs.  A non-finite loss aborts with a
-    :class:`NumericError` carrying the last finite epoch's model.
+    :class:`NumericError` naming the failing ``mu`` and carrying that run's
+    last finite epoch (``checkpoint_epoch``, ``checkpoint_model``,
+    ``checkpoint_state``).  Returns one ``(model, state, log)`` per grid
+    value, in grid order.
     """
-    K = data.num_classes
+    mus = np.array(mu_grid, dtype=np.float64).reshape(-1, 1)
+    if mus.size == 0:
+        raise InputError("mu grid must not be empty")
+    M, K = mus.shape[0], data.num_classes
+    state = LagrangianState(np.zeros((M, K)), np.zeros((M, K)), mus)
     if initial_model is not None:
         if initial_model.num_classes != K:
             raise InputError("initial model class count does not match data")
-        model = initial_model.copy()
+        model = initial_model
     else:
         model = warm_start(
             data,
@@ -406,20 +463,40 @@ def sgda_train(
             config.seed,
             config.batch_size,
         )
-    state = LagrangianState.initial(K, config.mu)
-    lam_max = config.effective_lambda_max
+    stack = _Stack(
+        model.spec, K, *_mapped(model, lambda a: np.repeat(a[None], M, axis=0))
+    )
+    lam_max = 10.0 * mus if config.lambda_max is None else config.lambda_max
     rng = np.random.default_rng([config.seed, 1])
     n = data.n
     lr_w, lr_l = config.lr_min, config.lr_max
     decay_factor, decay_epoch = config.lr_decay
-    buf = GradientBundle.zeros_like(model)
-    adam = _Adam(model) if config.adaptive else None
+    buf = GradientBundle.zeros_like(stack)
+    adam = _Adam(stack) if config.adaptive else None
     absent_fit = np.zeros(K, dtype=np.int64)
     absent_leak = np.zeros(K, dtype=np.int64)
-    records = []
+    records: list = [[] for _ in range(M)]
     checkpoint_epoch = -1
-    checkpoint_model = model.copy()
+    checkpoint = stack.copy()
     checkpoint_state = state.snapshot()
+
+    def record(epoch: int) -> None:
+        # one model at a time: a stacked full-data pass would hold M
+        # (n, K) score matrices at once
+        for m, log in enumerate(records):
+            probs = forward_batch(stack.model(m), data.features)
+            terms = class_terms(probs, data.labels, restricted=config.restricted)
+            log.append(
+                EpochRecord(
+                    epoch=epoch,
+                    fit_sum=float(terms.fit.sum()),
+                    leaks=tuple(float(v) for v in terms.leak),
+                    lambdas=tuple(float(v) for v in state.lambdas[m]),
+                    phis=tuple(float(v) for v in state.phis[m]),
+                    absent_fit=tuple(int(v) for v in absent_fit),
+                    absent_leak=tuple(int(v) for v in absent_leak),
+                )
+            )
 
     for epoch in range(config.epochs):
         if epoch == decay_epoch and epoch > 0:
@@ -428,14 +505,16 @@ def sgda_train(
         perm = np.arange(n) if config.batch_size >= n else rng.permutation(n)
         try:
             for start in range(0, n, config.batch_size):
-                batch = data.subset(perm[start : start + config.batch_size])
+                idx = perm[start : start + config.batch_size]
                 loss_obj = LagrangianLoss(state, config.restricted)
-                _, grads = backward(model, batch, loss_obj)
+                _, grads = _backward(
+                    stack, data.features[idx], data.labels[idx], loss_obj
+                )
                 if adam is not None:
                     grads = adam.transform(grads)
                 # heads step now, backbone steps accumulate
-                model.head_w -= lr_w * grads.head_w
-                model.head_b -= lr_w * grads.head_b
+                stack.head_w -= lr_w * grads.head_w
+                stack.head_b -= lr_w * grads.head_b
                 for bw, g in zip(buf.weights, grads.weights):
                     bw += lr_w * g
                 for bb, g in zip(buf.biases, grads.biases):
@@ -454,26 +533,40 @@ def sgda_train(
                 absent_fit += loss_obj.last_absent_fit
                 absent_leak += loss_obj.last_absent_leak
         except NumericError as exc:
-            exc.checkpoint_epoch = checkpoint_epoch
-            exc.checkpoint_model = checkpoint_model
-            exc.checkpoint_state = checkpoint_state
-            raise
+            m = exc.model_index
+            err = NumericError(f"training at mu={float(mus[m, 0])!r}: {exc}")
+            err.mu, err.checkpoint_epoch = float(mus[m, 0]), checkpoint_epoch
+            err.checkpoint_model = checkpoint.model(m)
+            err.checkpoint_state = _state_of(checkpoint_state, m)
+            raise err from exc
         if (epoch + 1) % config.backbone_update_interval == 0:
-            for W, bw in zip(model.weights, buf.weights):
+            for W, bw in zip(stack.weights, buf.weights):
                 W -= bw
                 bw[:] = 0.0
-            for b, bb in zip(model.biases, buf.biases):
+            for b, bb in zip(stack.biases, buf.biases):
                 b -= bb
                 bb[:] = 0.0
-        records.append(
-            _full_data_record(model, data, state, epoch, absent_fit, absent_leak)
-        )
+        record(epoch)
         checkpoint_epoch = epoch
-        checkpoint_model = model.copy()
+        checkpoint = stack.copy()
         checkpoint_state = state.snapshot()
 
-    if not records:
-        records.append(
-            _full_data_record(model, data, state, -1, absent_fit, absent_leak)
-        )
-    return model, state, TrainingLog(tuple(records))
+    if config.epochs == 0:
+        record(-1)
+    return [
+        (stack.model(m), _state_of(state, m), TrainingLog(tuple(records[m])))
+        for m in range(M)
+    ]
+
+
+def sgda_train(
+    data: LabeledDataset,
+    spec: BackboneSpec,
+    config: TrainConfig,
+    initial_model: SelectiveModel | None = None,
+) -> tuple[SelectiveModel, LagrangianState, TrainingLog]:
+    """Warm start, then alternating descent/ascent over minibatches.
+
+    The one-price case of :func:`sgda_train_grid`, at ``config.mu``.
+    """
+    return sgda_train_grid(data, spec, config, (config.mu,), initial_model)[0]

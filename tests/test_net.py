@@ -5,6 +5,8 @@ loss values that this file evaluates through its own numpy formulas, so
 the analytic chain in ``backward`` is checked end to end.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from onesided.net import (
     BackboneSpec,
     GradientBundle,
     SelectiveModel,
+    _backward,
+    _forward_pass,
     backward,
     deserialize,
     forward,
@@ -200,6 +204,56 @@ def test_backward_rejects_non_finite():
         backward(model, batch, CROSS_ENTROPY)
 
 
+def stack_of(models):
+    """The models' parameters with a leading model axis."""
+    return SimpleNamespace(
+        spec=models[0].spec,
+        weights=[np.stack(ws) for ws in zip(*(m.weights for m in models))],
+        biases=[np.stack(bs) for bs in zip(*(m.biases for m in models))],
+        head_w=np.stack([m.head_w for m in models]),
+        head_b=np.stack([m.head_b for m in models]),
+    )
+
+
+class _StackLoss:
+    """Weighted -log scores; one value per model of a stack."""
+
+    def value_and_grad(self, probs, labels):
+        w = 1.0 + (np.arange(probs.shape[-1]) == labels[:, None])
+        return (-w * np.log(probs)).sum(axis=(-2, -1)), -w / probs
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+def test_stacked_backward_slices_equal_single_models(activation):
+    # _backward on parameters with a leading model axis must give, slice by
+    # slice, the bits of a lone model's forward and backward
+    models = [
+        small_model(seed=s, widths=(3, 6, 5), activation=activation) for s in range(4)
+    ]
+    batch = random_batch(models[0], 37, 5)
+    stack = stack_of(models)
+    values, grads = _backward(stack, batch.features, batch.labels, _StackLoss())
+    _, _, probs = _forward_pass(stack, batch.features)
+    for i, model in enumerate(models):
+        value, single = backward(model, batch, _StackLoss())
+        assert values[i] == value
+        assert probs[i].tobytes() == forward_batch(model, batch.features).tobytes()
+        assert flatten_grads(single).tobytes() == np.concatenate(
+            [g[i].ravel() for g in grads.weights + grads.biases]
+            + [grads.head_w[i].ravel(), grads.head_b[i].ravel()]
+        ).tobytes()
+
+
+def test_stacked_backward_names_the_non_finite_model():
+    models = [small_model(seed=s) for s in range(3)]
+    models[1].head_w[0, 0] = np.nan
+    stack = stack_of(models)
+    batch = random_batch(models[0], 6, 1)
+    with pytest.raises(NumericError) as ei:
+        _backward(stack, batch.features, batch.labels, _StackLoss())
+    assert ei.value.model_index == 1
+
+
 def test_sgd_step_moves_all_parameters():
     model = small_model(seed=5)
     batch = random_batch(model, 16, 6)
@@ -243,6 +297,23 @@ def test_warm_start_zero_epochs_is_init():
     model = warm_start(data, spec, 2, epochs=0, lr=0.1, seed=9)
     fresh = init_model(spec, 2, 9)
     assert np.array_equal(flatten_params(model), flatten_params(fresh))
+
+
+def test_warm_start_matches_per_batch_subset_loop():
+    # warm_start indexes the arrays directly; the batches it trains on are
+    # the subsets a LabeledDataset-per-batch loop would build
+    data = blob_data(90, seed=5)
+    spec = BackboneSpec((2, 8, 4))
+    got = warm_start(data, spec, 2, epochs=3, lr=0.05, seed=6, batch_size=32)
+    rng = np.random.default_rng(6)
+    want = init_model(spec, 2, rng)
+    for _ in range(3):
+        perm = rng.permutation(data.n)
+        for start in range(0, data.n, 32):
+            batch = data.subset(perm[start : start + 32])
+            _, grads = backward(want, batch, CROSS_ENTROPY)
+            sgd_step(want, grads, 0.05)
+    assert flatten_params(got).tobytes() == flatten_params(want).tobytes()
 
 
 def test_warm_start_deterministic():

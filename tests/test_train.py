@@ -1,5 +1,7 @@
 """Loss values, multiplier dynamics, and the saddle-point loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,9 @@ from onesided.train import (
     dg_loss,
     lagrangian,
     restricted_loss,
+    _Adam,
     sgda_train,
+    sgda_train_grid,
     unrestricted_loss,
 )
 from test_net import (
@@ -31,7 +35,7 @@ from test_net import (
     random_batch,
     small_model,
 )
-from onesided.net import backward
+from onesided.net import backward, warm_start
 
 
 # ---------------------------------------------------------------------------
@@ -569,3 +573,180 @@ def test_sgda_lr_decay_applies():
     m_no, _, _ = sgda_train(data, SPEC, cfg_no, initial_model=init)
     m_yes, _, _ = sgda_train(data, SPEC, cfg_yes, initial_model=init)
     assert not np.array_equal(flatten_params(m_no), flatten_params(m_yes))
+
+
+# ---------------------------------------------------------------------------
+# the lockstep grid
+
+
+def reference_sgda(data, config, init):
+    """One run of the saddle loop written per model, one LabeledDataset per batch."""
+    model = init.copy()
+    K = data.num_classes
+    state = LagrangianState.initial(K, config.mu)
+    rng = np.random.default_rng([config.seed, 1])
+    lr_w, lr_l = config.lr_min, config.lr_max
+    buf = [np.zeros_like(W) for W in model.weights + model.biases]
+    adam = _Adam(model) if config.adaptive else None
+    absent_fit, absent_leak = np.zeros(K, dtype=int), np.zeros(K, dtype=int)
+    records = []
+
+    def record(epoch):
+        probs = forward_batch(model, data.features)
+        zero = np.zeros(K)
+        fit = loop_terms(probs, data.labels, zero, zero, config.restricted)[0]
+        leak = [constraint_loss(model, data, k) for k in range(K)]
+        return (epoch, float(fit.sum()), tuple(leak), tuple(state.lambdas),
+                tuple(state.phis), tuple(absent_fit), tuple(absent_leak))
+
+    for epoch in range(config.epochs):
+        if epoch == config.lr_decay[1] and epoch > 0:
+            lr_w *= config.lr_decay[0]
+            lr_l *= config.lr_decay[0]
+        full = config.batch_size >= data.n
+        perm = np.arange(data.n) if full else rng.permutation(data.n)
+        for start in range(0, data.n, config.batch_size):
+            batch = data.subset(perm[start : start + config.batch_size])
+            loss = LagrangianLoss(state, config.restricted)
+            _, grads = backward(model, batch, loss)
+            if adam is not None:
+                grads = adam.transform(grads)
+            model.head_w -= lr_w * grads.head_w
+            model.head_b -= lr_w * grads.head_b
+            for acc, g in zip(buf, grads.weights + grads.biases):
+                acc += lr_w * g
+            phis = np.maximum(0.0, state.phis - lr_w * (state.mu - state.lambdas))
+            state.lambdas = np.clip(
+                state.lambdas + lr_l * (loss.last_leaks - state.phis),
+                0.0,
+                config.effective_lambda_max,
+            )
+            state.phis = phis
+            absent_fit += loss.last_absent_fit
+            absent_leak += loss.last_absent_leak
+        if (epoch + 1) % config.backbone_update_interval == 0:
+            for param, acc in zip(model.weights + model.biases, buf):
+                param -= acc
+                acc[:] = 0.0
+        records.append(record(epoch))
+    return model, state, records or [record(-1)]
+
+
+def record_tuple(r):
+    return (r.epoch, r.fit_sum, r.leaks, r.lambdas, r.phis, r.absent_fit, r.absent_leak)
+
+
+def assert_same_run(got, want):
+    (m1, s1, log1), (m2, s2, log2) = got, want
+    assert flatten_params(m1).tobytes() == flatten_params(m2).tobytes()
+    assert s1.lambdas.tobytes() == s2.lambdas.tobytes()
+    assert s1.phis.tobytes() == s2.phis.tobytes()
+    assert s1.mu == s2.mu
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(2, 4),
+    n=st.integers(5, 48),
+    rare=st.booleans(),
+    batch_size=st.sampled_from([4, 7, 16, 1000]),
+    epochs=st.integers(0, 5),
+    decay_epoch=st.integers(0, 4),
+    interval=st.sampled_from([1, 3]),
+    adaptive=st.booleans(),
+    restricted=st.booleans(),
+    lambda_max=st.sampled_from([None, 0.0, 0.7]),
+    mus=st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0, 7.5]), min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_sgda_grid_equals_per_mu_runs(
+    K, n, rare, batch_size, epochs, decay_epoch, interval, adaptive, restricted,
+    lambda_max, mus, seed,
+):
+    # every mu of the lockstep grid must reproduce, bit for bit, a lone
+    # sgda_train run at that mu and the per-model reference loop
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 2))
+    y = rng.integers(0, K, size=n)
+    if rare:  # one class on a single row: most small batches miss it
+        y = np.where(y == K - 1, 0, y)
+        y[rng.integers(n)] = K - 1
+    data = LabeledDataset(X, y, K)
+    cfg = TrainConfig(
+        mu=99.0, epochs=epochs, batch_size=batch_size, lr_min=0.05, lr_max=0.3,
+        lr_decay=(0.5, decay_epoch), backbone_update_interval=interval, seed=seed,
+        warm_start_epochs=1, lambda_max=lambda_max, adaptive=adaptive,
+        restricted=restricted,
+    )
+    init = warm_start(data, SPEC, K, 1, cfg.lr_min, seed, batch_size)
+    grid = sgda_train_grid(data, SPEC, cfg, mus, initial_model=init)
+    assert len(grid) == len(mus)
+    for mu, (model, state, log) in zip(mus, grid):
+        one = dataclasses.replace(cfg, mu=mu)
+        lone = sgda_train(data, SPEC, one, initial_model=init)
+        assert_same_run((model, state, log), lone)
+        assert log.records == lone[2].records
+        ref_model, ref_state, ref_records = reference_sgda(data, one, init)
+        assert_same_run((model, state, log), (ref_model, ref_state, None))
+        got = [record_tuple(r) for r in log.records]
+        assert [r[0] for r in got] == [r[0] for r in ref_records]
+        for a, b in zip(got, ref_records):
+            assert a[3:] == b[3:]
+            assert close(a[1], b[1]) and close(np.array(a[2]), np.array(b[2]))
+    # without an initial model the grid warm starts itself, as sgda_train does
+    if epochs == 0:
+        model, _, _ = sgda_train_grid(data, SPEC, cfg, mus[:1])[0]
+        assert flatten_params(model).tobytes() == flatten_params(init).tobytes()
+
+
+def test_sgda_grid_numeric_error_names_mu_and_carries_its_checkpoint():
+    # lr_max this large blows up only the run whose lambda cap is infinite
+    # (mu = 1e308 gives 10 * mu = inf); it diverges after two finite epochs
+    data = overlap_blobs(40, seed=3)
+    init = init_model(SPEC, 2, seed=4)
+    cfg = TrainConfig(
+        mu=1.0, epochs=6, batch_size=1000, warm_start_epochs=0, lr_max=1e308, seed=1
+    )
+    big = 1e308
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match="mu=1e\\+308") as ei:
+            sgda_train_grid(data, SPEC, cfg, (0.5, big, 2.0), initial_model=init)
+        with pytest.raises(NumericError) as lone:
+            sgda_train(data, SPEC, dataclasses.replace(cfg, mu=big), initial_model=init)
+    err = ei.value
+    assert err.mu == big
+    assert err.checkpoint_epoch == lone.value.checkpoint_epoch == 1
+    assert flatten_params(err.checkpoint_model).tobytes() == flatten_params(
+        lone.value.checkpoint_model
+    ).tobytes()
+    assert err.checkpoint_state.mu == big
+    lone_state = lone.value.checkpoint_state
+    assert err.checkpoint_state.lambdas.tobytes() == lone_state.lambdas.tobytes()
+    # the checkpoint is the model after the last finite epoch of that run
+    short = dataclasses.replace(cfg, mu=big, epochs=err.checkpoint_epoch + 1)
+    with np.errstate(all="ignore"):
+        model, _, _ = sgda_train(data, SPEC, short, initial_model=init)
+    assert flatten_params(model).tobytes() == flatten_params(
+        err.checkpoint_model
+    ).tobytes()
+
+
+def test_sgda_grid_rejects_bad_grids():
+    data = overlap_blobs(20, seed=1)
+    cfg = TrainConfig(mu=1.0, epochs=1, warm_start_epochs=0)
+    with pytest.raises(InputError):
+        sgda_train_grid(data, SPEC, cfg, ())
+    with pytest.raises(InputError):
+        sgda_train_grid(data, SPEC, cfg, (1.0, -0.5))
+
+
+def test_unrestricted_run_logs_the_unrestricted_fit_sum():
+    data = tri_blobs(90, seed=5)
+    cfg = TrainConfig(
+        mu=1.0, epochs=2, warm_start_epochs=1, seed=4, batch_size=32, restricted=False
+    )
+    model, _, log = sgda_train(data, SPEC, cfg)
+    want = sum(unrestricted_loss(model, data, k) for k in range(3))
+    assert abs(log.final().fit_sum - want) <= 1e-12
+    own_rows = sum(restricted_loss(model, data, k) for k in range(3))
+    assert abs(log.final().fit_sum - own_rows) > 1e-3
