@@ -381,10 +381,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CapacityError as exc:
+    except (InputError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

@@ -39,14 +39,18 @@ _KINDS = ("analytic", "mixture", "blobs")
 class MixtureParams:
     """Gaussian mixture: one mean, covariance, and prior per class."""
 
-    means: tuple
-    covariances: tuple
-    priors: tuple
+    means: tuple[tuple[float, ...], ...]
+    covariances: tuple[tuple[tuple[float, ...], ...], ...]
+    priors: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        means = np.asarray(self.means, dtype=np.float64)
-        covs = np.asarray(self.covariances, dtype=np.float64)
-        priors = np.asarray(self.priors, dtype=np.float64)
+        arrays = []
+        for name in ("means", "covariances", "priors"):
+            try:
+                arrays.append(np.asarray(getattr(self, name), dtype=np.float64))
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"{name} must be a rectangular array of numbers: {exc}")
+        means, covs, priors = arrays
         if means.ndim != 2:
             raise InputError(f"means must be (K, d), got shape {means.shape}")
         K, d = means.shape

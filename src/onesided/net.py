@@ -33,7 +33,7 @@ FORMAT_VERSION = 1
 class BackboneSpec:
     """Widths of the dense stack, input first, feature output last."""
 
-    layer_widths: tuple
+    layer_widths: tuple[int, ...]
     activation: str = "relu"
 
     def __post_init__(self) -> None:
@@ -274,19 +274,26 @@ def sgd_step(model: SelectiveModel, grads: GradientBundle, lr: float) -> None:
     model.head_b -= lr * grads.head_b
 
 
+def _mean_nll(s_raw: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean of ``-log s`` over one score per row, and its gradient in ``s``.
+
+    Scores are clamped before the log; the gradient is zero where the
+    clamp is active.
+    """
+    n = s_raw.shape[0]
+    s = np.clip(s_raw, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    interior = (s_raw > PROB_FLOOR) & (s_raw < 1.0 - PROB_FLOOR)
+    return float(np.mean(-np.log(s))), np.where(interior, -1.0 / (n * s), 0.0)
+
+
 class _CrossEntropy:
     """Mean negative log-probability of the true class."""
 
     def value_and_grad(self, probs, labels):
-        n = probs.shape[0]
-        idx = np.arange(n)
-        p = np.clip(probs[idx, labels], PROB_FLOOR, 1.0 - PROB_FLOOR)
-        value = float(np.mean(-np.log(p)))
+        idx = np.arange(probs.shape[0])
+        value, g = _mean_nll(probs[idx, labels])
         dprobs = np.zeros_like(probs)
-        interior = (probs[idx, labels] > PROB_FLOOR) & (
-            probs[idx, labels] < 1.0 - PROB_FLOOR
-        )
-        dprobs[idx, labels] = np.where(interior, -1.0 / (n * p), 0.0)
+        dprobs[idx, labels] = g
         return value, dprobs
 
 

@@ -259,6 +259,22 @@ class AlphaAllocation:
         return self.shares[k]
 
 
+def _compositions(total: int, K: int):
+    """Every split of ``total`` into K nonnegative integer parts.
+
+    Stars and bars, in ``itertools.combinations`` order of the bar
+    positions; the decoupled solver breaks ties by first-in-grid order.
+    """
+    for bars in itertools.combinations(range(total + K - 1), K - 1):
+        parts = []
+        prev = -1
+        for c in bars:
+            parts.append(c - prev - 1)
+            prev = c
+        parts.append(total + K - 2 - prev)
+        yield parts
+
+
 def default_alpha_grid(num_classes: int, step: float | None = None) -> list[AlphaAllocation]:
     """Uniform grid over budget splits summing to exactly 1.
 
@@ -271,16 +287,10 @@ def default_alpha_grid(num_classes: int, step: float | None = None) -> list[Alph
     m = round(1.0 / step)
     if abs(m * step - 1.0) > 1e-9:
         raise InputError(f"step {step} does not divide 1 evenly")
-    grid = []
-    for combo in itertools.combinations(range(m + num_classes - 1), num_classes - 1):
-        parts = []
-        prev = -1
-        for c in combo:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(m + num_classes - 2 - prev)
-        grid.append(AlphaAllocation(tuple(p * step for p in parts)))
-    return grid
+    return [
+        AlphaAllocation(tuple(p * step for p in parts))
+        for parts in _compositions(m, num_classes)
+    ]
 
 
 def budget_alpha_grid(eps: float, n: int, num_classes: int) -> list[AlphaAllocation]:
@@ -295,19 +305,11 @@ def budget_alpha_grid(eps: float, n: int, num_classes: int) -> list[AlphaAllocat
     budget = int(math.floor(eps * n + _TOL))
     if budget == 0 or eps == 0:
         return [AlphaAllocation((0.0,) * num_classes)]
-    grid = []
     denom = eps * n
-    for combo in itertools.combinations(
-        range(budget + num_classes - 1), num_classes - 1
-    ):
-        parts = []
-        prev = -1
-        for c in combo:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(budget + num_classes - 2 - prev)
-        grid.append(AlphaAllocation(tuple(p / denom for p in parts)))
-    return grid
+    return [
+        AlphaAllocation(tuple(p / denom for p in parts))
+        for parts in _compositions(budget, num_classes)
+    ]
 
 
 # ---------------------------------------------------------------------------

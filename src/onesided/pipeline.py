@@ -14,21 +14,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import InputError, LabeledDataset, Metrics, evaluate
-from .data import (
-    BlobsParams,
-    MixtureParams,
-    SyntheticSpec,
-    ingest_csv,
-    split_dataset,
-    synthesize,
-)
-from .evaluation import CurvePoint, coverage_error_curve, osp_overlap
+from .core import InputError, Metrics, evaluate
+from .data import SyntheticSpec, ingest_csv, split_dataset, synthesize
+from .evaluation import coverage_error_curve, osp_overlap
 from .net import BackboneSpec, serialize, warm_start
 from .select import (
     SelectionCriterion,
@@ -86,14 +81,14 @@ class RunConfig:
     out_dir: str
     source_path: str | None = None
     synthetic: SyntheticSpec | None = None
-    split_fractions: tuple = (0.6, 0.2, 0.2)
+    split_fractions: tuple[float, ...] = (0.6, 0.2, 0.2)
     split_seed: int = 0
     backbone: BackboneSpec = BackboneSpec((2, 16, 8))
     train: TrainConfig = TrainConfig(mu=1.0)
     criterion: SelectionCriterion = SelectionCriterion("error", 0.05)
-    mu_grid: tuple = quick_mu_grid()
-    t_grid: tuple = tuple(np.linspace(0.0, 1.0, 100))
-    curve_targets: tuple | None = None
+    mu_grid: tuple[float, ...] = quick_mu_grid()
+    t_grid: tuple[float, ...] = tuple(np.linspace(0.0, 1.0, 100))
+    curve_targets: tuple[float, ...] | None = None
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -137,182 +132,77 @@ class RunConfig:
         object.__setattr__(self, "curve_targets", targets)
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    """Plain nested dict mirroring the config field names, JSON-ready."""
-    synth = None
-    if config.synthetic is not None:
-        s = config.synthetic
-        synth = {
-            "kind": s.kind,
-            "n": s.n,
-            "seed": s.seed,
-            "mixture": None
-            if s.mixture is None
-            else {
-                "means": [list(m) for m in s.mixture.means],
-                "covariances": [[list(r) for r in c] for c in s.mixture.covariances],
-                "priors": list(s.mixture.priors),
-            },
-            "blobs": None
-            if s.blobs is None
-            else {
-                "num_classes": s.blobs.num_classes,
-                "dim": s.blobs.dim,
-                "separation": s.blobs.separation,
-                "spread": s.blobs.spread,
-            },
-        }
-    t = config.train
-    return {
-        "seed": config.seed,
-        "out_dir": config.out_dir,
-        "source_path": config.source_path,
-        "synthetic": synth,
-        "split_fractions": list(config.split_fractions),
-        "split_seed": config.split_seed,
-        "backbone": {
-            "layer_widths": list(config.backbone.layer_widths),
-            "activation": config.backbone.activation,
-        },
-        "train": {
-            "mu": t.mu,
-            "epochs": t.epochs,
-            "batch_size": t.batch_size,
-            "lr_min": t.lr_min,
-            "lr_max": t.lr_max,
-            "lr_decay": list(t.lr_decay),
-            "backbone_update_interval": t.backbone_update_interval,
-            "seed": t.seed,
-            "warm_start_epochs": t.warm_start_epochs,
-            "lambda_max": t.lambda_max,
-            "adaptive": t.adaptive,
-            "restricted": t.restricted,
-        },
-        "criterion": {"mode": config.criterion.mode, "target": config.criterion.target},
-        "mu_grid": list(config.mu_grid),
-        "t_grid": list(config.t_grid),
-        "curve_targets": None
-        if config.curve_targets is None
-        else list(config.curve_targets),
-        "workers": config.workers,
-    }
+def _plain(obj):
+    """A dataclass as nested dicts (keyed by field name) and lists, JSON-ready."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (tuple, list)):
+        return [_plain(v) for v in obj]
+    return obj
 
 
-def _take(d: dict, allowed: tuple, where: str) -> None:
-    unknown = set(d) - set(allowed)
+_SCALARS = {
+    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    bool: lambda v: isinstance(v, bool),
+    str: lambda v: isinstance(v, str),
+}
+
+
+def _value(tp, value, where: str):
+    """Check ``value`` against annotation ``tp``; arrays become tuples."""
+    if isinstance(tp, types.UnionType):  # ``X | None``: None never reaches here
+        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    if dataclasses.is_dataclass(tp):
+        return _decode(tp, value, where)
+    if typing.get_origin(tp) is tuple:  # ``tuple[X, ...]``
+        if not isinstance(value, (list, tuple)):
+            raise InputError(f"{where} must be a list, got {value!r}")
+        return tuple(_value(typing.get_args(tp)[0], v, where) for v in value)
+    if not _SCALARS[tp](value):
+        raise InputError(f"{where} must be of type {tp.__name__}, got {value!r}")
+    return value
+
+
+def _decode(cls, doc, where: str):
+    """Build dataclass ``cls`` from its ``_plain`` form, checking keys and types.
+
+    A missing or null key takes the field default; a field without one is
+    required.  Scalars keep their JSON type, so a loaded config hashes as
+    the one that was saved.
+    """
+    if not isinstance(doc, dict):
+        raise InputError(f"{where} must be a mapping, got {doc!r}")
+    fields = dataclasses.fields(cls)
+    unknown = set(doc) - {f.name for f in fields}
     if unknown:
         raise InputError(f"unknown {where} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields:
+        if doc.get(f.name) is not None:
+            kwargs[f.name] = _value(hints[f.name], doc[f.name], f"{where}.{f.name}")
+        elif f.default is dataclasses.MISSING:
+            raise InputError(f"{where} is missing required key {f.name!r}")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: {exc}") from exc
+
+
+def config_to_dict(config: RunConfig) -> dict:
+    """Plain nested dict mirroring the config field names, JSON-ready."""
+    return _plain(config)
 
 
 def synthetic_from_dict(synth: dict) -> SyntheticSpec:
     """Build a synthetic-source spec from its nested dict form."""
-    if not isinstance(synth, dict):
-        raise InputError("synthetic section must be a mapping")
-    _take(synth, ("kind", "n", "seed", "mixture", "blobs"), "synthetic")
-    for key in ("kind", "n", "seed"):
-        if key not in synth:
-            raise InputError(f"synthetic section is missing required key {key!r}")
-    mixture = synth.get("mixture")
-    if mixture is not None:
-        _take(mixture, ("means", "covariances", "priors"), "mixture")
-        mixture = MixtureParams(
-            means=mixture["means"],
-            covariances=mixture["covariances"],
-            priors=mixture["priors"],
-        )
-    blobs = synth.get("blobs")
-    if blobs is not None:
-        _take(blobs, ("num_classes", "dim", "separation", "spread"), "blobs")
-        blobs = BlobsParams(**blobs)
-    return SyntheticSpec(
-        kind=synth["kind"],
-        n=int(synth["n"]),
-        seed=int(synth["seed"]),
-        mixture=mixture,
-        blobs=blobs,
-    )
+    return _decode(SyntheticSpec, synth, "synthetic")
 
 
 def config_from_dict(d: dict) -> RunConfig:
     """Build and validate a config from the nested dict form."""
-    if not isinstance(d, dict):
-        raise InputError("config document must be a mapping")
-    allowed = (
-        "seed",
-        "out_dir",
-        "source_path",
-        "synthetic",
-        "split_fractions",
-        "split_seed",
-        "backbone",
-        "train",
-        "criterion",
-        "mu_grid",
-        "t_grid",
-        "curve_targets",
-        "workers",
-    )
-    _take(d, allowed, "config")
-    for key in ("seed", "out_dir"):
-        if key not in d:
-            raise InputError(f"config is missing required key {key!r}")
-    kwargs: dict = {"seed": int(d["seed"]), "out_dir": str(d["out_dir"])}
-    if d.get("source_path") is not None:
-        kwargs["source_path"] = str(d["source_path"])
-    synth = d.get("synthetic")
-    if synth is not None:
-        kwargs["synthetic"] = synthetic_from_dict(synth)
-    if "split_fractions" in d:
-        kwargs["split_fractions"] = tuple(d["split_fractions"])
-    if "split_seed" in d:
-        kwargs["split_seed"] = int(d["split_seed"])
-    backbone = d.get("backbone")
-    if backbone is not None:
-        _take(backbone, ("layer_widths", "activation"), "backbone")
-        kwargs["backbone"] = BackboneSpec(
-            tuple(backbone["layer_widths"]),
-            backbone.get("activation", "relu"),
-        )
-    train = d.get("train")
-    if train is not None:
-        _take(
-            train,
-            (
-                "mu",
-                "epochs",
-                "batch_size",
-                "lr_min",
-                "lr_max",
-                "lr_decay",
-                "backbone_update_interval",
-                "seed",
-                "warm_start_epochs",
-                "lambda_max",
-                "adaptive",
-                "restricted",
-            ),
-            "train",
-        )
-        train = dict(train)
-        if "lr_decay" in train:
-            train["lr_decay"] = tuple(train["lr_decay"])
-        if "mu" not in train:
-            raise InputError("train section is missing required key 'mu'")
-        kwargs["train"] = TrainConfig(**train)
-    criterion = d.get("criterion")
-    if criterion is not None:
-        _take(criterion, ("mode", "target"), "criterion")
-        kwargs["criterion"] = SelectionCriterion(
-            criterion["mode"], criterion["target"]
-        )
-    for key in ("mu_grid", "t_grid"):
-        if d.get(key) is not None:
-            kwargs[key] = tuple(d[key])
-    if d.get("curve_targets") is not None:
-        kwargs["curve_targets"] = tuple(d["curve_targets"])
-    if "workers" in d:
-        kwargs["workers"] = int(d["workers"])
-    return RunConfig(**kwargs)
+    return _decode(RunConfig, d, "config")
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:
@@ -367,21 +257,7 @@ def _write_table(path: Path, columns: tuple, rows: list) -> None:
 
 
 def _log_to_doc(mu: float, log: TrainingLog) -> dict:
-    return {
-        "mu": float(mu),
-        "records": [
-            {
-                "epoch": int(r.epoch),
-                "fit_sum": float(r.fit_sum),
-                "leaks": [float(v) for v in r.leaks],
-                "lambdas": [float(v) for v in r.lambdas],
-                "phis": [float(v) for v in r.phis],
-                "absent_fit": [int(v) for v in r.absent_fit],
-                "absent_leak": [int(v) for v in r.absent_leak],
-            }
-            for r in log.records
-        ],
-    }
+    return {"mu": float(mu), "records": [_plain(r) for r in log.records]}
 
 
 @dataclass(frozen=True)

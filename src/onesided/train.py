@@ -39,6 +39,7 @@ from .net import (
     GradientBundle,
     SelectiveModel,
     _backward,
+    _mean_nll,
     forward_batch,
     warm_start,
 )
@@ -85,7 +86,7 @@ class TrainConfig:
     batch_size: int = 128
     lr_min: float = 1e-3
     lr_max: float = 1e-4
-    lr_decay: tuple = (0.1, 50)
+    lr_decay: tuple[float, ...] = (0.1, 50)
     backbone_update_interval: int = 20
     seed: int = 0
     warm_start_epochs: int = 30
@@ -309,14 +310,9 @@ class GamblersLoss:
             raise InputError(
                 f"payoff must lie in [1, {K}), got {self.payoff}"
             )
-        n = probs.shape[0]
-        idx = np.arange(n)
-        s_raw = probs[idx, labels] + probs[:, K] / self.payoff
-        s = _clamped(s_raw)
-        value = float(np.mean(-np.log(s)))
+        idx = np.arange(probs.shape[0])
+        value, g = _mean_nll(probs[idx, labels] + probs[:, K] / self.payoff)
         dprobs = np.zeros_like(probs)
-        interior = (s_raw > PROB_FLOOR) & (s_raw < 1.0 - PROB_FLOOR)
-        g = np.where(interior, -1.0 / (n * s), 0.0)
         dprobs[idx, labels] += g
         dprobs[:, K] += g / self.payoff
         return value, dprobs

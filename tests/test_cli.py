@@ -333,6 +333,51 @@ def test_pipeline_missing_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda d: d["criterion"].pop("target"), "'target'"),
+        (lambda d: d["train"].update(epochs="10"), "train.epochs"),
+    ],
+)
+def test_pipeline_malformed_config_exits_1(tmp_path, capsys, edit, key):
+    cfg_path = pipeline_config(tmp_path)
+    doc = json.loads(cfg_path.read_text())
+    edit(doc)
+    cfg_path.write_text(json.dumps(doc))
+    assert run("pipeline", "--config", str(cfg_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        (
+            {
+                "kind": "mixture",
+                "n": 60,
+                "seed": 0,
+                "mixture": {"means": [[-1.0], [1.0]], "covariances": [[[1.0]], [[1.0]]]},
+            },
+            "'priors'",
+        ),
+        ({"kind": "blobs", "n": 60, "seed": "abc"}, "synthetic.seed"),
+    ],
+)
+def test_synth_malformed_spec_file_exits_1(tmp_path, capsys, spec, key):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out = tmp_path / "x.csv"
+    assert run("synth", "--spec-file", str(spec_file), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_numeric_error_maps_to_exit_2(tmp_path, monkeypatch, capsys):
     data = synth_csv(tmp_path / "d.csv")
 

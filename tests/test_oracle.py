@@ -363,6 +363,20 @@ def test_sc_exact_recovers_full_coverage_at_plain_risk():
 # allocations and the decoupled solve
 
 
+def _split_loop(total, num_classes):
+    """Stars-and-bars reference: the loop both grids were written with."""
+    out = []
+    for combo in itertools.combinations(range(total + num_classes - 1), num_classes - 1):
+        parts = []
+        prev = -1
+        for c in combo:
+            parts.append(c - prev - 1)
+            prev = c
+        parts.append(total + num_classes - 2 - prev)
+        out.append(parts)
+    return out
+
+
 def test_default_alpha_grid_shapes():
     g2 = default_alpha_grid(2)
     assert len(g2) == 11
@@ -372,6 +386,16 @@ def test_default_alpha_grid_shapes():
     g4 = default_alpha_grid(4)
     assert len(g4) == 35
     assert all(len(a) == 4 for a in g4)
+    # order matters: the decoupled solver breaks ties by first-in-grid order
+    for K in range(1, 5):
+        for step in (None, 0.5, 0.1):
+            s = step if step is not None else (0.1 if K == 2 else 0.25)
+            expected = [tuple(p * s for p in parts) for parts in _split_loop(round(1 / s), K)]
+            assert [a.shares for a in default_alpha_grid(K, step)] == expected
+        for eps, n in ((0.1, 40), (0.05, 97), (0.3, 20)):
+            budget = math.floor(eps * n + 1e-9)
+            expected = [tuple(p / (eps * n) for p in parts) for parts in _split_loop(budget, K)]
+            assert [a.shares for a in budget_alpha_grid(eps, n, K)] == expected
 
 
 def test_alpha_allocation_validation():

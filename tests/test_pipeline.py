@@ -133,6 +133,72 @@ def test_config_from_dict_rejects_bad_documents(tmp_path):
         config_from_dict(bad_train)
     with pytest.raises(InputError):
         config_from_dict("not a mapping")
+    # each malformed document fails at the boundary, naming section and key
+    mixture = blob_config(
+        tmp_path,
+        synthetic=SyntheticSpec("mixture", 200, seed=3, mixture=two_class_mixture()),
+    )
+    missing = "is missing required key"
+    cases = [
+        (lambda d: d["criterion"].pop("target"), (f"config.criterion {missing} 'target'",)),
+        (
+            lambda d: d["backbone"].pop("layer_widths"),
+            (f"config.backbone {missing} 'layer_widths'",),
+        ),
+        (
+            lambda d: d["synthetic"]["mixture"].pop("priors"),
+            (f"config.synthetic.mixture {missing} 'priors'",),
+        ),
+        (lambda d: d.update(seed="abc"), ("config.seed",)),
+        (lambda d: d["train"].update(epochs="10"), ("config.train.epochs",)),
+        (lambda d: d["train"].update(adaptive="no"), ("config.train.adaptive",)),
+        (lambda d: d["synthetic"].update(n=10.7), ("config.synthetic.n",)),
+        (lambda d: d.update(mu_grid=0.5), ("config.mu_grid",)),
+        (lambda d: d.update(train=[1.0]), ("config.train",)),
+        (
+            lambda d: d["synthetic"]["mixture"]["means"][1].append(2.0),
+            ("config.synthetic.mixture", "means"),
+        ),
+        (
+            lambda d: d["backbone"]["layer_widths"].insert(1, "16"),
+            ("config.backbone.layer_widths",),
+        ),
+    ]
+    for edit, names in cases:
+        doc = json.loads(json.dumps(config_to_dict(mixture)))
+        edit(doc)
+        with pytest.raises(InputError) as info:
+            config_from_dict(doc)
+        for name in names:
+            assert name in str(info.value)
+
+
+def test_config_null_key_takes_the_default(tmp_path):
+    doc = config_to_dict(blob_config(tmp_path))
+    doc["split_seed"] = None
+    doc["train"]["lambda_max"] = None
+    del doc["t_grid"]
+    cfg = config_from_dict(doc)
+    assert cfg.split_seed == 0 and cfg.train.lambda_max is None
+    assert cfg.t_grid == RunConfig(seed=0, out_dir=".", synthetic=cfg.synthetic).t_grid
+
+
+def test_config_hash_is_pinned(tmp_path):
+    # The value before the config codec became dataclass-driven: a codec
+    # change must not move the hash of an unchanged config.
+    pinned = "7abe91b6996a04e0985507a536c8750c25ca65950607dd56f99528d2b2c834b6"
+    cfg = blob_config(tmp_path)
+    assert config_hash(cfg) == pinned
+    save_config(cfg, tmp_path / "config.json")
+    assert config_hash(load_config(tmp_path / "config.json")) == pinned
+
+
+def test_readme_example_config_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("with, for example:\n\n```json\n", 1)[1].split("```", 1)[0]
+    cfg = config_from_dict(json.loads(block))
+    assert cfg.synthetic.blobs.num_classes == 3 and cfg.mu_grid == (0.5, 1.0, 2.0, 4.0)
+    assert config_to_dict(cfg)["train"]["lr_decay"] == [0.1, 1000]
 
 
 def test_load_config_rejects_bad_files(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onesided.core import InputError, LabeledDataset, NumericError
-from onesided.net import PROB_FLOOR, BackboneSpec, forward_batch, init_model
+from onesided.net import CROSS_ENTROPY, PROB_FLOOR, BackboneSpec, forward_batch, init_model
 from onesided.train import (
     DGConfig,
     GamblersLoss,
@@ -331,6 +331,22 @@ def test_gamblers_hand_value():
     labels = np.array([0])
     value, _ = GamblersLoss(2.0 - 1e-9).value_and_grad(probs, labels)
     assert value == pytest.approx(np.log(2.0), rel=1e-8)
+
+
+def test_single_score_losses_have_zero_gradient_where_clamped():
+    # rows: true-class score 1 (upper clamp), 0 (lower clamp), and interior
+    probs = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.4], [0.3, 0.3, 0.4]])
+    labels = np.array([0, 0, 1])
+    _, g = CROSS_ENTROPY.value_and_grad(probs, labels)
+    want = np.zeros_like(probs)
+    want[2, 1] = -1.0 / (3 * 0.3)
+    assert np.array_equal(g, want)
+    probs[1, 2] = 0.0  # no opt-out mass, so the gamblers score is 0 too
+    _, g = GamblersLoss(1.5).value_and_grad(probs, labels)
+    s = 0.3 + 0.4 / 1.5
+    want[2, 1] = -1.0 / (3 * s)
+    want[2, 2] = want[2, 1] / 1.5
+    assert np.array_equal(g, want)
 
 
 def test_dg_loss_payoff_validation():
