@@ -147,12 +147,12 @@ def _activation_grad(h: np.ndarray, kind: str) -> np.ndarray:
     return np.ones_like(h)
 
 
-def _forward_pass(model: SelectiveModel, X: np.ndarray):
-    """Returns (per-layer activations, logits, softmax probabilities).
+def _backbone(model, X: np.ndarray) -> list:
+    """Per-layer activations, input first; the last is the feature matrix.
 
     Parameters may carry a leading model axis (``W`` of shape ``(M, out,
-    in)``); the outputs then gain it too, one ``(n, K)`` slice per model,
-    each computed exactly as for that model alone.
+    in)``); the activations then gain it too, one slice per model, each
+    computed exactly as for that model alone.
     """
     h = X
     acts = [h]
@@ -160,11 +160,21 @@ def _forward_pass(model: SelectiveModel, X: np.ndarray):
         a = np.matmul(h, W.swapaxes(-1, -2)) + b[..., None, :]
         h = _activate(a, model.spec.activation)
         acts.append(h)
-    logits = np.matmul(h, model.head_w.swapaxes(-1, -2)) + model.head_b[..., None, :]
+    return acts
+
+
+def _head(model, feat: np.ndarray) -> np.ndarray:
+    """Softmax class scores of last-layer features (stacked like ``_backbone``)."""
+    logits = np.matmul(feat, model.head_w.swapaxes(-1, -2)) + model.head_b[..., None, :]
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    probs = e / e.sum(axis=-1, keepdims=True)
-    return acts, logits, probs
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _forward_pass(model: SelectiveModel, X: np.ndarray):
+    """Returns (per-layer activations, softmax probabilities)."""
+    acts = _backbone(model, X)
+    return acts, _head(model, acts[-1])
 
 
 def _check_batch(model: SelectiveModel, X: np.ndarray) -> np.ndarray:
@@ -179,7 +189,7 @@ def _check_batch(model: SelectiveModel, X: np.ndarray) -> np.ndarray:
 def forward_batch(model: SelectiveModel, X: np.ndarray) -> np.ndarray:
     """Class-probability matrix, one row per input point."""
     X = _check_batch(model, X)
-    _, _, probs = _forward_pass(model, X)
+    _, probs = _forward_pass(model, X)
     return probs
 
 
@@ -233,26 +243,11 @@ def _backward(model, X: np.ndarray, labels: np.ndarray, loss_spec: LossSpec):
     gradient gains the model axis.  A non-finite value raises
     :class:`NumericError` whose ``model_index`` names the first bad model.
     """
-    acts, _, probs = _forward_pass(model, X)
-    value, dprobs = loss_spec.value_and_grad(probs, labels)
-    bad = ~np.isfinite(value)
-    if bad.any():
-        m = int(np.argmax(bad))
-        exc = NumericError(
-            f"loss evaluated to a non-finite value: {np.ravel(value)[m]}"
-        )
-        exc.model_index = m
-        raise exc
-
-    # softmax vector-Jacobian product, row-wise
-    inner = np.sum(dprobs * probs, axis=-1, keepdims=True)
-    dlogits = probs * (dprobs - inner)
-
-    feat = acts[-1]
-    g_head_w = np.matmul(dlogits.swapaxes(-1, -2), feat)
-    g_head_b = dlogits.sum(axis=-2)
+    acts, probs = _forward_pass(model, X)
+    value, dlogits, g_head_w, g_head_b = _head_grads(
+        acts[-1], probs, labels, loss_spec
+    )
     d_h = np.matmul(dlogits, model.head_w)
-
     g_ws: list = [None] * len(model.weights)
     g_bs: list = [None] * len(model.biases)
     kind = model.spec.activation
@@ -262,6 +257,38 @@ def _backward(model, X: np.ndarray, labels: np.ndarray, loss_spec: LossSpec):
         g_bs[i] = da.sum(axis=-2)
         d_h = np.matmul(da, model.weights[i])
     return value, GradientBundle(g_ws, g_bs, g_head_w, g_head_b)
+
+
+def _backward_head(model, feat: np.ndarray, labels: np.ndarray, loss_spec: LossSpec):
+    """:func:`_backward` of the heads alone, on last-layer features ``feat``.
+
+    The backbone is taken as fixed: the bundle's backbone lists are empty.
+    ``feat`` may be one ``(n, width)`` matrix shared by a stack of models.
+    """
+    value, _, g_head_w, g_head_b = _head_grads(
+        feat, _head(model, feat), labels, loss_spec
+    )
+    return value, GradientBundle([], [], g_head_w, g_head_b)
+
+
+def _head_grads(feat, probs, labels, loss_spec: LossSpec):
+    """Loss value, d(loss)/d(logits) and the head gradients.
+
+    Raises :class:`NumericError` on a non-finite loss value.
+    """
+    value, dprobs = loss_spec.value_and_grad(probs, labels)
+    bad = ~np.isfinite(value)
+    if bad.any():
+        m = int(np.argmax(bad))
+        exc = NumericError(
+            f"loss evaluated to a non-finite value: {np.ravel(value)[m]}"
+        )
+        exc.model_index = m
+        raise exc
+    # softmax vector-Jacobian product, row-wise
+    inner = np.sum(dprobs * probs, axis=-1, keepdims=True)
+    dlogits = probs * (dprobs - inner)
+    return value, dlogits, np.matmul(dlogits.swapaxes(-1, -2), feat), dlogits.sum(axis=-2)
 
 
 def sgd_step(model: SelectiveModel, grads: GradientBundle, lr: float) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass
@@ -99,11 +100,14 @@ class RunConfig:
         if self.source_path is not None and not Path(self.source_path).exists():
             raise InputError(f"dataset path {self.source_path} does not exist")
         fr = tuple(float(f) for f in self.split_fractions)
+        mus = tuple(float(m) for m in self.mu_grid)
+        for name, values in (("split_fractions", fr), ("mu_grid", mus)):
+            if not all(map(math.isfinite, values)):
+                raise InputError(f"{name} values must be finite, got {values}")
         if len(fr) != 3 or any(f <= 0.0 for f in fr):
             raise InputError(f"need three positive split fractions, got {fr}")
         if abs(sum(fr) - 1.0) > 1e-9:
             raise InputError(f"split fractions must sum to 1, got {sum(fr)}")
-        mus = tuple(float(m) for m in self.mu_grid)
         if not mus:
             raise InputError("mu grid must not be empty")
         if any(m < 0.0 for m in mus):

@@ -18,7 +18,10 @@ zero gradient where the clamp is active.
 Network weights and slacks descend on a fast learning rate while the
 multipliers ascend on a slow one; the shared backbone accumulates its
 descent steps and applies them only every few epochs, keeping the
-per-class heads quasi-independent in between.
+per-class heads quasi-independent in between.  Steps that no update
+will follow are not computed: the trailing epochs past the last update
+train the heads alone, on cached last-layer features, and the per-epoch
+record reads those features too.
 
 A grid of budget prices trains in lockstep: `sgda_train_grid` holds the
 M runs as one stack of parameters, multipliers and slacks with a leading
@@ -27,6 +30,7 @@ mu axis, and `sgda_train` is its one-price case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,7 +42,10 @@ from .net import (
     BackboneSpec,
     GradientBundle,
     SelectiveModel,
+    _backbone,
     _backward,
+    _backward_head,
+    _head,
     _mean_nll,
     forward_batch,
     warm_start,
@@ -95,6 +102,13 @@ class TrainConfig:
     restricted: bool = True
 
     def __post_init__(self) -> None:
+        finite = [("mu", self.mu), ("lr_min", self.lr_min), ("lr_max", self.lr_max)]
+        finite += [("lr_decay", v) for v in self.lr_decay]
+        if self.lambda_max is not None:
+            finite.append(("lambda_max", self.lambda_max))
+        for name, value in finite:
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value!r}")
         if self.mu < 0:
             raise InputError("mu must be nonnegative")
         if self.epochs < 0 or self.warm_start_epochs < 0:
@@ -114,17 +128,6 @@ class TrainConfig:
     @property
     def effective_lambda_max(self) -> float:
         return self.lambda_max if self.lambda_max is not None else 10.0 * self.mu
-
-
-@dataclass(frozen=True)
-class DGConfig:
-    """Extra-output baseline: the payoff odds of the opt-out head."""
-
-    payoff: float
-
-    def __post_init__(self) -> None:
-        if self.payoff < 1.0:
-            raise InputError(f"payoff must be at least 1, got {self.payoff}")
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +321,6 @@ class GamblersLoss:
         return value, dprobs
 
 
-def dg_loss(model: SelectiveModel, batch: LabeledDataset, config: DGConfig) -> float:
-    """Opt-out training loss of the extra-head baseline model."""
-    probs = forward_batch(model, batch.features)
-    return GamblersLoss(config.payoff).value_and_grad(probs, batch.labels)[0]
-
-
 # ---------------------------------------------------------------------------
 # the saddle-point loop
 
@@ -391,7 +388,7 @@ def _mapped(params, f) -> tuple:
 
 
 class _Stack:
-    """M models' parameters with a leading model axis (see ``_forward_pass``)."""
+    """M models' parameters with a leading model axis (see ``_backbone``)."""
 
     def __init__(self, spec, num_classes, weights, biases, head_w, head_b):
         self.spec, self.num_classes = spec, num_classes
@@ -434,7 +431,14 @@ def sgda_train_grid(
     Heads and slacks take descent steps at ``lr_min`` each batch; the
     multipliers take ascent steps at ``lr_max``, clipped to
     ``[0, lambda_max]``.  Backbone gradients accumulate and land every
-    ``backbone_update_interval`` epochs.  A non-finite loss aborts with a
+    ``backbone_update_interval`` epochs.  The trailing
+    ``epochs % backbone_update_interval`` epochs (all of them when
+    ``epochs`` is below the interval) have no update to land, so they
+    train the heads alone on cached last-layer features of the training
+    rows.  The cache holds the backbone's features since the last update;
+    the per-epoch record reads it and runs only the heads.  Cached and
+    recomputed features can differ in the last bit, where BLAS rounds a
+    batch's rows unlike the full matrix's.  A non-finite loss aborts with a
     :class:`NumericError` naming the failing ``mu`` and carrying that run's
     last finite epoch (``checkpoint_epoch``, ``checkpoint_model``,
     ``checkpoint_state``).  Returns one ``(model, state, log)`` per grid
@@ -475,12 +479,19 @@ def sgda_train_grid(
     checkpoint_epoch = -1
     checkpoint = stack.copy()
     checkpoint_state = state.snapshot()
+    interval = config.backbone_update_interval
+    # no backbone update lands from this epoch on: only the heads train
+    frozen_from = config.epochs - config.epochs % interval
+    # last-layer features of every training row under the current
+    # backbones: one shared matrix until the first update lands, then
+    # one slice per model
+    feats = _backbone(model, data.features)[-1]
 
     def record(epoch: int) -> None:
-        # one model at a time: a stacked full-data pass would hold M
-        # (n, K) score matrices at once
+        # one model at a time: a stacked pass would hold M (n, K) score
+        # matrices at once
         for m, log in enumerate(records):
-            probs = forward_batch(stack.model(m), data.features)
+            probs = _head(stack.model(m), feats if feats.ndim == 2 else feats[m])
             terms = class_terms(probs, data.labels, restricted=config.restricted)
             log.append(
                 EpochRecord(
@@ -503,9 +514,14 @@ def sgda_train_grid(
             for start in range(0, n, config.batch_size):
                 idx = perm[start : start + config.batch_size]
                 loss_obj = LagrangianLoss(state, config.restricted)
-                _, grads = _backward(
-                    stack, data.features[idx], data.labels[idx], loss_obj
-                )
+                X, y = data.features[idx], data.labels[idx]
+                if epoch < frozen_from:
+                    _, grads = _backward(stack, X, y, loss_obj)
+                else:
+                    # numpy multiplies a one-row matrix with gemv, which
+                    # rounds unlike the gemm that filled the cache
+                    feat = feats[..., idx, :] if len(idx) > 1 else _backbone(stack, X)[-1]
+                    _, grads = _backward_head(stack, feat, y, loss_obj)
                 if adam is not None:
                     grads = adam.transform(grads)
                 # heads step now, backbone steps accumulate
@@ -535,13 +551,18 @@ def sgda_train_grid(
             err.checkpoint_model = checkpoint.model(m)
             err.checkpoint_state = _state_of(checkpoint_state, m)
             raise err from exc
-        if (epoch + 1) % config.backbone_update_interval == 0:
+        if (epoch + 1) % interval == 0:
             for W, bw in zip(stack.weights, buf.weights):
                 W -= bw
                 bw[:] = 0.0
             for b, bb in zip(stack.biases, buf.biases):
                 b -= bb
                 bb[:] = 0.0
+            # one model at a time, like the record
+            if feats.ndim == 2:
+                feats = np.empty((M,) + feats.shape)
+            for m in range(M):
+                feats[m] = _backbone(stack.model(m), data.features)[-1]
         record(epoch)
         checkpoint_epoch = epoch
         checkpoint = stack.copy()

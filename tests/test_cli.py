@@ -338,6 +338,8 @@ def test_pipeline_missing_config(tmp_path, capsys):
     [
         (lambda d: d["criterion"].pop("target"), "'target'"),
         (lambda d: d["train"].update(epochs="10"), "train.epochs"),
+        (lambda d: d["train"].update(lr_min=float("nan")), "lr_min"),
+        (lambda d: d.update(mu_grid=[0.5, float("inf")]), "mu_grid"),
     ],
 )
 def test_pipeline_malformed_config_exits_1(tmp_path, capsys, edit, key):

@@ -233,7 +233,7 @@ def test_stacked_backward_slices_equal_single_models(activation):
     batch = random_batch(models[0], 37, 5)
     stack = stack_of(models)
     values, grads = _backward(stack, batch.features, batch.labels, _StackLoss())
-    _, _, probs = _forward_pass(stack, batch.features)
+    _, probs = _forward_pass(stack, batch.features)
     for i, model in enumerate(models):
         value, single = backward(model, batch, _StackLoss())
         assert values[i] == value

@@ -88,6 +88,44 @@ def test_run_config_validation(tmp_path):
         blob_config(tmp_path, curve_targets=())
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "over, key",
+    [
+        ({"mu_grid": (NAN, 1.0)}, "mu_grid"),
+        ({"mu_grid": (0.5, INF)}, "mu_grid"),
+        ({"split_fractions": (NAN, 0.5, 0.5)}, "split_fractions"),
+        ({"split_fractions": (0.2, -INF, 0.4)}, "split_fractions"),
+    ],
+)
+def test_run_config_rejects_non_finite_values(tmp_path, over, key):
+    with pytest.raises(InputError, match=key):
+        blob_config(tmp_path, **over)
+    # the same values read from JSON, which spells them NaN and Infinity
+    doc = json.loads(json.dumps(config_to_dict(blob_config(tmp_path))))
+    doc.update({k: list(v) for k, v in over.items()})
+    text = json.dumps(doc)
+    assert "NaN" in text or "Infinity" in text
+    with pytest.raises(InputError, match=key):
+        config_from_dict(json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("mu", NAN), ("mu", INF), ("lr_min", NAN), ("lr_max", INF),
+     ("lr_decay", (NAN, 50)), ("lr_decay", (0.1, INF)), ("lambda_max", NAN)],
+)
+def test_train_config_rejects_non_finite_values(tmp_path, key, value):
+    with pytest.raises(InputError, match=key):
+        quick_train(**{key: value})
+    doc = json.loads(json.dumps(config_to_dict(blob_config(tmp_path))))
+    doc["train"][key] = list(value) if isinstance(value, tuple) else value
+    with pytest.raises(InputError, match=key):
+        config_from_dict(json.loads(json.dumps(doc)))
+
+
 def test_config_dict_round_trip(tmp_path):
     data_file = tmp_path / "d.csv"
     write_csv(synthesize(SyntheticSpec("blobs", 30, seed=1)), data_file)

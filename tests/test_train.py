@@ -1,16 +1,17 @@
 """Loss values, multiplier dynamics, and the saddle-point loop."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import onesided.train as train_mod
 from onesided.core import InputError, LabeledDataset, NumericError
 from onesided.net import CROSS_ENTROPY, PROB_FLOOR, BackboneSpec, forward_batch, init_model
 from onesided.train import (
-    DGConfig,
     GamblersLoss,
     LagrangianLoss,
     LagrangianState,
@@ -19,7 +20,6 @@ from onesided.train import (
     TrainConfig,
     class_terms,
     constraint_loss,
-    dg_loss,
     lagrangian,
     restricted_loss,
     _Adam,
@@ -349,21 +349,16 @@ def test_single_score_losses_have_zero_gradient_where_clamped():
     assert np.array_equal(g, want)
 
 
-def test_dg_loss_payoff_validation():
-    model = small_model(seed=8, K=3, widths=(2, 3, 3))  # 2 classes + opt-out
+def test_gamblers_loss_payoff_validation():
     rng = np.random.default_rng(0)
-    batch = LabeledDataset(rng.normal(size=(6, 2)), rng.integers(0, 2, 6), 3)
-    value = dg_loss(model, batch, DGConfig(payoff=1.5))
+    probs = rng.dirichlet(np.ones(3), size=6)  # 2 classes + opt-out
+    labels = rng.integers(0, 2, 6)
+    value, _ = GamblersLoss(1.5).value_and_grad(probs, labels)
     assert np.isfinite(value)
-    # the payoff must stay below the true class count (2 here)
-    for bad in (2.0, 3.0):
+    # the payoff must lie in [1, K), K = 2 true classes here
+    for bad in (0.2, 2.0, 3.0):
         with pytest.raises(InputError):
-            dg_loss(model, batch, DGConfig(payoff=bad))
-
-
-def test_dg_config_validation():
-    with pytest.raises(InputError):
-        DGConfig(payoff=0.2)
+            GamblersLoss(bad).value_and_grad(probs, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +708,70 @@ def test_sgda_grid_equals_per_mu_runs(
     if epochs == 0:
         model, _, _ = sgda_train_grid(data, SPEC, cfg, mus[:1])[0]
         assert flatten_params(model).tobytes() == flatten_params(init).tobytes()
+
+
+WIDE = BackboneSpec((2, 32, 16))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    K=st.integers(2, 10),
+    n=st.integers(150, 400),
+    batch_size=st.sampled_from([16, 64, 128]),
+    interval=st.integers(2, 4),
+    landings=st.integers(0, 2),
+    tail=st.integers(1, 3),
+    adaptive=st.booleans(),
+    restricted=st.booleans(),
+    mus=st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=1, max_size=3, unique=True),
+    seed=st.integers(0, 2**16),
+)
+def test_sgda_cached_features_match_uncached_reference(
+    K, n, batch_size, interval, landings, tail, adaptive, restricted, mus, seed
+):
+    # the grid trains the heads alone on cached last-layer features once no
+    # backbone update is left to land, and records from those features; the
+    # reference recomputes the whole network on every batch.  At these widths
+    # the BLAS kernel rounds a batch's rows unlike the full matrix's, so
+    # floats agree to 1e-12 and counts exactly.  Overlapping classes and
+    # small steps keep scores off the clamp, where -log(1 - p) would
+    # magnify that rounding.
+    epochs = landings * interval + 1 + (tail - 1) % (interval - 1)  # tail frozen
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, K, size=n)
+    X = rng.normal(size=(n, 2)) + np.c_[np.cos(y), np.sin(y)]
+    data = LabeledDataset(X, y, K)
+    cfg = TrainConfig(
+        mu=99.0, epochs=epochs, batch_size=batch_size, lr_min=0.02, lr_max=0.05,
+        lr_decay=(0.5, 2), backbone_update_interval=interval, seed=seed,
+        warm_start_epochs=1, adaptive=adaptive, restricted=restricted,
+    )
+    init = warm_start(data, WIDE, K, 1, cfg.lr_min, seed, batch_size)
+    made = []
+
+    class CountingAdam(_Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with mock.patch.object(train_mod, "_Adam", CountingAdam):
+        grid = sgda_train_grid(data, WIDE, cfg, mus, initial_model=init)
+    if adaptive:
+        # the moments' bias correction counts the head-only steps too
+        assert [a.t for a in made] == [epochs * -(-n // batch_size)]
+    for mu, (model, state, log) in zip(mus, grid):
+        ref_model, ref_state, ref_records = reference_sgda(
+            data, dataclasses.replace(cfg, mu=mu), init
+        )
+        assert close(flatten_params(model), flatten_params(ref_model))
+        assert close(state.lambdas, ref_state.lambdas)
+        assert close(state.phis, ref_state.phis)
+        got = [record_tuple(r) for r in log.records]
+        assert len(got) == len(ref_records) == epochs
+        for a, b in zip(got, ref_records):
+            assert a[0] == b[0] and a[5:] == b[5:]
+            for x, y_ in zip(a[1:5], b[1:5]):
+                assert close(np.array(x), np.array(y_))
 
 
 def test_sgda_grid_numeric_error_names_mu_and_carries_its_checkpoint():
