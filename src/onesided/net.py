@@ -6,6 +6,13 @@ No autodiff framework is involved: ``backward`` chains analytic
 derivatives layer by layer, and the loss objects it accepts supply the
 derivative of the loss with respect to the class probabilities.
 
+Score matrices keep the ``(..., n, K)`` shape, one row per point, but
+are stored class-major: each is the transposed view of a C-contiguous
+``(..., K, n)`` array.  With K of 2 to 10, the softmax (over classes) and
+the per-class loss means (over rows) then run along contiguous memory
+instead of one short K-long stretch at a time.  The backbone's activations
+stay row-major.
+
 Everything runs in float64.  Probabilities are clamped to
 ``[PROB_FLOOR, 1 - PROB_FLOOR]`` before any logarithm, and loss objects
 zero their gradient where the clamp is active so that analytic and
@@ -164,11 +171,17 @@ def _backbone(model, X: np.ndarray) -> list:
 
 
 def _head(model, feat: np.ndarray) -> np.ndarray:
-    """Softmax class scores of last-layer features (stacked like ``_backbone``)."""
-    logits = np.matmul(feat, model.head_w.swapaxes(-1, -2)) + model.head_b[..., None, :]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    """Softmax class scores of last-layer features (stacked like ``_backbone``).
+
+    The ``(..., n, K)`` result is stored class-major: it is the transposed
+    view of a C-contiguous ``(..., K, n)`` array.  The softmax reduces over
+    classes and every loss reduces over rows; with K of 2 to 10, a
+    row-major layout would walk both one short K-long stretch at a time.
+    """
+    logits = np.matmul(model.head_w, feat.swapaxes(-1, -2)) + model.head_b[..., :, None]
+    shifted = logits - logits.max(axis=-2, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return (e / e.sum(axis=-2, keepdims=True)).swapaxes(-1, -2)
 
 
 def _forward_pass(model: SelectiveModel, X: np.ndarray):
@@ -187,7 +200,7 @@ def _check_batch(model: SelectiveModel, X: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(model: SelectiveModel, X: np.ndarray) -> np.ndarray:
-    """Class-probability matrix, one row per input point."""
+    """Class-probability matrix, one row per input point, stored class-major."""
     X = _check_batch(model, X)
     _, probs = _forward_pass(model, X)
     return probs

@@ -70,6 +70,8 @@ class RunConfig:
     """Everything one pipeline run depends on.
 
     Exactly one of ``source_path`` and ``synthetic`` names the dataset.
+    The CSV is not opened here, so a saved config still loads and hashes
+    after its data file has moved; a run fails at its ``load_data`` stage.
     ``train`` is a template: the grid supplies ``mu`` and the run seed
     replaces ``seed``.  ``split_seed`` is deliberately separate from
     ``seed`` so seed sweeps can vary optimization while keeping the data
@@ -97,8 +99,6 @@ class RunConfig:
             raise InputError(
                 "exactly one of source_path and synthetic must be given"
             )
-        if self.source_path is not None and not Path(self.source_path).exists():
-            raise InputError(f"dataset path {self.source_path} does not exist")
         fr = tuple(float(f) for f in self.split_fractions)
         mus = tuple(float(m) for m in self.mu_grid)
         for name, values in (("split_fractions", fr), ("mu_grid", mus)):

@@ -161,9 +161,14 @@ def class_terms(probs, labels, fit_w=None, leak_w=None, restricted=True) -> Clas
 
     Scores may be a stack ``(M, n, K)`` of M models on the same rows, with
     ``(M, K)`` weights; the means and ``dprobs`` then gain the model axis.
+    The row masks are built class-major, like the scores of
+    :func:`onesided.net._head`, so with those scores every temporary and
+    ``dprobs`` are class-major too and the row sums run along contiguous
+    memory.  Row-major scores give the same terms up to the rounding of
+    those sums.
     """
     n, K = probs.shape[-2:]
-    own = labels[:, None] == np.arange(K)
+    own = (labels == np.arange(K)[:, None]).T
     n_own = np.bincount(labels, minlength=K)
     if restricted:
         fit_rows, n_fit = own, n_own

@@ -333,6 +333,13 @@ def test_pipeline_missing_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_pipeline_missing_csv_exits_1_naming_it(tmp_path, capsys):
+    csv = tmp_path / "gone.csv"
+    cfg_path = pipeline_config(tmp_path, synthetic=None, source_path=str(csv))
+    assert run("pipeline", "--config", str(cfg_path)) == 1
+    assert str(csv) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "edit, key",
     [

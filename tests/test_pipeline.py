@@ -64,8 +64,6 @@ def test_run_config_validation(tmp_path):
     with pytest.raises(InputError):
         RunConfig(seed=0, out_dir=str(tmp_path))
     with pytest.raises(InputError):
-        blob_config(tmp_path, synthetic=None, source_path=str(tmp_path / "no.csv"))
-    with pytest.raises(InputError):
         blob_config(tmp_path, split_fractions=(0.5, 0.5, 0.5))
     with pytest.raises(InputError):
         blob_config(tmp_path, split_fractions=(0.8, 0.2, 0.0))
@@ -381,6 +379,26 @@ def test_run_pipeline_error_manifest_on_bad_csv(tmp_path):
     assert manifest["stage"] == "load_data"
     assert manifest["completed"] == []
     assert "line 3" in manifest["message"]
+
+
+def test_config_with_a_moved_csv_loads_and_fails_at_load_data(tmp_path):
+    data_file = tmp_path / "d.csv"
+    write_csv(synthesize(SyntheticSpec("blobs", 30, seed=1)), data_file)
+    cfg = blob_config(tmp_path / "run", synthetic=None, source_path=str(data_file))
+    save_config(cfg, tmp_path / "config.json")
+    pinned = config_hash(cfg)
+    data_file.unlink()
+    # the config is a record of the run: it outlives its data file
+    loaded = load_config(tmp_path / "config.json")
+    assert loaded == cfg
+    assert config_hash(loaded) == pinned
+    with pytest.raises(InputError, match="cannot read"):
+        run_pipeline(loaded)
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["stage"] == "load_data"
+    assert manifest["completed"] == []
+    assert str(data_file) in manifest["message"]
 
 
 def test_run_pipeline_error_manifest_preserves_completed_stages(

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 import onesided.train as train_mod
 from onesided.core import InputError, LabeledDataset, NumericError
-from onesided.net import CROSS_ENTROPY, PROB_FLOOR, BackboneSpec, forward_batch, init_model
+from onesided.net import (
+    CROSS_ENTROPY,
+    PROB_FLOOR,
+    BackboneSpec,
+    SelectiveModel,
+    _head,
+    forward_batch,
+    init_model,
+)
 from onesided.train import (
     GamblersLoss,
     LagrangianLoss,
@@ -34,6 +42,7 @@ from test_net import (
     flatten_params,
     random_batch,
     small_model,
+    stack_of,
 )
 from onesided.net import backward, warm_start
 
@@ -196,39 +205,41 @@ def test_class_terms_and_losses_match_per_class_loop(K, n, present, seed, restri
     labels = rng.integers(0, min(present, K), size=n)  # classes >= present are absent
     fit_w = rng.random(K) * (rng.random(K) < 0.7)
     leak_w = rng.random(K) * (rng.random(K) < 0.7)
-
-    got = class_terms(probs, labels, fit_w, leak_w, restricted)
-    fit, leak, absent_fit, absent_leak, dprobs = loop_terms(
-        probs, labels, fit_w, leak_w, restricted
-    )
-    assert close(got.fit, fit) and close(got.leak, leak)
-    assert np.array_equal(got.absent_fit, absent_fit)
-    assert np.array_equal(got.absent_leak, absent_leak)
-    assert got.dprobs.tobytes() == dprobs.tobytes()
-    assert class_terms(probs, labels, restricted=restricted).dprobs is None
-
-    zero = np.zeros(K)
-    for k in range(K):
-        e_k = np.eye(K)[k]
-        value, grad = RestrictedFitLoss(k).value_and_grad(probs, labels)
-        want = loop_terms(probs, labels, e_k, zero)
-        assert close(value, want[0][k]) and grad.tobytes() == want[4].tobytes()
-        value, grad = LeakLoss(k).value_and_grad(probs, labels)
-        want = loop_terms(probs, labels, zero, e_k)
-        assert close(value, want[1][k]) and grad.tobytes() == want[4].tobytes()
-
     state = LagrangianState(2.0 * rng.random(K), rng.random(K), mu=float(rng.random()))
-    loss = LagrangianLoss(state, restricted)
-    value, grad = loss.value_and_grad(probs, labels)
-    fit, leak, absent_fit, absent_leak, dprobs = loop_terms(
-        probs, labels, np.ones(K), state.lambdas, restricted
-    )
     lam, phi = state.lambdas, state.phis
-    assert close(value, np.sum(fit + lam * leak + (state.mu - lam) * phi))
-    assert grad.tobytes() == dprobs.tobytes()
-    assert close(loss.last_leaks, leak)
-    assert np.array_equal(loss.last_absent_fit, absent_fit)
-    assert np.array_equal(loss.last_absent_leak, absent_leak)
+    zero = np.zeros(K)
+
+    # row-major, and class-major as `_head` stores the trainer's scores
+    for probs in (probs, np.ascontiguousarray(probs.T).T):
+        got = class_terms(probs, labels, fit_w, leak_w, restricted)
+        fit, leak, absent_fit, absent_leak, dprobs = loop_terms(
+            probs, labels, fit_w, leak_w, restricted
+        )
+        assert close(got.fit, fit) and close(got.leak, leak)
+        assert np.array_equal(got.absent_fit, absent_fit)
+        assert np.array_equal(got.absent_leak, absent_leak)
+        assert got.dprobs.tobytes() == dprobs.tobytes()
+        assert class_terms(probs, labels, restricted=restricted).dprobs is None
+
+        for k in range(K):
+            e_k = np.eye(K)[k]
+            value, grad = RestrictedFitLoss(k).value_and_grad(probs, labels)
+            want = loop_terms(probs, labels, e_k, zero)
+            assert close(value, want[0][k]) and grad.tobytes() == want[4].tobytes()
+            value, grad = LeakLoss(k).value_and_grad(probs, labels)
+            want = loop_terms(probs, labels, zero, e_k)
+            assert close(value, want[1][k]) and grad.tobytes() == want[4].tobytes()
+
+        loss = LagrangianLoss(state, restricted)
+        value, grad = loss.value_and_grad(probs, labels)
+        fit, leak, absent_fit, absent_leak, dprobs = loop_terms(
+            probs, labels, np.ones(K), state.lambdas, restricted
+        )
+        assert close(value, np.sum(fit + lam * leak + (state.mu - lam) * phi))
+        assert grad.tobytes() == dprobs.tobytes()
+        assert close(loss.last_leaks, leak)
+        assert np.array_equal(loss.last_absent_fit, absent_fit)
+        assert np.array_equal(loss.last_absent_leak, absent_leak)
 
     model = small_model(seed=seed % 1000, K=K, widths=(2, 3, 3))
     batch = LabeledDataset(rng.normal(size=(n, 2)), labels, K)
@@ -242,6 +253,70 @@ def test_class_terms_and_losses_match_per_class_loop(K, n, present, seed, restri
     assert close(
         lagrangian(model, batch, state), np.sum(fit + lam * leak + (state.mu - lam) * phi)
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    K=st.integers(1, 17),
+    width=st.sampled_from([1, 3, 8, 16, 33]),
+    n=st.one_of(st.sampled_from([1, 2, 63, 64, 65, 128]), st.integers(300, 700)),
+    M=st.integers(1, 6),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    restricted=st.booleans(),
+)
+def test_stacked_head_and_class_terms_slices_equal_lone_models(
+    K, width, n, M, shared, seed, restricted
+):
+    # the lockstep trainer scores and differentiates M models at once; each
+    # slice must hold the bits of a lone model, whatever the shapes
+    rng = np.random.default_rng(seed)
+    spec = BackboneSpec((2, width))
+    scale = rng.choice([1.0, 30.0])
+    models = [
+        SelectiveModel(
+            spec,
+            K,
+            [rng.normal(size=(width, 2))],
+            [np.zeros(width)],
+            scale * rng.normal(size=(K, width)),
+            rng.normal(size=K),
+        )
+        for _ in range(M)
+    ]
+    feats = rng.normal(size=(n, width) if shared else (M, n, width))
+    labels = rng.integers(0, K, size=n)
+    fit_w, leak_w = rng.random((M, K)), rng.random((M, K))
+
+    probs = _head(stack_of(models), feats)
+    terms = class_terms(probs, labels, fit_w, leak_w, restricted)
+    for m, model in enumerate(models):
+        lone = _head(model, feats if shared else feats[m])
+        assert probs[m].tobytes() == lone.tobytes()
+        want = class_terms(lone, labels, fit_w[m], leak_w[m], restricted)
+        assert terms.fit[m].tobytes() == want.fit.tobytes()
+        assert terms.leak[m].tobytes() == want.leak.tobytes()
+        assert terms.dprobs[m].tobytes() == want.dprobs.tobytes()
+        assert np.array_equal(terms.absent_fit, want.absent_fit)
+        assert np.array_equal(terms.absent_leak, want.absent_leak)
+
+
+@pytest.mark.parametrize("M", [None, 3])
+def test_scores_and_class_term_gradients_are_stored_class_major(M):
+    # the softmax and every loss reduce along contiguous memory only while
+    # the (n, K) matrices are views of C-contiguous (K, n) arrays
+    models = [small_model(seed=s, widths=(3, 6, 5), K=4) for s in range(M or 1)]
+    model = models[0] if M is None else stack_of(models)
+    batch = random_batch(models[0], 50, 1)
+    feat = np.random.default_rng(2).normal(size=(50, 5))
+    probs = _head(model, feat)
+    assert probs.shape[-2:] == (50, 4)
+    assert probs.swapaxes(-1, -2).flags.c_contiguous
+    weights = np.random.default_rng(3).random(model.head_b.shape)
+    for restricted in (True, False):
+        for fit_w in (1.0, weights):
+            terms = class_terms(probs, batch.labels, fit_w, weights, restricted)
+            assert terms.dprobs.swapaxes(-1, -2).flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
