@@ -6,13 +6,10 @@ from .core import (
     FormatError,
     InputError,
     LabeledDataset,
-    LabeledExample,
     Metrics,
     NumericError,
     REJECT,
-    SelectiveDecision,
     assign,
-    classify,
     evaluate,
 )
 from .data import (
@@ -28,11 +25,8 @@ from .data import (
     write_csv,
 )
 from .evaluation import (
-    ConsistencyReport,
     CurvePoint,
-    consistency_check,
     coverage_error_curve,
-    interpolate_coverage,
     osp_overlap,
     sr_baseline,
 )
@@ -73,13 +67,10 @@ from .select import (
     SelectionResult,
     default_threshold_grid,
     evaluate_grid,
-    full_mu_grid,
     harden,
     pick_coverage_constrained,
     pick_error_constrained,
     quick_mu_grid,
-    select_coverage_constrained,
-    select_error_constrained,
 )
 from .train import (
     LagrangianState,

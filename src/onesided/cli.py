@@ -33,7 +33,6 @@ from .oracle import (
 from .pipeline import (
     CURVE_COLUMNS,
     GRID_COLUMNS,
-    RunConfig,
     _log_to_doc,
     _write_json,
     _write_table,
@@ -106,6 +105,10 @@ def _cmd_synth(args) -> int:
             doc = json.loads(Path(args.spec_file).read_text(encoding="utf-8"))
         except OSError as exc:
             raise InputError(f"cannot read spec file: {exc}")
+        except UnicodeDecodeError as exc:
+            raise InputError(
+                f"spec file {args.spec_file}: byte {exc.start} is not valid UTF-8"
+            )
         except json.JSONDecodeError as exc:
             raise InputError(f"spec file is not valid JSON: {exc}")
         spec = synthetic_from_dict(doc)

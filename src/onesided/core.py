@@ -9,7 +9,7 @@ empirical coverage/error metrics everything else is measured with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,14 +30,6 @@ class NumericError(ArithmeticError):
 
 class FormatError(InputError):
     """A serialized payload is truncated, malformed, or incompatible."""
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    """A single feature vector with its integer class label."""
-
-    features: np.ndarray
-    label: int
 
 
 @dataclass(frozen=True)
@@ -86,23 +78,9 @@ class LabeledDataset:
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
 
-    def example(self, i: int) -> LabeledExample:
-        return LabeledExample(self.features[i], int(self.labels[i]))
-
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
         idx = np.asarray(indices)
         return LabeledDataset(self.features[idx], self.labels[idx], self.num_classes)
-
-    @classmethod
-    def from_examples(
-        cls, examples: Iterable[LabeledExample], num_classes: int
-    ) -> "LabeledDataset":
-        ex = list(examples)
-        if not ex:
-            raise InputError("cannot build a dataset from zero examples")
-        feats = np.vstack([np.atleast_1d(e.features) for e in ex])
-        labs = np.array([e.label for e in ex])
-        return cls(feats, labs, num_classes)
 
 
 @dataclass(frozen=True)
@@ -150,25 +128,6 @@ class DecisionSetFamily:
 
 
 @dataclass(frozen=True)
-class SelectiveDecision:
-    """Outcome of classifying one point: a class index or a rejection."""
-
-    class_index: int | None
-
-    @property
-    def is_reject(self) -> bool:
-        return self.class_index is None
-
-    @classmethod
-    def predict(cls, k: int) -> "SelectiveDecision":
-        return cls(int(k))
-
-    @classmethod
-    def reject(cls) -> "SelectiveDecision":
-        return cls(None)
-
-
-@dataclass(frozen=True)
 class Metrics:
     """Empirical selective-classification metrics on one dataset."""
 
@@ -190,19 +149,6 @@ def assign(family: DecisionSetFamily, X: np.ndarray) -> np.ndarray:
     return np.where(covered, first, REJECT)
 
 
-def classify(family: DecisionSetFamily, x: np.ndarray) -> SelectiveDecision:
-    """Classify a single point, rejecting when it lies outside every set."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if x.ndim > 1:
-        x = x.ravel()
-    if x.shape[0] != family.dim:
-        raise InputError(f"point has dim {x.shape[0]}, family expects {family.dim}")
-    a = assign(family, x[None, :])[0]
-    if a == REJECT:
-        return SelectiveDecision.reject()
-    return SelectiveDecision.predict(int(a))
-
-
 def evaluate(family: DecisionSetFamily, data: LabeledDataset) -> Metrics:
     """Empirical coverage, raw error, and per-class one-sided errors.
 
@@ -222,9 +168,7 @@ def evaluate(family: DecisionSetFamily, data: LabeledDataset) -> Metrics:
     coverage = float(np.mean(covered))
     wrong = covered & (a != data.labels)
     raw_error = float(np.mean(wrong))
-    per_class = np.array(
-        [np.mean((a == k) & (data.labels != k)) for k in range(data.num_classes)]
-    )
+    per_class = np.bincount(a[wrong], minlength=data.num_classes) / data.n
     return Metrics(
         coverage=coverage,
         raw_error=raw_error,

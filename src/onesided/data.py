@@ -10,6 +10,7 @@ integer label column.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -275,11 +276,13 @@ def ingest_csv(path: str | Path, num_classes: int | None = None) -> LabeledDatas
     """
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+        # decoded whole, so that a bad byte's offset is its offset in the file
+        text = path.read_bytes().decode("utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: byte {exc.start} is not valid UTF-8")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise InputError(f"{path} is empty")
     header = rows[0]

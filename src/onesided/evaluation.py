@@ -1,9 +1,8 @@
 """Experiment-level measurements over trained selective classifiers.
 
 Covers the max-score baseline, coverage-versus-error curves across a
-sweep of target error levels, the overlap mass of raw per-class score
-sets, and nestedness checks between rejection regions of models trained
-at different targets.
+sweep of target error levels, and the overlap mass of raw per-class score
+sets.
 """
 
 from __future__ import annotations
@@ -19,12 +18,9 @@ from .select import SelectionGrid, evaluate_grid, harden, pick_error_constrained
 
 __all__ = [
     "CurvePoint",
-    "ConsistencyReport",
     "sr_baseline",
     "coverage_error_curve",
-    "interpolate_coverage",
     "osp_overlap",
-    "consistency_check",
 ]
 
 
@@ -114,23 +110,6 @@ def coverage_error_curve(
     return points
 
 
-def interpolate_coverage(points: Sequence[CurvePoint], error_value: float) -> float:
-    """Piecewise-linear coverage at an error level between curve points.
-
-    Outside the achieved-error range the nearest endpoint's coverage is
-    returned; a single point gives its own coverage everywhere.
-    """
-    if not points:
-        raise InputError("interpolation needs at least one curve point")
-    error_value = float(error_value)
-    if not np.isfinite(error_value):
-        raise InputError(f"error level must be finite, got {error_value}")
-    pairs = sorted((p.achieved_error, p.achieved_coverage) for p in points)
-    xs = np.array([e for e, _ in pairs])
-    ys = np.array([c for _, c in pairs])
-    return float(np.interp(error_value, xs, ys))
-
-
 def osp_overlap(model: SelectiveModel, t: float, data: LabeledDataset) -> float:
     """Fraction of points lying in at least two raw sets {x : f_k(x) > t}.
 
@@ -144,61 +123,3 @@ def osp_overlap(model: SelectiveModel, t: float, data: LabeledDataset) -> float:
     counts = (probs > t).sum(axis=1)
     return float((counts >= 2).mean())
 
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Pairwise nestedness violations between rejection regions.
-
-    ``pair_violations[(i, j)]`` with i < j is the empirical mass of
-    points rejected by family j (looser target) yet accepted by family i
-    (stricter target).  Zero everywhere means the regions are nested.
-    """
-
-    num_families: int
-    pair_violations: tuple[tuple[int, int, float], ...]
-    max_violation: float
-    fully_nested: bool
-    targets: tuple[float, ...] | None = None
-
-
-def consistency_check(
-    families: Sequence[DecisionSetFamily],
-    data: LabeledDataset,
-    targets: Sequence[float] | None = None,
-) -> ConsistencyReport:
-    """Measure how far rejection regions are from being nested.
-
-    ``families`` must be ordered by increasing target error.  For each
-    pair i < j the violation is the mass of data points rejected by
-    family j but accepted by family i; regions are fully nested when
-    every violation is zero.
-    """
-    fams = list(families)
-    if len(fams) < 2:
-        raise InputError("consistency check needs at least two families")
-    if targets is not None:
-        targets = tuple(float(e) for e in targets)
-        if len(targets) != len(fams):
-            raise InputError(
-                f"got {len(targets)} targets for {len(fams)} families"
-            )
-        if any(b <= a for a, b in zip(targets, targets[1:])):
-            raise InputError("targets must be strictly increasing")
-    rejected = []
-    for fam in fams:
-        member = fam.membership(data.features)
-        rejected.append(~member.any(axis=1))
-    pairs = []
-    worst = 0.0
-    for i in range(len(fams)):
-        for j in range(i + 1, len(fams)):
-            mass = float((rejected[j] & ~rejected[i]).mean())
-            pairs.append((i, j, mass))
-            worst = max(worst, mass)
-    return ConsistencyReport(
-        num_families=len(fams),
-        pair_violations=tuple(pairs),
-        max_violation=worst,
-        fully_nested=worst == 0.0,
-        targets=targets,
-    )

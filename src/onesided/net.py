@@ -206,12 +206,6 @@ def forward_batch(model: SelectiveModel, X: np.ndarray) -> np.ndarray:
     return probs
 
 
-def forward(model: SelectiveModel, x: np.ndarray) -> np.ndarray:
-    """Scores for a single point: positive, summing to one."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64)).ravel()
-    return forward_batch(model, x[None, :])[0]
-
-
 class LossSpec(Protocol):
     def value_and_grad(
         self, probs: np.ndarray, labels: np.ndarray

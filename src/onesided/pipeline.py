@@ -219,6 +219,8 @@ def load_config(path: str | Path) -> RunConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"config {path}: byte {exc.start} is not valid UTF-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

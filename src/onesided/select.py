@@ -25,10 +25,7 @@ __all__ = [
     "evaluate_grid",
     "pick_error_constrained",
     "pick_coverage_constrained",
-    "select_error_constrained",
-    "select_coverage_constrained",
     "default_threshold_grid",
-    "full_mu_grid",
     "quick_mu_grid",
 ]
 
@@ -307,38 +304,11 @@ def pick_coverage_constrained(grid: SelectionGrid, rho: float) -> SelectionResul
     )
 
 
-def select_error_constrained(
-    models: Mapping[float, SelectiveModel],
-    t_values: Sequence[float],
-    val: LabeledDataset,
-    eps: float,
-) -> SelectionResult:
-    """Evaluate the grid on ``val`` and pick the error-constrained cell."""
-    return pick_error_constrained(evaluate_grid(models, t_values, val), eps)
-
-
-def select_coverage_constrained(
-    models: Mapping[float, SelectiveModel],
-    t_values: Sequence[float],
-    val: LabeledDataset,
-    rho: float,
-) -> SelectionResult:
-    """Evaluate the grid on ``val`` and pick the coverage-constrained cell."""
-    return pick_coverage_constrained(evaluate_grid(models, t_values, val), rho)
-
-
 def default_threshold_grid(size: int = 100) -> tuple[float, ...]:
     """Equally spaced thresholds spanning [0, 1]."""
     if size < 2:
         raise InputError(f"threshold grid needs at least 2 points, got {size}")
     return tuple(float(t) for t in np.linspace(0.0, 1.0, size))
-
-
-def full_mu_grid() -> tuple[float, ...]:
-    """30 constraint weights: 10 equally spaced in [0.01, 1], 20 more up to 16."""
-    low = np.linspace(0.01, 1.0, 10)
-    high = np.linspace(1.0, 16.0, 21)[1:]
-    return tuple(float(m) for m in np.concatenate([low, high]))
 
 
 def quick_mu_grid(size: int = 8) -> tuple[float, ...]:

@@ -47,7 +47,6 @@ from .net import (
     _backward_head,
     _head,
     _mean_nll,
-    forward_batch,
     warm_start,
 )
 
@@ -209,42 +208,6 @@ def _saddle_value(terms: ClassTerms, state: LagrangianState):
         + (lam * terms.leak).sum(axis=-1)
         + ((state.mu - lam) * state.phis).sum(axis=-1)
     )
-
-
-def _batch_terms(model, batch, restricted=True) -> ClassTerms:
-    return class_terms(
-        forward_batch(model, batch.features), batch.labels, restricted=restricted
-    )
-
-
-def restricted_loss(model: SelectiveModel, batch: LabeledDataset, k: int) -> float:
-    """Mean -log f_k over the batch's class-k points (0 when absent)."""
-    _check_class(model, k)
-    return float(_batch_terms(model, batch).fit[k])
-
-
-def unrestricted_loss(model: SelectiveModel, batch: LabeledDataset, k: int) -> float:
-    """Mean -log f_k over every batch point, regardless of label."""
-    _check_class(model, k)
-    return float(_batch_terms(model, batch, restricted=False).fit[k])
-
-
-def constraint_loss(model: SelectiveModel, batch: LabeledDataset, k: int) -> float:
-    """Mean -log(1 - f_k) over the batch's non-k points (0 when absent)."""
-    _check_class(model, k)
-    return float(_batch_terms(model, batch).leak[k])
-
-
-def lagrangian(
-    model: SelectiveModel, batch: LabeledDataset, state: LagrangianState
-) -> float:
-    """Full saddle objective at the given multipliers and slacks."""
-    return float(_saddle_value(_batch_terms(model, batch), state))
-
-
-def _check_class(model: SelectiveModel, k: int) -> None:
-    if not 0 <= k < model.num_classes:
-        raise InputError(f"class index {k} outside [0, {model.num_classes})")
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,26 @@ def test_synth_malformed_spec_file_exits_1(tmp_path, capsys, spec, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--data", "{bad}", "--eps", "0.1"),
+        ("pipeline", "--config", "{bad}"),
+        ("synth", "--spec-file", "{bad}", "--out", "{out}"),
+    ],
+    ids=["csv", "config", "spec-file"],
+)
+def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, argv):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"f0,label\n1.0,0\n\xff,1\n")
+    out = tmp_path / "x.csv"
+    assert run(*(a.format(bad=bad, out=out) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{bad}: byte 15 is not valid UTF-8" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_numeric_error_maps_to_exit_2(tmp_path, monkeypatch, capsys):
     data = synth_csv(tmp_path / "d.csv")
 

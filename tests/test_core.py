@@ -10,10 +10,7 @@ from onesided.core import (
     DecisionSetFamily,
     InputError,
     LabeledDataset,
-    LabeledExample,
-    SelectiveDecision,
     assign,
-    classify,
     evaluate,
 )
 
@@ -57,15 +54,9 @@ def test_dataset_accessors():
     assert data.n == 3
     assert data.dim == 2
     assert data.class_counts().tolist() == [1, 2]
-    ex = data.example(1)
-    assert ex.label == 1
-    assert ex.features.tolist() == [2.0, 3.0]
     sub = data.subset(np.array([2, 0]))
     assert sub.labels.tolist() == [1, 0]
-    rebuilt = LabeledDataset.from_examples(
-        [data.example(i) for i in range(3)], 2
-    )
-    assert np.array_equal(rebuilt.features, data.features)
+    assert sub.features.tolist() == [[4.0, 5.0], [0.0, 1.0]]
 
 
 def test_dataset_arrays_are_read_only():
@@ -78,15 +69,14 @@ def test_dataset_arrays_are_read_only():
 
 def test_classify_tie_break_smallest_index():
     fam = DecisionSetFamily.from_predicates([upper(0.0), upper(0.0)], dim=1)
-    d = classify(fam, np.array([0.5]))
-    assert d == SelectiveDecision.predict(0)
+    assert assign(fam, np.array([[0.5]])).tolist() == [0]
 
 
 def test_classify_reject_and_dim_mismatch():
-    _, fam = four_point_family()
-    assert classify(fam, np.array([0.3])).is_reject
+    data, fam = four_point_family()
+    assert assign(fam, data.features).tolist() == [1, REJECT, 0, 0]
     with pytest.raises(InputError):
-        classify(fam, np.array([0.3, 0.4]))
+        assign(fam, np.array([[0.3, 0.4]]))
 
 
 def test_evaluate_empty_dataset_rejected():
@@ -101,17 +91,6 @@ def test_evaluate_class_count_mismatch():
     fam = DecisionSetFamily.from_predicates([upper(0.5), lower(0.2)], dim=1)
     with pytest.raises(InputError):
         evaluate(fam, data)
-
-
-def test_assign_vector_matches_classify():
-    data, fam = four_point_family()
-    a = assign(fam, data.features)
-    for i in range(data.n):
-        d = classify(fam, data.features[i])
-        if d.is_reject:
-            assert a[i] == REJECT
-        else:
-            assert a[i] == d.class_index
 
 
 @st.composite
@@ -167,3 +146,22 @@ def test_disjoint_family_coverage_decomposes(inst):
     assert (M.sum(axis=1) <= 1).all()
     m = evaluate(fam, data)
     assert abs(m.coverage - M.mean(axis=0).sum()) <= 1e-12
+
+
+@given(
+    K=st.integers(1, 11),
+    n=st.integers(1, 3000),
+    density=st.sampled_from([0.0, 0.05, 0.3, 0.8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_per_class_error_matches_per_class_loop(K, n, density, seed):
+    # evaluate counts every class's wrong points in one bincount; the bytes
+    # must equal the mean over each class's mask, one class at a time
+    rng = np.random.default_rng(seed)
+    member = rng.random((n, K)) < density  # overlaps and empty sets included
+    fam = DecisionSetFamily(lambda X: member[X[:, 0].astype(int)], K, 1)
+    data = LabeledDataset(np.arange(n)[:, None], rng.integers(0, K, size=n), K)
+    a = assign(fam, data.features)
+    loop = np.array([np.mean((a == k) & (data.labels != k)) for k in range(K)])
+    assert evaluate(fam, data).per_class_one_sided_error.tobytes() == loop.tobytes()

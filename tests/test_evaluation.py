@@ -1,23 +1,19 @@
-"""Tests for baseline hardening, curves, overlap mass, and nestedness."""
+"""Tests for baseline hardening, curves, and overlap mass."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from onesided.core import DecisionSetFamily, InputError, LabeledDataset, evaluate
+from onesided.core import InputError, LabeledDataset, evaluate
 from onesided.evaluation import (
-    ConsistencyReport,
     CurvePoint,
-    consistency_check,
     coverage_error_curve,
-    interpolate_coverage,
     osp_overlap,
     sr_baseline,
 )
 from onesided.net import BackboneSpec, forward_batch, init_model
-from onesided.oracle import PointMaskSet
-from onesided.select import evaluate_grid, harden, select_error_constrained
+from onesided.select import evaluate_grid, harden, pick_error_constrained
 
 
 def constant_model(probs):
@@ -92,7 +88,7 @@ def test_curve_matches_single_selection_route():
     points = coverage_error_curve(models, ts, val, test, targets)
     assert len(points) == 3
     for eps, point in zip(targets, points):
-        res = select_error_constrained(models, ts, val, eps)
+        res = pick_error_constrained(evaluate_grid(models, ts, val), eps)
         metrics = evaluate(harden(models[res.mu_star], res.t_star), test)
         assert point.achieved_error == metrics.raw_error
         assert point.achieved_coverage == metrics.coverage
@@ -138,24 +134,6 @@ def test_curve_propagates_infeasibility():
     assert not points[0].feasible
 
 
-def test_interpolation_linear_midpoint():
-    points = [
-        CurvePoint(0.01, 0.6, 0.01, "osp"),
-        CurvePoint(0.02, 0.8, 0.02, "osp"),
-    ]
-    assert interpolate_coverage(points, 0.015) == pytest.approx(0.7)
-    assert interpolate_coverage(points, 0.01) == 0.6
-    assert interpolate_coverage(points, 0.02) == 0.8
-    # Outside the range the nearest endpoint wins.
-    assert interpolate_coverage(points, 0.0) == 0.6
-    assert interpolate_coverage(points, 0.5) == 0.8
-    assert interpolate_coverage(points[:1], 0.9) == 0.6
-    with pytest.raises(InputError):
-        interpolate_coverage([], 0.1)
-    with pytest.raises(InputError):
-        interpolate_coverage(points, np.inf)
-
-
 def test_overlap_hand_example():
     model = constant_model([0.4, 0.35, 0.25])
     data = random_data(1, dim=1)
@@ -190,82 +168,3 @@ def test_overlap_uses_strict_comparison():
     assert osp_overlap(model, 0.5, data) == 0.0
     assert osp_overlap(model, 0.4999, data) == 1.0
 
-
-def mask_family(reference, masks):
-    preds = [PointMaskSet(reference, m) for m in masks]
-    return DecisionSetFamily.from_predicates(preds, reference.shape[1])
-
-
-def nested_setup():
-    rng = np.random.default_rng(7)
-    X = rng.normal(size=(10, 2))
-    data = LabeledDataset(X, np.zeros(10, dtype=np.int64), 2)
-    return X, data
-
-
-def test_consistency_identical_families():
-    X, data = nested_setup()
-    accept = np.arange(10) < 6
-    fam = mask_family(X, [accept, np.zeros(10, dtype=bool)])
-    report = consistency_check([fam, fam, fam], data)
-    assert isinstance(report, ConsistencyReport)
-    assert report.fully_nested
-    assert report.max_violation == 0.0
-    assert len(report.pair_violations) == 3
-    assert all(mass == 0.0 for _, _, mass in report.pair_violations)
-
-
-def test_consistency_nested_chain():
-    X, data = nested_setup()
-    # Acceptance grows with the target, so rejections shrink and nest.
-    accepts = [np.arange(10) < k for k in (4, 7, 9)]
-    fams = [mask_family(X, [a, np.zeros(10, dtype=bool)]) for a in accepts]
-    report = consistency_check(fams, data, targets=[0.01, 0.02, 0.03])
-    assert report.fully_nested
-    assert report.targets == (0.01, 0.02, 0.03)
-
-
-def test_consistency_single_violation_mass():
-    X, data = nested_setup()
-    strict = np.arange(10) < 5
-    loose = np.arange(10) < 5
-    loose = loose.copy()
-    # Point 4 is accepted at the strict target yet rejected at the loose
-    # one: exactly one violating point out of ten.
-    loose[4] = False
-    loose[5] = True
-    fams = [
-        mask_family(X, [strict, np.zeros(10, dtype=bool)]),
-        mask_family(X, [loose, np.zeros(10, dtype=bool)]),
-    ]
-    report = consistency_check(fams, data)
-    assert report.max_violation == pytest.approx(0.1)
-    assert not report.fully_nested
-    assert report.pair_violations == ((0, 1, 0.1),)
-
-
-def test_consistency_orientation_is_looser_rejected_stricter_accepted():
-    X, data = nested_setup()
-    # The stricter model rejects extra points; that direction is the
-    # expected shrinkage, not a violation.
-    strict_accept = np.arange(10) < 3
-    loose_accept = np.arange(10) < 8
-    fams = [
-        mask_family(X, [strict_accept, np.zeros(10, dtype=bool)]),
-        mask_family(X, [loose_accept, np.zeros(10, dtype=bool)]),
-    ]
-    assert consistency_check(fams, data).fully_nested
-
-
-def test_consistency_input_errors():
-    X, data = nested_setup()
-    fam = mask_family(X, [np.ones(10, dtype=bool), np.zeros(10, dtype=bool)])
-    with pytest.raises(InputError):
-        consistency_check([fam], data)
-    with pytest.raises(InputError):
-        consistency_check([fam, fam], data, targets=[0.01])
-    with pytest.raises(InputError):
-        consistency_check([fam, fam], data, targets=[0.02, 0.01])
-    wrong_dim = LabeledDataset(np.zeros((4, 3)), np.zeros(4, dtype=np.int64), 2)
-    with pytest.raises(InputError):
-        consistency_check([fam, fam], wrong_dim)

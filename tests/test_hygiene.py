@@ -1,0 +1,115 @@
+"""Source hygiene checks on the package modules, using the standard `ast` only."""
+
+import ast
+from pathlib import Path
+
+MODULES = sorted(
+    p
+    for p in (Path(__file__).resolve().parent.parent / "src" / "onesided").glob("*.py")
+    if p.name != "__init__.py"
+)
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def declared_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def imported_names(tree):
+    """Local names bound by the module's imports, ``__future__`` excluded."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def used_names(tree):
+    """Every name the module reads, including those inside string annotations."""
+    used = set()
+
+    def collect(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                used.add(sub.id)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                try:
+                    collect(ast.parse(sub.value, mode="eval"))
+                except SyntaxError:
+                    pass
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            collect(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            collect(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            collect(node.annotation)
+    return used | set(declared_all(tree))
+
+
+def top_level_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                names.update(n.id for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names | set(imported_names(tree))
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in MODULES:
+        tree = parse(path)
+        used = used_names(tree)
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported_names(tree).items()
+            if name not in used
+        ]
+    assert not unused
+
+
+def test_all_entries_are_defined():
+    missing = []
+    for path in MODULES:
+        tree = parse(path)
+        missing += [
+            f"{path.name} {name}"
+            for name in declared_all(tree)
+            if name not in top_level_names(tree)
+        ]
+    assert not missing
+
+
+def test_checks_see_what_they_are_meant_to():
+    assert {"core.py", "train.py"} <= {p.name for p in MODULES}
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from typing import Iterable, Sequence\n"
+        "from x import Quoted\n"
+        "__all__ = ['f', 'ghost']\n"
+        "def f(a: 'Quoted') -> Sequence[int]:\n"
+        "    return a\n"
+    )
+    unused = set(imported_names(tree)) - used_names(tree)
+    assert unused == {"os", "Iterable"}
+    assert set(declared_all(tree)) - top_level_names(tree) == {"ghost"}

@@ -20,7 +20,6 @@ from onesided.net import (
     _forward_pass,
     backward,
     deserialize,
-    forward,
     forward_batch,
     init_model,
     serialize,
@@ -85,7 +84,7 @@ def test_forward_linear_special_case():
         head_w=np.array([[1.0, 0.0], [0.0, 0.0]]),
         head_b=np.array([0.0, 0.0]),
     )
-    p = forward(model, np.array([np.log(2.0), 5.0]))
+    p = forward_batch(model, np.array([[np.log(2.0), 5.0]]))[0]
     assert p == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
 
 
@@ -112,7 +111,7 @@ def test_forward_extreme_logits_stable():
         spec, 2, [np.array([[1.0]])], [np.zeros(1)],
         head_w=np.array([[1000.0], [-1000.0]]), head_b=np.zeros(2),
     )
-    p = forward(model, np.array([1.0]))
+    p = forward_batch(model, np.array([[1.0]]))[0]
     assert np.isfinite(p).all()
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -120,7 +119,7 @@ def test_forward_extreme_logits_stable():
 def test_forward_dim_mismatch():
     model = small_model()
     with pytest.raises(InputError):
-        forward(model, np.array([1.0, 2.0]))
+        forward_batch(model, np.array([[1.0, 2.0]]))
 
 
 # ---------------------------------------------------------------------------

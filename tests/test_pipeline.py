@@ -401,6 +401,18 @@ def test_config_with_a_moved_csv_loads_and_fails_at_load_data(tmp_path):
     assert str(data_file) in manifest["message"]
 
 
+def test_non_utf8_csv_fails_at_load_data(tmp_path):
+    data_file = tmp_path / "d.csv"
+    data_file.write_bytes(b"f0,f1,label\n\xff,0.0,0\n")
+    cfg = blob_config(tmp_path / "run", synthetic=None, source_path=str(data_file))
+    with pytest.raises(FormatError, match="byte 12 is not valid UTF-8"):
+        run_pipeline(cfg)
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["stage"] == "load_data"
+    assert str(data_file) in manifest["message"]
+
+
 def test_run_pipeline_error_manifest_preserves_completed_stages(
     tmp_path, monkeypatch
 ):

@@ -13,16 +13,12 @@ from onesided.select import (
     _harden_membership,
     SelectionCriterion,
     SelectionGrid,
-    SelectionResult,
     default_threshold_grid,
     evaluate_grid,
-    full_mu_grid,
     harden,
     pick_coverage_constrained,
     pick_error_constrained,
     quick_mu_grid,
-    select_coverage_constrained,
-    select_error_constrained,
 )
 
 
@@ -451,19 +447,6 @@ def test_pick_is_order_independent():
         assert (a.mu_star, a.t_star) == (b.mu_star, b.t_star)
 
 
-def test_select_wrappers_end_to_end():
-    val = grid_dataset(9, n=200)
-    models = {mu: random_model(int(mu * 10)) for mu in (0.5, 2.0)}
-    ts = (0.0, 0.4, 0.6, 0.9)
-    res = select_error_constrained(models, ts, val, 1.0)
-    assert isinstance(res, SelectionResult)
-    assert res.feasible and res.coverage == 1.0
-    assert res.grid.num_cells == 8
-    res2 = select_coverage_constrained(models, ts, val, 0.0)
-    assert res2.feasible
-    assert res2.error == min(e for _, _, _, e in res2.grid.rows())
-
-
 def test_selection_criterion_dispatch_and_validation():
     with pytest.raises(InputError):
         SelectionCriterion("both", 0.5)
@@ -484,18 +467,6 @@ def test_default_threshold_grid():
     assert np.allclose(steps, steps[0])
     with pytest.raises(InputError):
         default_threshold_grid(1)
-
-
-def test_full_mu_grid():
-    mus = full_mu_grid()
-    assert len(mus) == 30
-    assert mus[0] == 0.01 and mus[9] == 1.0 and mus[-1] == 16.0
-    assert len(set(mus)) == 30
-    assert list(mus) == sorted(mus)
-    low = np.diff(mus[:10])
-    high = np.diff(mus[9:])
-    assert np.allclose(low, 0.11)
-    assert np.allclose(high, 0.75)
 
 
 def test_quick_mu_grid():

@@ -27,13 +27,9 @@ from onesided.train import (
     RestrictedFitLoss,
     TrainConfig,
     class_terms,
-    constraint_loss,
-    lagrangian,
-    restricted_loss,
     _Adam,
     sgda_train,
     sgda_train_grid,
-    unrestricted_loss,
 )
 from test_net import (
     blob_data,
@@ -78,12 +74,24 @@ def test_leak_hand_values():
     assert expected == pytest.approx(1.2039728043259361, abs=1e-15)
 
 
+def terms_of(model, batch, restricted=True):
+    return class_terms(
+        forward_batch(model, batch.features), batch.labels, restricted=restricted
+    )
+
+
+def lagrangian(model, batch, state):
+    """The saddle objective as the trainer's loss object computes it."""
+    probs = forward_batch(model, batch.features)
+    return float(LagrangianLoss(state).value_and_grad(probs, batch.labels)[0])
+
+
 def test_lagrangian_zero_multipliers_is_fit_sum():
     model = small_model(seed=1, K=2, widths=(2, 4, 3))
     batch = random_batch(model, 12, 7)
     state = LagrangianState.initial(2, mu=1.5)
     value = lagrangian(model, batch, state)
-    expected = restricted_loss(model, batch, 0) + restricted_loss(model, batch, 1)
+    expected = terms_of(model, batch).fit.sum()
     assert value == pytest.approx(expected, rel=1e-14)
 
 
@@ -120,7 +128,7 @@ def test_lagrangian_partial_wrt_lambda_is_leak_minus_phi():
         bump[k] += 1.0
         state_b = LagrangianState(bump, np.array([0.2, 0.1]), mu=1.0)
         diff = lagrangian(model, batch, state_b) - lagrangian(model, batch, state_a)
-        expected = constraint_loss(model, batch, k) - state_a.phis[k]
+        expected = terms_of(model, batch).leak[k] - state_a.phis[k]
         assert diff == pytest.approx(expected, abs=1e-12)
 
 
@@ -147,9 +155,8 @@ def test_unrestricted_loss_covers_all_points():
     batch = random_batch(model, 9, 11)
     probs = forward_batch(model, batch.features)
     expected = float(np.mean(-np.log(probs[:, 0])))
-    assert unrestricted_loss(model, batch, 0) == pytest.approx(expected, rel=1e-14)
-    with pytest.raises(InputError):
-        unrestricted_loss(model, batch, 5)
+    got = terms_of(model, batch, restricted=False).fit[0]
+    assert got == pytest.approx(expected, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +253,9 @@ def test_class_terms_and_losses_match_per_class_loop(K, n, present, seed, restri
     probs = forward_batch(model, batch.features)
     fit, leak = loop_terms(probs, labels, zero, zero)[:2]
     all_rows_fit = loop_terms(probs, labels, zero, zero, restricted=False)[0]
-    for k in range(K):
-        assert close(restricted_loss(model, batch, k), fit[k])
-        assert close(unrestricted_loss(model, batch, k), all_rows_fit[k])
-        assert close(constraint_loss(model, batch, k), leak[k])
+    assert close(terms_of(model, batch).fit, fit)
+    assert close(terms_of(model, batch, restricted=False).fit, all_rows_fit)
+    assert close(terms_of(model, batch).leak, leak)
     assert close(
         lagrangian(model, batch, state), np.sum(fit + lam * leak + (state.mu - lam) * phi)
     )
@@ -562,14 +568,14 @@ def test_sgda_drives_leak_below_warm_start():
 
     data = tri_blobs(300, seed=8)
     warm = warm_start(data, SPEC, 3, epochs=30, lr=0.02, seed=9, batch_size=64)
-    warm_leak = sum(constraint_loss(warm, data, k) for k in range(3))
+    warm_leak = terms_of(warm, data).leak.sum()
     cfg = TrainConfig(
         mu=4.0, epochs=60, warm_start_epochs=0, seed=9, batch_size=64,
         lr_min=0.02, lr_max=0.1, backbone_update_interval=5,
         lr_decay=(0.1, 1000),
     )
     model, _, _ = sgda_train(data, SPEC, cfg, initial_model=warm)
-    final_leak = sum(constraint_loss(model, data, k) for k in range(3))
+    final_leak = terms_of(model, data).leak.sum()
     assert final_leak < warm_leak
 
 
@@ -680,8 +686,7 @@ def reference_sgda(data, config, init):
     def record(epoch):
         probs = forward_batch(model, data.features)
         zero = np.zeros(K)
-        fit = loop_terms(probs, data.labels, zero, zero, config.restricted)[0]
-        leak = [constraint_loss(model, data, k) for k in range(K)]
+        fit, leak = loop_terms(probs, data.labels, zero, zero, config.restricted)[:2]
         return (epoch, float(fit.sum()), tuple(leak), tuple(state.lambdas),
                 tuple(state.phis), tuple(absent_fit), tuple(absent_leak))
 
@@ -896,7 +901,7 @@ def test_unrestricted_run_logs_the_unrestricted_fit_sum():
         mu=1.0, epochs=2, warm_start_epochs=1, seed=4, batch_size=32, restricted=False
     )
     model, _, log = sgda_train(data, SPEC, cfg)
-    want = sum(unrestricted_loss(model, data, k) for k in range(3))
+    want = terms_of(model, data, restricted=False).fit.sum()
     assert abs(log.final().fit_sum - want) <= 1e-12
-    own_rows = sum(restricted_loss(model, data, k) for k in range(3))
+    own_rows = terms_of(model, data).fit.sum()
     assert abs(log.final().fit_sum - own_rows) > 1e-3
