@@ -254,7 +254,18 @@ def _backward(model, X: np.ndarray, labels: np.ndarray, loss_spec: LossSpec):
     value, dlogits, g_head_w, g_head_b = _head_grads(
         acts[-1], probs, labels, loss_spec
     )
-    d_h = np.matmul(dlogits, model.head_w)
+    g_ws, g_bs = _backbone_grads(model, acts, np.matmul(dlogits, model.head_w))
+    return value, GradientBundle(g_ws, g_bs, g_head_w, g_head_b)
+
+
+def _backbone_grads(model, acts, d_h: np.ndarray) -> tuple[list, list]:
+    """Backbone weight and bias gradients for the feature cotangent ``d_h``.
+
+    ``acts`` are the activations of :func:`_backbone` and ``d_h`` is
+    d(loss)/d(features), shaped like ``acts[-1]``; both may carry the model
+    axis.  The chain is linear in ``d_h`` for a fixed backbone.  It stops at
+    the first layer's gradients: the inputs' cotangent is never formed.
+    """
     g_ws: list = [None] * len(model.weights)
     g_bs: list = [None] * len(model.biases)
     kind = model.spec.activation
@@ -262,20 +273,9 @@ def _backward(model, X: np.ndarray, labels: np.ndarray, loss_spec: LossSpec):
         da = d_h * _activation_grad(acts[i + 1], kind)
         g_ws[i] = np.matmul(da.swapaxes(-1, -2), acts[i])
         g_bs[i] = da.sum(axis=-2)
-        d_h = np.matmul(da, model.weights[i])
-    return value, GradientBundle(g_ws, g_bs, g_head_w, g_head_b)
-
-
-def _backward_head(model, feat: np.ndarray, labels: np.ndarray, loss_spec: LossSpec):
-    """:func:`_backward` of the heads alone, on last-layer features ``feat``.
-
-    The backbone is taken as fixed: the bundle's backbone lists are empty.
-    ``feat`` may be one ``(n, width)`` matrix shared by a stack of models.
-    """
-    value, _, g_head_w, g_head_b = _head_grads(
-        feat, _head(model, feat), labels, loss_spec
-    )
-    return value, GradientBundle([], [], g_head_w, g_head_b)
+        if i:
+            d_h = np.matmul(da, model.weights[i])
+    return g_ws, g_bs
 
 
 def _head_grads(feat, probs, labels, loss_spec: LossSpec):

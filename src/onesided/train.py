@@ -18,10 +18,13 @@ zero gradient where the clamp is active.
 Network weights and slacks descend on a fast learning rate while the
 multipliers ascend on a slow one; the shared backbone accumulates its
 descent steps and applies them only every few epochs, keeping the
-per-class heads quasi-independent in between.  Steps that no update
-will follow are not computed: the trailing epochs past the last update
-train the heads alone, on cached last-layer features, and the per-epoch
-record reads those features too.
+per-class heads quasi-independent in between.  The backbone being fixed
+between those landings, every step trains the heads on cached last-layer
+features, and the per-epoch record reads them too.  A plain step's
+backbone gradient is linear in its features' cotangent, so the steps
+only sum those cotangents per row and each landing runs one backward
+over all rows; Adam-scaled steps take their backbone gradient batch by
+batch.  The trailing epochs past the last landing skip even the sum.
 
 A grid of budget prices trains in lockstep: `sgda_train_grid` holds the
 M runs as one stack of parameters, multipliers and slacks with a leading
@@ -43,9 +46,10 @@ from .net import (
     GradientBundle,
     SelectiveModel,
     _backbone,
+    _backbone_grads,
     _backward,
-    _backward_head,
     _head,
+    _head_grads,
     _mean_nll,
     warm_start,
 )
@@ -391,26 +395,33 @@ def sgda_train_grid(
     Every run starts from the same model (``initial_model`` or the warm
     start) and, the batch order being drawn from ``config.seed`` alone,
     sees the same batches.  So the M runs advance together as one stack of
-    parameters, multipliers and slacks with a leading mu axis: one forward,
-    loss and backward per batch for the whole grid.  Each slice does the
-    arithmetic of a lone run, so its result does not depend on the other
-    grid values.  ``config.mu`` is not read.
+    parameters, multipliers and slacks with a leading mu axis: one head
+    pass, loss and gradient per batch for the whole grid.  Each slice does
+    the arithmetic of a lone run, so its result does not depend on the
+    other grid values.  ``config.mu`` is not read.
 
     Heads and slacks take descent steps at ``lr_min`` each batch; the
     multipliers take ascent steps at ``lr_max``, clipped to
-    ``[0, lambda_max]``.  Backbone gradients accumulate and land every
-    ``backbone_update_interval`` epochs.  The trailing
+    ``[0, lambda_max]``.  Backbone steps land every
+    ``backbone_update_interval`` epochs; in between, the heads train on
+    cached last-layer features of the training rows, which the per-epoch
+    record reads too.  Cached and recomputed features can differ in the
+    last bit, where BLAS rounds a batch's rows unlike the full matrix's.
+
+    A plain step's backbone gradient is linear in d(loss)/d(features) of
+    its rows, so each step adds those into one ``(n, M, width)`` buffer and
+    a landing runs the backbone backward once per model over all rows: the
+    per-batch sum up to rounding (a decay inside an interval rescales the
+    buffer).  With ``config.adaptive`` the moments scale each step's own
+    gradient, so every batch runs the full backward.  The trailing
     ``epochs % backbone_update_interval`` epochs (all of them when
-    ``epochs`` is below the interval) have no update to land, so they
-    train the heads alone on cached last-layer features of the training
-    rows.  The cache holds the backbone's features since the last update;
-    the per-epoch record reads it and runs only the heads.  Cached and
-    recomputed features can differ in the last bit, where BLAS rounds a
-    batch's rows unlike the full matrix's.  A non-finite loss aborts with a
-    :class:`NumericError` naming the failing ``mu`` and carrying that run's
-    last finite epoch (``checkpoint_epoch``, ``checkpoint_model``,
-    ``checkpoint_state``).  Returns one ``(model, state, log)`` per grid
-    value, in grid order.
+    ``epochs`` is below the interval) have no update to land and do no
+    backbone work at all.
+
+    A non-finite loss aborts with a :class:`NumericError` naming the
+    failing ``mu`` and carrying that run's last finite epoch
+    (``checkpoint_epoch``, ``checkpoint_model``, ``checkpoint_state``).
+    Returns one ``(model, state, log)`` per grid value, in grid order.
     """
     mus = np.array(mu_grid, dtype=np.float64).reshape(-1, 1)
     if mus.size == 0:
@@ -439,7 +450,6 @@ def sgda_train_grid(
     n = data.n
     lr_w, lr_l = config.lr_min, config.lr_max
     decay_factor, decay_epoch = config.lr_decay
-    buf = GradientBundle.zeros_like(stack)
     adam = _Adam(stack) if config.adaptive else None
     absent_fit = np.zeros(K, dtype=np.int64)
     absent_leak = np.zeros(K, dtype=np.int64)
@@ -450,6 +460,13 @@ def sgda_train_grid(
     interval = config.backbone_update_interval
     # no backbone update lands from this epoch on: only the heads train
     frozen_from = config.epochs - config.epochs % interval
+    # pending backbone steps: Adam's as taken, plain ones as the summed
+    # d(loss)/d(features) of each training row
+    acc, cot = [], None
+    if adam is not None:
+        acc = [np.zeros_like(p) for p in stack.weights + stack.biases]
+    elif frozen_from:
+        cot = np.zeros((n, M, stack.spec.feature_dim))
     # last-layer features of every training row under the current
     # backbones: one shared matrix until the first update lands, then
     # one slice per model
@@ -477,28 +494,37 @@ def sgda_train_grid(
         if epoch == decay_epoch and epoch > 0:
             lr_w *= decay_factor
             lr_l *= decay_factor
+            if cot is not None and epoch % interval:
+                # the landing multiplies by the new rate; the steps taken
+                # so far ran at the old one
+                cot /= decay_factor
         perm = np.arange(n) if config.batch_size >= n else rng.permutation(n)
         try:
             for start in range(0, n, config.batch_size):
                 idx = perm[start : start + config.batch_size]
                 loss_obj = LagrangianLoss(state, config.restricted)
                 X, y = data.features[idx], data.labels[idx]
-                if epoch < frozen_from:
+                if adam is not None and epoch < frozen_from:
                     _, grads = _backward(stack, X, y, loss_obj)
                 else:
-                    # numpy multiplies a one-row matrix with gemv, which
-                    # rounds unlike the gemm that filled the cache
+                    # the backbone is fixed until the next landing, so the
+                    # cached features are this batch's; numpy multiplies a
+                    # one-row matrix with gemv, which rounds unlike the gemm
+                    # that filled the cache
                     feat = feats[..., idx, :] if len(idx) > 1 else _backbone(stack, X)[-1]
-                    _, grads = _backward_head(stack, feat, y, loss_obj)
+                    _, dlogits, g_head_w, g_head_b = _head_grads(
+                        feat, _head(stack, feat), y, loss_obj
+                    )
+                    grads = GradientBundle([], [], g_head_w, g_head_b)
+                    if cot is not None and epoch < frozen_from:
+                        cot[idx] += np.matmul(dlogits, stack.head_w).swapaxes(0, 1)
                 if adam is not None:
                     grads = adam.transform(grads)
                 # heads step now, backbone steps accumulate
                 stack.head_w -= lr_w * grads.head_w
                 stack.head_b -= lr_w * grads.head_b
-                for bw, g in zip(buf.weights, grads.weights):
-                    bw += lr_w * g
-                for bb, g in zip(buf.biases, grads.biases):
-                    bb += lr_w * g
+                for a, g in zip(acc, grads.weights + grads.biases):
+                    a += lr_w * g
                 # simultaneous update of slacks and multipliers
                 new_phis = np.maximum(
                     0.0, state.phis - lr_w * (state.mu - state.lambdas)
@@ -520,17 +546,23 @@ def sgda_train_grid(
             err.checkpoint_state = _state_of(checkpoint_state, m)
             raise err from exc
         if (epoch + 1) % interval == 0:
-            for W, bw in zip(stack.weights, buf.weights):
-                W -= bw
-                bw[:] = 0.0
-            for b, bb in zip(stack.biases, buf.biases):
-                b -= bb
-                bb[:] = 0.0
-            # one model at a time, like the record
+            for p, a in zip(stack.weights + stack.biases, acc):
+                p -= a
+                a[:] = 0.0
             if feats.ndim == 2:
                 feats = np.empty((M,) + feats.shape)
+            # one model at a time, like the record
             for m in range(M):
-                feats[m] = _backbone(stack.model(m), data.features)[-1]
+                # model m's parameters as views: updates write into the stack
+                lone = _Stack(stack.spec, K, *_mapped(stack, lambda a: a[m]))
+                if cot is not None:
+                    acts = _backbone(lone, data.features)
+                    g_ws, g_bs = _backbone_grads(lone, acts, cot[:, m])
+                    for p, g in zip(lone.weights + lone.biases, g_ws + g_bs):
+                        p -= lr_w * g
+                feats[m] = _backbone(lone, data.features)[-1]
+            if cot is not None:
+                cot[:] = 0.0
         record(epoch)
         checkpoint_epoch = epoch
         checkpoint = stack.copy()

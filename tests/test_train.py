@@ -735,6 +735,20 @@ def assert_same_run(got, want):
     assert s1.mu == s2.mu
 
 
+def assert_close_to_reference(got, want):
+    """A grid run against :func:`reference_sgda`: floats to 1e-12, counts exactly."""
+    (model, state, log), (ref_model, ref_state, ref_records) = got, want
+    assert close(flatten_params(model), flatten_params(ref_model))
+    assert close(state.lambdas, ref_state.lambdas)
+    assert close(state.phis, ref_state.phis)
+    records = [record_tuple(r) for r in log.records]
+    assert len(records) == len(ref_records)
+    for a, b in zip(records, ref_records):
+        assert a[0] == b[0] and a[5:] == b[5:]
+        for x, y in zip(a[1:5], b[1:5]):
+            assert close(np.array(x), np.array(y))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     K=st.integers(2, 4),
@@ -755,7 +769,10 @@ def test_sgda_grid_equals_per_mu_runs(
     lambda_max, mus, seed,
 ):
     # every mu of the lockstep grid must reproduce, bit for bit, a lone
-    # sgda_train run at that mu and the per-model reference loop
+    # sgda_train run at that mu.  Adaptive runs take each batch's backbone
+    # gradient, as the per-model reference loop does, and match it bit for
+    # bit too; plain runs take the interval's backbone gradient over all
+    # rows at the landing, which sums in another order
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 2))
     y = rng.integers(0, K, size=n)
@@ -778,6 +795,10 @@ def test_sgda_grid_equals_per_mu_runs(
         assert_same_run((model, state, log), lone)
         assert log.records == lone[2].records
         ref_model, ref_state, ref_records = reference_sgda(data, one, init)
+        if not adaptive:
+            ref = (ref_model, ref_state, ref_records)
+            assert_close_to_reference((model, state, log), ref)
+            continue
         assert_same_run((model, state, log), (ref_model, ref_state, None))
         got = [record_tuple(r) for r in log.records]
         assert [r[0] for r in got] == [r[0] for r in ref_records]
@@ -839,19 +860,81 @@ def test_sgda_cached_features_match_uncached_reference(
     if adaptive:
         # the moments' bias correction counts the head-only steps too
         assert [a.t for a in made] == [epochs * -(-n // batch_size)]
-    for mu, (model, state, log) in zip(mus, grid):
-        ref_model, ref_state, ref_records = reference_sgda(
-            data, dataclasses.replace(cfg, mu=mu), init
-        )
-        assert close(flatten_params(model), flatten_params(ref_model))
-        assert close(state.lambdas, ref_state.lambdas)
-        assert close(state.phis, ref_state.phis)
-        got = [record_tuple(r) for r in log.records]
-        assert len(got) == len(ref_records) == epochs
-        for a, b in zip(got, ref_records):
-            assert a[0] == b[0] and a[5:] == b[5:]
-            for x, y_ in zip(a[1:5], b[1:5]):
-                assert close(np.array(x), np.array(y_))
+    for mu, run in zip(mus, grid):
+        ref = reference_sgda(data, dataclasses.replace(cfg, mu=mu), init)
+        assert len(ref[2]) == epochs
+        assert_close_to_reference(run, ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    K=st.integers(2, 6),
+    batches=st.integers(2, 5),
+    batch_size=st.sampled_from([16, 64]),
+    one_row_tail=st.booleans(),
+    interval=st.integers(2, 4),
+    landings=st.integers(1, 3),
+    tail=st.integers(0, 1),
+    decay_at=st.integers(0, 11),
+    restricted=st.booleans(),
+    mus=st.lists(
+        st.sampled_from([0.0, 0.5, 2.0, 7.5]), min_size=1, max_size=4, unique=True
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_sgda_deferred_landing_matches_per_batch_reference(
+    K, batches, batch_size, one_row_tail, interval, landings, tail, decay_at,
+    restricted, mus, seed,
+):
+    # plain runs take no backbone gradient per batch: each step adds its
+    # rows' feature cotangents to a buffer, and every landing runs one
+    # backward over all rows with it.  The reference takes the backbone
+    # gradient batch by batch.  The lr decay fires inside an interval, so
+    # the buffer holds steps at both rates; a one-row trailing batch reads
+    # its features from the backbone, not the cache.  Regime as in
+    # test_sgda_cached_features_match_uncached_reference.
+    n = batches * batch_size + (1 if one_row_tail else batch_size // 2)
+    epochs = landings * interval + tail
+    mid_interval = [e for e in range(1, landings * interval) if e % interval]
+    decay_epoch = mid_interval[decay_at % len(mid_interval)]
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, K, size=n)
+    X = rng.normal(size=(n, 2)) + np.c_[np.cos(y), np.sin(y)]
+    data = LabeledDataset(X, y, K)
+    cfg = TrainConfig(
+        mu=99.0, epochs=epochs, batch_size=batch_size, lr_min=0.02, lr_max=0.05,
+        lr_decay=(0.5, decay_epoch), backbone_update_interval=interval,
+        seed=seed, warm_start_epochs=1, restricted=restricted,
+    )
+    init = warm_start(data, WIDE, K, 1, cfg.lr_min, seed, batch_size)
+    grid = sgda_train_grid(data, WIDE, cfg, mus, initial_model=init)
+    for mu, run in zip(mus, grid):
+        ref = reference_sgda(data, dataclasses.replace(cfg, mu=mu), init)
+        # the backbone moved: a test that never lands would prove nothing
+        assert not np.array_equal(run[0].weights[0], init.weights[0])
+        assert_close_to_reference(run, ref)
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_sgda_backbone_backward_runs_per_landing_unless_adaptive(adaptive):
+    # 3 landings of a 2-epoch interval, then one frozen epoch; 4 batches
+    # per epoch and 3 models
+    data = overlap_blobs(100, seed=5)
+    init = init_model(SPEC, 2, seed=6)
+    cfg = TrainConfig(
+        mu=1.0, epochs=7, batch_size=32, warm_start_epochs=0,
+        backbone_update_interval=2, seed=7, adaptive=adaptive,
+    )
+    full = mock.patch.object(train_mod, "_backward", wraps=train_mod._backward)
+    chain = mock.patch.object(
+        train_mod, "_backbone_grads", wraps=train_mod._backbone_grads
+    )
+    with full as full, chain as chain:
+        sgda_train_grid(data, SPEC, cfg, (0.5, 1.0, 2.0), initial_model=init)
+    # adaptive: one full backward per batch of the 6 epochs before the
+    # last landing; plain: one backbone chain per model per landing
+    want = (6 * 4, 0) if adaptive else (0, 3 * 3)
+    assert (full.call_count, chain.call_count) == want
 
 
 def test_sgda_grid_numeric_error_names_mu_and_carries_its_checkpoint():
