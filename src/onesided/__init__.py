@@ -41,7 +41,6 @@ from .net import (
 from .oracle import (
     FiniteHypothesisClass,
     OracleSolution,
-    PointMaskSet,
     analytic_example_coverage,
     budget_alpha_grid,
     canonical_cuts,

@@ -155,7 +155,6 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         warm_start_epochs=args.warm_epochs,
         lambda_max=args.lambda_max,
-        adaptive=args.adaptive,
         restricted=not args.unrestricted,
     )
     model, state, log = sgda_train(data, spec, config)
@@ -314,12 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--warm-epochs", type=int, default=30)
     p.add_argument("--lambda-max", type=float, default=None)
-    p.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="Adam-scaled descent steps; these runs keep a backbone backward "
-        "on every batch, where plain runs take one per landing",
-    )
     p.add_argument("--unrestricted", action="store_true")
     p.add_argument("--widths", type=_comma_ints, help="e.g. 2,16,8 (input width first)")
     p.add_argument("--activation", default="relu")

@@ -221,15 +221,6 @@ class GradientBundle:
     head_w: np.ndarray
     head_b: np.ndarray
 
-    @classmethod
-    def zeros_like(cls, model: SelectiveModel) -> "GradientBundle":
-        return cls(
-            [np.zeros_like(W) for W in model.weights],
-            [np.zeros_like(b) for b in model.biases],
-            np.zeros_like(model.head_w),
-            np.zeros_like(model.head_b),
-        )
-
 
 def backward(
     model: SelectiveModel, batch: LabeledDataset, loss_spec: LossSpec

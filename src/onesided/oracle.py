@@ -77,24 +77,6 @@ class EmptySet:
         return "EmptySet()"
 
 
-class PointMaskSet:
-    """Explicit subset of a fixed reference matrix, matched row-by-row."""
-
-    def __init__(self, reference: np.ndarray, mask: np.ndarray):
-        self.reference = np.atleast_2d(np.asarray(reference, dtype=np.float64))
-        self.mask = np.asarray(mask, dtype=bool).ravel()
-        if self.mask.shape[0] != self.reference.shape[0]:
-            raise InputError("mask length must match reference row count")
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        included = self.reference[self.mask]
-        if included.shape[0] == 0:
-            return np.zeros(X.shape[0], dtype=bool)
-        eq = (X[:, None, :] == included[None, :, :]).all(axis=2)
-        return eq.any(axis=1)
-
-
 class DifferenceSet:
     """Base set minus the union of earlier sets; used to disjointify."""
 
@@ -159,30 +141,31 @@ class FiniteHypothesisClass:
         candidate costs two `np.searchsorted` lookups per class: O(n log n
         + K * size * log n) time and O(n + K * size) memory, against the
         dense (size, n) matrix.  A NaN coordinate is in no set, and a
-        candidate with a NaN bound contains no point.  Any other candidate
-        (explicit point sets) sends the class to the dense matrix.
+        candidate with a NaN bound contains no point.  Every candidate must
+        be an upper, lower or interval set; any other raises
+        :class:`InputError`.
         """
+        for p in self.predicates:
+            if not isinstance(p, _INTERVAL_LIKE):
+                raise InputError(
+                    f"counts takes upper, lower and interval sets, "
+                    f"not {type(p).__name__}"
+                )
         K = data.num_classes
-        if all(isinstance(p, _INTERVAL_LIKE) for p in self.predicates):
-            x = data.features[:, 0]
-            lo, hi, open_lo = map(
-                np.array, zip(*(_interval_bounds(p) for p in self.predicates))
-            )
-            nan_bound = np.isnan(lo) | np.isnan(hi)
-            own = np.empty((K, self.size), dtype=np.int64)
-            for j in range(K):
-                # sorted last, a NaN x is above every bound, inf included
-                xs = np.sort(x[data.labels == j])
-                # #(x <= hi) - #(x <= lo); a reversed interval is empty
-                upto_hi = np.searchsorted(xs, hi, side="right")
-                upto_lo = np.searchsorted(xs, lo, side="right")
-                upto_lo[open_lo] = 0
-                own[j] = np.where(nan_bound, 0, np.maximum(upto_hi - upto_lo, 0))
-        else:
-            M = self.membership_matrix(data.features)
-            own = np.vstack(
-                [M[:, data.labels == j].sum(axis=1) for j in range(K)]
-            ).astype(np.int64)
+        x = data.features[:, 0]
+        lo, hi, open_lo = map(
+            np.array, zip(*(_interval_bounds(p) for p in self.predicates))
+        )
+        nan_bound = np.isnan(lo) | np.isnan(hi)
+        own = np.empty((K, self.size), dtype=np.int64)
+        for j in range(K):
+            # sorted last, a NaN x is above every bound, inf included
+            xs = np.sort(x[data.labels == j])
+            # #(x <= hi) - #(x <= lo); a reversed interval is empty
+            upto_hi = np.searchsorted(xs, hi, side="right")
+            upto_lo = np.searchsorted(xs, lo, side="right")
+            upto_lo[open_lo] = 0
+            own[j] = np.where(nan_bound, 0, np.maximum(upto_hi - upto_lo, 0))
         coverage = own.sum(axis=0)
         return coverage, coverage - own
 
@@ -204,14 +187,6 @@ class FiniteHypothesisClass:
         if not preds:
             raise InputError("need at least two edges to form intervals")
         return cls("interval", tuple(preds))
-
-    @classmethod
-    def explicit_sets(
-        cls, reference: np.ndarray, masks: Sequence[np.ndarray]
-    ) -> "FiniteHypothesisClass":
-        return cls(
-            "explicit", tuple(PointMaskSet(reference, m) for m in masks)
-        )
 
     @classmethod
     def union(cls, *classes: "FiniteHypothesisClass") -> "FiniteHypothesisClass":

@@ -205,7 +205,21 @@ def synthetic_from_dict(synth: dict) -> SyntheticSpec:
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    """Build and validate a config from the nested dict form."""
+    """Build and validate a config from the nested dict form.
+
+    Configs saved before adaptive (Adam-scaled) steps were removed carry
+    ``"adaptive": false`` in their train section: that key is dropped, and
+    any other value of it is refused.
+    """
+    train = d.get("train") if isinstance(d, dict) else None
+    if isinstance(train, dict) and "adaptive" in train:
+        if train["adaptive"] is not False:
+            raise InputError(
+                "config.train.adaptive: adaptive steps were removed, only false "
+                f"is accepted, got {train['adaptive']!r}"
+            )
+        train = {k: v for k, v in train.items() if k != "adaptive"}
+        d = {**d, "train": train}
     return _decode(RunConfig, d, "config")
 
 
@@ -233,10 +247,13 @@ def config_hash(config: RunConfig) -> str:
 
     The output directory and the deprecated worker count do not change
     results, so they are excluded and a rerun elsewhere hashes the same.
+    The hashed train section still holds ``"adaptive": false``, so a config
+    and the run artifacts saved before that key was removed keep their hash.
     """
     doc = config_to_dict(config)
     del doc["out_dir"]
     del doc["workers"]
+    doc["train"]["adaptive"] = False
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 

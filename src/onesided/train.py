@@ -20,11 +20,10 @@ multipliers ascend on a slow one; the shared backbone accumulates its
 descent steps and applies them only every few epochs, keeping the
 per-class heads quasi-independent in between.  The backbone being fixed
 between those landings, every step trains the heads on cached last-layer
-features, and the per-epoch record reads them too.  A plain step's
-backbone gradient is linear in its features' cotangent, so the steps
-only sum those cotangents per row and each landing runs one backward
-over all rows; Adam-scaled steps take their backbone gradient batch by
-batch.  The trailing epochs past the last landing skip even the sum.
+features, and the per-epoch record reads them too.  A step's backbone
+gradient is linear in its features' cotangent, so the steps only sum
+those cotangents per row and each landing runs one backward over all
+rows.  The trailing epochs past the last landing skip even the sum.
 
 A grid of budget prices trains in lockstep: `sgda_train_grid` holds the
 M runs as one stack of parameters, multipliers and slacks with a leading
@@ -43,11 +42,9 @@ from .core import InputError, LabeledDataset, NumericError
 from .net import (
     PROB_FLOOR,
     BackboneSpec,
-    GradientBundle,
     SelectiveModel,
     _backbone,
     _backbone_grads,
-    _backward,
     _head,
     _head_grads,
     _mean_nll,
@@ -101,7 +98,6 @@ class TrainConfig:
     seed: int = 0
     warm_start_epochs: int = 30
     lambda_max: float | None = None
-    adaptive: bool = False
     restricted: bool = True
 
     def __post_init__(self) -> None:
@@ -316,39 +312,6 @@ class TrainingLog:
         return self.records[-1]
 
 
-class _Adam:
-    """Per-parameter moment scaling for the descent steps."""
-
-    def __init__(self, model: SelectiveModel, b1=0.9, b2=0.999, guard=1e-8):
-        self.b1, self.b2, self.guard = b1, b2, guard
-        self.t = 0
-        self.m = GradientBundle.zeros_like(model)
-        self.v = GradientBundle.zeros_like(model)
-
-    def _scale(self, m, v, g):
-        m *= self.b1
-        m += (1 - self.b1) * g
-        v *= self.b2
-        v += (1 - self.b2) * g * g
-        mhat = m / (1 - self.b1**self.t)
-        vhat = v / (1 - self.b2**self.t)
-        return mhat / (np.sqrt(vhat) + self.guard)
-
-    def transform(self, grads: GradientBundle) -> GradientBundle:
-        self.t += 1
-        ws = [
-            self._scale(m, v, g)
-            for m, v, g in zip(self.m.weights, self.v.weights, grads.weights)
-        ]
-        bs = [
-            self._scale(m, v, g)
-            for m, v, g in zip(self.m.biases, self.v.biases, grads.biases)
-        ]
-        hw = self._scale(self.m.head_w, self.v.head_w, grads.head_w)
-        hb = self._scale(self.m.head_b, self.v.head_b, grads.head_b)
-        return GradientBundle(ws, bs, hw, hb)
-
-
 def _mapped(params, f) -> tuple:
     """``(weights, biases, head_w, head_b)`` of ``params`` with ``f`` applied."""
     return (
@@ -408,15 +371,13 @@ def sgda_train_grid(
     record reads too.  Cached and recomputed features can differ in the
     last bit, where BLAS rounds a batch's rows unlike the full matrix's.
 
-    A plain step's backbone gradient is linear in d(loss)/d(features) of
-    its rows, so each step adds those into one ``(n, M, width)`` buffer and
-    a landing runs the backbone backward once per model over all rows: the
+    A step's backbone gradient is linear in d(loss)/d(features) of its
+    rows, so each step adds those into one ``(n, M, width)`` buffer and a
+    landing runs the backbone backward once per model over all rows: the
     per-batch sum up to rounding (a decay inside an interval rescales the
-    buffer).  With ``config.adaptive`` the moments scale each step's own
-    gradient, so every batch runs the full backward.  The trailing
-    ``epochs % backbone_update_interval`` epochs (all of them when
-    ``epochs`` is below the interval) have no update to land and do no
-    backbone work at all.
+    buffer).  The trailing ``epochs % backbone_update_interval`` epochs
+    (all of them when ``epochs`` is below the interval) have no update to
+    land and do no backbone work at all.
 
     A non-finite loss aborts with a :class:`NumericError` naming the
     failing ``mu`` and carrying that run's last finite epoch
@@ -450,7 +411,6 @@ def sgda_train_grid(
     n = data.n
     lr_w, lr_l = config.lr_min, config.lr_max
     decay_factor, decay_epoch = config.lr_decay
-    adam = _Adam(stack) if config.adaptive else None
     absent_fit = np.zeros(K, dtype=np.int64)
     absent_leak = np.zeros(K, dtype=np.int64)
     records: list = [[] for _ in range(M)]
@@ -460,12 +420,9 @@ def sgda_train_grid(
     interval = config.backbone_update_interval
     # no backbone update lands from this epoch on: only the heads train
     frozen_from = config.epochs - config.epochs % interval
-    # pending backbone steps: Adam's as taken, plain ones as the summed
-    # d(loss)/d(features) of each training row
-    acc, cot = [], None
-    if adam is not None:
-        acc = [np.zeros_like(p) for p in stack.weights + stack.biases]
-    elif frozen_from:
+    # pending backbone steps, as the summed d(loss)/d(features) of each
+    # training row; only a run that lands an update needs them
+    if frozen_from:
         cot = np.zeros((n, M, stack.spec.feature_dim))
     # last-layer features of every training row under the current
     # backbones: one shared matrix until the first update lands, then
@@ -494,7 +451,7 @@ def sgda_train_grid(
         if epoch == decay_epoch and epoch > 0:
             lr_w *= decay_factor
             lr_l *= decay_factor
-            if cot is not None and epoch % interval:
+            if epoch < frozen_from and epoch % interval:
                 # the landing multiplies by the new rate; the steps taken
                 # so far ran at the old one
                 cot /= decay_factor
@@ -503,28 +460,17 @@ def sgda_train_grid(
             for start in range(0, n, config.batch_size):
                 idx = perm[start : start + config.batch_size]
                 loss_obj = LagrangianLoss(state, config.restricted)
-                X, y = data.features[idx], data.labels[idx]
-                if adam is not None and epoch < frozen_from:
-                    _, grads = _backward(stack, X, y, loss_obj)
-                else:
-                    # the backbone is fixed until the next landing, so the
-                    # cached features are this batch's; numpy multiplies a
-                    # one-row matrix with gemv, which rounds unlike the gemm
-                    # that filled the cache
-                    feat = feats[..., idx, :] if len(idx) > 1 else _backbone(stack, X)[-1]
-                    _, dlogits, g_head_w, g_head_b = _head_grads(
-                        feat, _head(stack, feat), y, loss_obj
-                    )
-                    grads = GradientBundle([], [], g_head_w, g_head_b)
-                    if cot is not None and epoch < frozen_from:
-                        cot[idx] += np.matmul(dlogits, stack.head_w).swapaxes(0, 1)
-                if adam is not None:
-                    grads = adam.transform(grads)
-                # heads step now, backbone steps accumulate
-                stack.head_w -= lr_w * grads.head_w
-                stack.head_b -= lr_w * grads.head_b
-                for a, g in zip(acc, grads.weights + grads.biases):
-                    a += lr_w * g
+                # the backbone is fixed until the next landing, so the
+                # cached features are this batch's
+                feat = feats[..., idx, :]
+                _, dlogits, g_head_w, g_head_b = _head_grads(
+                    feat, _head(stack, feat), data.labels[idx], loss_obj
+                )
+                # heads step now, the backbone's step waits for the landing
+                if epoch < frozen_from:
+                    cot[idx] += np.matmul(dlogits, stack.head_w).swapaxes(0, 1)
+                stack.head_w -= lr_w * g_head_w
+                stack.head_b -= lr_w * g_head_b
                 # simultaneous update of slacks and multipliers
                 new_phis = np.maximum(
                     0.0, state.phis - lr_w * (state.mu - state.lambdas)
@@ -546,23 +492,18 @@ def sgda_train_grid(
             err.checkpoint_state = _state_of(checkpoint_state, m)
             raise err from exc
         if (epoch + 1) % interval == 0:
-            for p, a in zip(stack.weights + stack.biases, acc):
-                p -= a
-                a[:] = 0.0
             if feats.ndim == 2:
                 feats = np.empty((M,) + feats.shape)
             # one model at a time, like the record
             for m in range(M):
                 # model m's parameters as views: updates write into the stack
                 lone = _Stack(stack.spec, K, *_mapped(stack, lambda a: a[m]))
-                if cot is not None:
-                    acts = _backbone(lone, data.features)
-                    g_ws, g_bs = _backbone_grads(lone, acts, cot[:, m])
-                    for p, g in zip(lone.weights + lone.biases, g_ws + g_bs):
-                        p -= lr_w * g
+                acts = _backbone(lone, data.features)
+                g_ws, g_bs = _backbone_grads(lone, acts, cot[:, m])
+                for p, g in zip(lone.weights + lone.biases, g_ws + g_bs):
+                    p -= lr_w * g
                 feats[m] = _backbone(lone, data.features)[-1]
-            if cot is not None:
-                cot[:] = 0.0
+            cot[:] = 0.0
         record(epoch)
         checkpoint_epoch = epoch
         checkpoint = stack.copy()

@@ -110,6 +110,15 @@ def test_train_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_train_refuses_the_removed_adaptive_flag(tmp_path, capsys):
+    data = synth_csv(tmp_path / "d.csv")
+    out = tmp_path / "m.npz"
+    argv = ("train", "--data", str(data), "--mu", "1.0", "--out", str(out))
+    assert run(*argv, "--adaptive") == 1
+    assert "--adaptive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_width_mismatch(tmp_path, capsys):
     data = synth_csv(tmp_path / "d.csv")
     code = run(
@@ -345,6 +354,7 @@ def test_pipeline_missing_csv_exits_1_naming_it(tmp_path, capsys):
     [
         (lambda d: d["criterion"].pop("target"), "'target'"),
         (lambda d: d["train"].update(epochs="10"), "train.epochs"),
+        (lambda d: d["train"].update(adaptive=True), "train.adaptive"),
         (lambda d: d["train"].update(lr_min=float("nan")), "lr_min"),
         (lambda d: d.update(mu_grid=[0.5, float("inf")]), "mu_grid"),
     ],

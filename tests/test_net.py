@@ -14,7 +14,6 @@ from onesided.core import FormatError, InputError, LabeledDataset, NumericError
 from onesided.net import (
     CROSS_ENTROPY,
     BackboneSpec,
-    GradientBundle,
     SelectiveModel,
     _backward,
     _forward_pass,
@@ -353,10 +352,3 @@ def test_deserialize_class_count_mismatch():
 def test_deserialize_garbage():
     with pytest.raises(FormatError):
         deserialize(b"not an archive at all")
-
-
-def test_gradient_bundle_zeros():
-    model = small_model()
-    z = GradientBundle.zeros_like(model)
-    assert all(not W.any() for W in z.weights)
-    assert z.head_w.shape == model.head_w.shape

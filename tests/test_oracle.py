@@ -21,6 +21,7 @@ from onesided.core import (
 )
 from onesided.oracle import (
     AlphaAllocation,
+    EmptySet,
     FiniteHypothesisClass,
     analytic_example_coverage,
     budget_alpha_grid,
@@ -217,16 +218,11 @@ def test_class_counts_equal_membership_row_sums(inst):
     assert np.array_equal(viol, want_viol)
 
 
-def test_class_counts_explicit_sets_use_dense_path():
-    X = np.array([[0.1], [0.4], [0.4], [0.9]])
-    data = LabeledDataset(X, [0, 1, 0, 1], 2)
-    cls = FiniteHypothesisClass.explicit_sets(
-        X, [np.array([1, 1, 0, 0]), np.array([0, 1, 1, 1])]
-    )
-    cov, viol = cls.counts(data)
-    want_cov, want_viol = dense_counts(cls, data)
-    assert np.array_equal(cov, want_cov)
-    assert np.array_equal(viol, want_viol)
+def test_class_counts_refuse_other_predicates():
+    data = LabeledDataset(np.array([[0.1], [0.4], [0.9]]), [0, 1, 0], 2)
+    cls = FiniteHypothesisClass("mixed", (UpperThresholdSet(0.5), EmptySet()))
+    with pytest.raises(InputError, match="EmptySet"):
+        cls.counts(data)
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ def test_config_from_dict_rejects_bad_documents(tmp_path):
         ),
         (lambda d: d.update(seed="abc"), ("config.seed",)),
         (lambda d: d["train"].update(epochs="10"), ("config.train.epochs",)),
-        (lambda d: d["train"].update(adaptive="no"), ("config.train.adaptive",)),
+        (lambda d: d["train"].update(restricted="no"), ("config.train.restricted",)),
         (lambda d: d["synthetic"].update(n=10.7), ("config.synthetic.n",)),
         (lambda d: d.update(mu_grid=0.5), ("config.mu_grid",)),
         (lambda d: d.update(train=[1.0]), ("config.train",)),
@@ -227,6 +227,24 @@ def test_config_hash_is_pinned(tmp_path):
     assert config_hash(cfg) == pinned
     save_config(cfg, tmp_path / "config.json")
     assert config_hash(load_config(tmp_path / "config.json")) == pinned
+
+
+def test_config_with_the_removed_adaptive_key(tmp_path):
+    # every config saved before adaptive steps were removed has
+    # "adaptive": false in its train section: it loads and keeps its hash
+    cfg = blob_config(tmp_path)
+    doc = config_to_dict(cfg)
+    assert "adaptive" not in doc["train"]
+    doc["train"]["adaptive"] = False
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2))
+    loaded = load_config(path)
+    assert loaded == cfg
+    pinned = "7abe91b6996a04e0985507a536c8750c25ca65950607dd56f99528d2b2c834b6"
+    assert config_hash(loaded) == pinned
+    doc["train"]["adaptive"] = True
+    with pytest.raises(InputError, match="config.train.adaptive"):
+        config_from_dict(doc)
 
 
 def test_readme_example_config_loads():

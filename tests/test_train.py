@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import onesided.net as net_mod
 import onesided.train as train_mod
 from onesided.core import InputError, LabeledDataset, NumericError
 from onesided.net import (
@@ -27,7 +28,6 @@ from onesided.train import (
     RestrictedFitLoss,
     TrainConfig,
     class_terms,
-    _Adam,
     sgda_train,
     sgda_train_grid,
 )
@@ -631,14 +631,6 @@ def test_sgda_counts_batches_missing_a_class():
     assert log.final().absent_fit[0] == 0
 
 
-def test_sgda_adaptive_variant_runs_and_differs():
-    data = overlap_blobs(80, seed=13)
-    base = dict(mu=1.0, epochs=4, warm_start_epochs=1, seed=14, batch_size=32)
-    m_plain, _, _ = sgda_train(data, SPEC, TrainConfig(**base))
-    m_adapt, _, _ = sgda_train(data, SPEC, TrainConfig(adaptive=True, **base))
-    assert not np.array_equal(flatten_params(m_plain), flatten_params(m_adapt))
-
-
 def test_sgda_aborts_on_non_finite_with_checkpoint():
     data = overlap_blobs(60, seed=15)
     poisoned = init_model(SPEC, 2, seed=1)
@@ -679,7 +671,6 @@ def reference_sgda(data, config, init):
     rng = np.random.default_rng([config.seed, 1])
     lr_w, lr_l = config.lr_min, config.lr_max
     buf = [np.zeros_like(W) for W in model.weights + model.biases]
-    adam = _Adam(model) if config.adaptive else None
     absent_fit, absent_leak = np.zeros(K, dtype=int), np.zeros(K, dtype=int)
     records = []
 
@@ -700,8 +691,6 @@ def reference_sgda(data, config, init):
             batch = data.subset(perm[start : start + config.batch_size])
             loss = LagrangianLoss(state, config.restricted)
             _, grads = backward(model, batch, loss)
-            if adam is not None:
-                grads = adam.transform(grads)
             model.head_w -= lr_w * grads.head_w
             model.head_b -= lr_w * grads.head_b
             for acc, g in zip(buf, grads.weights + grads.biases):
@@ -758,21 +747,19 @@ def assert_close_to_reference(got, want):
     epochs=st.integers(0, 5),
     decay_epoch=st.integers(0, 4),
     interval=st.sampled_from([1, 3]),
-    adaptive=st.booleans(),
     restricted=st.booleans(),
     lambda_max=st.sampled_from([None, 0.0, 0.7]),
     mus=st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0, 7.5]), min_size=1, max_size=4),
     seed=st.integers(0, 2**16),
 )
 def test_sgda_grid_equals_per_mu_runs(
-    K, n, rare, batch_size, epochs, decay_epoch, interval, adaptive, restricted,
+    K, n, rare, batch_size, epochs, decay_epoch, interval, restricted,
     lambda_max, mus, seed,
 ):
     # every mu of the lockstep grid must reproduce, bit for bit, a lone
-    # sgda_train run at that mu.  Adaptive runs take each batch's backbone
-    # gradient, as the per-model reference loop does, and match it bit for
-    # bit too; plain runs take the interval's backbone gradient over all
-    # rows at the landing, which sums in another order
+    # sgda_train run at that mu.  The grid takes the interval's backbone
+    # gradient over all rows at the landing, where the per-model reference
+    # loop takes it batch by batch, so the two sum in another order
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 2))
     y = rng.integers(0, K, size=n)
@@ -783,8 +770,7 @@ def test_sgda_grid_equals_per_mu_runs(
     cfg = TrainConfig(
         mu=99.0, epochs=epochs, batch_size=batch_size, lr_min=0.05, lr_max=0.3,
         lr_decay=(0.5, decay_epoch), backbone_update_interval=interval, seed=seed,
-        warm_start_epochs=1, lambda_max=lambda_max, adaptive=adaptive,
-        restricted=restricted,
+        warm_start_epochs=1, lambda_max=lambda_max, restricted=restricted,
     )
     init = warm_start(data, SPEC, K, 1, cfg.lr_min, seed, batch_size)
     grid = sgda_train_grid(data, SPEC, cfg, mus, initial_model=init)
@@ -794,17 +780,7 @@ def test_sgda_grid_equals_per_mu_runs(
         lone = sgda_train(data, SPEC, one, initial_model=init)
         assert_same_run((model, state, log), lone)
         assert log.records == lone[2].records
-        ref_model, ref_state, ref_records = reference_sgda(data, one, init)
-        if not adaptive:
-            ref = (ref_model, ref_state, ref_records)
-            assert_close_to_reference((model, state, log), ref)
-            continue
-        assert_same_run((model, state, log), (ref_model, ref_state, None))
-        got = [record_tuple(r) for r in log.records]
-        assert [r[0] for r in got] == [r[0] for r in ref_records]
-        for a, b in zip(got, ref_records):
-            assert a[3:] == b[3:]
-            assert close(a[1], b[1]) and close(np.array(a[2]), np.array(b[2]))
+        assert_close_to_reference((model, state, log), reference_sgda(data, one, init))
     # without an initial model the grid warm starts itself, as sgda_train does
     if epochs == 0:
         model, _, _ = sgda_train_grid(data, SPEC, cfg, mus[:1])[0]
@@ -822,13 +798,12 @@ WIDE = BackboneSpec((2, 32, 16))
     interval=st.integers(2, 4),
     landings=st.integers(0, 2),
     tail=st.integers(1, 3),
-    adaptive=st.booleans(),
     restricted=st.booleans(),
     mus=st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=1, max_size=3, unique=True),
     seed=st.integers(0, 2**16),
 )
 def test_sgda_cached_features_match_uncached_reference(
-    K, n, batch_size, interval, landings, tail, adaptive, restricted, mus, seed
+    K, n, batch_size, interval, landings, tail, restricted, mus, seed
 ):
     # the grid trains the heads alone on cached last-layer features once no
     # backbone update is left to land, and records from those features; the
@@ -845,21 +820,10 @@ def test_sgda_cached_features_match_uncached_reference(
     cfg = TrainConfig(
         mu=99.0, epochs=epochs, batch_size=batch_size, lr_min=0.02, lr_max=0.05,
         lr_decay=(0.5, 2), backbone_update_interval=interval, seed=seed,
-        warm_start_epochs=1, adaptive=adaptive, restricted=restricted,
+        warm_start_epochs=1, restricted=restricted,
     )
     init = warm_start(data, WIDE, K, 1, cfg.lr_min, seed, batch_size)
-    made = []
-
-    class CountingAdam(_Adam):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    with mock.patch.object(train_mod, "_Adam", CountingAdam):
-        grid = sgda_train_grid(data, WIDE, cfg, mus, initial_model=init)
-    if adaptive:
-        # the moments' bias correction counts the head-only steps too
-        assert [a.t for a in made] == [epochs * -(-n // batch_size)]
+    grid = sgda_train_grid(data, WIDE, cfg, mus, initial_model=init)
     for mu, run in zip(mus, grid):
         ref = reference_sgda(data, dataclasses.replace(cfg, mu=mu), init)
         assert len(ref[2]) == epochs
@@ -886,13 +850,13 @@ def test_sgda_deferred_landing_matches_per_batch_reference(
     K, batches, batch_size, one_row_tail, interval, landings, tail, decay_at,
     restricted, mus, seed,
 ):
-    # plain runs take no backbone gradient per batch: each step adds its
+    # the grid takes no backbone gradient per batch: each step adds its
     # rows' feature cotangents to a buffer, and every landing runs one
     # backward over all rows with it.  The reference takes the backbone
     # gradient batch by batch.  The lr decay fires inside an interval, so
     # the buffer holds steps at both rates; a one-row trailing batch reads
-    # its features from the backbone, not the cache.  Regime as in
-    # test_sgda_cached_features_match_uncached_reference.
+    # its row of the feature cache, which the reference recomputes.  Regime
+    # as in test_sgda_cached_features_match_uncached_reference.
     n = batches * batch_size + (1 if one_row_tail else batch_size // 2)
     epochs = landings * interval + tail
     mid_interval = [e for e in range(1, landings * interval) if e % interval]
@@ -915,26 +879,22 @@ def test_sgda_deferred_landing_matches_per_batch_reference(
         assert_close_to_reference(run, ref)
 
 
-@pytest.mark.parametrize("adaptive", [False, True])
-def test_sgda_backbone_backward_runs_per_landing_unless_adaptive(adaptive):
+def test_sgda_backbone_chain_runs_once_per_model_per_landing():
     # 3 landings of a 2-epoch interval, then one frozen epoch; 4 batches
-    # per epoch and 3 models
+    # per epoch and 3 models.  No step runs the full backward.
     data = overlap_blobs(100, seed=5)
     init = init_model(SPEC, 2, seed=6)
     cfg = TrainConfig(
         mu=1.0, epochs=7, batch_size=32, warm_start_epochs=0,
-        backbone_update_interval=2, seed=7, adaptive=adaptive,
+        backbone_update_interval=2, seed=7,
     )
-    full = mock.patch.object(train_mod, "_backward", wraps=train_mod._backward)
+    full = mock.patch.object(net_mod, "_backward", wraps=net_mod._backward)
     chain = mock.patch.object(
         train_mod, "_backbone_grads", wraps=train_mod._backbone_grads
     )
     with full as full, chain as chain:
         sgda_train_grid(data, SPEC, cfg, (0.5, 1.0, 2.0), initial_model=init)
-    # adaptive: one full backward per batch of the 6 epochs before the
-    # last landing; plain: one backbone chain per model per landing
-    want = (6 * 4, 0) if adaptive else (0, 3 * 3)
-    assert (full.call_count, chain.call_count) == want
+    assert (full.call_count, chain.call_count) == (0, 3 * 3)
 
 
 def test_sgda_grid_numeric_error_names_mu_and_carries_its_checkpoint():
