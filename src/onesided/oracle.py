@@ -13,14 +13,28 @@ problem per class (largest set whose false-positive mass stays under its
 share), and makes the results disjoint by preferring smaller class
 indices.  Sweeping the split and keeping the best total coverage recovers
 the joint optimum up to twice the budget.
+
+Every candidate is an upper threshold, a lower threshold or a half-open
+interval of coordinate 0, so a class is stored as columns of bounds and
+no solver forms a membership row.  Each solve sorts the coordinate-0
+values of each class once; a candidate's points are then one run of
+each sorted array, found with `np.searchsorted`, and coverage,
+violations, whether two sets meet and the size of a union all follow
+from the runs.  With n points, K classes, m candidates and G budget
+splits: the counts take O(n log n + K m log n) time and O(n + K m)
+memory; the joint solve adds tables over the candidates each class slot
+can afford, at most m**K entries; the budget sweep adds O(K m log m +
+G K log K) time and O(K m + G K) memory.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import reduce
 
 import numpy as np
 
@@ -91,109 +105,206 @@ class DifferenceSet:
         return out
 
 
-_INTERVAL_LIKE = (UpperThresholdSet, LowerThresholdSet, IntervalSet)
+# kind code of each columnar candidate; _OTHER marks a hand-built predicate
+# of another type, which `counts` refuses
+_UPPER, _LOWER, _INTERVAL, _OTHER = 0, 1, 2, 3
 
 
-def _interval_bounds(p) -> tuple[float, float, bool]:
-    """(lo, hi, open_lo): the set is {lo < x <= hi}, or {x <= hi} when open_lo."""
+def _columns_of(p) -> tuple[float, float, int]:
+    """(lo, hi, code): the set is {lo < x <= hi}, or {x <= hi} when lower."""
     if isinstance(p, UpperThresholdSet):
-        return p.cut, np.inf, False
+        return p.cut, np.inf, _UPPER
     if isinstance(p, LowerThresholdSet):
-        return -np.inf, p.cut, True
-    return p.lo, p.hi, False
+        return -np.inf, p.cut, _LOWER
+    if isinstance(p, IntervalSet):
+        return p.lo, p.hi, _INTERVAL
+    return np.nan, np.nan, _OTHER
 
 
 # ---------------------------------------------------------------------------
 # hypothesis classes
 
 
-@dataclass(frozen=True)
+class _Predicates(Sequence):
+    """The candidates of a class as predicate objects, built on access."""
+
+    def __init__(self, hclass: "FiniteHypothesisClass"):
+        self._hclass = hclass
+
+    def __len__(self) -> int:
+        return self._hclass.size
+
+    def __getitem__(self, c):
+        if isinstance(c, slice):
+            return tuple(self[i] for i in range(*c.indices(len(self))))
+        return self._hclass._predicate(c)
+
+
 class FiniteHypothesisClass:
     """A finite, ordered enumeration of candidate sets.
 
     The enumeration order is part of the contract: solvers break ties
-    toward the smallest index.
+    toward the smallest index.  Candidates are stored as columns: the
+    bounds ``lo`` and ``hi``, ``open_lo`` (true for lower thresholds) and a
+    kind code each.  ``predicates`` is a sequence view that builds the
+    `UpperThresholdSet`, `LowerThresholdSet` or `IntervalSet` of a
+    candidate when it is read.  A class built from a tuple of predicates
+    is converted to columns once; a predicate of any other type is kept
+    as given, and `counts` and the solvers refuse the class.
     """
 
-    kind: str
-    predicates: tuple
+    def __init__(self, kind: str, predicates: Sequence[Callable]):
+        preds = tuple(predicates)
+        cols = [_columns_of(p) for p in preds]
+        lo, hi, codes = zip(*cols) if cols else ((), (), ())
+        others = {c: p for c, p in enumerate(preds) if codes[c] == _OTHER}
+        self._set(kind, lo, hi, codes, others)
 
-    def __post_init__(self) -> None:
-        if not self.predicates:
+    @classmethod
+    def _from_columns(cls, kind, lo, hi, codes, others=None) -> "FiniteHypothesisClass":
+        self = cls.__new__(cls)
+        self._set(kind, lo, hi, codes, others or {})
+        return self
+
+    def _set(self, kind, lo, hi, codes, others) -> None:
+        if len(codes) == 0:
             raise InputError("hypothesis class enumeration is empty")
+        self.kind = kind
+        self.lo = np.array(lo, dtype=np.float64)
+        self.hi = np.array(hi, dtype=np.float64)
+        self.codes = np.array(codes, dtype=np.int8)
+        self.open_lo = self.codes == _LOWER
+        for a in (self.lo, self.hi, self.codes, self.open_lo):
+            a.setflags(write=False)
+        self._others = others
+
+    def __repr__(self) -> str:
+        return f"FiniteHypothesisClass(kind={self.kind!r}, size={self.size})"
 
     @property
     def size(self) -> int:
-        return len(self.predicates)
+        return self.codes.size
+
+    @property
+    def predicates(self) -> Sequence[Callable]:
+        return _Predicates(self)
+
+    def _predicate(self, c) -> Callable:
+        c = operator.index(c)
+        if c < 0:
+            c += self.size
+        if not 0 <= c < self.size:
+            raise IndexError(f"candidate {c} outside [0, {self.size})")
+        code = self.codes[c]
+        if code == _UPPER:
+            return UpperThresholdSet(float(self.lo[c]))
+        if code == _LOWER:
+            return LowerThresholdSet(float(self.hi[c]))
+        if code == _INTERVAL:
+            return IntervalSet(float(self.lo[c]), float(self.hi[c]))
+        return self._others[c]
 
     def membership_matrix(self, X: np.ndarray) -> np.ndarray:
-        """(size, n) boolean candidate-by-point membership."""
+        """(size, n) boolean candidate-by-point membership.
+
+        One predicate call per candidate: the dense reference the counts
+        are tested against, not a path any solver takes.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return np.vstack([np.asarray(p(X), dtype=bool) for p in self.predicates])
+
+    def _sorted_counts(self, data: LabeledDataset):
+        """``(start, stop, coverage, violations)`` of every candidate.
+
+        Each class's coordinate-0 values are sorted once.  The class-k
+        points a candidate holds are one run of them: from the count at or
+        below its lower bound to the count at or below its upper bound.
+        Summed over the classes, the run ends are positions ``[start,
+        stop)`` in the whole sorted sample, where the set's points are
+        again one run.  Sorted last, a NaN coordinate is above every bound,
+        inf included, so it is in no set; a reversed interval and a
+        candidate with a NaN bound get empty runs.
+        """
+        if self._others:
+            p = self._others[min(self._others)]
+            raise InputError(
+                f"counts takes upper, lower and interval sets, "
+                f"not {type(p).__name__}"
+            )
+        x = data.features[:, 0]
+        by_class = [np.sort(x[data.labels == k]) for k in range(data.num_classes)]
+        start = np.stack(
+            [np.searchsorted(xs, self.lo, side="right") for xs in by_class]
+        )
+        start[:, self.open_lo] = 0
+        stop = np.stack([np.searchsorted(xs, self.hi, side="right") for xs in by_class])
+        np.maximum(stop, start, out=stop)
+        nan_bound = np.isnan(self.lo) | np.isnan(self.hi)
+        start[:, nan_bound] = 0
+        stop[:, nan_bound] = 0
+        own = stop - start
+        coverage = own.sum(axis=0)
+        return start.sum(axis=0), stop.sum(axis=0), coverage, coverage - own
 
     def counts(self, data: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
         """Exact candidate coverage ``(size,)`` and violations ``(K, size)``.
 
         ``violations[k, c]`` counts the points in candidate c labeled other
         than k.  Both are int64 and equal the row sums of
-        `membership_matrix`.  For threshold and interval candidates the
-        coordinate-0 values of each class are sorted once and each
-        candidate costs two `np.searchsorted` lookups per class: O(n log n
-        + K * size * log n) time and O(n + K * size) memory, against the
-        dense (size, n) matrix.  A NaN coordinate is in no set, and a
-        candidate with a NaN bound contains no point.  Every candidate must
-        be an upper, lower or interval set; any other raises
-        :class:`InputError`.
+        `membership_matrix`.  Each class's coordinate-0 values are sorted
+        once, and each candidate costs two `np.searchsorted` lookups per
+        class: O(n log n + K * size * log n) time and O(n + K * size)
+        memory, with no membership row.  A NaN coordinate is in no set,
+        and a candidate with a NaN bound contains no point.  Every
+        candidate must be an upper, lower or interval set; any other
+        raises :class:`InputError`.
         """
-        for p in self.predicates:
-            if not isinstance(p, _INTERVAL_LIKE):
-                raise InputError(
-                    f"counts takes upper, lower and interval sets, "
-                    f"not {type(p).__name__}"
-                )
-        K = data.num_classes
-        x = data.features[:, 0]
-        lo, hi, open_lo = map(
-            np.array, zip(*(_interval_bounds(p) for p in self.predicates))
-        )
-        nan_bound = np.isnan(lo) | np.isnan(hi)
-        own = np.empty((K, self.size), dtype=np.int64)
-        for j in range(K):
-            # sorted last, a NaN x is above every bound, inf included
-            xs = np.sort(x[data.labels == j])
-            # #(x <= hi) - #(x <= lo); a reversed interval is empty
-            upto_hi = np.searchsorted(xs, hi, side="right")
-            upto_lo = np.searchsorted(xs, lo, side="right")
-            upto_lo[open_lo] = 0
-            own[j] = np.where(nan_bound, 0, np.maximum(upto_hi - upto_lo, 0))
-        coverage = own.sum(axis=0)
-        return coverage, coverage - own
+        _, _, coverage, violations = self._sorted_counts(data)
+        return coverage, violations
 
     @classmethod
     def upper_thresholds(cls, cuts: Sequence[float]) -> "FiniteHypothesisClass":
-        return cls("upper_threshold", tuple(UpperThresholdSet(float(c)) for c in cuts))
+        lo = np.array(cuts, dtype=np.float64).reshape(-1)
+        return cls._from_columns(
+            "upper_threshold", lo, np.full(lo.size, np.inf), np.full(lo.size, _UPPER)
+        )
 
     @classmethod
     def lower_thresholds(cls, cuts: Sequence[float]) -> "FiniteHypothesisClass":
-        return cls("lower_threshold", tuple(LowerThresholdSet(float(c)) for c in cuts))
+        hi = np.array(cuts, dtype=np.float64).reshape(-1)
+        return cls._from_columns(
+            "lower_threshold", np.full(hi.size, -np.inf), hi, np.full(hi.size, _LOWER)
+        )
 
     @classmethod
     def intervals(cls, edges: Sequence[float]) -> "FiniteHypothesisClass":
-        """All half-open intervals (lo, hi] with lo < hi drawn from ``edges``."""
-        es = sorted(float(e) for e in edges)
-        preds = [
-            IntervalSet(lo, hi) for lo, hi in itertools.combinations(es, 2)
-        ]
-        if not preds:
+        """All half-open intervals (lo, hi] with lo < hi drawn from ``edges``.
+
+        In `itertools.combinations` order of the sorted edges.
+        """
+        es = np.array(sorted(float(e) for e in edges))
+        if es.size < 2:
             raise InputError("need at least two edges to form intervals")
-        return cls("interval", tuple(preds))
+        first, second = np.triu_indices(es.size, 1)
+        return cls._from_columns(
+            "interval", es[first], es[second], np.full(first.size, _INTERVAL)
+        )
 
     @classmethod
     def union(cls, *classes: "FiniteHypothesisClass") -> "FiniteHypothesisClass":
-        preds: list = []
+        if not classes:
+            raise InputError("hypothesis class enumeration is empty")
+        others, offset = {}, 0
         for c in classes:
-            preds.extend(c.predicates)
-        return cls("union", tuple(preds))
+            others.update((offset + i, p) for i, p in c._others.items())
+            offset += c.size
+        return cls._from_columns(
+            "union",
+            np.concatenate([c.lo for c in classes]),
+            np.concatenate([c.hi for c in classes]),
+            np.concatenate([c.codes for c in classes]),
+            others,
+        )
 
 
 def canonical_cuts(x: np.ndarray) -> np.ndarray:
@@ -315,21 +426,6 @@ def _empty_solution(num_sets: int, dim: int) -> OracleSolution:
     return OracleSolution(fam, 0.0, True, chosen_indices=tuple([None] * num_sets))
 
 
-def _lazy_rows(
-    hclass: FiniteHypothesisClass, X: np.ndarray
-) -> Callable[[int], np.ndarray]:
-    """Membership row of one candidate on ``X``, computed on first use."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    cache: dict[int, np.ndarray] = {}
-
-    def row(c: int) -> np.ndarray:
-        if c not in cache:
-            cache[c] = np.asarray(hclass.predicates[c](X), dtype=bool)
-        return cache[c]
-
-    return row
-
-
 def solve_osp_exact(
     data: LabeledDataset,
     hclass: FiniteHypothesisClass,
@@ -372,6 +468,14 @@ def solve_sc_exact(
     admissible tuples the total covered mass is maximized, ties broken by
     the smallest tuple in enumeration (product) order.  Raises
     :class:`CapacityError` when ``size ** K`` exceeds ``cap``.
+
+    A candidate whose own off-class count in slot k exceeds the budget is
+    in no admissible tuple, so slot k keeps only the others.  The
+    coverage, error and disjointness tables span the kept candidates, one
+    axis per slot: at most ``size ** K`` entries, after the
+    :meth:`FiniteHypothesisClass.counts` pass.  Two sets meet on the data
+    exactly when their runs in the sorted sample overlap, so no membership
+    row is formed.
     """
     if eps < 0:
         raise InputError("eps must be nonnegative")
@@ -382,48 +486,52 @@ def solve_sc_exact(
         raise CapacityError(
             f"enumeration of {m}^{K} = {n_tuples} tuples exceeds cap {cap}"
         )
-    cov, err = hclass.counts(data)
-
-    # tuple-level tables by broadcasting one axis per class slot
-    shape = (m,) * K
-    total_cov = np.zeros(shape, dtype=np.int64)
-    total_err = np.zeros(shape, dtype=np.int64)
-    for k in range(K):
-        ax = [1] * K
-        ax[k] = m
-        total_cov = total_cov + cov.reshape(ax)
-        total_err = total_err + err[k].reshape(ax)
-
+    start, stop, cov, err = hclass._sorted_counts(data)
     budget = eps * data.n + _TOL
-    # coverage above n is impossible for disjoint tuples; error sums are
-    # exact only for disjoint tuples but over-count otherwise, so the
-    # filter never discards an admissible tuple
-    cand = np.flatnonzero(
-        ((total_err <= budget) & (total_cov <= data.n)).ravel()
-    )
-    if cand.size == 0:
+    kept = [np.flatnonzero(err[k] <= budget) for k in range(K)]
+    if any(kk.size == 0 for kk in kept):
         return _empty_solution(K, data.dim)
-    covs = total_cov.ravel()[cand]
-    order = np.lexsort((cand, -covs))
-    row = _lazy_rows(hclass, data.features)
-    for pos in order:
-        flat = cand[pos]
-        idxs = np.unravel_index(flat, shape)
-        ok = True
-        for a, b in itertools.combinations(range(K), 2):
-            if np.any(row(idxs[a]) & row(idxs[b])):
-                ok = False
-                break
-        if ok:
-            preds = [hclass.predicates[i] for i in idxs]
-            fam = DecisionSetFamily.from_predicates(preds, dim=data.dim)
-            return OracleSolution(
-                fam,
-                float(covs[pos] / data.n),
-                True,
-                chosen_indices=tuple(int(i) for i in idxs),
-            )
-    return _empty_solution(K, data.dim)
+
+    def slot(values: np.ndarray, k: int) -> np.ndarray:
+        """Slot k's kept entries of ``values`` along table axis k."""
+        ax = [1] * K
+        ax[k] = -1
+        return values[kept[k]].reshape(ax)
+
+    total_cov = reduce(np.add.outer, [cov[kk] for kk in kept])
+    total_err = reduce(np.add.outer, [err[k, kk] for k, kk in enumerate(kept)])
+    admissible = total_err <= budget
+    for a, b in itertools.combinations(range(K), 2):
+        admissible &= np.maximum(slot(start, a), slot(start, b)) >= np.minimum(
+            slot(stop, a), slot(stop, b)
+        )
+    if not admissible.any():
+        return _empty_solution(K, data.dim)
+    # kept lists ascend, so the first maximum is the smallest in product order
+    flat = np.argmax(np.where(admissible, total_cov, -1))
+    idxs = tuple(
+        int(kk[i]) for kk, i in zip(kept, np.unravel_index(flat, admissible.shape))
+    )
+    preds = [hclass.predicates[i] for i in idxs]
+    fam = DecisionSetFamily.from_predicates(preds, dim=data.dim)
+    return OracleSolution(
+        fam, float(total_cov.flat[flat] / data.n), True, chosen_indices=idxs
+    )
+
+
+def _best_within(cov: np.ndarray, viol: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """Per budget, the largest candidate with ``viol`` at most it, or -1.
+
+    Ties go to the smallest index: the first maximum of ``cov`` over the
+    candidates ``np.flatnonzero(viol <= budget)``.
+    """
+    m = cov.size
+    order = np.argsort(viol, kind="stable")
+    # one key ranks by coverage, then by smaller index
+    running = np.maximum.accumulate(cov[order] * m + (m - 1 - order))
+    reach = np.searchsorted(viol[order], budgets, side="right")
+    best = m - 1 - running[np.maximum(reach - 1, 0)] % m
+    return np.where(reach > 0, best, -1)
 
 
 def solve_osp_decoupled(
@@ -439,6 +547,13 @@ def solve_osp_decoupled(
     by subtracting all smaller-index sets.  The allocation with the best
     total coverage wins (first in grid order on ties).  The result is
     always feasible for the joint problem.
+
+    After the :meth:`FiniteHypothesisClass.counts` pass, the G
+    allocations' integer budgets are one array op, the best candidate per
+    class and budget comes from one sort of each class's violations, and
+    an allocation's union size is a sweep over its K runs in the sorted
+    sample in order of their starts: O(K size log size + G K log K) time
+    and O(K size + G K) memory, with no membership row.
     """
     if eps < 0:
         raise InputError("eps must be nonnegative")
@@ -452,42 +567,30 @@ def solve_osp_decoupled(
         if len(a) != K:
             raise InputError(f"allocation {a.shares} has {len(a)} shares, need {K}")
 
-    cov, viol = hclass.counts(data)
-    row = _lazy_rows(hclass, data.features)
-
+    start, stop, cov, viol = hclass._sorted_counts(data)
     n = data.n
-    # feasible-candidate choice depends only on the integer count budget
-    choice_cache: dict[tuple[int, int], int | None] = {}
-
-    def best_candidate(k: int, count_budget: int) -> int | None:
-        key = (k, count_budget)
-        if key not in choice_cache:
-            feas = np.flatnonzero(viol[k] <= count_budget)
-            if feas.size == 0:
-                choice_cache[key] = None
-            else:
-                choice_cache[key] = int(feas[np.argmax(cov[feas])])
-        return choice_cache[key]
-
-    best_value = -1.0
-    best_alpha = None
-    best_choice: tuple | None = None
-    for alpha in alpha_grid:
-        chosen = []
-        union = np.zeros(n, dtype=bool)
-        for k in range(K):
-            budget = int(math.floor(alpha[k] * eps * n + _TOL))
-            c = best_candidate(k, budget)
-            chosen.append(c)
-            if c is not None:
-                union = union | row(c)
-        value = float(union.sum() / n)
-        if value > best_value + _TOL:
-            best_value = value
-            best_alpha = alpha
-            best_choice = tuple(chosen)
-
-    assert best_choice is not None
+    shares = np.array([a.shares for a in alpha_grid], dtype=np.float64)
+    # the feasible-candidate choice depends only on the integer count budget
+    budgets = np.floor(shares * eps * n + _TOL).astype(np.int64)
+    chosen = np.stack(
+        [_best_within(cov, viol[k], budgets[:, k]) for k in range(K)], axis=1
+    )
+    # each allocation's sets as sorted-sample runs, by their starts; an
+    # empty set is the run [0, 0)
+    lo = np.where(chosen >= 0, start[chosen], 0)
+    hi = np.where(chosen >= 0, stop[chosen], 0)
+    order = np.argsort(lo, axis=1, kind="stable")
+    lo = np.take_along_axis(lo, order, axis=1)
+    hi = np.take_along_axis(hi, order, axis=1)
+    # each run adds its part above the furthest stop of the runs before it
+    reach = np.zeros_like(hi)
+    np.maximum.accumulate(hi[:, :-1], axis=1, out=reach[:, 1:])
+    union = np.maximum(hi - np.maximum(lo, reach), 0).sum(axis=1)
+    # values are multiples of 1/n, so the first maximum count is the first
+    # allocation whose value beats every earlier one
+    g = int(np.argmax(union))
+    best_alpha = alpha_grid[g]
+    best_choice = tuple(None if c < 0 else int(c) for c in chosen[g])
     raw_preds = tuple(
         EmptySet() if c is None else hclass.predicates[c] for c in best_choice
     )
@@ -502,7 +605,7 @@ def solve_osp_decoupled(
     fam = DecisionSetFamily.from_predicates(final_preds, dim=data.dim)
     return OracleSolution(
         fam,
-        best_value,
+        float(union[g] / n),
         True,
         alpha=best_alpha,
         raw_sets=raw_preds,

@@ -373,11 +373,12 @@ def sgda_train_grid(
 
     A step's backbone gradient is linear in d(loss)/d(features) of its
     rows, so each step adds those into one ``(n, M, width)`` buffer and a
-    landing runs the backbone backward once per model over all rows: the
-    per-batch sum up to rounding (a decay inside an interval rescales the
-    buffer).  The trailing ``epochs % backbone_update_interval`` epochs
-    (all of them when ``epochs`` is below the interval) have no update to
-    land and do no backbone work at all.
+    landing runs the backbone backward once per model over all rows, with
+    the cached features as its last layer: the per-batch sum up to
+    rounding (a decay inside an interval rescales the buffer).  The
+    trailing ``epochs % backbone_update_interval`` epochs (all of them when
+    ``epochs`` is below the interval) have no update to land and do no
+    backbone work at all.
 
     A non-finite loss aborts with a :class:`NumericError` naming the
     failing ``mu`` and carrying that run's last finite epoch
@@ -424,6 +425,9 @@ def sgda_train_grid(
     # training row; only a run that lands an update needs them
     if frozen_from:
         cot = np.zeros((n, M, stack.spec.feature_dim))
+        # one batch's rows of it, written in place: a contiguous block adds
+        # into ``cot`` faster than the matmul's model-major result
+        batch_cot = np.empty((min(config.batch_size, n), M, stack.spec.feature_dim))
     # last-layer features of every training row under the current
     # backbones: one shared matrix until the first update lands, then
     # one slice per model
@@ -468,7 +472,9 @@ def sgda_train_grid(
                 )
                 # heads step now, the backbone's step waits for the landing
                 if epoch < frozen_from:
-                    cot[idx] += np.matmul(dlogits, stack.head_w).swapaxes(0, 1)
+                    rows = batch_cot[: idx.size]
+                    np.matmul(dlogits, stack.head_w, out=rows.swapaxes(0, 1))
+                    cot[idx] += rows
                 stack.head_w -= lr_w * g_head_w
                 stack.head_b -= lr_w * g_head_b
                 # simultaneous update of slacks and multipliers
@@ -493,12 +499,16 @@ def sgda_train_grid(
             raise err from exc
         if (epoch + 1) % interval == 0:
             if feats.ndim == 2:
-                feats = np.empty((M,) + feats.shape)
+                feats = np.repeat(feats[None], M, axis=0)
             # one model at a time, like the record
             for m in range(M):
                 # model m's parameters as views: updates write into the stack
                 lone = _Stack(stack.spec, K, *_mapped(stack, lambda a: a[m]))
-                acts = _backbone(lone, data.features)
+                # the cached features are the last layer's activations
+                trunk = _Stack(
+                    stack.spec, K, lone.weights[:-1], lone.biases[:-1], None, None
+                )
+                acts = _backbone(trunk, data.features) + [feats[m]]
                 g_ws, g_bs = _backbone_grads(lone, acts, cot[:, m])
                 for p, g in zip(lone.weights + lone.biases, g_ws + g_bs):
                     p -= lr_w * g

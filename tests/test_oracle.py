@@ -7,10 +7,11 @@ vectorization slip in the real solvers shows up as a disagreement.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onesided.core import (
@@ -33,6 +34,7 @@ from onesided.oracle import (
     solve_osp_decoupled,
     solve_osp_exact,
     solve_sc_exact,
+    IntervalSet,
     LowerThresholdSet,
     UpperThresholdSet,
 )
@@ -225,6 +227,69 @@ def test_class_counts_refuse_other_predicates():
         cls.counts(data)
 
 
+def object_tuple(kind, cuts, edges, order=None):
+    """The predicate tuple a constructor built when classes held objects."""
+    upper = tuple(UpperThresholdSet(float(c)) for c in cuts)
+    lower = tuple(LowerThresholdSet(float(c)) for c in cuts)
+    es = sorted(float(e) for e in edges)
+    inter = tuple(IntervalSet(lo, hi) for lo, hi in itertools.combinations(es, 2))
+    mixed = upper + inter + lower
+    if kind == "hand":
+        return tuple(mixed[i] for i in order)
+    return {"upper": upper, "lower": lower, "interval": inter, "union": mixed}[kind]
+
+
+def same_predicate(p, q):
+    # repr, not ==: a NaN cut never equals itself
+    return type(p) is type(q) and repr(p) == repr(q)
+
+
+@given(count_instance(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_columnar_class_matches_object_tuple(inst, rnd):
+    xs, ys, K, cuts, edges, _ = inst
+    data = LabeledDataset(np.array(xs)[:, None], ys, K)
+    F = FiniteHypothesisClass
+    mixed_size = 2 * len(cuts) + math.comb(len(edges), 2)
+    order = rnd.sample(range(mixed_size), mixed_size)
+    built = {
+        "upper": F.upper_thresholds(cuts),
+        "lower": F.lower_thresholds(cuts),
+        "interval": F.intervals(edges),
+        "union": F.union(
+            F.upper_thresholds(cuts), F.intervals(edges), F.lower_thresholds(cuts)
+        ),
+        "hand": F("hand", object_tuple("hand", cuts, edges, order)),
+    }
+    for kind, cls in built.items():
+        ref = object_tuple(kind, cuts, edges, order)
+        assert cls.size == len(cls.predicates) == len(ref)
+        assert all(same_predicate(cls.predicates[c], q) for c, q in enumerate(ref))
+        assert all(same_predicate(p, q) for p, q in zip(cls.predicates, ref))
+        assert same_predicate(cls.predicates[-1], ref[-1])
+        rows = np.vstack([p(data.features) for p in ref])
+        assert np.array_equal(cls.membership_matrix(data.features), rows)
+        cov, viol = cls.counts(data)
+        off = [(rows & (data.labels != k)).sum(axis=1) for k in range(K)]
+        assert np.array_equal(cov, rows.sum(axis=1))
+        assert np.array_equal(viol, np.vstack(off))
+
+
+def test_columnar_class_keeps_other_predicates_as_given():
+    empty = EmptySet()
+    cls = FiniteHypothesisClass("mixed", (UpperThresholdSet(0.5), empty))
+    assert cls.predicates[1] is empty
+    assert cls.predicates[0] == UpperThresholdSet(0.5)
+    with pytest.raises(IndexError):
+        cls.predicates[2]
+    merged = FiniteHypothesisClass.union(FiniteHypothesisClass.lower_thresholds([0.1]), cls)
+    assert merged.predicates[2] is empty
+    with pytest.raises(InputError, match="EmptySet"):
+        solve_sc_exact(LabeledDataset([[0.2], [0.7]], [0, 1], 2), merged, 0.1)
+    with pytest.raises(InputError):
+        FiniteHypothesisClass.union()
+
+
 # ---------------------------------------------------------------------------
 # joint solve
 
@@ -336,6 +401,83 @@ def test_sc_exact_matches_naive(inst):
         assert sol.chosen_indices == ncombo
 
 
+def full_table_sc(data, cls, eps):
+    """Reference joint solve over the unpruned ``m**K`` tables.
+
+    Counts come from dense membership rows; the tables are broadcast one
+    axis per slot, the admissible-looking tuples are ordered by coverage
+    and product index with a lexsort, and the first whose rows are
+    pairwise disjoint wins.  Returns ``(value, chosen_indices)``.
+    """
+    K, m, n = data.num_classes, cls.size, data.n
+    rows = cls.membership_matrix(data.features)
+    cov = rows.sum(axis=1)
+    err = [(rows & (data.labels != k)).sum(axis=1) for k in range(K)]
+    shape = (m,) * K
+    total_cov = np.zeros(shape, dtype=np.int64)
+    total_err = np.zeros(shape, dtype=np.int64)
+    for k in range(K):
+        ax = [1] * K
+        ax[k] = m
+        total_cov = total_cov + cov.reshape(ax)
+        total_err = total_err + err[k].reshape(ax)
+    cand = np.flatnonzero(((total_err <= eps * n + 1e-9) & (total_cov <= n)).ravel())
+    covs = total_cov.ravel()[cand]
+    for pos in np.lexsort((cand, -covs)):
+        idxs = np.unravel_index(cand[pos], shape)
+        if not any(
+            (rows[idxs[a]] & rows[idxs[b]]).any()
+            for a, b in itertools.combinations(range(K), 2)
+        ):
+            return float(covs[pos] / n), tuple(int(i) for i in idxs)
+    return 0.0, (None,) * K
+
+
+# Values from a small pool make duplicate cuts, ties and equal coordinates
+# common; NaN and infinite coordinates lie in the pool too.
+SC_POOL = (0.0, 0.2, 0.5, 0.8, 1.0, -np.inf, np.inf, float("nan"))
+
+
+@st.composite
+def pruned_sc_instance(draw):
+    K = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=14))
+    value = st.one_of(st.sampled_from(SC_POOL), st.floats(min_value=-0.5, max_value=1.5))
+    xs = draw(st.lists(value, min_size=n, max_size=n))
+    ys = draw(
+        st.lists(st.integers(min_value=0, max_value=K - 1), min_size=n, max_size=n)
+    )
+    cut = st.one_of(st.sampled_from(xs), value)
+    size = {2: 4, 3: 3, 4: 2}[K]
+    cuts = draw(st.lists(cut, min_size=1, max_size=size))
+    edges = draw(st.lists(cut, min_size=2, max_size=size + 1))
+    kind = draw(st.sampled_from(["upper", "lower", "interval", "union"]))
+    eps = draw(st.sampled_from([0.0, 0.0, 0.1, 0.25, 1.0]))
+    return xs, ys, K, cuts, edges, kind, eps
+
+
+@given(pruned_sc_instance())
+@settings(max_examples=200, deadline=None)
+# eps 0: every class-0 candidate covers a point of another class, so slot 0
+# keeps no candidate at all
+@example(([0.1, 0.5, 0.9], [0, 1, 2], 3, [0.0, 0.3], [0.0, 1.0], "upper", 0.0))
+def test_sc_exact_matches_full_table_reference(inst):
+    xs, ys, K, cuts, edges, kind, eps = inst
+    data = LabeledDataset(np.array(xs)[:, None], ys, K)
+    F = FiniteHypothesisClass
+    cls = {
+        "upper": lambda: F.upper_thresholds(cuts),
+        "lower": lambda: F.lower_thresholds(cuts),
+        "interval": lambda: F.intervals(edges),
+        "union": lambda: F.union(F.upper_thresholds(cuts), F.lower_thresholds(cuts)),
+    }[kind]()
+    sol = solve_sc_exact(data, cls, eps)
+    value, chosen = full_table_sc(data, cls, eps)
+    assert sol.feasible
+    assert sol.value == value
+    assert sol.chosen_indices == chosen
+
+
 def test_sc_exact_recovers_full_coverage_at_plain_risk():
     # at a budget equal to the best plain classifier's risk, predicting
     # everywhere with that classifier is admissible: coverage 1
@@ -440,6 +582,97 @@ def test_decoupled_is_always_feasible_and_disjoint():
         m = evaluate(sol.family, data)
         assert m.raw_error <= eps + 1e-9
         assert abs(m.coverage - sol.value) < 1e-12
+
+
+def loop_decoupled(data, cls, eps, grid):
+    """Reference budget sweep: one pass per allocation over dense rows.
+
+    Returns ``(value, alpha, chosen_indices)`` of the first allocation whose
+    union coverage beats every earlier one.
+    """
+    n, K = data.n, data.num_classes
+    rows = cls.membership_matrix(data.features)
+    cov = rows.sum(axis=1)
+    best = (-1.0, None, None)
+    for alpha in grid:
+        chosen = []
+        union = np.zeros(n, dtype=bool)
+        for k in range(K):
+            budget = int(math.floor(alpha[k] * eps * n + 1e-9))
+            viol = (rows & (data.labels != k)).sum(axis=1)
+            feas = np.flatnonzero(viol <= budget)
+            c = None if feas.size == 0 else int(feas[np.argmax(cov[feas])])
+            chosen.append(c)
+            if c is not None:
+                union |= rows[c]
+        value = float(union.sum() / n)
+        if value > best[0] + 1e-9:
+            best = (value, alpha, tuple(chosen))
+    return best
+
+
+@st.composite
+def sweep_instance(draw):
+    K = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=40))
+    value = st.one_of(st.sampled_from(SC_POOL), st.floats(min_value=-0.5, max_value=1.5))
+    xs = draw(st.lists(value, min_size=n, max_size=n))
+    ys = draw(
+        st.lists(st.integers(min_value=0, max_value=K - 1), min_size=n, max_size=n)
+    )
+    cut = st.one_of(st.sampled_from(xs), value)
+    cuts = draw(st.lists(cut, min_size=1, max_size=8))
+    edges = draw(st.lists(cut, min_size=2, max_size=5))
+    eps = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3]))
+    grid = draw(st.sampled_from(["budget", "default"]))
+    return xs, ys, K, cuts, edges, eps, grid
+
+
+@given(sweep_instance())
+@settings(max_examples=150, deadline=None)
+# every candidate covers the one point, labeled 1: class 0 gets no set
+@example(([0.5], [1], 2, [0.0], [0.0, 1.0], 0.0, "budget"))
+def test_decoupled_matches_per_allocation_loop(inst):
+    xs, ys, K, cuts, edges, eps, grid_kind = inst
+    data = LabeledDataset(np.array(xs)[:, None], ys, K)
+    F = FiniteHypothesisClass
+    cls = F.union(F.upper_thresholds(cuts), F.intervals(edges), F.lower_thresholds(cuts))
+    if grid_kind == "budget":
+        grid = budget_alpha_grid(eps, data.n, K)
+    else:
+        grid = default_alpha_grid(K)
+    sol = solve_osp_decoupled(data, cls, eps, grid)
+    value, alpha, chosen = loop_decoupled(data, cls, eps, grid)
+    assert sol.value == value
+    assert sol.alpha == alpha
+    assert sol.chosen_indices == chosen
+    want = [EmptySet() if c is None else cls.predicates[c] for c in chosen]
+    assert all(same_predicate(p, q) for p, q in zip(sol.raw_sets, want))
+    assert len(sol.raw_sets) == K
+
+
+def test_decoupled_sweep_forms_no_membership_rows():
+    # 40,002 candidates over 20,000 points and 401 allocations: cached
+    # membership rows alone would take about 17 MB
+    data = sample_analytic_example(20_000, seed=5)
+    cuts = canonical_cuts(data.features[:, 0])
+    cls = FiniteHypothesisClass.union(
+        FiniteHypothesisClass.upper_thresholds(cuts),
+        FiniteHypothesisClass.lower_thresholds(cuts),
+    )
+    grid = budget_alpha_grid(0.02, data.n, 2)
+    assert cls.size == 40_002 and len(grid) == 401
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sol = solve_osp_decoupled(data, cls, 0.02, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sol.value == 0.282
+    assert sol.chosen_indices == (16549, 22190)
+    assert peak < 8e6
 
 
 def test_decoupled_analytic_instance_near_optimal():
