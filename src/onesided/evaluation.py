@@ -12,9 +12,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import DecisionSetFamily, InputError, LabeledDataset, evaluate
+from .core import DecisionSetFamily, InputError, LabeledDataset
 from .net import SelectiveModel, forward_batch
-from .select import SelectionGrid, evaluate_grid, harden, pick_error_constrained
+from .select import (
+    SelectionGrid,
+    _threshold_counts,
+    evaluate_grid,
+    pick_error_constrained,
+)
 
 __all__ = [
     "CurvePoint",
@@ -81,12 +86,20 @@ def coverage_error_curve(
     forward pass and one sort per model and class); its mu and t values
     must be those of ``models`` and ``t_values``.  A target no grid cell satisfies
     yields a point built from the fallback cell with ``feasible`` False.
+
+    Each distinct chosen model is scored on ``test`` once, and its points
+    read the hardened counts at every grid threshold from its sorted top
+    scores, as `evaluate_grid` does.  Coverage and error are integer
+    counts over ``test.n``, so every point equals `evaluate` of the
+    `harden`-ed chosen cell exactly.
     """
     targets = [float(e) for e in targets]
     if not targets:
         raise InputError("curve needs at least one target error")
     if any(b < a for a, b in zip(targets, targets[1:])):
         raise InputError("target errors must be sorted ascending")
+    if test.n == 0:
+        raise InputError("cannot evaluate on an empty dataset")
     if grid is None:
         grid = evaluate_grid(models, t_values, val)
     elif (grid.mu_values, grid.t_values) != (
@@ -94,14 +107,27 @@ def coverage_error_curve(
         tuple(float(t) for t in t_values),
     ):
         raise InputError("the given grid does not match the models and thresholds")
+    counts = {}
     points = []
     for eps in targets:
         res = pick_error_constrained(grid, eps)
-        metrics = evaluate(harden(models[res.mu_star], res.t_star), test)
+        if res.mu_index not in counts:
+            model = models[res.mu_star]
+            if model.num_classes != test.num_classes:
+                raise InputError(
+                    f"model for mu={res.mu_star} has {model.num_classes} classes "
+                    f"but the test data has {test.num_classes}"
+                )
+            counts[res.mu_index] = _threshold_counts(
+                forward_batch(model, test.features),
+                test.labels,
+                np.asarray(grid.t_values),
+            )
+        covered, wrong = counts[res.mu_index]
         points.append(
             CurvePoint(
-                achieved_error=metrics.raw_error,
-                achieved_coverage=metrics.coverage,
+                achieved_error=wrong[res.t_index].sum() / test.n,
+                achieved_coverage=covered[res.t_index] / test.n,
                 target_error=eps,
                 method=method,
                 feasible=res.feasible,

@@ -466,31 +466,32 @@ def solve_sc_exact(
     A tuple is admissible when its sets share no data point and the total
     count of covered-but-mislabeled points stays within ``eps * n``.  Among
     admissible tuples the total covered mass is maximized, ties broken by
-    the smallest tuple in enumeration (product) order.  Raises
-    :class:`CapacityError` when ``size ** K`` exceeds ``cap``.
+    the smallest tuple in enumeration (product) order.
 
     A candidate whose own off-class count in slot k exceeds the budget is
     in no admissible tuple, so slot k keeps only the others.  The
     coverage, error and disjointness tables span the kept candidates, one
-    axis per slot: at most ``size ** K`` entries, after the
-    :meth:`FiniteHypothesisClass.counts` pass.  Two sets meet on the data
-    exactly when their runs in the sorted sample overlap, so no membership
-    row is formed.
+    axis per slot: the product of the kept-list sizes, at most
+    ``size ** K`` entries, after the :meth:`FiniteHypothesisClass.counts`
+    pass.  Raises :class:`CapacityError` when that product exceeds
+    ``cap``.  Two sets meet on the data exactly when their runs in the
+    sorted sample overlap, so no membership row is formed.
     """
     if eps < 0:
         raise InputError("eps must be nonnegative")
     K = data.num_classes
-    m = hclass.size
-    n_tuples = m**K
-    if n_tuples > cap:
-        raise CapacityError(
-            f"enumeration of {m}^{K} = {n_tuples} tuples exceeds cap {cap}"
-        )
     start, stop, cov, err = hclass._sorted_counts(data)
     budget = eps * data.n + _TOL
     kept = [np.flatnonzero(err[k] <= budget) for k in range(K)]
     if any(kk.size == 0 for kk in kept):
         return _empty_solution(K, data.dim)
+    sizes = [kk.size for kk in kept]
+    n_tuples = math.prod(sizes)
+    if n_tuples > cap:
+        raise CapacityError(
+            f"tables over the kept candidates, {' x '.join(map(str, sizes))} "
+            f"= {n_tuples} tuples, exceed cap {cap}"
+        )
 
     def slot(values: np.ndarray, k: int) -> np.ndarray:
         """Slot k's kept entries of ``values`` along table axis k."""

@@ -165,32 +165,55 @@ def class_terms(probs, labels, fit_w=None, leak_w=None, restricted=True) -> Clas
     ``dprobs`` are class-major too and the row sums run along contiguous
     memory.  Row-major scores give the same terms up to the rounding of
     those sums.
+
+    The pass allocates three score-sized arrays and writes every later step
+    into one of them, the last becoming ``dprobs``: at 10^4 rows a fresh
+    array per numpy op costs more in page faults than in arithmetic.  The
+    row masks therefore apply as products, so a NaN score makes both of its
+    class's terms NaN, and its own ``dprobs`` entry too.
     """
     n, K = probs.shape[-2:]
     own = (labels == np.arange(K)[:, None]).T
+    other = ~own
     n_own = np.bincount(labels, minlength=K)
-    if restricted:
-        fit_rows, n_fit = own, n_own
-    else:
-        fit_rows, n_fit = np.ones_like(own), np.full(K, n)
-    leak_rows, n_leak = ~own, n - n_own
+    n_fit = n_own if restricted else np.full(K, n)
+    n_leak = n - n_own
     # absent columns have no rows to divide over
     d_fit = np.maximum(n_fit, 1)
     d_leak = np.maximum(n_leak, 1)
-    p = _clamped(probs)
-    q = _clamped(1.0 - probs)
-    # one log per entry: own rows fit, the other rows leak
-    nll = -np.log(np.where(own, p, q))
-    fit_nll = nll if restricted else -np.log(p)
-    fit = np.where(fit_rows, fit_nll, 0.0).sum(axis=-2) / d_fit
-    leak = np.where(leak_rows, nll, 0.0).sum(axis=-2) / d_leak
+    # one clipped score per entry: p on own rows, 1 - p on the others
+    nll = np.subtract(1.0, probs)
+    s = np.where(own, probs, nll)
+    np.clip(s, PROB_FLOOR, 1.0 - PROB_FLOOR, out=s)
+    np.log(s, out=nll)
+    np.negative(nll, out=nll)
+    # each row sum reads a masked product, written into one reused buffer
+    if restricted:
+        buf = np.multiply(nll, own)
+    else:
+        buf = _clamped(probs)
+        np.log(buf, out=buf)
+        np.negative(buf, out=buf)
+    fit = buf.sum(axis=-2) / d_fit
+    np.multiply(nll, other, out=nll)
+    leak = nll.sum(axis=-2) / d_leak
     dprobs = None
     if fit_w is not None or leak_w is not None:
         fit_w, leak_w = _per_row(fit_w), _per_row(leak_w)
-        interior = (probs > PROB_FLOOR) & (probs < 1.0 - PROB_FLOOR)
-        dprobs = np.where(fit_rows & interior, -fit_w / (d_fit * p), 0.0) + np.where(
-            leak_rows & interior, leak_w / (d_leak * q), 0.0
-        )
+        # -fit_w / (d_fit p) on the fit rows plus leak_w / (d_leak (1 - p))
+        # on the others, in the two buffers the sums are done with
+        np.multiply(s if restricted else _clamped(probs), d_fit, out=buf)
+        np.divide(-fit_w, buf, out=buf)
+        if restricted:
+            buf *= own
+        np.multiply(s, d_leak, out=nll)
+        np.divide(leak_w, nll, out=nll)
+        nll *= other
+        dprobs = buf
+        dprobs += nll
+        dprobs *= (probs > PROB_FLOOR) & (probs < 1.0 - PROB_FLOOR)
+        # the product gives -0.0 where a negative entry is clamped
+        dprobs += 0.0
     return ClassTerms(fit, leak, n_fit == 0, n_leak == 0, dprobs)
 
 
@@ -437,7 +460,8 @@ def sgda_train_grid(
         # one model at a time: a stacked pass would hold M (n, K) score
         # matrices at once
         for m, log in enumerate(records):
-            probs = _head(stack.model(m), feats if feats.ndim == 2 else feats[m])
+            head = _Stack(stack.spec, K, None, None, stack.head_w[m], stack.head_b[m])
+            probs = _head(head, feats if feats.ndim == 2 else feats[m])
             terms = class_terms(probs, data.labels, restricted=config.restricted)
             log.append(
                 EpochRecord(

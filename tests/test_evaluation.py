@@ -12,7 +12,7 @@ from onesided.evaluation import (
     osp_overlap,
     sr_baseline,
 )
-from onesided.net import BackboneSpec, forward_batch, init_model
+from onesided.net import BackboneSpec, SelectiveModel, forward_batch, init_model
 from onesided.select import evaluate_grid, harden, pick_error_constrained
 
 
@@ -97,6 +97,42 @@ def test_curve_matches_single_selection_route():
         assert point.method == "osp"
 
 
+def test_curve_points_equal_direct_evaluation_of_the_chosen_cell():
+    # the test side comes from sorted counts, one scoring per chosen model;
+    # each point must still equal evaluate(harden(...)) exactly, with NaN
+    # scores, scores exactly at t, and targets that share a model
+    spec = BackboneSpec((1, 1), activation="identity")
+    models = {
+        mu: SelectiveModel(
+            spec, 2, [np.eye(1)], [np.zeros(1)], np.array([[a], [-a]]), np.zeros(2)
+        )
+        for mu, a in ((0.1, 0.5), (1.0, 2.0), (4.0, 8.0))
+    }
+    rng = np.random.default_rng(0)
+
+    def split(n):
+        x = rng.normal(size=n)
+        y = (x + rng.normal(scale=0.5, size=n) < 0).astype(int)
+        x[:20] = 0.0  # equal logits: the top score is exactly 1/2
+        x[20:25] = np.nan
+        return LabeledDataset(x[:, None], y, 2)
+
+    val, test = split(300), split(300)
+    ts = (0.0, 0.5, 0.6, 0.9, 0.99)
+    targets = (0.0, 0.05, 0.05, 0.1, 0.3, 1.0)
+    grid = evaluate_grid(models, ts, val)
+    with mock.patch("onesided.evaluation.forward_batch", wraps=forward_batch) as scored:
+        points = coverage_error_curve(models, ts, val, test, targets, grid=grid)
+    picks = [pick_error_constrained(grid, eps) for eps in targets]
+    assert scored.call_count == len({r.mu_star for r in picks}) < len(targets)
+    assert any(r.t_star == 0.5 for r in picks)
+    for res, point in zip(picks, points):
+        metrics = evaluate(harden(models[res.mu_star], res.t_star), test)
+        assert point.achieved_coverage == metrics.coverage
+        assert point.achieved_error == metrics.raw_error
+        assert point.feasible == res.feasible
+
+
 def test_curve_reuses_given_grid():
     models, ts, val, test = curve_setup(6)
     targets = (0.05, 0.3)
@@ -122,6 +158,17 @@ def test_curve_rejects_unsorted_or_empty_targets():
         coverage_error_curve(models, ts, val, test, [0.2, 0.1])
     with pytest.raises(InputError):
         coverage_error_curve(models, ts, val, test, [])
+
+
+def test_curve_rejects_test_data_it_cannot_score():
+    models, ts, val, _ = curve_setup(7)
+    rng = np.random.default_rng(8)
+    four = LabeledDataset(rng.normal(size=(40, 2)), rng.integers(0, 4, size=40), 4)
+    with pytest.raises(InputError, match="classes"):
+        coverage_error_curve(models, ts, val, four, [0.1])
+    empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 3)
+    with pytest.raises(InputError, match="empty"):
+        coverage_error_curve(models, ts, val, empty, [0.1])
 
 
 def test_curve_propagates_infeasibility():

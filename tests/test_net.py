@@ -5,10 +5,13 @@ loss values that this file evaluates through its own numpy formulas, so
 the analytic chain in ``backward`` is checked end to end.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onesided.core import FormatError, InputError, LabeledDataset, NumericError
 from onesided.net import (
@@ -119,6 +122,44 @@ def test_forward_dim_mismatch():
     model = small_model()
     with pytest.raises(InputError):
         forward_batch(model, np.array([[1.0, 2.0]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    activation=st.sampled_from(["relu", "tanh", "identity"]),
+    hidden=st.lists(st.integers(1, 12), max_size=2),
+    K=st.integers(1, 10),
+    n=st.one_of(st.just(1), st.integers(2, 300)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_batch_equals_training_forward_pass(activation, hidden, K, n, seed):
+    # inference keeps one activation at a time; its scores must hold the
+    # bits, and the class-major layout, of the pass training differentiates
+    rng = np.random.default_rng(seed)
+    model = init_model(BackboneSpec((3, *hidden, 4), activation), K, rng)
+    for b in model.biases + [model.head_b]:
+        b[...] = rng.normal(size=b.shape)
+    X = rng.normal(size=(n, 3)) * rng.choice([1.0, 10.0])
+    probs = forward_batch(model, X)
+    want = _forward_pass(model, X)[1]
+    assert probs.tobytes() == want.tobytes()
+    assert probs.strides == want.strides
+
+
+def test_forward_batch_holds_one_activation_at_a_time():
+    # every step writes into an array it already owns, and only the running
+    # activation stays alive: the peak is about the two widest activations
+    n = 9_600
+    model = init_model(BackboneSpec((2, 32, 16)), 10, seed=0)
+    X = np.random.default_rng(1).normal(size=(n, 2))
+    forward_batch(model, X)
+    tracemalloc.start()
+    try:
+        forward_batch(model, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * (32 + 16) * 8
 
 
 # ---------------------------------------------------------------------------

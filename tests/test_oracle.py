@@ -191,35 +191,6 @@ def count_instance(draw):
     return xs, ys, K, cuts, edges, kind
 
 
-def dense_counts(cls, data):
-    M = cls.membership_matrix(data.features)
-    viol = [(M & (data.labels != k)).sum(axis=1) for k in range(data.num_classes)]
-    return M.sum(axis=1), np.vstack(viol)
-
-
-@given(count_instance())
-@settings(max_examples=150, deadline=None)
-def test_class_counts_equal_membership_row_sums(inst):
-    xs, ys, K, cuts, edges, kind = inst
-    data = LabeledDataset(np.array(xs)[:, None], ys, K)
-    classes = {
-        "upper": lambda: FiniteHypothesisClass.upper_thresholds(cuts),
-        "lower": lambda: FiniteHypothesisClass.lower_thresholds(cuts),
-        "interval": lambda: FiniteHypothesisClass.intervals(edges),
-        "union": lambda: FiniteHypothesisClass.union(
-            FiniteHypothesisClass.upper_thresholds(cuts),
-            FiniteHypothesisClass.intervals(edges),
-            FiniteHypothesisClass.lower_thresholds(cuts),
-        ),
-    }
-    cls = classes[kind]()
-    cov, viol = cls.counts(data)
-    want_cov, want_viol = dense_counts(cls, data)
-    assert cov.dtype == np.int64 and viol.dtype == np.int64
-    assert np.array_equal(cov, want_cov)
-    assert np.array_equal(viol, want_viol)
-
-
 def test_class_counts_refuse_other_predicates():
     data = LabeledDataset(np.array([[0.1], [0.4], [0.9]]), [0, 1, 0], 2)
     cls = FiniteHypothesisClass("mixed", (UpperThresholdSet(0.5), EmptySet()))
@@ -270,6 +241,7 @@ def test_columnar_class_matches_object_tuple(inst, rnd):
         rows = np.vstack([p(data.features) for p in ref])
         assert np.array_equal(cls.membership_matrix(data.features), rows)
         cov, viol = cls.counts(data)
+        assert cov.dtype == np.int64 and viol.dtype == np.int64
         off = [(rows & (data.labels != k)).sum(axis=1) for k in range(K)]
         assert np.array_equal(cov, rows.sum(axis=1))
         assert np.array_equal(viol, np.vstack(off))
@@ -327,6 +299,23 @@ def test_sc_exact_cap():
     with pytest.raises(CapacityError) as ei:
         solve_sc_exact(data, cls, eps=0.5, cap=10_000)
     assert "10000" in str(ei.value)
+
+
+def test_sc_exact_cap_counts_only_the_kept_candidates():
+    # 4,002 candidates make 16.0M unpruned tuples, past the default cap, but
+    # the budget keeps 645 x 600 of them
+    data = sample_analytic_example(2000, seed=1)
+    cuts = canonical_cuts(data.features[:, 0])
+    cls = FiniteHypothesisClass.union(
+        FiniteHypothesisClass.upper_thresholds(cuts),
+        FiniteHypothesisClass.lower_thresholds(cuts),
+    )
+    assert cls.size**2 > 10_000_000
+    sol = solve_sc_exact(data, cls, eps=0.04)
+    assert sol.value == 0.385
+    assert sol.chosen_indices == (1594, 2365)
+    with pytest.raises(CapacityError, match="645 x 600 = 387000"):
+        solve_sc_exact(data, cls, eps=0.04, cap=387_000 - 1)
 
 
 def naive_sc(data, cls, eps):
