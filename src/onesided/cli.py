@@ -31,9 +31,9 @@ from .oracle import (
     solve_sc_exact,
 )
 from .pipeline import (
-    CURVE_COLUMNS,
     GRID_COLUMNS,
     _log_to_doc,
+    _write_curve,
     _write_json,
     _write_table,
     load_config,
@@ -210,11 +210,7 @@ def _cmd_curve(args) -> int:
     test = ingest_csv(args.test, num_classes)
     ts = _threshold_values(args)
     points = coverage_error_curve(models, ts, val, test, args.targets)
-    rows = [
-        [p.target_error, p.achieved_error, p.achieved_coverage, p.feasible, p.method]
-        for p in points
-    ]
-    _write_table(Path(args.out), CURVE_COLUMNS, rows)
+    _write_curve(Path(args.out), points)
     print(f"wrote {len(points)} curve points to {args.out}")
     if all(p.feasible for p in points):
         return 0

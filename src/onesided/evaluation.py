@@ -75,7 +75,6 @@ def coverage_error_curve(
     val: LabeledDataset,
     test: LabeledDataset,
     targets: Sequence[float],
-    method: str = "osp",
     grid: SelectionGrid | None = None,
 ) -> list[CurvePoint]:
     """Select at each target error on ``val`` and measure on ``test``.
@@ -129,7 +128,7 @@ def coverage_error_curve(
                 achieved_error=wrong[res.t_index].sum() / test.n,
                 achieved_coverage=covered[res.t_index] / test.n,
                 target_error=eps,
-                method=method,
+                method="osp",
                 feasible=res.feasible,
             )
         )

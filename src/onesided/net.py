@@ -13,6 +13,10 @@ the per-class loss means (over rows) then run along contiguous memory
 instead of one short K-long stretch at a time.  The backbone's activations
 stay row-major.
 
+The shared kernels take parameter arrays, not models: ``_backbone`` any
+run of layers, ``_head`` one set of heads or a stack of them with a
+leading model axis, which is how the trainer steps a grid's heads at once.
+
 The kernels write in place: after each matmul, the bias, activation and
 softmax steps overwrite its output instead of allocating a fresh array
 per numpy op, and ``forward_batch`` holds only the running activation,
@@ -168,20 +172,21 @@ def _layer(h: np.ndarray, W: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray
     return a
 
 
-def _backbone(model, X: np.ndarray) -> list:
-    """Per-layer activations, input first; the last is the feature matrix.
+def _backbone(weights: list, biases: list, kind: str, X: np.ndarray) -> list:
+    """Per-layer activations of the given layers, input first.
 
+    Given every layer of a model, the last is its feature matrix.
     Parameters may carry a leading model axis (``W`` of shape ``(M, out,
     in)``); the activations then gain it too, one slice per model, each
     computed exactly as for that model alone.
     """
     acts = [X]
-    for W, b in zip(model.weights, model.biases):
-        acts.append(_layer(acts[-1], W, b, model.spec.activation))
+    for W, b in zip(weights, biases):
+        acts.append(_layer(acts[-1], W, b, kind))
     return acts
 
 
-def _head(model, feat: np.ndarray) -> np.ndarray:
+def _head(head_w: np.ndarray, head_b: np.ndarray, feat: np.ndarray) -> np.ndarray:
     """Softmax class scores of last-layer features (stacked like ``_backbone``).
 
     The ``(..., n, K)`` result is stored class-major: it is the transposed
@@ -190,8 +195,8 @@ def _head(model, feat: np.ndarray) -> np.ndarray:
     row-major layout would walk both one short K-long stretch at a time.
     Every step after the matmul writes into the logits array.
     """
-    logits = np.matmul(model.head_w, feat.swapaxes(-1, -2))
-    logits += model.head_b[..., :, None]
+    logits = np.matmul(head_w, feat.swapaxes(-1, -2))
+    logits += head_b[..., :, None]
     logits -= logits.max(axis=-2, keepdims=True)
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-2, keepdims=True)
@@ -200,8 +205,8 @@ def _head(model, feat: np.ndarray) -> np.ndarray:
 
 def _forward_pass(model: SelectiveModel, X: np.ndarray):
     """Returns (per-layer activations, softmax probabilities)."""
-    acts = _backbone(model, X)
-    return acts, _head(model, acts[-1])
+    acts = _backbone(model.weights, model.biases, model.spec.activation, X)
+    return acts, _head(model.head_w, model.head_b, acts[-1])
 
 
 def _check_batch(model: SelectiveModel, X: np.ndarray) -> np.ndarray:
@@ -222,7 +227,7 @@ def forward_batch(model: SelectiveModel, X: np.ndarray) -> np.ndarray:
     h = _check_batch(model, X)
     for W, b in zip(model.weights, model.biases):
         h = _layer(h, W, b, model.spec.activation)
-    return _head(model, h)
+    return _head(model.head_w, model.head_b, h)
 
 
 class LossSpec(Protocol):

@@ -105,9 +105,8 @@ class DifferenceSet:
         return out
 
 
-# kind code of each columnar candidate; _OTHER marks a hand-built predicate
-# of another type, which `counts` refuses
-_UPPER, _LOWER, _INTERVAL, _OTHER = 0, 1, 2, 3
+# kind code of each columnar candidate
+_UPPER, _LOWER, _INTERVAL = 0, 1, 2
 
 
 def _columns_of(p) -> tuple[float, float, int]:
@@ -118,7 +117,10 @@ def _columns_of(p) -> tuple[float, float, int]:
         return -np.inf, p.cut, _LOWER
     if isinstance(p, IntervalSet):
         return p.lo, p.hi, _INTERVAL
-    return np.nan, np.nan, _OTHER
+    raise InputError(
+        f"a hypothesis class takes upper, lower and interval sets, "
+        f"not {type(p).__name__}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -149,24 +151,22 @@ class FiniteHypothesisClass:
     kind code each.  ``predicates`` is a sequence view that builds the
     `UpperThresholdSet`, `LowerThresholdSet` or `IntervalSet` of a
     candidate when it is read.  A class built from a tuple of predicates
-    is converted to columns once; a predicate of any other type is kept
-    as given, and `counts` and the solvers refuse the class.
+    is converted to columns once; a predicate of any other type raises
+    :class:`InputError`.
     """
 
     def __init__(self, kind: str, predicates: Sequence[Callable]):
-        preds = tuple(predicates)
-        cols = [_columns_of(p) for p in preds]
+        cols = [_columns_of(p) for p in predicates]
         lo, hi, codes = zip(*cols) if cols else ((), (), ())
-        others = {c: p for c, p in enumerate(preds) if codes[c] == _OTHER}
-        self._set(kind, lo, hi, codes, others)
+        self._set(kind, lo, hi, codes)
 
     @classmethod
-    def _from_columns(cls, kind, lo, hi, codes, others=None) -> "FiniteHypothesisClass":
+    def _from_columns(cls, kind, lo, hi, codes) -> "FiniteHypothesisClass":
         self = cls.__new__(cls)
-        self._set(kind, lo, hi, codes, others or {})
+        self._set(kind, lo, hi, codes)
         return self
 
-    def _set(self, kind, lo, hi, codes, others) -> None:
+    def _set(self, kind, lo, hi, codes) -> None:
         if len(codes) == 0:
             raise InputError("hypothesis class enumeration is empty")
         self.kind = kind
@@ -176,7 +176,6 @@ class FiniteHypothesisClass:
         self.open_lo = self.codes == _LOWER
         for a in (self.lo, self.hi, self.codes, self.open_lo):
             a.setflags(write=False)
-        self._others = others
 
     def __repr__(self) -> str:
         return f"FiniteHypothesisClass(kind={self.kind!r}, size={self.size})"
@@ -200,9 +199,7 @@ class FiniteHypothesisClass:
             return UpperThresholdSet(float(self.lo[c]))
         if code == _LOWER:
             return LowerThresholdSet(float(self.hi[c]))
-        if code == _INTERVAL:
-            return IntervalSet(float(self.lo[c]), float(self.hi[c]))
-        return self._others[c]
+        return IntervalSet(float(self.lo[c]), float(self.hi[c]))
 
     def membership_matrix(self, X: np.ndarray) -> np.ndarray:
         """(size, n) boolean candidate-by-point membership.
@@ -225,12 +222,6 @@ class FiniteHypothesisClass:
         inf included, so it is in no set; a reversed interval and a
         candidate with a NaN bound get empty runs.
         """
-        if self._others:
-            p = self._others[min(self._others)]
-            raise InputError(
-                f"counts takes upper, lower and interval sets, "
-                f"not {type(p).__name__}"
-            )
         x = data.features[:, 0]
         by_class = [np.sort(x[data.labels == k]) for k in range(data.num_classes)]
         start = np.stack(
@@ -255,9 +246,7 @@ class FiniteHypothesisClass:
         once, and each candidate costs two `np.searchsorted` lookups per
         class: O(n log n + K * size * log n) time and O(n + K * size)
         memory, with no membership row.  A NaN coordinate is in no set,
-        and a candidate with a NaN bound contains no point.  Every
-        candidate must be an upper, lower or interval set; any other
-        raises :class:`InputError`.
+        and a candidate with a NaN bound contains no point.
         """
         _, _, coverage, violations = self._sorted_counts(data)
         return coverage, violations
@@ -294,16 +283,11 @@ class FiniteHypothesisClass:
     def union(cls, *classes: "FiniteHypothesisClass") -> "FiniteHypothesisClass":
         if not classes:
             raise InputError("hypothesis class enumeration is empty")
-        others, offset = {}, 0
-        for c in classes:
-            others.update((offset + i, p) for i, p in c._others.items())
-            offset += c.size
         return cls._from_columns(
             "union",
             np.concatenate([c.lo for c in classes]),
             np.concatenate([c.hi for c in classes]),
             np.concatenate([c.codes for c in classes]),
-            others,
         )
 
 

@@ -20,8 +20,6 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .core import InputError, Metrics, evaluate
 from .data import SyntheticSpec, ingest_csv, split_dataset, synthesize
 from .evaluation import coverage_error_curve, osp_overlap
@@ -29,6 +27,7 @@ from .net import BackboneSpec, serialize, warm_start
 from .select import (
     SelectionCriterion,
     SelectionResult,
+    default_threshold_grid,
     evaluate_grid,
     harden,
     quick_mu_grid,
@@ -90,7 +89,7 @@ class RunConfig:
     train: TrainConfig = TrainConfig(mu=1.0)
     criterion: SelectionCriterion = SelectionCriterion("error", 0.05)
     mu_grid: tuple[float, ...] = quick_mu_grid()
-    t_grid: tuple[float, ...] = tuple(np.linspace(0.0, 1.0, 100))
+    t_grid: tuple[float, ...] = default_threshold_grid()
     curve_targets: tuple[float, ...] | None = None
     workers: int = 1
 
@@ -279,6 +278,14 @@ def _write_table(path: Path, columns: tuple, rows: list) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_curve(path: Path, points) -> None:
+    rows = [
+        [p.target_error, p.achieved_error, p.achieved_coverage, p.feasible, p.method]
+        for p in points
+    ]
+    _write_table(path, CURVE_COLUMNS, rows)
+
+
 def _log_to_doc(mu: float, log: TrainingLog) -> dict:
     return {"mu": float(mu), "records": [_plain(r) for r in log.records]}
 
@@ -424,20 +431,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                     grid=grid,
                 )
             )
-            _write_table(
-                out / "curve.csv",
-                CURVE_COLUMNS,
-                [
-                    [
-                        p.target_error,
-                        p.achieved_error,
-                        p.achieved_coverage,
-                        p.feasible,
-                        p.method,
-                    ]
-                    for p in curve
-                ],
-            )
+            _write_curve(out / "curve.csv", curve)
             files["curve"] = "curve.csv"
             completed.append(stage)
     except Exception as exc:

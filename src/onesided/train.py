@@ -25,9 +25,11 @@ gradient is linear in its features' cotangent, so the steps only sum
 those cotangents per row and each landing runs one backward over all
 rows.  The trailing epochs past the last landing skip even the sum.
 
-A grid of budget prices trains in lockstep: `sgda_train_grid` holds the
-M runs as one stack of parameters, multipliers and slacks with a leading
-mu axis, and `sgda_train` is its one-price case.
+A grid of budget prices trains in lockstep: `sgda_train_grid` holds one
+model per price, and stacks only what every step touches, the heads,
+multipliers and slacks, with a leading mu axis.  Each model's heads are
+views of its slice of that stack; its backbone is its own and lands one
+model at a time.  `sgda_train` is the one-price case.
 """
 
 from __future__ import annotations
@@ -76,10 +78,6 @@ class LagrangianState:
         if np.any(np.asarray(self.mu) < 0):
             raise InputError("budget price mu must be nonnegative")
 
-    @classmethod
-    def initial(cls, num_classes: int, mu: float) -> "LagrangianState":
-        return cls(np.zeros(num_classes), np.zeros(num_classes), mu)
-
     def snapshot(self) -> "LagrangianState":
         return LagrangianState(self.lambdas.copy(), self.phis.copy(), self.mu)
 
@@ -123,10 +121,6 @@ class TrainConfig:
             raise InputError("backbone_update_interval must be at least 1")
         if self.lambda_max is not None and self.lambda_max < 0:
             raise InputError("lambda_max must be nonnegative")
-
-    @property
-    def effective_lambda_max(self) -> float:
-        return self.lambda_max if self.lambda_max is not None else 10.0 * self.mu
 
 
 # ---------------------------------------------------------------------------
@@ -335,34 +329,6 @@ class TrainingLog:
         return self.records[-1]
 
 
-def _mapped(params, f) -> tuple:
-    """``(weights, biases, head_w, head_b)`` of ``params`` with ``f`` applied."""
-    return (
-        [f(W) for W in params.weights],
-        [f(b) for b in params.biases],
-        f(params.head_w),
-        f(params.head_b),
-    )
-
-
-class _Stack:
-    """M models' parameters with a leading model axis (see ``_backbone``)."""
-
-    def __init__(self, spec, num_classes, weights, biases, head_w, head_b):
-        self.spec, self.num_classes = spec, num_classes
-        self.weights, self.biases = weights, biases
-        self.head_w, self.head_b = head_w, head_b
-
-    def copy(self) -> "_Stack":
-        return _Stack(self.spec, self.num_classes, *_mapped(self, np.copy))
-
-    def model(self, m: int) -> SelectiveModel:
-        """Model m, copied out of the stack."""
-        return SelectiveModel(
-            self.spec, self.num_classes, *_mapped(self, lambda a: a[m].copy())
-        )
-
-
 def _state_of(stacked: LagrangianState, m: int) -> LagrangianState:
     return LagrangianState(
         stacked.lambdas[m], stacked.phis[m], float(stacked.mu[m, 0])
@@ -380,11 +346,11 @@ def sgda_train_grid(
 
     Every run starts from the same model (``initial_model`` or the warm
     start) and, the batch order being drawn from ``config.seed`` alone,
-    sees the same batches.  So the M runs advance together as one stack of
-    parameters, multipliers and slacks with a leading mu axis: one head
-    pass, loss and gradient per batch for the whole grid.  Each slice does
-    the arithmetic of a lone run, so its result does not depend on the
-    other grid values.  ``config.mu`` is not read.
+    sees the same batches.  So the M runs advance together: their heads,
+    multipliers and slacks are stacked with a leading mu axis, giving one
+    head pass, loss and gradient per batch for the whole grid.  Each slice
+    does the arithmetic of a lone run, so its result does not depend on
+    the other grid values.  ``config.mu`` is not read.
 
     Heads and slacks take descent steps at ``lr_min`` each batch; the
     multipliers take ascent steps at ``lr_max``, clipped to
@@ -427,9 +393,22 @@ def sgda_train_grid(
             config.seed,
             config.batch_size,
         )
-    stack = _Stack(
-        model.spec, K, *_mapped(model, lambda a: np.repeat(a[None], M, axis=0))
-    )
+    # the heads train as one stack; each model's heads are views of its
+    # slice, so a stacked step updates every model in place
+    head_w = np.repeat(model.head_w[None], M, axis=0)
+    head_b = np.repeat(model.head_b[None], M, axis=0)
+    models = [
+        SelectiveModel(
+            model.spec,
+            K,
+            [W.copy() for W in model.weights],
+            [b.copy() for b in model.biases],
+            head_w[m],
+            head_b[m],
+        )
+        for m in range(M)
+    ]
+    kind = model.spec.activation
     lam_max = 10.0 * mus if config.lambda_max is None else config.lambda_max
     rng = np.random.default_rng([config.seed, 1])
     n = data.n
@@ -439,7 +418,7 @@ def sgda_train_grid(
     absent_leak = np.zeros(K, dtype=np.int64)
     records: list = [[] for _ in range(M)]
     checkpoint_epoch = -1
-    checkpoint = stack.copy()
+    checkpoint = [mdl.copy() for mdl in models]
     checkpoint_state = state.snapshot()
     interval = config.backbone_update_interval
     # no backbone update lands from this epoch on: only the heads train
@@ -447,21 +426,20 @@ def sgda_train_grid(
     # pending backbone steps, as the summed d(loss)/d(features) of each
     # training row; only a run that lands an update needs them
     if frozen_from:
-        cot = np.zeros((n, M, stack.spec.feature_dim))
+        cot = np.zeros((n, M, model.spec.feature_dim))
         # one batch's rows of it, written in place: a contiguous block adds
         # into ``cot`` faster than the matmul's model-major result
-        batch_cot = np.empty((min(config.batch_size, n), M, stack.spec.feature_dim))
+        batch_cot = np.empty((min(config.batch_size, n), M, model.spec.feature_dim))
     # last-layer features of every training row under the current
     # backbones: one shared matrix until the first update lands, then
     # one slice per model
-    feats = _backbone(model, data.features)[-1]
+    feats = _backbone(model.weights, model.biases, kind, data.features)[-1]
 
     def record(epoch: int) -> None:
         # one model at a time: a stacked pass would hold M (n, K) score
         # matrices at once
         for m, log in enumerate(records):
-            head = _Stack(stack.spec, K, None, None, stack.head_w[m], stack.head_b[m])
-            probs = _head(head, feats if feats.ndim == 2 else feats[m])
+            probs = _head(head_w[m], head_b[m], feats if feats.ndim == 2 else feats[m])
             terms = class_terms(probs, data.labels, restricted=config.restricted)
             log.append(
                 EpochRecord(
@@ -492,15 +470,15 @@ def sgda_train_grid(
                 # cached features are this batch's
                 feat = feats[..., idx, :]
                 _, dlogits, g_head_w, g_head_b = _head_grads(
-                    feat, _head(stack, feat), data.labels[idx], loss_obj
+                    feat, _head(head_w, head_b, feat), data.labels[idx], loss_obj
                 )
                 # heads step now, the backbone's step waits for the landing
                 if epoch < frozen_from:
                     rows = batch_cot[: idx.size]
-                    np.matmul(dlogits, stack.head_w, out=rows.swapaxes(0, 1))
+                    np.matmul(dlogits, head_w, out=rows.swapaxes(0, 1))
                     cot[idx] += rows
-                stack.head_w -= lr_w * g_head_w
-                stack.head_b -= lr_w * g_head_b
+                head_w -= lr_w * g_head_w
+                head_b -= lr_w * g_head_b
                 # simultaneous update of slacks and multipliers
                 new_phis = np.maximum(
                     0.0, state.phis - lr_w * (state.mu - state.lambdas)
@@ -518,35 +496,32 @@ def sgda_train_grid(
             m = exc.model_index
             err = NumericError(f"training at mu={float(mus[m, 0])!r}: {exc}")
             err.mu, err.checkpoint_epoch = float(mus[m, 0]), checkpoint_epoch
-            err.checkpoint_model = checkpoint.model(m)
+            err.checkpoint_model = checkpoint[m]
             err.checkpoint_state = _state_of(checkpoint_state, m)
             raise err from exc
         if (epoch + 1) % interval == 0:
             if feats.ndim == 2:
                 feats = np.repeat(feats[None], M, axis=0)
             # one model at a time, like the record
-            for m in range(M):
-                # model m's parameters as views: updates write into the stack
-                lone = _Stack(stack.spec, K, *_mapped(stack, lambda a: a[m]))
+            for m, mdl in enumerate(models):
                 # the cached features are the last layer's activations
-                trunk = _Stack(
-                    stack.spec, K, lone.weights[:-1], lone.biases[:-1], None, None
-                )
-                acts = _backbone(trunk, data.features) + [feats[m]]
-                g_ws, g_bs = _backbone_grads(lone, acts, cot[:, m])
-                for p, g in zip(lone.weights + lone.biases, g_ws + g_bs):
+                acts = _backbone(
+                    mdl.weights[:-1], mdl.biases[:-1], kind, data.features
+                ) + [feats[m]]
+                g_ws, g_bs = _backbone_grads(mdl, acts, cot[:, m])
+                for p, g in zip(mdl.weights + mdl.biases, g_ws + g_bs):
                     p -= lr_w * g
-                feats[m] = _backbone(lone, data.features)[-1]
+                feats[m] = _backbone(mdl.weights, mdl.biases, kind, data.features)[-1]
             cot[:] = 0.0
         record(epoch)
         checkpoint_epoch = epoch
-        checkpoint = stack.copy()
+        checkpoint = [mdl.copy() for mdl in models]
         checkpoint_state = state.snapshot()
 
     if config.epochs == 0:
         record(-1)
     return [
-        (stack.model(m), _state_of(state, m), TrainingLog(tuple(records[m])))
+        (models[m].copy(), _state_of(state, m), TrainingLog(tuple(records[m])))
         for m in range(M)
     ]
 

@@ -3,11 +3,8 @@
 import ast
 from pathlib import Path
 
-MODULES = sorted(
-    p
-    for p in (Path(__file__).resolve().parent.parent / "src" / "onesided").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((Path(__file__).resolve().parent.parent / "src" / "onesided").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def parse(path):
@@ -74,6 +71,34 @@ def top_level_names(tree):
     return names | set(imported_names(tree))
 
 
+def private_definitions(tree):
+    """Private top-level names the module defines, dunders and imports excluded."""
+    defined = top_level_names(tree) - set(imported_names(tree))
+    return {n for n in defined if n.startswith("_") and not n.startswith("__")}
+
+
+def read_names(tree):
+    """Names the module loads, directly or as an attribute of another object."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def unread_private_names(trees):
+    """``module name`` for each private top-level name no module reads."""
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    return {
+        f"{module} {name}"
+        for module, tree in trees.items()
+        for name in private_definitions(tree)
+        if name not in read
+    }
+
+
 def test_no_unused_imports():
     unused = []
     for path in MODULES:
@@ -99,6 +124,11 @@ def test_all_entries_are_defined():
     assert not missing
 
 
+def test_private_names_are_read_in_the_package():
+    # a private helper that only tests call is dead code
+    assert not unread_private_names({p.name: parse(p) for p in PACKAGE})
+
+
 def test_checks_see_what_they_are_meant_to():
     assert {"core.py", "train.py"} <= {p.name for p in MODULES}
     tree = ast.parse(
@@ -113,3 +143,22 @@ def test_checks_see_what_they_are_meant_to():
     unused = set(imported_names(tree)) - used_names(tree)
     assert unused == {"os", "Iterable"}
     assert set(declared_all(tree)) - top_level_names(tree) == {"ghost"}
+    trees = {
+        "a.py": ast.parse(
+            "from b import _imported\n"
+            "_CODE, _SPARE = 1, 2\n"
+            "__version__ = '1'\n"
+            "def _helper():\n"
+            "    return _CODE\n"
+            "def _dead():\n"
+            "    pass\n"
+            "class _Kept:\n"
+            "    pass\n"
+        ),
+        "b.py": ast.parse(
+            "import a\n"
+            "def _imported():\n"
+            "    return a._helper(), a._Kept\n"
+        ),
+    }
+    assert unread_private_names(trees) == {"a.py _SPARE", "a.py _dead", "b.py _imported"}

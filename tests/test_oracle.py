@@ -22,6 +22,7 @@ from onesided.core import (
 )
 from onesided.oracle import (
     AlphaAllocation,
+    DifferenceSet,
     EmptySet,
     FiniteHypothesisClass,
     analytic_example_coverage,
@@ -191,11 +192,13 @@ def count_instance(draw):
     return xs, ys, K, cuts, edges, kind
 
 
-def test_class_counts_refuse_other_predicates():
-    data = LabeledDataset(np.array([[0.1], [0.4], [0.9]]), [0, 1, 0], 2)
-    cls = FiniteHypothesisClass("mixed", (UpperThresholdSet(0.5), EmptySet()))
+def test_class_refuses_other_predicates_when_built():
+    # only upper, lower and interval sets have columns to count with
     with pytest.raises(InputError, match="EmptySet"):
-        cls.counts(data)
+        FiniteHypothesisClass("mixed", (UpperThresholdSet(0.5), EmptySet()))
+    removed = DifferenceSet(UpperThresholdSet(0.5), [IntervalSet(0.6, 0.7)])
+    with pytest.raises(InputError, match="DifferenceSet"):
+        FiniteHypothesisClass("mixed", iter([LowerThresholdSet(0.1), removed]))
 
 
 def object_tuple(kind, cuts, edges, order=None):
@@ -247,17 +250,14 @@ def test_columnar_class_matches_object_tuple(inst, rnd):
         assert np.array_equal(viol, np.vstack(off))
 
 
-def test_columnar_class_keeps_other_predicates_as_given():
-    empty = EmptySet()
-    cls = FiniteHypothesisClass("mixed", (UpperThresholdSet(0.5), empty))
-    assert cls.predicates[1] is empty
-    assert cls.predicates[0] == UpperThresholdSet(0.5)
+def test_columnar_class_reads_back_the_predicates_it_was_built_from():
+    given = (UpperThresholdSet(0.5), IntervalSet(0.1, 0.3))
+    cls = FiniteHypothesisClass("mixed", given)
+    assert tuple(cls.predicates) == given
     with pytest.raises(IndexError):
         cls.predicates[2]
     merged = FiniteHypothesisClass.union(FiniteHypothesisClass.lower_thresholds([0.1]), cls)
-    assert merged.predicates[2] is empty
-    with pytest.raises(InputError, match="EmptySet"):
-        solve_sc_exact(LabeledDataset([[0.2], [0.7]], [0, 1], 2), merged, 0.1)
+    assert tuple(merged.predicates) == (LowerThresholdSet(0.1),) + given
     with pytest.raises(InputError):
         FiniteHypothesisClass.union()
 

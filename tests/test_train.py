@@ -89,7 +89,7 @@ def lagrangian(model, batch, state):
 def test_lagrangian_zero_multipliers_is_fit_sum():
     model = small_model(seed=1, K=2, widths=(2, 4, 3))
     batch = random_batch(model, 12, 7)
-    state = LagrangianState.initial(2, mu=1.5)
+    state = LagrangianState(np.zeros(2), np.zeros(2), mu=1.5)
     value = lagrangian(model, batch, state)
     expected = terms_of(model, batch).fit.sum()
     assert value == pytest.approx(expected, rel=1e-14)
@@ -294,10 +294,11 @@ def test_stacked_head_and_class_terms_slices_equal_lone_models(
     labels = rng.integers(0, K, size=n)
     fit_w, leak_w = rng.random((M, K)), rng.random((M, K))
 
-    probs = _head(stack_of(models), feats)
+    stack = stack_of(models)
+    probs = _head(stack.head_w, stack.head_b, feats)
     terms = class_terms(probs, labels, fit_w, leak_w, restricted)
     for m, model in enumerate(models):
-        lone = _head(model, feats if shared else feats[m])
+        lone = _head(model.head_w, model.head_b, feats if shared else feats[m])
         assert probs[m].tobytes() == lone.tobytes()
         want = class_terms(lone, labels, fit_w[m], leak_w[m], restricted)
         assert terms.fit[m].tobytes() == want.fit.tobytes()
@@ -315,7 +316,7 @@ def test_scores_and_class_term_gradients_are_stored_class_major(M):
     model = models[0] if M is None else stack_of(models)
     batch = random_batch(models[0], 50, 1)
     feat = np.random.default_rng(2).normal(size=(50, 5))
-    probs = _head(model, feat)
+    probs = _head(model.head_w, model.head_b, feat)
     assert probs.shape[-2:] == (50, 4)
     assert probs.swapaxes(-1, -2).flags.c_contiguous
     weights = np.random.default_rng(3).random(model.head_b.shape)
@@ -462,9 +463,6 @@ def test_config_validation():
         TrainConfig(mu=1.0, batch_size=0)
     with pytest.raises(InputError):
         TrainConfig(mu=1.0, backbone_update_interval=0)
-    cfg = TrainConfig(mu=2.0)
-    assert cfg.effective_lambda_max == 20.0
-    assert TrainConfig(mu=2.0, lambda_max=5.0).effective_lambda_max == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +514,8 @@ def test_sgda_multipliers_stay_projected():
         lr_min=0.05, lr_max=0.05,
     )
     _, state, log = sgda_train(data, SPEC, cfg)
-    lam_max = cfg.effective_lambda_max
+    # with no lambda_max given, the cap is 10 * mu
+    lam_max = 10.0 * cfg.mu
     for rec in log.records:
         assert all(0.0 <= l <= lam_max + 1e-12 for l in rec.lambdas)
         assert all(p >= 0.0 for p in rec.phis)
@@ -533,7 +532,7 @@ def test_sgda_full_batch_is_one_exact_step():
     model, state, _ = sgda_train(data, SPEC, cfg, initial_model=init)
 
     expected = init.copy()
-    st = LagrangianState.initial(2, 1.0)
+    st = LagrangianState(np.zeros(2), np.zeros(2), 1.0)
     loss_obj = LagrangianLoss(st)
     _, grads = backward(expected, data, loss_obj)
     expected.head_w -= cfg.lr_min * grads.head_w
@@ -667,7 +666,8 @@ def reference_sgda(data, config, init):
     """One run of the saddle loop written per model, one LabeledDataset per batch."""
     model = init.copy()
     K = data.num_classes
-    state = LagrangianState.initial(K, config.mu)
+    state = LagrangianState(np.zeros(K), np.zeros(K), config.mu)
+    lam_max = 10.0 * config.mu if config.lambda_max is None else config.lambda_max
     rng = np.random.default_rng([config.seed, 1])
     lr_w, lr_l = config.lr_min, config.lr_max
     buf = [np.zeros_like(W) for W in model.weights + model.biases]
@@ -699,7 +699,7 @@ def reference_sgda(data, config, init):
             state.lambdas = np.clip(
                 state.lambdas + lr_l * (loss.last_leaks - state.phis),
                 0.0,
-                config.effective_lambda_max,
+                lam_max,
             )
             state.phis = phis
             absent_fit += loss.last_absent_fit
@@ -927,6 +927,32 @@ def test_sgda_grid_numeric_error_names_mu_and_carries_its_checkpoint():
     assert flatten_params(model).tobytes() == flatten_params(
         err.checkpoint_model
     ).tobytes()
+
+
+def assert_share_no_memory(models):
+    """Every parameter owns its memory, and no two of them overlap."""
+    params = [p for m in models for p in m.weights + m.biases + [m.head_w, m.head_b]]
+    # a view of the trainer's stacked heads would not own its data
+    assert all(p.flags.owndata for p in params)
+    for i, p in enumerate(params):
+        assert not any(np.shares_memory(p, q) for q in params[i + 1 :])
+
+
+def test_sgda_grid_models_share_no_memory():
+    # while training, each model's heads are views of one stacked array;
+    # the models handed out must be independent of it and of each other
+    data = overlap_blobs(60, seed=2)
+    init = init_model(SPEC, 2, seed=3)
+    cfg = TrainConfig(
+        mu=1.0, epochs=3, batch_size=32, warm_start_epochs=0,
+        backbone_update_interval=2,
+    )
+    runs = sgda_train_grid(data, SPEC, cfg, (0.5, 1.0, 2.0), initial_model=init)
+    assert_share_no_memory([model for model, _, _ in runs] + [init])
+    diverging = dataclasses.replace(cfg, batch_size=1000, lr_max=1e308)
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as ei:
+        sgda_train_grid(data, SPEC, diverging, (0.5, 1e308), initial_model=init)
+    assert_share_no_memory([ei.value.checkpoint_model, init])
 
 
 def test_sgda_grid_rejects_bad_grids():
