@@ -16,6 +16,7 @@ from .core import DecisionSetFamily, InputError, LabeledDataset
 from .net import SelectiveModel, forward_batch
 from .select import (
     SelectionGrid,
+    _harden_membership,
     _threshold_counts,
     evaluate_grid,
     pick_error_constrained,
@@ -32,21 +33,16 @@ __all__ = [
 def sr_baseline(model: SelectiveModel, t: float) -> DecisionSetFamily:
     """Max-score baseline: predict the argmax class unless max score < t.
 
-    Decisions coincide with `harden` at every threshold in [0, 1] since
-    the argmax attains the max; the two differ only in how the underlying
-    model was trained.  Thresholds above 1 are allowed and reject everything.
+    The rule of `harden`; the two differ only in how the underlying model
+    was trained.  Any finite threshold is allowed: above 1 it rejects
+    everything.
     """
     t = float(t)
     if not np.isfinite(t):
         raise InputError(f"threshold must be finite, got {t}")
 
     def member(X: np.ndarray) -> np.ndarray:
-        probs = forward_batch(model, X)
-        top = np.argmax(probs, axis=1)
-        accept = probs.max(axis=1) >= t
-        out = np.zeros(probs.shape, dtype=bool)
-        out[np.arange(probs.shape[0]), top] = accept
-        return out
+        return _harden_membership(forward_batch(model, X), t)
 
     return DecisionSetFamily(member, model.num_classes, model.spec.input_dim)
 

@@ -14,8 +14,9 @@ instead of one short K-long stretch at a time.  The backbone's activations
 stay row-major.
 
 The shared kernels take parameter arrays, not models: ``_backbone`` any
-run of layers, ``_head`` one set of heads or a stack of them with a
-leading model axis, which is how the trainer steps a grid's heads at once.
+run of one model's layers, ``_head`` one set of heads or a stack of them
+with a leading model axis, which is how the trainer steps a grid's heads
+at once.
 
 The kernels write in place: after each matmul, the bias, activation and
 softmax steps overwrite its output instead of allocating a fresh array
@@ -163,8 +164,8 @@ def _activation_grad(h: np.ndarray, kind: str) -> np.ndarray:
 
 def _layer(h: np.ndarray, W: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
     """One dense layer's post-activation, computed in the matmul's own output."""
-    a = np.matmul(h, W.swapaxes(-1, -2))
-    a += b[..., None, :]
+    a = h @ W.T
+    a += b
     if kind == "relu":
         np.maximum(a, 0.0, out=a)
     elif kind == "tanh":
@@ -176,9 +177,6 @@ def _backbone(weights: list, biases: list, kind: str, X: np.ndarray) -> list:
     """Per-layer activations of the given layers, input first.
 
     Given every layer of a model, the last is its feature matrix.
-    Parameters may carry a leading model axis (``W`` of shape ``(M, out,
-    in)``); the activations then gain it too, one slice per model, each
-    computed exactly as for that model alone.
     """
     acts = [X]
     for W, b in zip(weights, biases):
@@ -187,7 +185,11 @@ def _backbone(weights: list, biases: list, kind: str, X: np.ndarray) -> list:
 
 
 def _head(head_w: np.ndarray, head_b: np.ndarray, feat: np.ndarray) -> np.ndarray:
-    """Softmax class scores of last-layer features (stacked like ``_backbone``).
+    """Softmax class scores of last-layer features.
+
+    The heads may carry a leading model axis (``head_w`` of shape ``(M, K,
+    width)``), and so may the features; the scores then gain it too, one
+    slice per model, each computed exactly as for that model alone.
 
     The ``(..., n, K)`` result is stored class-major: it is the transposed
     view of a C-contiguous ``(..., K, n)`` array.  The softmax reduces over
@@ -259,17 +261,12 @@ def backward(
 
 
 def _backward(model, X: np.ndarray, labels: np.ndarray, loss_spec: LossSpec):
-    """:func:`backward` on arrays; parameters may carry a leading model axis.
-
-    With M stacked models the loss returns one value per model and every
-    gradient gains the model axis.  A non-finite value raises
-    :class:`NumericError` whose ``model_index`` names the first bad model.
-    """
+    """:func:`backward` on arrays; a non-finite loss raises :class:`NumericError`."""
     acts, probs = _forward_pass(model, X)
     value, dlogits, g_head_w, g_head_b = _head_grads(
         acts[-1], probs, labels, loss_spec
     )
-    g_ws, g_bs = _backbone_grads(model, acts, np.matmul(dlogits, model.head_w))
+    g_ws, g_bs = _backbone_grads(model, acts, dlogits @ model.head_w)
     return value, GradientBundle(g_ws, g_bs, g_head_w, g_head_b)
 
 
@@ -277,26 +274,29 @@ def _backbone_grads(model, acts, d_h: np.ndarray) -> tuple[list, list]:
     """Backbone weight and bias gradients for the feature cotangent ``d_h``.
 
     ``acts`` are the activations of :func:`_backbone` and ``d_h`` is
-    d(loss)/d(features), shaped like ``acts[-1]``; both may carry the model
-    axis.  The chain is linear in ``d_h`` for a fixed backbone.  It stops at
-    the first layer's gradients: the inputs' cotangent is never formed.
+    d(loss)/d(features), shaped like ``acts[-1]``.  The chain is linear in
+    ``d_h`` for a fixed backbone.  It stops at the first layer's gradients:
+    the inputs' cotangent is never formed.
     """
     g_ws: list = [None] * len(model.weights)
     g_bs: list = [None] * len(model.biases)
     kind = model.spec.activation
     for i in range(len(model.weights) - 1, -1, -1):
         da = d_h * _activation_grad(acts[i + 1], kind)
-        g_ws[i] = np.matmul(da.swapaxes(-1, -2), acts[i])
-        g_bs[i] = da.sum(axis=-2)
+        g_ws[i] = da.T @ acts[i]
+        g_bs[i] = da.sum(axis=0)
         if i:
-            d_h = np.matmul(da, model.weights[i])
+            d_h = da @ model.weights[i]
     return g_ws, g_bs
 
 
 def _head_grads(feat, probs, labels, loss_spec: LossSpec):
     """Loss value, d(loss)/d(logits) and the head gradients.
 
-    Raises :class:`NumericError` on a non-finite loss value.
+    Stacked like :func:`_head`: with M models the loss returns one value
+    per model and every result gains the model axis.  A non-finite value
+    raises :class:`NumericError` whose ``model_index`` names the first bad
+    model.
     """
     value, dprobs = loss_spec.value_and_grad(probs, labels)
     bad = ~np.isfinite(value)

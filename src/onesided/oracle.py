@@ -15,8 +15,10 @@ indices.  Sweeping the split and keeping the best total coverage recovers
 the joint optimum up to twice the budget.
 
 Every candidate is an upper threshold, a lower threshold or a half-open
-interval of coordinate 0, so a class is stored as columns of bounds and
-no solver forms a membership row.  Each solve sorts the coordinate-0
+interval of coordinate 0, so a class is stored as columns (bounds and a
+kind code per candidate), built with its classmethods, and no solver
+forms a membership row.  A grid of budget splits is a (G, K) array, one
+row of per-class shares per split.  Each solve sorts the coordinate-0
 values of each class once; a candidate's points are then one run of
 each sorted array, found with `np.searchsorted`, and coverage,
 violations, whether two sets meet and the size of a union all follow
@@ -109,71 +111,43 @@ class DifferenceSet:
 _UPPER, _LOWER, _INTERVAL = 0, 1, 2
 
 
-def _columns_of(p) -> tuple[float, float, int]:
-    """(lo, hi, code): the set is {lo < x <= hi}, or {x <= hi} when lower."""
-    if isinstance(p, UpperThresholdSet):
-        return p.cut, np.inf, _UPPER
-    if isinstance(p, LowerThresholdSet):
-        return -np.inf, p.cut, _LOWER
-    if isinstance(p, IntervalSet):
-        return p.lo, p.hi, _INTERVAL
-    raise InputError(
-        f"a hypothesis class takes upper, lower and interval sets, "
-        f"not {type(p).__name__}"
-    )
-
-
 # ---------------------------------------------------------------------------
 # hypothesis classes
 
 
-class _Predicates(Sequence):
-    """The candidates of a class as predicate objects, built on access."""
-
-    def __init__(self, hclass: "FiniteHypothesisClass"):
-        self._hclass = hclass
-
-    def __len__(self) -> int:
-        return self._hclass.size
-
-    def __getitem__(self, c):
-        if isinstance(c, slice):
-            return tuple(self[i] for i in range(*c.indices(len(self))))
-        return self._hclass._predicate(c)
-
-
 class FiniteHypothesisClass:
-    """A finite, ordered enumeration of candidate sets.
+    """A finite, ordered enumeration of candidate sets, stored as columns.
 
-    The enumeration order is part of the contract: solvers break ties
-    toward the smallest index.  Candidates are stored as columns: the
-    bounds ``lo`` and ``hi``, ``open_lo`` (true for lower thresholds) and a
-    kind code each.  ``predicates`` is a sequence view that builds the
-    `UpperThresholdSet`, `LowerThresholdSet` or `IntervalSet` of a
-    candidate when it is read.  A class built from a tuple of predicates
-    is converted to columns once; a predicate of any other type raises
-    :class:`InputError`.
+    Candidate c is read on coordinate 0 through its kind code: 0 an upper
+    threshold {x > lo[c]} (``hi[c]`` is +inf), 1 a lower threshold {x <=
+    hi[c]} (``lo[c]`` is -inf) and 2 an interval {lo[c] < x <= hi[c]}.
+    ``open_lo`` marks the lower thresholds.  The classmethods build the
+    usual classes; :meth:`predicate` returns one candidate as an
+    `UpperThresholdSet`, `LowerThresholdSet` or `IntervalSet`.  The
+    enumeration order is part of the contract: solvers break ties toward
+    the smallest index.
     """
 
-    def __init__(self, kind: str, predicates: Sequence[Callable]):
-        cols = [_columns_of(p) for p in predicates]
-        lo, hi, codes = zip(*cols) if cols else ((), (), ())
-        self._set(kind, lo, hi, codes)
-
-    @classmethod
-    def _from_columns(cls, kind, lo, hi, codes) -> "FiniteHypothesisClass":
-        self = cls.__new__(cls)
-        self._set(kind, lo, hi, codes)
-        return self
-
-    def _set(self, kind, lo, hi, codes) -> None:
-        if len(codes) == 0:
+    def __init__(self, kind: str, lo, hi, codes):
+        lo = np.array(lo, dtype=np.float64)
+        hi = np.array(hi, dtype=np.float64)
+        codes = np.asarray(codes)
+        if not (lo.ndim == 1 and lo.shape == hi.shape == codes.shape):
+            raise InputError(
+                f"columns lo, hi and codes must be 1-D of one length, got shapes "
+                f"{lo.shape}, {hi.shape} and {codes.shape}"
+            )
+        if codes.size == 0:
             raise InputError("hypothesis class enumeration is empty")
+        if not np.isin(codes, (_UPPER, _LOWER, _INTERVAL)).all():
+            raise InputError(f"kind codes are 0, 1 and 2, got {np.unique(codes)}")
+        upper, lower = codes == _UPPER, codes == _LOWER
+        if (hi[upper] != np.inf).any() or (lo[lower] != -np.inf).any():
+            raise InputError("an upper threshold's hi is +inf, a lower threshold's lo -inf")
         self.kind = kind
-        self.lo = np.array(lo, dtype=np.float64)
-        self.hi = np.array(hi, dtype=np.float64)
-        self.codes = np.array(codes, dtype=np.int8)
-        self.open_lo = self.codes == _LOWER
+        self.lo, self.hi = lo, hi
+        self.codes = codes.astype(np.int8)
+        self.open_lo = lower
         for a in (self.lo, self.hi, self.codes, self.open_lo):
             a.setflags(write=False)
 
@@ -184,16 +158,9 @@ class FiniteHypothesisClass:
     def size(self) -> int:
         return self.codes.size
 
-    @property
-    def predicates(self) -> Sequence[Callable]:
-        return _Predicates(self)
-
-    def _predicate(self, c) -> Callable:
+    def predicate(self, c: int) -> Callable:
+        """Candidate ``c`` as a set object; negative indices count from the end."""
         c = operator.index(c)
-        if c < 0:
-            c += self.size
-        if not 0 <= c < self.size:
-            raise IndexError(f"candidate {c} outside [0, {self.size})")
         code = self.codes[c]
         if code == _UPPER:
             return UpperThresholdSet(float(self.lo[c]))
@@ -208,7 +175,7 @@ class FiniteHypothesisClass:
         are tested against, not a path any solver takes.
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return np.vstack([np.asarray(p(X), dtype=bool) for p in self.predicates])
+        return np.vstack([self.predicate(c)(X) for c in range(self.size)])
 
     def _sorted_counts(self, data: LabeledDataset):
         """``(start, stop, coverage, violations)`` of every candidate.
@@ -254,14 +221,14 @@ class FiniteHypothesisClass:
     @classmethod
     def upper_thresholds(cls, cuts: Sequence[float]) -> "FiniteHypothesisClass":
         lo = np.array(cuts, dtype=np.float64).reshape(-1)
-        return cls._from_columns(
+        return cls(
             "upper_threshold", lo, np.full(lo.size, np.inf), np.full(lo.size, _UPPER)
         )
 
     @classmethod
     def lower_thresholds(cls, cuts: Sequence[float]) -> "FiniteHypothesisClass":
         hi = np.array(cuts, dtype=np.float64).reshape(-1)
-        return cls._from_columns(
+        return cls(
             "lower_threshold", np.full(hi.size, -np.inf), hi, np.full(hi.size, _LOWER)
         )
 
@@ -275,7 +242,7 @@ class FiniteHypothesisClass:
         if es.size < 2:
             raise InputError("need at least two edges to form intervals")
         first, second = np.triu_indices(es.size, 1)
-        return cls._from_columns(
+        return cls(
             "interval", es[first], es[second], np.full(first.size, _INTERVAL)
         )
 
@@ -283,7 +250,7 @@ class FiniteHypothesisClass:
     def union(cls, *classes: "FiniteHypothesisClass") -> "FiniteHypothesisClass":
         if not classes:
             raise InputError("hypothesis class enumeration is empty")
-        return cls._from_columns(
+        return cls(
             "union",
             np.concatenate([c.lo for c in classes]),
             np.concatenate([c.hi for c in classes]),
@@ -308,78 +275,59 @@ def canonical_cuts(x: np.ndarray) -> np.ndarray:
 # allocations
 
 
-@dataclass(frozen=True)
-class AlphaAllocation:
-    """Per-class shares of the error budget, nonnegative, summing to at most 1."""
-
-    shares: tuple
-
-    def __post_init__(self) -> None:
-        sh = tuple(float(a) for a in self.shares)
-        if any(a < -_TOL for a in sh):
-            raise InputError(f"negative budget share in {sh}")
-        if sum(sh) > 1.0 + _TOL:
-            raise InputError(f"budget shares sum to {sum(sh):.6f} > 1")
-        object.__setattr__(self, "shares", sh)
-
-    def __len__(self) -> int:
-        return len(self.shares)
-
-    def __getitem__(self, k: int) -> float:
-        return self.shares[k]
+def _check_eps(eps: float, name: str = "eps") -> None:
+    if not (math.isfinite(eps) and eps >= 0):
+        raise InputError(f"{name} must be finite and nonnegative, got {eps}")
 
 
-def _compositions(total: int, K: int):
-    """Every split of ``total`` into K nonnegative integer parts.
+def _compositions(total: int, K: int) -> np.ndarray:
+    """Every split of ``total`` into K nonnegative integer parts, one per row.
 
     Stars and bars, in ``itertools.combinations`` order of the bar
     positions; the decoupled solver breaks ties by first-in-grid order.
     """
-    for bars in itertools.combinations(range(total + K - 1), K - 1):
-        parts = []
-        prev = -1
-        for c in bars:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(total + K - 2 - prev)
-        yield parts
+    G = math.comb(total + K - 1, K - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(total + K - 1), K - 1)),
+        dtype=np.int64,
+        count=G * (K - 1),
+    ).reshape(G, K - 1)
+    edges = np.hstack([np.full((G, 1), -1), bars, np.full((G, 1), total + K - 1)])
+    return np.diff(edges, axis=1) - 1
 
 
-def default_alpha_grid(num_classes: int, step: float | None = None) -> list[AlphaAllocation]:
-    """Uniform grid over budget splits summing to exactly 1.
+def default_alpha_grid(num_classes: int, step: float | None = None) -> np.ndarray:
+    """Uniform grid over budget splits summing to exactly 1, as a (G, K) array.
 
-    Step 0.1 for two classes, 0.25 for three or four, unless overridden.
+    Step 0.1 for two classes, 0.25 for three or four, unless overridden;
+    the step must lie in (0, 1] and divide 1 evenly.
     """
     if num_classes < 1:
         raise InputError("num_classes must be positive")
     if step is None:
         step = 0.1 if num_classes == 2 else 0.25
+    if not 0 < step <= 1:
+        raise InputError(f"step must lie in (0, 1], got {step}")
     m = round(1.0 / step)
     if abs(m * step - 1.0) > 1e-9:
         raise InputError(f"step {step} does not divide 1 evenly")
-    return [
-        AlphaAllocation(tuple(p * step for p in parts))
-        for parts in _compositions(m, num_classes)
-    ]
+    return _compositions(m, num_classes) * step
 
 
-def budget_alpha_grid(eps: float, n: int, num_classes: int) -> list[AlphaAllocation]:
+def budget_alpha_grid(eps: float, n: int, num_classes: int) -> np.ndarray:
     """All splits of the integer error budget ``floor(eps * n)`` across classes.
 
     On an n-point sample the constraint only distinguishes integer counts,
-    so this grid is exhaustive: any feasible joint solution's per-class
-    error counts appear as one of these allocations.
+    so this (G, K) grid is exhaustive: any feasible joint solution's
+    per-class error counts appear as one of its rows.
     """
-    if eps < 0:
-        raise InputError("eps must be nonnegative")
+    _check_eps(eps)
+    if num_classes < 1 or n < 0:
+        raise InputError(f"need num_classes >= 1 and n >= 0, got {num_classes} and {n}")
     budget = int(math.floor(eps * n + _TOL))
     if budget == 0 or eps == 0:
-        return [AlphaAllocation((0.0,) * num_classes)]
-    denom = eps * n
-    return [
-        AlphaAllocation(tuple(p / denom for p in parts))
-        for parts in _compositions(budget, num_classes)
-    ]
+        return np.zeros((1, num_classes))
+    return _compositions(budget, num_classes) / (eps * n)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +341,14 @@ class OracleSolution:
     ``family`` holds the recovered sets (a single set for the per-class
     problem, K disjoint sets for the joint and decoupled problems);
     ``value`` is the achieved total empirical coverage.  ``raw_sets``, when
-    present, are the per-class sets before disjointification.
+    present, are the per-class sets before disjointification, and
+    ``alpha`` is the chosen row of the budget-split grid.
     """
 
     family: DecisionSetFamily
     value: float
     feasible: bool
-    alpha: AlphaAllocation | None = None
+    alpha: tuple | None = None
     raw_sets: tuple | None = None
     chosen_indices: tuple | None = None
 
@@ -425,15 +374,14 @@ def solve_osp_exact(
     """
     if not 0 <= k < data.num_classes:
         raise InputError(f"class index {k} outside [0, {data.num_classes})")
-    if eps_k < 0:
-        raise InputError("error level must be nonnegative")
+    _check_eps(eps_k, "eps_k")
     cov, viol = hclass.counts(data)
     feasible = viol[k] <= eps_k * data.n + _TOL
     if not feasible.any():
         return _empty_solution(1, data.dim)
     idx_feas = np.flatnonzero(feasible)
     best = idx_feas[np.argmax(cov[idx_feas])]
-    fam = DecisionSetFamily.from_predicates([hclass.predicates[best]], dim=data.dim)
+    fam = DecisionSetFamily.from_predicates([hclass.predicate(best)], dim=data.dim)
     return OracleSolution(
         fam, float(cov[best] / data.n), True, chosen_indices=(int(best),)
     )
@@ -461,8 +409,7 @@ def solve_sc_exact(
     ``cap``.  Two sets meet on the data exactly when their runs in the
     sorted sample overlap, so no membership row is formed.
     """
-    if eps < 0:
-        raise InputError("eps must be nonnegative")
+    _check_eps(eps)
     K = data.num_classes
     start, stop, cov, err = hclass._sorted_counts(data)
     budget = eps * data.n + _TOL
@@ -497,7 +444,7 @@ def solve_sc_exact(
     idxs = tuple(
         int(kk[i]) for kk, i in zip(kept, np.unravel_index(flat, admissible.shape))
     )
-    preds = [hclass.predicates[i] for i in idxs]
+    preds = [hclass.predicate(i) for i in idxs]
     fam = DecisionSetFamily.from_predicates(preds, dim=data.dim)
     return OracleSolution(
         fam, float(total_cov.flat[flat] / data.n), True, chosen_indices=idxs
@@ -523,15 +470,18 @@ def solve_osp_decoupled(
     data: LabeledDataset,
     hclass: FiniteHypothesisClass,
     eps: float,
-    alpha_grid: Sequence[AlphaAllocation] | None = None,
+    alpha_grid: np.ndarray | Sequence | None = None,
 ) -> OracleSolution:
     """Budget-split sweep: per-class single-set solves, then disjointify.
 
-    For each allocation the class-k set is the largest candidate whose
-    off-class mass stays within its share of ``eps``; overlaps are removed
-    by subtracting all smaller-index sets.  The allocation with the best
-    total coverage wins (first in grid order on ties).  The result is
-    always feasible for the joint problem.
+    ``alpha_grid`` is a (G, K) array-like of budget splits, one row per
+    allocation (`default_alpha_grid` when omitted); each share is
+    nonnegative and each row sums to at most 1.  For each allocation the
+    class-k set is the largest candidate whose off-class mass stays within
+    its share of ``eps``; overlaps are removed by subtracting all
+    smaller-index sets.  The allocation with the best total coverage wins
+    (first in grid order on ties).  The result is always feasible for the
+    joint problem.
 
     After the :meth:`FiniteHypothesisClass.counts` pass, the G
     allocations' integer budgets are one array op, the best candidate per
@@ -540,21 +490,22 @@ def solve_osp_decoupled(
     sample in order of their starts: O(K size log size + G K log K) time
     and O(K size + G K) memory, with no membership row.
     """
-    if eps < 0:
-        raise InputError("eps must be nonnegative")
+    _check_eps(eps)
     K = data.num_classes
     if alpha_grid is None:
         alpha_grid = default_alpha_grid(K)
-    alpha_grid = list(alpha_grid)
-    if not alpha_grid:
-        raise InputError("alpha grid is empty")
-    for a in alpha_grid:
-        if len(a) != K:
-            raise InputError(f"allocation {a.shares} has {len(a)} shares, need {K}")
+    shares = np.asarray(alpha_grid, dtype=np.float64)
+    if shares.ndim != 2 or shares.shape[0] == 0 or shares.shape[1] != K:
+        raise InputError(
+            f"alpha grid must be a non-empty (G, {K}) array, got shape {shares.shape}"
+        )
+    if not (shares >= -_TOL).all():
+        raise InputError("alpha grid has a negative or NaN budget share")
+    if not (shares.sum(axis=1) <= 1.0 + _TOL).all():
+        raise InputError("alpha grid has a row of budget shares summing to more than 1")
 
     start, stop, cov, viol = hclass._sorted_counts(data)
     n = data.n
-    shares = np.array([a.shares for a in alpha_grid], dtype=np.float64)
     # the feasible-candidate choice depends only on the integer count budget
     budgets = np.floor(shares * eps * n + _TOL).astype(np.int64)
     chosen = np.stack(
@@ -574,10 +525,9 @@ def solve_osp_decoupled(
     # values are multiples of 1/n, so the first maximum count is the first
     # allocation whose value beats every earlier one
     g = int(np.argmax(union))
-    best_alpha = alpha_grid[g]
     best_choice = tuple(None if c < 0 else int(c) for c in chosen[g])
     raw_preds = tuple(
-        EmptySet() if c is None else hclass.predicates[c] for c in best_choice
+        EmptySet() if c is None else hclass.predicate(c) for c in best_choice
     )
     final_preds = []
     for k in range(K):
@@ -592,7 +542,7 @@ def solve_osp_decoupled(
         fam,
         float(union[g] / n),
         True,
-        alpha=best_alpha,
+        alpha=tuple(shares[g].tolist()),
         raw_sets=raw_preds,
         chosen_indices=best_choice,
     )
@@ -684,7 +634,7 @@ def erm_feasibility_trend(
             )
             sol = solve_osp_exact(data, cls, k=0, eps_k=eps)
             if sol.chosen_indices and sol.chosen_indices[0] is not None:
-                cut = cls.predicates[sol.chosen_indices[0]].cut
+                cut = float(cls.lo[sol.chosen_indices[0]])
             else:
                 cut = 1.0
             c = min(max(cut, 0.0), 1.0)

@@ -265,6 +265,16 @@ def test_oracle_exact_solves(tmp_path, capsys):
     assert "value=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", [["sc"], ["osp"], ["osp", "--budget-grid"]])
+def test_oracle_refuses_non_finite_eps(tmp_path, capsys, mode):
+    an = tmp_path / "an.csv"
+    assert run("synth", "--kind", "analytic", "--n", "50", "--seed", "3", "--out", str(an)) == 0
+    capsys.readouterr()
+    assert run("oracle", "--data", str(an), "--eps", "nan", "--mode", *mode) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "eps must be finite" in err
+
+
 def test_oracle_rejects_wide_data(tmp_path, capsys):
     wide = synth_csv(tmp_path / "w.csv")
     assert run("oracle", "--data", str(wide), "--eps", "0.1") == 1

@@ -1,10 +1,17 @@
-"""Source hygiene checks on the package modules, using the standard `ast` only."""
+"""Source hygiene checks on the package modules and the benchmark's use of them.
+
+The package checks use the standard `ast` only; the benchmark check reads
+`perfbench/` with `ast` and looks the names it uses up in the package.
+"""
 
 import ast
+import importlib
 from pathlib import Path
 
-PACKAGE = sorted((Path(__file__).resolve().parent.parent / "src" / "onesided").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "onesided").glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def parse(path):
@@ -99,6 +106,44 @@ def unread_private_names(trees):
     }
 
 
+def package_imports(tree):
+    """``(module, name)`` of each name imported from ``onesided`` or a submodule."""
+    return {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "onesided"
+        for alias in node.names
+    }
+
+
+def traced_targets(tree):
+    """``(module, attribute)`` of each entry of the module's ``TARGETS``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return {(module, attr) for _, module, attr in ast.literal_eval(node.value)}
+    return set()
+
+
+def unresolved(pairs):
+    """``module.attribute`` of each pair not found where it is looked up.
+
+    Like the tracer, a dotted attribute must sit in the ``__dict__`` of the
+    module or class it names, not be inherited.
+    """
+    missing = set()
+    for module, attr in pairs:
+        owner = importlib.import_module(module)
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if leaf not in getattr(owner, "__dict__", {}):
+            missing.add(f"{module}.{attr}")
+    return missing
+
+
 def test_no_unused_imports():
     unused = []
     for path in MODULES:
@@ -127,6 +172,16 @@ def test_all_entries_are_defined():
 def test_private_names_are_read_in_the_package():
     # a private helper that only tests call is dead code
     assert not unread_private_names({p.name: parse(p) for p in PACKAGE})
+
+
+def test_benchmark_names_resolve():
+    # a deletion that would stop the benchmark at set-up, or leave a traced
+    # layer unpatched, fails here instead
+    trees = {p.name: parse(p) for p in BENCH}
+    imported = set().union(*(package_imports(tree) for tree in trees.values()))
+    traced = traced_targets(trees["tracing.py"])
+    assert len(imported) > 20 and len(traced) > 20
+    assert not unresolved(imported | traced)
 
 
 def test_checks_see_what_they_are_meant_to():
@@ -162,3 +217,17 @@ def test_checks_see_what_they_are_meant_to():
         ),
     }
     assert unread_private_names(trees) == {"a.py _SPARE", "a.py _dead", "b.py _imported"}
+    bench = ast.parse(
+        "import onesided\n"
+        "from onesided import evaluate, ghost\n"
+        "from onesided.core import LabeledDataset\n"
+        "from numpy import zeros\n"
+        "TARGETS = (\n"
+        "    ('a', 'onesided.core', 'LabeledDataset.subset'),\n"
+        "    ('b', 'onesided.core', 'LabeledDataset.gone'),\n"
+        "    ('c', 'onesided.train', 'LeakLoss.value_and_grad'),\n"
+        ")\n"
+    )
+    pairs = package_imports(bench) | traced_targets(bench)
+    assert len(pairs) == 6
+    assert unresolved(pairs) == {"onesided.ghost", "onesided.core.LabeledDataset.gone"}

@@ -18,7 +18,6 @@ from onesided.net import (
     CROSS_ENTROPY,
     BackboneSpec,
     SelectiveModel,
-    _backward,
     _forward_pass,
     backward,
     deserialize,
@@ -244,53 +243,11 @@ def test_backward_rejects_non_finite():
 
 
 def stack_of(models):
-    """The models' parameters with a leading model axis."""
+    """The models' heads with a leading model axis."""
     return SimpleNamespace(
-        spec=models[0].spec,
-        weights=[np.stack(ws) for ws in zip(*(m.weights for m in models))],
-        biases=[np.stack(bs) for bs in zip(*(m.biases for m in models))],
         head_w=np.stack([m.head_w for m in models]),
         head_b=np.stack([m.head_b for m in models]),
     )
-
-
-class _StackLoss:
-    """Weighted -log scores; one value per model of a stack."""
-
-    def value_and_grad(self, probs, labels):
-        w = 1.0 + (np.arange(probs.shape[-1]) == labels[:, None])
-        return (-w * np.log(probs)).sum(axis=(-2, -1)), -w / probs
-
-
-@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
-def test_stacked_backward_slices_equal_single_models(activation):
-    # _backward on parameters with a leading model axis must give, slice by
-    # slice, the bits of a lone model's forward and backward
-    models = [
-        small_model(seed=s, widths=(3, 6, 5), activation=activation) for s in range(4)
-    ]
-    batch = random_batch(models[0], 37, 5)
-    stack = stack_of(models)
-    values, grads = _backward(stack, batch.features, batch.labels, _StackLoss())
-    _, probs = _forward_pass(stack, batch.features)
-    for i, model in enumerate(models):
-        value, single = backward(model, batch, _StackLoss())
-        assert values[i] == value
-        assert probs[i].tobytes() == forward_batch(model, batch.features).tobytes()
-        assert flatten_grads(single).tobytes() == np.concatenate(
-            [g[i].ravel() for g in grads.weights + grads.biases]
-            + [grads.head_w[i].ravel(), grads.head_b[i].ravel()]
-        ).tobytes()
-
-
-def test_stacked_backward_names_the_non_finite_model():
-    models = [small_model(seed=s) for s in range(3)]
-    models[1].head_w[0, 0] = np.nan
-    stack = stack_of(models)
-    batch = random_batch(models[0], 6, 1)
-    with pytest.raises(NumericError) as ei:
-        _backward(stack, batch.features, batch.labels, _StackLoss())
-    assert ei.value.model_index == 1
 
 
 def test_sgd_step_moves_all_parameters():

@@ -21,8 +21,6 @@ from onesided.core import (
     evaluate,
 )
 from onesided.oracle import (
-    AlphaAllocation,
-    DifferenceSet,
     EmptySet,
     FiniteHypothesisClass,
     analytic_example_coverage,
@@ -89,12 +87,13 @@ def test_osp_exact_validates_inputs():
     with pytest.raises(InputError):
         solve_osp_exact(FIVE, cls, k=0, eps_k=-0.1)
     with pytest.raises(InputError):
-        FiniteHypothesisClass("upper_threshold", ())
+        FiniteHypothesisClass("upper_threshold", (), (), ())
 
 
 def naive_osp(data, cls, k, eps_k):
     best_cov, best_idx = -1, None
-    for i, pred in enumerate(cls.predicates):
+    for i in range(cls.size):
+        pred = cls.predicate(i)
         cov = viol = 0
         for j in range(data.n):
             if bool(pred(data.features[j : j + 1])[0]):
@@ -192,13 +191,22 @@ def count_instance(draw):
     return xs, ys, K, cuts, edges, kind
 
 
-def test_class_refuses_other_predicates_when_built():
+def test_class_refuses_malformed_columns():
+    F = FiniteHypothesisClass
+    inf = np.inf
+    with pytest.raises(InputError, match="one length"):
+        F("mixed", [0.5, 0.1], [inf], [0, 2])
+    with pytest.raises(InputError, match="one length"):
+        F("mixed", [[0.5]], [[inf]], [[0]])
     # only upper, lower and interval sets have columns to count with
-    with pytest.raises(InputError, match="EmptySet"):
-        FiniteHypothesisClass("mixed", (UpperThresholdSet(0.5), EmptySet()))
-    removed = DifferenceSet(UpperThresholdSet(0.5), [IntervalSet(0.6, 0.7)])
-    with pytest.raises(InputError, match="DifferenceSet"):
-        FiniteHypothesisClass("mixed", iter([LowerThresholdSet(0.1), removed]))
+    for code in (3, -1, 0.5):
+        with pytest.raises(InputError, match="kind codes"):
+            F("mixed", [0.5, 0.1], [inf, 0.3], [0, code])
+    # a column the kind does not read must hold the bound its counts use
+    with pytest.raises(InputError, match="upper threshold"):
+        F("mixed", [0.5], [0.9], [0])
+    with pytest.raises(InputError, match="lower threshold"):
+        F("mixed", [0.1], [0.9], [1])
 
 
 def object_tuple(kind, cuts, edges, order=None):
@@ -233,14 +241,14 @@ def test_columnar_class_matches_object_tuple(inst, rnd):
         "union": F.union(
             F.upper_thresholds(cuts), F.intervals(edges), F.lower_thresholds(cuts)
         ),
-        "hand": F("hand", object_tuple("hand", cuts, edges, order)),
     }
+    union = built["union"]
+    built["hand"] = F("hand", union.lo[order], union.hi[order], union.codes[order])
     for kind, cls in built.items():
         ref = object_tuple(kind, cuts, edges, order)
-        assert cls.size == len(cls.predicates) == len(ref)
-        assert all(same_predicate(cls.predicates[c], q) for c, q in enumerate(ref))
-        assert all(same_predicate(p, q) for p, q in zip(cls.predicates, ref))
-        assert same_predicate(cls.predicates[-1], ref[-1])
+        assert cls.size == len(ref)
+        assert all(same_predicate(cls.predicate(c), q) for c, q in enumerate(ref))
+        assert same_predicate(cls.predicate(-1), ref[-1])
         rows = np.vstack([p(data.features) for p in ref])
         assert np.array_equal(cls.membership_matrix(data.features), rows)
         cov, viol = cls.counts(data)
@@ -251,13 +259,14 @@ def test_columnar_class_matches_object_tuple(inst, rnd):
 
 
 def test_columnar_class_reads_back_the_predicates_it_was_built_from():
-    given = (UpperThresholdSet(0.5), IntervalSet(0.1, 0.3))
-    cls = FiniteHypothesisClass("mixed", given)
-    assert tuple(cls.predicates) == given
+    given = [UpperThresholdSet(0.5), IntervalSet(0.1, 0.3)]
+    cls = FiniteHypothesisClass("mixed", [0.5, 0.1], [np.inf, 0.3], [0, 2])
+    assert [cls.predicate(c) for c in range(cls.size)] == given
     with pytest.raises(IndexError):
-        cls.predicates[2]
+        cls.predicate(2)
     merged = FiniteHypothesisClass.union(FiniteHypothesisClass.lower_thresholds([0.1]), cls)
-    assert tuple(merged.predicates) == (LowerThresholdSet(0.1),) + given
+    assert [merged.predicate(c) for c in range(merged.size)] == [LowerThresholdSet(0.1)] + given
+    assert merged.predicate(-3) == LowerThresholdSet(0.1)
     with pytest.raises(InputError):
         FiniteHypothesisClass.union()
 
@@ -323,7 +332,8 @@ def naive_sc(data, cls, eps):
     K = data.num_classes
     n = data.n
     masks = []
-    for pred in cls.predicates:
+    for c in range(cls.size):
+        pred = cls.predicate(c)
         masks.append([bool(pred(data.features[j : j + 1])[0]) for j in range(n)])
     best = (-1, None)
     for combo in itertools.product(range(cls.size), repeat=K):
@@ -504,49 +514,91 @@ def _split_loop(total, num_classes):
     return out
 
 
+def rows_of(grid):
+    return [tuple(row) for row in grid.tolist()]
+
+
 def test_default_alpha_grid_shapes():
     g2 = default_alpha_grid(2)
-    assert len(g2) == 11
-    assert all(abs(sum(a.shares) - 1.0) < 1e-12 for a in g2)
-    g3 = default_alpha_grid(3)
-    assert len(g3) == 15
-    g4 = default_alpha_grid(4)
-    assert len(g4) == 35
-    assert all(len(a) == 4 for a in g4)
-    # order matters: the decoupled solver breaks ties by first-in-grid order
+    assert g2.shape == (11, 2) and g2.dtype == np.float64
+    assert np.all(np.abs(g2.sum(axis=1) - 1.0) < 1e-12)
+    assert default_alpha_grid(3).shape == (15, 3)
+    assert default_alpha_grid(4).shape == (35, 4)
+    # order matters: the decoupled solver breaks ties by first-in-grid order,
+    # and the rows are bit for bit the shares the loop computes
     for K in range(1, 5):
         for step in (None, 0.5, 0.1):
             s = step if step is not None else (0.1 if K == 2 else 0.25)
             expected = [tuple(p * s for p in parts) for parts in _split_loop(round(1 / s), K)]
-            assert [a.shares for a in default_alpha_grid(K, step)] == expected
+            assert rows_of(default_alpha_grid(K, step)) == expected
         for eps, n in ((0.1, 40), (0.05, 97), (0.3, 20)):
             budget = math.floor(eps * n + 1e-9)
             expected = [tuple(p / (eps * n) for p in parts) for parts in _split_loop(budget, K)]
-            assert [a.shares for a in budget_alpha_grid(eps, n, K)] == expected
+            assert rows_of(budget_alpha_grid(eps, n, K)) == expected
 
 
-def test_alpha_allocation_validation():
-    with pytest.raises(InputError):
-        AlphaAllocation((0.8, 0.4))
-    with pytest.raises(InputError):
-        AlphaAllocation((-0.1, 0.5))
-    a = AlphaAllocation((0.25, 0.25))  # sums below 1 are allowed
-    assert a[1] == 0.25
+def test_default_alpha_grid_refuses_bad_steps():
+    for step in (0.0, -0.25, 1.5, float("nan"), float("inf")):
+        with pytest.raises(InputError, match=r"\(0, 1\]"):
+            default_alpha_grid(2, step)
+    with pytest.raises(InputError, match="evenly"):
+        default_alpha_grid(2, 0.3)
+    assert rows_of(default_alpha_grid(2, 1.0)) == [(0.0, 1.0), (1.0, 0.0)]
+
+
+def test_decoupled_refuses_malformed_grids():
+    data = LabeledDataset(np.array([0.1, 0.4, 0.8])[:, None], [0, 1, 0], 2)
+    cls = FiniteHypothesisClass.upper_thresholds([0.0, 0.5])
+    bad = {
+        "more than 1": [[0.5, 0.5], [0.8, 0.4]],
+        "negative": [[-0.1, 0.5]],
+        "NaN": [[float("nan"), 0.5]],
+        "non-empty": np.zeros((0, 2)),
+        r"\(G, 2\)": [[0.5, 0.25, 0.25]],
+        "shape": [0.5, 0.5],
+    }
+    for match, grid in bad.items():
+        with pytest.raises(InputError, match=match):
+            solve_osp_decoupled(data, cls, 0.4, grid)
+    # sums below 1 are allowed; the chosen row comes back as plain floats
+    sol = solve_osp_decoupled(data, cls, 0.4, np.array([[0.25, 0.25]]))
+    assert sol.alpha == (0.25, 0.25) and type(sol.alpha[0]) is float
+
+
+EPS_TAKERS = {
+    "solve_sc_exact": lambda eps: solve_sc_exact(FIVE, FIVE_CLASS, eps),
+    "solve_osp_exact": lambda eps: solve_osp_exact(FIVE, FIVE_CLASS, 0, eps),
+    "solve_osp_decoupled": lambda eps: solve_osp_decoupled(FIVE, FIVE_CLASS, eps),
+    "budget_alpha_grid": lambda eps: budget_alpha_grid(eps, FIVE.n, 2),
+}
+FIVE_CLASS = FiniteHypothesisClass.upper_thresholds(FIVE_CUTS)
+
+
+@pytest.mark.parametrize("name", EPS_TAKERS)
+def test_non_finite_eps_is_refused(name):
+    # a NaN budget compares false with every count: it would pass as a budget of 0
+    for eps in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InputError, match="must be finite and nonnegative"):
+            EPS_TAKERS[name](eps)
+    EPS_TAKERS[name](0.2)
 
 
 def test_budget_alpha_grid_enumerates_integer_splits():
     grid = budget_alpha_grid(eps=0.1, n=40, num_classes=2)
     # budget 4 -> splits (0,4), (1,3), ..., (4,0)
     assert len(grid) == 5
-    counts = {tuple(round(a * 0.1 * 40) for a in g.shares) for g in grid}
+    counts = {tuple(round(a * 0.1 * 40) for a in row) for row in rows_of(grid)}
     assert counts == {(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)}
-    assert budget_alpha_grid(0.0, 40, 3)[0].shares == (0.0, 0.0, 0.0)
+    assert rows_of(budget_alpha_grid(0.0, 40, 3)) == [(0.0, 0.0, 0.0)]
+    for n, K in ((-40, 2), (40, 0)):
+        with pytest.raises(InputError, match="num_classes >= 1 and n >= 0"):
+            budget_alpha_grid(0.1, n, K)
 
 
 def test_decoupled_single_class_degenerates_to_single_solve():
     data = LabeledDataset(np.array([0.1, 0.4, 0.8])[:, None], [0, 0, 0], 1)
     cls = FiniteHypothesisClass.upper_thresholds([0.0, 0.5])
-    dec = solve_osp_decoupled(data, cls, eps=0.2, alpha_grid=[AlphaAllocation((1.0,))])
+    dec = solve_osp_decoupled(data, cls, eps=0.2, alpha_grid=[[1.0]])
     one = solve_osp_exact(data, cls, k=0, eps_k=0.2)
     assert dec.value == one.value
     assert dec.chosen_indices == one.chosen_indices
@@ -633,9 +685,9 @@ def test_decoupled_matches_per_allocation_loop(inst):
     sol = solve_osp_decoupled(data, cls, eps, grid)
     value, alpha, chosen = loop_decoupled(data, cls, eps, grid)
     assert sol.value == value
-    assert sol.alpha == alpha
+    assert sol.alpha == tuple(alpha.tolist())
     assert sol.chosen_indices == chosen
-    want = [EmptySet() if c is None else cls.predicates[c] for c in chosen]
+    want = [EmptySet() if c is None else cls.predicate(c) for c in chosen]
     assert all(same_predicate(p, q) for p, q in zip(sol.raw_sets, want))
     assert len(sol.raw_sets) == K
 
