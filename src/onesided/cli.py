@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .core import CapacityError, InputError, NumericError, evaluate
 from .data import ingest_csv, synthesize, write_csv
-from .evaluation import coverage_error_curve, osp_overlap
+from .evaluation import _measure, coverage_error_curve
 from .net import BackboneSpec, deserialize, serialize
 from .oracle import (
     FiniteHypothesisClass,
@@ -42,9 +42,9 @@ from .pipeline import (
 )
 from .select import (
     SelectionCriterion,
+    SelectionGrid,
     default_threshold_grid,
     evaluate_grid,
-    harden,
 )
 from .train import TrainConfig, sgda_train
 
@@ -93,10 +93,12 @@ def _load_models(args) -> tuple[dict, int]:
     return models, counts[0]
 
 
-def _threshold_values(args) -> tuple[float, ...]:
-    if args.t_values is not None:
-        return args.t_values
-    return default_threshold_grid(args.t_size)
+def _val_grid(args) -> tuple[dict, SelectionGrid, int]:
+    """The models keyed by mu, their grid on ``--val``, and their class count."""
+    models, num_classes = _load_models(args)
+    val = ingest_csv(args.val, num_classes)
+    ts = args.t_values or default_threshold_grid(args.t_size)
+    return models, evaluate_grid(models, ts, val), num_classes
 
 
 def _cmd_synth(args) -> int:
@@ -172,10 +174,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    models, num_classes = _load_models(args)
-    val = ingest_csv(args.val, num_classes)
-    ts = _threshold_values(args)
-    grid = evaluate_grid(models, ts, val)
+    _, grid, _ = _val_grid(args)
     criterion = SelectionCriterion(args.mode, args.target)
     result = criterion.pick(grid)
     if args.grid_out is not None:
@@ -194,8 +193,7 @@ def _cmd_eval(args) -> int:
     except OSError as exc:
         raise InputError(f"cannot read model {args.model}: {exc}")
     data = ingest_csv(args.data, model.num_classes)
-    metrics = evaluate(harden(model, args.t), data)
-    overlap = osp_overlap(model, args.t, data)
+    metrics, overlap = _measure(model, data, args.t)
     print(f"coverage={metrics.coverage:.6f}")
     print(f"error={metrics.raw_error:.6f}")
     per_class = " ".join(f"{v:.6f}" for v in metrics.per_class_one_sided_error)
@@ -205,11 +203,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    models, num_classes = _load_models(args)
-    val = ingest_csv(args.val, num_classes)
+    models, grid, num_classes = _val_grid(args)
     test = ingest_csv(args.test, num_classes)
-    ts = _threshold_values(args)
-    points = coverage_error_curve(models, ts, val, test, args.targets)
+    points = coverage_error_curve(models, grid, test, args.targets)
     _write_curve(Path(args.out), points)
     print(f"wrote {len(points)} curve points to {args.out}")
     if all(p.feasible for p in points):

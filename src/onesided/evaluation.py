@@ -2,7 +2,8 @@
 
 Covers the max-score baseline, coverage-versus-error curves across a
 sweep of target error levels, and the overlap mass of raw per-class score
-sets.
+sets.  Every coverage and error count comes from `select._threshold_counts`
+on one score matrix per model and split; the overlap reads the same matrix.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import DecisionSetFamily, InputError, LabeledDataset
+from .core import DecisionSetFamily, InputError, LabeledDataset, Metrics
 from .net import SelectiveModel, forward_batch
 from .select import (
     SelectionGrid,
-    _harden_membership,
-    _threshold_counts,
-    evaluate_grid,
+    _cell_metrics,
+    _hardened,
+    _score,
     pick_error_constrained,
 )
 
@@ -40,11 +41,7 @@ def sr_baseline(model: SelectiveModel, t: float) -> DecisionSetFamily:
     t = float(t)
     if not np.isfinite(t):
         raise InputError(f"threshold must be finite, got {t}")
-
-    def member(X: np.ndarray) -> np.ndarray:
-        return _harden_membership(forward_batch(model, X), t)
-
-    return DecisionSetFamily(member, model.num_classes, model.spec.input_dim)
+    return _hardened(model, t)
 
 
 @dataclass(frozen=True)
@@ -67,68 +64,61 @@ class CurvePoint:
 
 def coverage_error_curve(
     models: Mapping[float, SelectiveModel],
-    t_values: Sequence[float],
-    val: LabeledDataset,
+    grid: SelectionGrid,
     test: LabeledDataset,
     targets: Sequence[float],
-    grid: SelectionGrid | None = None,
 ) -> list[CurvePoint]:
-    """Select at each target error on ``val`` and measure on ``test``.
+    """Pick on the validation ``grid`` at each target error; measure on ``test``.
 
-    Targets must be sorted ascending.  The validation grid is re-picked
-    per target.  A caller that already has it from `evaluate_grid` on
-    ``val`` passes it as ``grid``, which skips scoring it again (one
-    forward pass and one sort per model and class); its mu and t values
-    must be those of ``models`` and ``t_values``.  A target no grid cell satisfies
-    yields a point built from the fallback cell with ``feasible`` False.
+    ``grid`` is `evaluate_grid` of ``models`` on validation data, so its
+    mu values must be the keys of ``models``.  Targets must be sorted
+    ascending.  A target no grid cell satisfies yields a point built from
+    the fallback cell with ``feasible`` False.
 
     Each distinct chosen model is scored on ``test`` once, and its points
     read the hardened counts at every grid threshold from its sorted top
-    scores, as `evaluate_grid` does.  Coverage and error are integer
-    counts over ``test.n``, so every point equals `evaluate` of the
-    `harden`-ed chosen cell exactly.
+    scores, so every point equals `evaluate` of the `harden`-ed chosen
+    cell exactly.
     """
     targets = [float(e) for e in targets]
     if not targets:
         raise InputError("curve needs at least one target error")
     if any(b < a for a, b in zip(targets, targets[1:])):
         raise InputError("target errors must be sorted ascending")
-    if test.n == 0:
-        raise InputError("cannot evaluate on an empty dataset")
-    if grid is None:
-        grid = evaluate_grid(models, t_values, val)
-    elif (grid.mu_values, grid.t_values) != (
-        tuple(float(m) for m in models),
-        tuple(float(t) for t in t_values),
-    ):
-        raise InputError("the given grid does not match the models and thresholds")
-    counts = {}
+    if grid.mu_values != tuple(float(m) for m in models):
+        raise InputError("the grid's mu values are not the models' keys")
+    cells = {}
     points = []
     for eps in targets:
         res = pick_error_constrained(grid, eps)
-        if res.mu_index not in counts:
-            model = models[res.mu_star]
-            if model.num_classes != test.num_classes:
-                raise InputError(
-                    f"model for mu={res.mu_star} has {model.num_classes} classes "
-                    f"but the test data has {test.num_classes}"
-                )
-            counts[res.mu_index] = _threshold_counts(
-                forward_batch(model, test.features),
-                test.labels,
-                np.asarray(grid.t_values),
-            )
-        covered, wrong = counts[res.mu_index]
+        if res.mu_index not in cells:
+            probs = _score(models[res.mu_star], test)
+            cells[res.mu_index] = _cell_metrics(probs, test.labels, grid.t_values)
+        cell = cells[res.mu_index][res.t_index]
         points.append(
             CurvePoint(
-                achieved_error=wrong[res.t_index].sum() / test.n,
-                achieved_coverage=covered[res.t_index] / test.n,
+                achieved_error=cell.raw_error,
+                achieved_coverage=cell.coverage,
                 target_error=eps,
                 method="osp",
                 feasible=res.feasible,
             )
         )
     return points
+
+
+def _overlap(probs: np.ndarray, t: float) -> float:
+    """Fraction of score rows with at least two entries strictly above ``t``."""
+    return float(((probs > t).sum(axis=1) >= 2).mean())
+
+
+def _measure(
+    model: SelectiveModel, data: LabeledDataset, t: float
+) -> tuple[Metrics, float]:
+    """`evaluate` of `harden` at ``t``, and `osp_overlap`, from one scoring."""
+    probs = _score(model, data)
+    [metrics] = _cell_metrics(probs, data.labels, [t])
+    return metrics, _overlap(probs, t)
 
 
 def osp_overlap(model: SelectiveModel, t: float, data: LabeledDataset) -> float:
@@ -140,7 +130,4 @@ def osp_overlap(model: SelectiveModel, t: float, data: LabeledDataset) -> float:
     t = float(t)
     if not np.isfinite(t):
         raise InputError(f"threshold must be finite, got {t}")
-    probs = forward_batch(model, data.features)
-    counts = (probs > t).sum(axis=1)
-    return float((counts >= 2).mean())
-
+    return _overlap(forward_batch(model, data.features), t)

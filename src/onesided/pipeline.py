@@ -20,16 +20,15 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import InputError, Metrics, evaluate
+from .core import InputError, Metrics
 from .data import SyntheticSpec, ingest_csv, split_dataset, synthesize
-from .evaluation import coverage_error_curve, osp_overlap
+from .evaluation import _measure, coverage_error_curve
 from .net import BackboneSpec, serialize, warm_start
 from .select import (
     SelectionCriterion,
     SelectionResult,
     default_threshold_grid,
     evaluate_grid,
-    harden,
     quick_mu_grid,
 )
 from .train import TrainConfig, TrainingLog, sgda_train_grid
@@ -396,9 +395,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         completed.append(stage)
 
         stage = "evaluate"
-        chosen = models[result.mu_star]
-        metrics = evaluate(harden(chosen, result.t_star), test_d)
-        overlap = osp_overlap(chosen, result.t_star, test_d)
+        metrics, overlap = _measure(models[result.mu_star], test_d, result.t_star)
         row = {
             "target": config.criterion.target,
             "coverage": metrics.coverage,
@@ -422,14 +419,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         if config.curve_targets is not None:
             stage = "curve"
             curve = tuple(
-                coverage_error_curve(
-                    models,
-                    config.t_grid,
-                    val_d,
-                    test_d,
-                    config.curve_targets,
-                    grid=grid,
-                )
+                coverage_error_curve(models, grid, test_d, config.curve_targets)
             )
             _write_curve(out / "curve.csv", curve)
             files["curve"] = "curve.csv"

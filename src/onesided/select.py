@@ -5,6 +5,10 @@ point is assigned to its top-scoring class when that score clears ``t``
 and rejected otherwise.  Selection evaluates one hardened family per
 (constraint weight, threshold) cell on held-out data and picks the cell
 that best satisfies the chosen criterion.
+
+A model is scored once per split (`_score`), and every coverage and error
+count, for the grid, the run's test metrics and the curve alike, comes from
+`_threshold_counts` on that score matrix.  `harden` is the dense reference.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import DecisionSetFamily, InputError, LabeledDataset
+from .core import DecisionSetFamily, InputError, LabeledDataset, Metrics
 from .net import SelectiveModel, forward_batch
 
 __all__ = [
@@ -43,6 +47,24 @@ def _harden_membership(probs: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
+def _hardened(model: SelectiveModel, t: float) -> DecisionSetFamily:
+    """`_harden_membership` at ``t`` over ``model``'s scores; callers check ``t``."""
+
+    def member(X: np.ndarray) -> np.ndarray:
+        return _harden_membership(forward_batch(model, X), t)
+
+    return DecisionSetFamily(member, model.num_classes, model.spec.input_dim)
+
+
+def _thresholds(t_values: Sequence[float]) -> np.ndarray:
+    """The thresholds as a float array, refused unless each lies in [0, 1]."""
+    ts = np.array([float(t) for t in t_values])
+    for t in ts:
+        if not 0.0 <= t <= 1.0:
+            raise InputError(f"threshold must lie in [0, 1], got {t}")
+    return ts
+
+
 def harden(model: SelectiveModel, t: float) -> DecisionSetFamily:
     """Turn a soft scorer into disjoint decision sets at threshold ``t``.
 
@@ -50,14 +72,16 @@ def harden(model: SelectiveModel, t: float) -> DecisionSetFamily:
     that score is >= t.  The comparison is closed, so a score exactly at
     the threshold is accepted.  The family is disjoint by construction.
     """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise InputError(f"threshold must lie in [0, 1], got {t}")
+    return _hardened(model, float(_thresholds([t])[0]))
 
-    def member(X: np.ndarray) -> np.ndarray:
-        return _harden_membership(forward_batch(model, X), t)
 
-    return DecisionSetFamily(member, model.num_classes, model.spec.input_dim)
+def _score(model: SelectiveModel, data: LabeledDataset) -> np.ndarray:
+    """``model``'s ``(n, K)`` scores on ``data``; every measurement starts here."""
+    if model.num_classes != data.num_classes:
+        raise InputError(
+            f"model has {model.num_classes} classes, data has {data.num_classes}"
+        )
+    return forward_batch(model, data.features)
 
 
 @dataclass(frozen=True)
@@ -195,6 +219,24 @@ def _threshold_counts(
     return at_or_above(s), wrong_cnt
 
 
+def _cell_metrics(
+    probs: np.ndarray, labels: np.ndarray, t_values: Sequence[float]
+) -> list[Metrics]:
+    """`Metrics` of the hardened scores at each threshold, from one sort.
+
+    Entry j equals `core.evaluate` of `harden` at ``t_values[j]`` exactly:
+    coverage and errors are the same integer counts over n.
+    """
+    n = labels.size
+    if n == 0:
+        raise InputError("cannot evaluate on an empty dataset")
+    covered, wrong = _threshold_counts(probs, labels, _thresholds(t_values))
+    return [
+        Metrics(c / n, float(w.sum() / n), w / n, 1.0 - c / n)
+        for c, w in zip(covered.tolist(), wrong)
+    ]
+
+
 def evaluate_grid(
     models: Mapping[float, SelectiveModel],
     t_values: Sequence[float],
@@ -202,41 +244,24 @@ def evaluate_grid(
 ) -> SelectionGrid:
     """Fill the (mu, t) grid with held-out coverage and error.
 
-    Each model is scored once on ``val``.  Its top scores are sorted
-    once, and the misclassified ones once more per class, so the counts
-    at every threshold come from `np.searchsorted`: O(n log n + K T log n)
-    per model instead of T dense (n, K) membership scans.
-    The counts are exact and the grid is bitwise equal to counting
-    `harden` membership at each t.  A row with a NaN score is rejected at
-    every threshold, as it is under ``probs >= t``.
+    Each model is scored once on ``val`` and `_threshold_counts` reads
+    its counts at every threshold: O(n log n + K T log n) per model
+    instead of T dense (n, K) membership scans, and bitwise equal to
+    counting `harden` membership at each t.
     """
     if not models:
         raise InputError("selection needs at least one trained model")
-    ts = tuple(float(t) for t in t_values)
-    if not ts:
+    t_arr = _thresholds(t_values)
+    if not t_arr.size:
         raise InputError("selection needs at least one threshold")
-    for t in ts:
-        if not 0.0 <= t <= 1.0:
-            raise InputError(f"threshold must lie in [0, 1], got {t}")
     mus = tuple(float(m) for m in models)
-    cov = np.zeros((len(mus), len(ts)))
-    err = np.zeros((len(mus), len(ts)))
-    t_arr = np.asarray(ts)
-    n = val.n
-    for i, mu_key in enumerate(models):
-        model = models[mu_key]
-        if model.num_classes != val.num_classes:
-            raise InputError(
-                f"model for mu={mu_key} has {model.num_classes} classes "
-                f"but the validation data has {val.num_classes}"
-            )
-        covered, wrong = _threshold_counts(
-            forward_batch(model, val.features), val.labels, t_arr
-        )
-        cov[i] = covered / n
+    cov, err = np.zeros((2, len(mus), t_arr.size))
+    for i, model in enumerate(models.values()):
+        covered, wrong = _threshold_counts(_score(model, val), val.labels, t_arr)
+        cov[i] = covered / val.n
         # same float ops as summing the per-class wrong-membership means
-        err[i] = (wrong / n).sum(axis=1)
-    return SelectionGrid(mus, ts, cov, err)
+        err[i] = (wrong / val.n).sum(axis=1)
+    return SelectionGrid(mus, tuple(t_arr.tolist()), cov, err)
 
 
 def _pick(grid: SelectionGrid, admissible, key, fallback_key) -> SelectionResult:

@@ -77,18 +77,18 @@ def curve_setup(seed=0):
     test = random_data(seed + 1, n=150)
     models = {0.5: random_model(seed + 2), 4.0: random_model(seed + 3)}
     ts = (0.0, 0.35, 0.5, 0.8, 1.0)
-    return models, ts, val, test
+    return models, evaluate_grid(models, ts, val), test
 
 
 def test_curve_matches_single_selection_route():
     # Internal cross-check: each curve point equals running selection at
     # that one target and scoring the chosen cell on the test split.
-    models, ts, val, test = curve_setup()
+    models, grid, test = curve_setup()
     targets = (0.05, 0.2, 0.6)
-    points = coverage_error_curve(models, ts, val, test, targets)
+    points = coverage_error_curve(models, grid, test, targets)
     assert len(points) == 3
     for eps, point in zip(targets, points):
-        res = pick_error_constrained(evaluate_grid(models, ts, val), eps)
+        res = pick_error_constrained(grid, eps)
         metrics = evaluate(harden(models[res.mu_star], res.t_star), test)
         assert point.achieved_error == metrics.raw_error
         assert point.achieved_coverage == metrics.coverage
@@ -118,13 +118,13 @@ def test_curve_points_equal_direct_evaluation_of_the_chosen_cell():
         return LabeledDataset(x[:, None], y, 2)
 
     val, test = split(300), split(300)
-    ts = (0.0, 0.5, 0.6, 0.9, 0.99)
     targets = (0.0, 0.05, 0.05, 0.1, 0.3, 1.0)
-    grid = evaluate_grid(models, ts, val)
-    with mock.patch("onesided.evaluation.forward_batch", wraps=forward_batch) as scored:
-        points = coverage_error_curve(models, ts, val, test, targets, grid=grid)
+    grid = evaluate_grid(models, (0.0, 0.5, 0.6, 0.9, 0.99), val)
+    with mock.patch("onesided.select.forward_batch", wraps=forward_batch) as scored:
+        points = coverage_error_curve(models, grid, test, targets)
     picks = [pick_error_constrained(grid, eps) for eps in targets]
     assert scored.call_count == len({r.mu_star for r in picks}) < len(targets)
+    assert all(call.args[1] is test.features for call in scored.call_args_list)
     assert any(r.t_star == 0.5 for r in picks)
     for res, point in zip(picks, points):
         metrics = evaluate(harden(models[res.mu_star], res.t_star), test)
@@ -133,51 +133,50 @@ def test_curve_points_equal_direct_evaluation_of_the_chosen_cell():
         assert point.feasible == res.feasible
 
 
-def test_curve_reuses_given_grid():
-    models, ts, val, test = curve_setup(6)
-    targets = (0.05, 0.3)
-    grid = evaluate_grid(models, ts, val)
-    with mock.patch("onesided.evaluation.evaluate_grid") as scored:
-        given = coverage_error_curve(models, ts, val, test, targets, grid=grid)
-    scored.assert_not_called()
-    assert given == coverage_error_curve(models, ts, val, test, targets)
-    with pytest.raises(InputError):
-        coverage_error_curve(models, ts[:-1], val, test, targets, grid=grid)
+def test_curve_refuses_a_grid_of_other_models():
+    models, grid, test = curve_setup(6)
+    assert coverage_error_curve(models, grid, test, [0.3])
+    fewer = {0.5: models[0.5]}
+    more = {**models, 8.0: models[4.0]}
+    renamed = {1.0: models[0.5], 4.0: models[4.0]}
+    for other in (fewer, more, renamed):
+        with pytest.raises(InputError, match="mu values"):
+            coverage_error_curve(other, grid, test, [0.3])
 
 
 def test_curve_single_target():
-    models, ts, val, test = curve_setup(3)
-    points = coverage_error_curve(models, ts, val, test, [1.0])
+    models, grid, test = curve_setup(3)
+    points = coverage_error_curve(models, grid, test, [1.0])
     assert len(points) == 1
     assert points[0].feasible
 
 
 def test_curve_rejects_unsorted_or_empty_targets():
-    models, ts, val, test = curve_setup(4)
+    models, grid, test = curve_setup(4)
     with pytest.raises(InputError):
-        coverage_error_curve(models, ts, val, test, [0.2, 0.1])
+        coverage_error_curve(models, grid, test, [0.2, 0.1])
     with pytest.raises(InputError):
-        coverage_error_curve(models, ts, val, test, [])
+        coverage_error_curve(models, grid, test, [])
 
 
 def test_curve_rejects_test_data_it_cannot_score():
-    models, ts, val, _ = curve_setup(7)
+    models, grid, _ = curve_setup(7)
     rng = np.random.default_rng(8)
     four = LabeledDataset(rng.normal(size=(40, 2)), rng.integers(0, 4, size=40), 4)
     with pytest.raises(InputError, match="classes"):
-        coverage_error_curve(models, ts, val, four, [0.1])
+        coverage_error_curve(models, grid, four, [0.1])
     empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 3)
     with pytest.raises(InputError, match="empty"):
-        coverage_error_curve(models, ts, val, empty, [0.1])
+        coverage_error_curve(models, grid, empty, [0.1])
 
 
 def test_curve_propagates_infeasibility():
     # A threshold grid with only t=0 cells cannot reach error zero on
     # data a random model misclassifies somewhere.
-    models, _, val, test = curve_setup(5)
-    grid = evaluate_grid(models, (0.0,), val)
+    models, _, test = curve_setup(5)
+    grid = evaluate_grid(models, (0.0,), random_data(5, n=150))
     assert grid.error.min() > 0.0
-    points = coverage_error_curve(models, (0.0,), val, test, [0.0])
+    points = coverage_error_curve(models, grid, test, [0.0])
     assert not points[0].feasible
 
 

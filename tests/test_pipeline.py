@@ -2,15 +2,17 @@
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import onesided.pipeline as pipeline_mod
+from onesided.cli import main
 from onesided.core import FormatError, InputError
 from onesided.data import BlobsParams, SyntheticSpec, two_class_mixture, write_csv
-from onesided.data import synthesize
-from onesided.net import BackboneSpec, deserialize, forward_batch
+from onesided.data import split_dataset, synthesize
+from onesided.net import BackboneSpec, deserialize, forward_batch, serialize
 from onesided.pipeline import (
     METRICS_COLUMNS,
     PipelineResult,
@@ -22,7 +24,7 @@ from onesided.pipeline import (
     run_pipeline,
     save_config,
 )
-from onesided.select import SelectionCriterion
+from onesided.select import SelectionCriterion, pick_error_constrained
 from onesided.train import TrainConfig
 
 
@@ -306,6 +308,60 @@ def test_run_pipeline_artifacts(tmp_path):
     curve_lines = (out / "curve.csv").read_text().strip().splitlines()
     assert len(curve_lines) == 4
     assert res.curve is not None and len(res.curve) == 3
+
+
+def test_run_and_cli_eval_score_the_test_split_once_per_model(tmp_path, capsys):
+    # every test-split measure reads one score matrix: the evaluate stage
+    # scores the chosen model once, the curve each distinct picked model
+    # once, and neither the dense core.evaluate path nor osp_overlap runs
+    targets = (0.0, 0.02, 0.05, 0.2, 1.0)
+    cfg = blob_config(
+        tmp_path / "run",
+        synthetic=SyntheticSpec("mixture", 600, seed=3, mixture=two_class_mixture()),
+        train=quick_train(epochs=12),
+        mu_grid=(0.05, 1.0, 16.0),
+        t_grid=tuple(np.linspace(0.0, 1.0, 21)),
+        curve_targets=targets,
+    )
+    _, val, test = split_dataset(
+        synthesize(cfg.synthetic), cfg.split_fractions, cfg.split_seed
+    )
+    out = Path(cfg.out_dir)
+
+    def split_of(call):
+        X = call.args[1]
+        for name, d in (("val", val), ("test", test)):
+            if X.shape == d.features.shape and np.array_equal(X, d.features):
+                return name
+        return "other"
+
+    with (
+        mock.patch("onesided.core.assign", side_effect=AssertionError("dense path")),
+        mock.patch("onesided.select.forward_batch", wraps=forward_batch) as scored,
+        mock.patch("onesided.evaluation.forward_batch", wraps=forward_batch) as raw,
+    ):
+        res = run_pipeline(cfg)
+        picks = [pick_error_constrained(res.selection.grid, e).mu_star for e in targets]
+        distinct = list(dict.fromkeys(picks))
+        assert len(distinct) > 1
+        calls = scored.call_args_list
+        splits = [split_of(c) for c in calls]
+        assert splits == ["val"] * 3 + ["test"] * (1 + len(distinct))
+        model_files = json.loads((out / "manifest.json").read_text())["files"]["models"]
+        for mu, call in zip([res.selection.mu_star] + distinct, calls[3:]):
+            assert (out / model_files[repr(mu)]).read_bytes() == serialize(call.args[0])
+
+        scored.reset_mock()
+        csv = tmp_path / "test.csv"
+        write_csv(test, csv)
+        chosen = out / model_files[repr(res.selection.mu_star)]
+        t = repr(res.selection.t_star)
+        assert main(["eval", "--data", str(csv), "--model", str(chosen), "--t", t]) == 0
+        assert [split_of(c) for c in scored.call_args_list] == ["test"]
+        assert raw.call_count == 0
+    printed = capsys.readouterr().out
+    assert f"coverage={res.test_metrics.coverage:.6f}" in printed
+    assert f"overlap={res.metrics_row['overlap']:.6f}" in printed
 
 
 def test_run_pipeline_model_files_load(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from onesided.core import InputError, LabeledDataset, assign, evaluate
 from onesided.net import BackboneSpec, SelectiveModel, forward_batch, init_model
 from onesided.select import (
+    _cell_metrics,
     _harden_membership,
     SelectionCriterion,
     SelectionGrid,
@@ -216,6 +217,63 @@ def test_evaluate_grid_sorted_counts_equal_dense_scan(table):
     cov, err = dense_grid_row(probs, labels, K, grid.t_values)
     assert grid.coverage[0].tobytes() == cov.tobytes()
     assert grid.error[0].tobytes() == err.tobytes()
+
+
+def assert_cells_equal_evaluate_of_harden(model, probs, data, ts):
+    """The cell reader on ``probs`` against dense `evaluate(harden(...))`, exactly."""
+    for t, cell in zip(ts, _cell_metrics(probs, data.labels, ts), strict=True):
+        ref = evaluate(harden(model, t), data)
+        assert cell.coverage == ref.coverage
+        assert cell.raw_error == ref.raw_error
+        assert cell.rejection_rate == ref.rejection_rate
+        assert (
+            cell.per_class_one_sided_error.tobytes()
+            == ref.per_class_one_sided_error.tobytes()
+        )
+
+
+@pytest.mark.parametrize("K", range(2, 7))
+def test_cell_metrics_equal_evaluate_of_harden_on_random_models(K):
+    rng = np.random.default_rng(K)
+    model = random_model(K, num_classes=K)
+    X = rng.normal(size=(200, 2))
+    X[:7] = np.nan
+    data = LabeledDataset(X, rng.integers(0, K, size=200), K)
+    probs = forward_batch(model, X)
+    assert np.isnan(probs[:7]).all() and not np.isnan(probs[7:]).any()
+    # t = 0 and 1, and thresholds that some top score sits exactly on
+    ts = [0.0, 1.0, *rng.choice(probs[7:].max(axis=1), size=6)]
+    assert_cells_equal_evaluate_of_harden(model, probs, data, ts)
+
+
+# Rows with a score of exactly 1 or 0, a tie at t, a NaN beside a 1, all read
+# at t = 0 and t = 1.
+EDGE_ROWS = (
+    np.array([[1.0, 0.0], [0.5, 0.5], [np.nan, 1.0], [0.0, 0.0], [0.0, 1.0]]),
+    np.array([0, 1, 1, 0, 0]),
+    2,
+    [0.0, 0.5, 1.0],
+)
+
+
+@given(score_table())
+@example(THREE_WRONG)
+@example(EDGE_ROWS)
+@settings(max_examples=60, deadline=None)
+def test_cell_metrics_equal_evaluate_of_harden_on_score_tables(table):
+    probs, labels, K, ts = table
+    data = LabeledDataset(np.zeros((len(labels), 1)), labels, K)
+    model = random_model(0, dim=1, num_classes=K)
+    with mock.patch("onesided.select.forward_batch", return_value=probs):
+        assert_cells_equal_evaluate_of_harden(model, probs, data, ts)
+
+
+def test_cell_metrics_refuses_empty_data_and_bad_thresholds():
+    with pytest.raises(InputError, match="empty"):
+        _cell_metrics(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), [0.5])
+    for t in (-0.1, 1.5, np.nan):
+        with pytest.raises(InputError, match="threshold"):
+            _cell_metrics(np.full((3, 2), 0.5), np.zeros(3, dtype=np.int64), [t])
 
 
 def test_evaluate_grid_rejects_nan_rows():
