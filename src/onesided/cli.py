@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from .oracle import (
 from .pipeline import (
     GRID_COLUMNS,
     _log_to_doc,
+    _read_json,
     _write_curve,
     _write_json,
     _write_table,
@@ -103,17 +103,7 @@ def _val_grid(args) -> tuple[dict, SelectionGrid, int]:
 
 def _cmd_synth(args) -> int:
     if args.spec_file is not None:
-        try:
-            doc = json.loads(Path(args.spec_file).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise InputError(f"cannot read spec file: {exc}")
-        except UnicodeDecodeError as exc:
-            raise InputError(
-                f"spec file {args.spec_file}: byte {exc.start} is not valid UTF-8"
-            )
-        except json.JSONDecodeError as exc:
-            raise InputError(f"spec file is not valid JSON: {exc}")
-        spec = synthetic_from_dict(doc)
+        spec = synthetic_from_dict(_read_json(args.spec_file, "spec file"))
     else:
         if args.kind is None:
             raise InputError("give either --spec-file or --kind")

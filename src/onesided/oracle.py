@@ -93,20 +93,6 @@ class EmptySet:
         return "EmptySet()"
 
 
-class DifferenceSet:
-    """Base set minus the union of earlier sets; used to disjointify."""
-
-    def __init__(self, base: Callable, removed: Sequence[Callable]):
-        self.base = base
-        self.removed = tuple(removed)
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.base(X), dtype=bool)
-        for r in self.removed:
-            out = out & ~np.asarray(r(X), dtype=bool)
-        return out
-
-
 # kind code of each columnar candidate
 _UPPER, _LOWER, _INTERVAL = 0, 1, 2
 
@@ -529,15 +515,14 @@ def solve_osp_decoupled(
     raw_preds = tuple(
         EmptySet() if c is None else hclass.predicate(c) for c in best_choice
     )
-    final_preds = []
-    for k in range(K):
-        if best_choice[k] is None:
-            final_preds.append(EmptySet())
-        elif k == 0:
-            final_preds.append(raw_preds[0])
-        else:
-            final_preds.append(DifferenceSet(raw_preds[k], raw_preds[:k]))
-    fam = DecisionSetFamily.from_predicates(final_preds, dim=data.dim)
+    raw = DecisionSetFamily.from_predicates(raw_preds, dim=data.dim).member_fn
+
+    def first_set(X: np.ndarray) -> np.ndarray:
+        # a point belongs to the first raw set that holds it
+        M = raw(X)
+        return M & (np.cumsum(M, axis=1) == 1)
+
+    fam = DecisionSetFamily(first_set, K, data.dim)
     return OracleSolution(
         fam,
         float(union[g] / n),

@@ -225,19 +225,23 @@ def save_config(config: RunConfig, path: str | Path) -> None:
     _write_json(Path(path), config_to_dict(config))
 
 
-def load_config(path: str | Path) -> RunConfig:
+def _read_json(path: str | Path, what: str):
+    """The JSON document at ``path``; errors name it as ``what`` and the path."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}")
+        raise InputError(f"cannot read {what} {path}: {exc}")
     except UnicodeDecodeError as exc:
-        raise InputError(f"config {path}: byte {exc.start} is not valid UTF-8")
+        raise InputError(f"{what} {path}: byte {exc.start} is not valid UTF-8")
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"config {path} is not valid JSON: {exc}")
-    return config_from_dict(doc)
+        raise InputError(f"{what} {path} is not valid JSON: {exc}")
+
+
+def load_config(path: str | Path) -> RunConfig:
+    return config_from_dict(_read_json(path, "config"))
 
 
 def config_hash(config: RunConfig) -> str:

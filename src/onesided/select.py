@@ -89,9 +89,8 @@ class SelectionGrid:
     """Held-out coverage and error for every (mu, t) cell.
 
     ``coverage[i, j]`` and ``error[i, j]`` are the empirical coverage and
-    raw error of model ``mu_values[i]`` hardened at ``t_values[j]``.  The
-    error is the sum of per-class one-sided errors, which equals the raw
-    error because hardened families are disjoint.
+    raw error of model ``mu_values[i]`` hardened at ``t_values[j]``: the
+    covered and the wrong count over n, the floats `core.evaluate` gives.
     """
 
     mu_values: tuple[float, ...]
@@ -259,8 +258,7 @@ def evaluate_grid(
     for i, model in enumerate(models.values()):
         covered, wrong = _threshold_counts(_score(model, val), val.labels, t_arr)
         cov[i] = covered / val.n
-        # same float ops as summing the per-class wrong-membership means
-        err[i] = (wrong / val.n).sum(axis=1)
+        err[i] = wrong.sum(axis=1) / val.n
     return SelectionGrid(mus, tuple(t_arr.tolist()), cov, err)
 
 

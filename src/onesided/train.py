@@ -61,7 +61,8 @@ class LagrangianState:
     ``lambdas`` and ``phis`` are kept nonnegative by projection after
     every update; ``mu`` prices slack and caps the multipliers.  A stack of
     M states holds ``(M, K)`` multipliers and slacks and an ``(M, 1)``
-    column of prices.
+    column of prices.  The trainer's updates bind new arrays rather than
+    write into these, so a reference to them is a snapshot.
     """
 
     lambdas: np.ndarray
@@ -77,9 +78,6 @@ class LagrangianState:
             raise InputError("multipliers and slacks must be nonnegative")
         if np.any(np.asarray(self.mu) < 0):
             raise InputError("budget price mu must be nonnegative")
-
-    def snapshot(self) -> "LagrangianState":
-        return LagrangianState(self.lambdas.copy(), self.phis.copy(), self.mu)
 
 
 @dataclass(frozen=True)
@@ -329,12 +327,6 @@ class TrainingLog:
         return self.records[-1]
 
 
-def _state_of(stacked: LagrangianState, m: int) -> LagrangianState:
-    return LagrangianState(
-        stacked.lambdas[m], stacked.phis[m], float(stacked.mu[m, 0])
-    )
-
-
 def sgda_train_grid(
     data: LabeledDataset,
     spec: BackboneSpec,
@@ -371,7 +363,11 @@ def sgda_train_grid(
 
     A non-finite loss aborts with a :class:`NumericError` naming the
     failing ``mu`` and carrying that run's last finite epoch
-    (``checkpoint_epoch``, ``checkpoint_model``, ``checkpoint_state``).
+    (``checkpoint_epoch``, ``checkpoint_model``, ``checkpoint_state``):
+    its model and state as they stood when the failing epoch began.  Each
+    epoch copies only the stacked heads for it; the backbone cannot move
+    before the epoch's landing, and the multipliers and slacks are kept
+    by reference.
     Returns one ``(model, state, log)`` per grid value, in grid order.
     """
     mus = np.array(mu_grid, dtype=np.float64).reshape(-1, 1)
@@ -417,9 +413,6 @@ def sgda_train_grid(
     absent_fit = np.zeros(K, dtype=np.int64)
     absent_leak = np.zeros(K, dtype=np.int64)
     records: list = [[] for _ in range(M)]
-    checkpoint_epoch = -1
-    checkpoint = [mdl.copy() for mdl in models]
-    checkpoint_state = state.snapshot()
     interval = config.backbone_update_interval
     # no backbone update lands from this epoch on: only the heads train
     frozen_from = config.epochs - config.epochs % interval
@@ -462,6 +455,10 @@ def sgda_train_grid(
                 # so far ran at the old one
                 cot /= decay_factor
         perm = np.arange(n) if config.batch_size >= n else rng.permutation(n)
+        # the checkpoint: each step rebinds fresh multiplier and slack
+        # arrays, so references keep the epoch-start ones
+        start_w, start_b = head_w.copy(), head_b.copy()
+        start_lambdas, start_phis = state.lambdas, state.phis
         try:
             for start in range(0, n, config.batch_size):
                 idx = perm[start : start + config.batch_size]
@@ -495,9 +492,14 @@ def sgda_train_grid(
         except NumericError as exc:
             m = exc.model_index
             err = NumericError(f"training at mu={float(mus[m, 0])!r}: {exc}")
-            err.mu, err.checkpoint_epoch = float(mus[m, 0]), checkpoint_epoch
-            err.checkpoint_model = checkpoint[m]
-            err.checkpoint_state = _state_of(checkpoint_state, m)
+            err.mu, err.checkpoint_epoch = float(mus[m, 0]), epoch - 1
+            # backbones land after the batches, so the failing model's is
+            # still the epoch-start one; the run ends, so it needs no copy
+            models[m].head_w, models[m].head_b = start_w[m].copy(), start_b[m].copy()
+            err.checkpoint_model = models[m]
+            err.checkpoint_state = LagrangianState(
+                start_lambdas[m], start_phis[m], err.mu
+            )
             raise err from exc
         if (epoch + 1) % interval == 0:
             if feats.ndim == 2:
@@ -514,14 +516,15 @@ def sgda_train_grid(
                 feats[m] = _backbone(mdl.weights, mdl.biases, kind, data.features)[-1]
             cot[:] = 0.0
         record(epoch)
-        checkpoint_epoch = epoch
-        checkpoint = [mdl.copy() for mdl in models]
-        checkpoint_state = state.snapshot()
 
     if config.epochs == 0:
         record(-1)
     return [
-        (models[m].copy(), _state_of(state, m), TrainingLog(tuple(records[m])))
+        (
+            models[m].copy(),
+            LagrangianState(state.lambdas[m], state.phis[m], float(mus[m, 0])),
+            TrainingLog(tuple(records[m])),
+        )
         for m in range(M)
     ]
 

@@ -427,6 +427,36 @@ def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("pipeline", "--config", "{bad}"), "config"),
+        (("synth", "--spec-file", "{bad}", "--out", "{out}"), "spec file"),
+    ],
+    ids=["config", "spec-file"],
+)
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read {what} {bad}: "),
+        ("{not json", "{what} {bad} is not valid JSON: "),
+    ],
+    ids=["missing", "invalid-json"],
+)
+def test_unreadable_json_exits_1_naming_the_file(
+    tmp_path, capsys, argv, what, content, message
+):
+    bad = tmp_path / "doc.json"
+    if content is not None:
+        bad.write_text(content)
+    out = tmp_path / "x.csv"
+    assert run(*(a.format(bad=bad, out=out) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(what=what, bad=bad))
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_numeric_error_maps_to_exit_2(tmp_path, monkeypatch, capsys):
     data = synth_csv(tmp_path / "d.csv")
 

@@ -625,6 +625,56 @@ def test_decoupled_is_always_feasible_and_disjoint():
         assert abs(m.coverage - sol.value) < 1e-12
 
 
+@st.composite
+def c03_instance(draw):
+    """A c03-style instance: uniform x, quantile labels with flips or none."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    K = draw(st.sampled_from([2, 3, 4]))
+    n = int(rng.integers(40, 201))
+    x = rng.uniform(0.0, 1.0, n)
+    if draw(st.booleans()):
+        labels = np.digitize(x, np.quantile(x, np.linspace(0.0, 1.0, K + 1)[1:-1]))
+        flip = rng.random(n) < 0.1
+        labels[flip] = rng.integers(0, K, int(flip.sum()))
+    else:
+        labels = rng.integers(0, K, n)
+    cuts = canonical_cuts(x)
+    cuts = cuts[np.unique(np.linspace(0, cuts.size - 1, 24).astype(int))]
+    F = FiniteHypothesisClass
+    cls = draw(
+        st.sampled_from(
+            [
+                F.upper_thresholds(cuts),
+                F.lower_thresholds(cuts),
+                F.union(F.upper_thresholds(cuts), F.lower_thresholds(cuts)),
+                F.intervals(cuts[::3]),
+            ]
+        )
+    )
+    eps = draw(st.sampled_from([0.02, 0.05, 0.1]))
+    return LabeledDataset(x[:, None], labels, K), cls, eps, rng
+
+
+@given(c03_instance())
+@settings(max_examples=60, deadline=None)
+def test_decoupled_family_gives_each_point_to_the_first_raw_set(inst):
+    data, cls, eps, rng = inst
+    grid = budget_alpha_grid(eps, data.n, data.num_classes)
+    sol = solve_osp_decoupled(data, cls, eps, grid)
+    # points off the data range, exactly on every cut, and the sample itself
+    bounds = np.concatenate([cls.lo, cls.hi])
+    y = np.concatenate(
+        [rng.uniform(-0.5, 1.5, 200), bounds[np.isfinite(bounds)], data.features[:, 0]]
+    )
+    Y = y[:, None]
+    want, taken = [], np.zeros(y.size, dtype=bool)
+    for s in sol.raw_sets:
+        inside = np.asarray(s(Y), dtype=bool)
+        want.append(inside & ~taken)
+        taken |= inside
+    assert sol.family.membership(Y).tolist() == np.column_stack(want).tolist()
+
+
 def loop_decoupled(data, cls, eps, grid):
     """Reference budget sweep: one pass per allocation over dense rows.
 

@@ -191,12 +191,13 @@ def dense_grid_row(probs, labels, K, ts):
         member = _harden_membership(probs, t)
         cov.append(member.any(axis=1).mean())
         wrong = member & (labels[:, None] != np.arange(K))
-        err.append(wrong.mean(axis=0).sum())
+        err.append(wrong.any(axis=1).mean())
     return np.array(cov), np.array(err)
 
 
 # One wrong point in each of three classes out of ten: 0.1 + 0.1 + 0.1 is
-# not 3 / 10 in floating point, so the error must sum per-class rates.
+# not 3 / 10 in floating point, so an error that summed per-class rates
+# would read 1 ulp above the 0.3 that `evaluate` gives.
 THREE_WRONG = (
     np.vstack([np.eye(3)[[0, 1, 2]], np.tile(np.eye(3)[0], (7, 1))]),
     np.array([1, 2, 0] + [0] * 7),
@@ -217,6 +218,17 @@ def test_evaluate_grid_sorted_counts_equal_dense_scan(table):
     cov, err = dense_grid_row(probs, labels, K, grid.t_values)
     assert grid.coverage[0].tobytes() == cov.tobytes()
     assert grid.error[0].tobytes() == err.tobytes()
+
+
+def test_grid_error_at_exactly_eps_is_feasible():
+    probs, labels, K, ts = THREE_WRONG
+    val = LabeledDataset(np.zeros((len(labels), 1)), labels, K)
+    model = random_model(0, dim=1, num_classes=K)
+    with mock.patch("onesided.select.forward_batch", return_value=probs):
+        grid = evaluate_grid({1.0: model}, ts, val)
+    assert grid.error[0, 0] == 0.3
+    res = pick_error_constrained(grid, 0.3)
+    assert res.feasible and (res.coverage, res.error) == (1.0, 0.3)
 
 
 def assert_cells_equal_evaluate_of_harden(model, probs, data, ts):

@@ -897,13 +897,16 @@ def test_sgda_backbone_chain_runs_once_per_model_per_landing():
     assert (full.call_count, chain.call_count) == (0, 3 * 3)
 
 
-def test_sgda_grid_numeric_error_names_mu_and_carries_its_checkpoint():
+@pytest.mark.parametrize("interval", [20, 2, 1])
+def test_sgda_grid_numeric_error_names_mu_and_carries_its_checkpoint(interval):
     # lr_max this large blows up only the run whose lambda cap is infinite
-    # (mu = 1e308 gives 10 * mu = inf); it diverges after two finite epochs
+    # (mu = 1e308 gives 10 * mu = inf); it diverges after two finite epochs,
+    # before any landing at interval 20 and after one or two at 2 and 1
     data = overlap_blobs(40, seed=3)
     init = init_model(SPEC, 2, seed=4)
     cfg = TrainConfig(
-        mu=1.0, epochs=6, batch_size=1000, warm_start_epochs=0, lr_max=1e308, seed=1
+        mu=1.0, epochs=6, batch_size=1000, warm_start_epochs=0, lr_max=1e308, seed=1,
+        backbone_update_interval=interval,
     )
     big = 1e308
     with np.errstate(all="ignore"):
@@ -927,6 +930,13 @@ def test_sgda_grid_numeric_error_names_mu_and_carries_its_checkpoint():
     assert flatten_params(model).tobytes() == flatten_params(
         err.checkpoint_model
     ).tobytes()
+    landed = interval <= err.checkpoint_epoch + 1
+    assert landed == (interval != 20)
+    moved = [
+        not np.array_equal(p, q)
+        for p, q in zip(err.checkpoint_model.weights, init.weights)
+    ]
+    assert any(moved) == landed
 
 
 def assert_share_no_memory(models):
