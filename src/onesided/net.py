@@ -199,9 +199,9 @@ def _head(head_w: np.ndarray, head_b: np.ndarray, feat: np.ndarray) -> np.ndarra
     """
     logits = np.matmul(head_w, feat.swapaxes(-1, -2))
     logits += head_b[..., :, None]
-    logits -= logits.max(axis=-2, keepdims=True)
+    logits -= np.maximum.reduce(logits, axis=-2, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-2, keepdims=True)
+    logits /= np.add.reduce(logits, axis=-2, keepdims=True)
     return logits.swapaxes(-1, -2)
 
 
@@ -263,9 +263,10 @@ def backward(
 def _backward(model, X: np.ndarray, labels: np.ndarray, loss_spec: LossSpec):
     """:func:`backward` on arrays; a non-finite loss raises :class:`NumericError`."""
     acts, probs = _forward_pass(model, X)
-    value, dlogits, g_head_w, g_head_b = _head_grads(
-        acts[-1], probs, labels, loss_spec
-    )
+    value, dprobs = loss_spec.value_and_grad(probs, labels)
+    if not np.isfinite(value):
+        raise NumericError(f"loss evaluated to a non-finite value: {value}")
+    dlogits, g_head_w, g_head_b = _head_grads(acts[-1], probs, dprobs)
     g_ws, g_bs = _backbone_grads(model, acts, dlogits @ model.head_w)
     return value, GradientBundle(g_ws, g_bs, g_head_w, g_head_b)
 
@@ -290,27 +291,16 @@ def _backbone_grads(model, acts, d_h: np.ndarray) -> tuple[list, list]:
     return g_ws, g_bs
 
 
-def _head_grads(feat, probs, labels, loss_spec: LossSpec):
-    """Loss value, d(loss)/d(logits) and the head gradients.
+def _head_grads(feat, probs, dprobs):
+    """d(loss)/d(logits) and the head gradients, given d(loss)/d(probs).
 
-    Stacked like :func:`_head`: with M models the loss returns one value
-    per model and every result gains the model axis.  A non-finite value
-    raises :class:`NumericError` whose ``model_index`` names the first bad
-    model.
+    Stacked like :func:`_head`: with M models every result gains the
+    model axis.
     """
-    value, dprobs = loss_spec.value_and_grad(probs, labels)
-    bad = ~np.isfinite(value)
-    if bad.any():
-        m = int(np.argmax(bad))
-        exc = NumericError(
-            f"loss evaluated to a non-finite value: {np.ravel(value)[m]}"
-        )
-        exc.model_index = m
-        raise exc
     # softmax vector-Jacobian product, row-wise
-    inner = np.sum(dprobs * probs, axis=-1, keepdims=True)
+    inner = np.add.reduce(dprobs * probs, axis=-1, keepdims=True)
     dlogits = probs * (dprobs - inner)
-    return value, dlogits, np.matmul(dlogits.swapaxes(-1, -2), feat), dlogits.sum(axis=-2)
+    return dlogits, np.matmul(dlogits.swapaxes(-1, -2), feat), np.add.reduce(dlogits, axis=-2)
 
 
 def sgd_step(model: SelectiveModel, grads: GradientBundle, lr: float) -> None:
@@ -330,9 +320,12 @@ def _mean_nll(s_raw: np.ndarray) -> tuple[float, np.ndarray]:
     clamp is active.
     """
     n = s_raw.shape[0]
-    s = np.clip(s_raw, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    interior = (s_raw > PROB_FLOOR) & (s_raw < 1.0 - PROB_FLOOR)
-    return float(np.mean(-np.log(s))), np.where(interior, -1.0 / (n * s), 0.0)
+    s = np.minimum(1.0 - PROB_FLOOR, np.maximum(PROB_FLOOR, s_raw))
+    interior = s_raw > PROB_FLOOR
+    interior &= s_raw < 1.0 - PROB_FLOOR
+    grad = np.where(interior, -1.0 / (n * s), 0.0)
+    np.log(s, out=s)
+    return float(-np.add.reduce(s) / n), grad
 
 
 class _CrossEntropy:
@@ -374,7 +367,7 @@ def warm_start(
         perm = np.arange(n) if batch_size >= n else rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]
-            X, y = data.features[idx], data.labels[idx]
+            X, y = np.take(data.features, idx, axis=0), np.take(data.labels, idx)
             _, grads = _backward(model, X, y, CROSS_ENTROPY)
             sgd_step(model, grads, lr)
     return model

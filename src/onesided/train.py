@@ -30,6 +30,18 @@ model per price, and stacks only what every step touches, the heads,
 multipliers and slacks, with a leading mu axis.  Each model's heads are
 views of its slice of that stack; its backbone is its own and lands one
 model at a time.  `sgda_train` is the one-price case.
+
+A step's cost is its count of numpy calls, not its arithmetic (a grid of
+six on a 128-row batch at K = 2 is about 1.5k numbers), so a step makes
+as few as it can.  What it needs of its labels (class masks, each term's
+row count, the per-entry divisor, the absences) depends only on the
+epoch's batch order, so `label_tables` builds it for every batch of an
+epoch in one vectorised pass, and once per run for the record's full
+data.  A step tests the saddle value for finiteness without forming it:
+the fit sum is at most K log(1e12), and a NaN score makes its class's
+leak term NaN too, so the value is finite exactly when the sum of its
+multiplier and slack terms is.  Only a failing step computes the whole
+value, to word its error.
 """
 
 from __future__ import annotations
@@ -97,6 +109,8 @@ class TrainConfig:
     restricted: bool = True
 
     def __post_init__(self) -> None:
+        if len(self.lr_decay) != 2:
+            raise InputError(f"lr_decay must be (factor, epoch), got {self.lr_decay!r}")
         finite = [("mu", self.mu), ("lr_min", self.lr_min), ("lr_max", self.lr_max)]
         finite += [("lr_decay", v) for v in self.lr_decay]
         if self.lambda_max is not None:
@@ -113,8 +127,11 @@ class TrainConfig:
         if self.lr_min <= 0 or self.lr_max < 0:
             raise InputError("learning rates must be positive (ascent rate may be 0)")
         factor, at_epoch = self.lr_decay
-        if factor <= 0 or at_epoch < 0:
-            raise InputError(f"bad lr_decay {self.lr_decay}")
+        if factor <= 0 or at_epoch < 0 or at_epoch != int(at_epoch):
+            raise InputError(
+                f"lr_decay must be a positive factor and a whole epoch >= 0, "
+                f"got {self.lr_decay!r}"
+            )
         if self.backbone_update_interval < 1:
             raise InputError("backbone_update_interval must be at least 1")
         if self.lambda_max is not None and self.lambda_max < 0:
@@ -125,8 +142,66 @@ class TrainConfig:
 # loss values
 
 
-def _clamped(p: np.ndarray) -> np.ndarray:
-    return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+class LabelTable(NamedTuple):
+    """What :func:`class_terms` needs of one batch's labels, built ahead.
+
+    ``masks`` stacks the own-row and other-row masks, ``(2, n, K)`` and
+    class-major like the scores.  ``neg_d`` holds minus the fit and leak
+    divisors ``(2, K)``: each term's row count, or 1 for an absent term.
+    ``denom`` is ``(n, K)``, the fit divisor on own rows and the leak
+    divisor on the others.  ``absent`` flags the terms with no rows, and
+    ``restricted`` says whether the fit terms read their own rows only.
+    """
+
+    masks: np.ndarray
+    neg_d: np.ndarray
+    denom: np.ndarray
+    absent: np.ndarray
+    restricted: bool
+
+
+def label_tables(labels, K: int, restricted: bool = True, batch_size: int | None = None):
+    """The :class:`LabelTable` of each batch of consecutive rows.
+
+    Batches take ``batch_size`` rows in order, the last one possibly
+    fewer; ``None`` makes all rows one batch.  Every table is a view of
+    arrays built in one vectorised pass over all the rows.  Returns the
+    tables and the ``(2, K)`` count of batches in which each fit and leak
+    term is absent.
+    """
+    labels = np.asarray(labels)
+    n = labels.shape[0]
+    size = max(1, n if batch_size is None else min(batch_size, n))
+    # all rows as one batch make one table, even when there are none
+    starts = range(0, max(n, batch_size is None), size)
+    masks = np.empty((2, K, n), dtype=bool)
+    classes = np.arange(K)[:, None]
+    np.equal(labels, classes, out=masks[0])
+    np.not_equal(labels, classes, out=masks[1])
+    # rows per term and batch, class-major: (2, K, batches)
+    sizes = np.minimum(size, n - np.array(starts, dtype=np.intp))
+    n_own = np.bincount(
+        np.arange(n) // size * K + labels, minlength=len(starts) * K
+    ).reshape(-1, K).T
+    counts = np.empty((2, K, len(starts)))
+    counts[0] = n_own if restricted else sizes
+    np.subtract(sizes, n_own, out=counts[1])
+    absent = counts == 0
+    d = np.maximum(counts, 1.0, out=counts)
+    per_row = np.repeat(d, sizes, axis=2)
+    denom = np.where(masks[0], per_row[0], per_row[1]).T
+    neg_d = np.negative(d, out=d)
+    masks = masks.swapaxes(1, 2)
+    tables = [
+        LabelTable(masks[:, a : a + size], nd, denom[a : a + size], ab, restricted)
+        for a, nd, ab in zip(starts, neg_d.transpose(2, 0, 1), absent.transpose(2, 0, 1))
+    ]
+    return tables, absent.sum(axis=2)
+
+
+def label_table(labels, K: int, restricted: bool = True) -> LabelTable:
+    """The :class:`LabelTable` of all of ``labels`` as one batch."""
+    return label_tables(labels, K, restricted)[0][0]
 
 
 class ClassTerms(NamedTuple):
@@ -139,74 +214,78 @@ class ClassTerms(NamedTuple):
     dprobs: np.ndarray | None
 
 
-def class_terms(probs, labels, fit_w=None, leak_w=None, restricted=True) -> ClassTerms:
+def class_terms(probs, table: LabelTable, fit_w=None, leak_w=None) -> ClassTerms:
     """Every class's fit and leak term in one masked pass over ``(n, K)`` scores.
 
     ``fit[k]`` is the mean -log p_k over the class-k rows (every row unless
-    ``restricted``), ``leak[k]`` the mean -log(1 - p_k) over the other rows.
-    An empty row set makes a term absent: it reads 0 and its ``absent_*``
-    flag is set.  Scores are clamped to ``[PROB_FLOOR, 1 - PROB_FLOOR]``
-    before the log; the gradient is zero where the clamp is active.  With
-    weights (scalars or length-K vectors, ``None`` meaning 0), ``dprobs`` is
-    the gradient of ``sum_k fit_w[k] * fit[k] + leak_w[k] * leak[k]``.
+    ``table.restricted``), ``leak[k]`` the mean -log(1 - p_k) over the
+    other rows.  An empty row set makes a term absent: it reads 0 and its
+    ``absent_*`` flag is set.  Scores are clamped to ``[PROB_FLOOR, 1 -
+    PROB_FLOOR]`` before the log; the gradient is zero where the clamp is
+    active.  With weights (scalars or length-K vectors, ``None`` meaning
+    0), ``dprobs`` is the gradient of ``sum_k fit_w[k] * fit[k] + leak_w[k]
+    * leak[k]``.
+
+    ``table`` is the :class:`LabelTable` of the rows' labels, from
+    :func:`label_tables`: the trainer builds one per batch for a whole
+    epoch at once, and one for all training rows per run.
 
     Scores may be a stack ``(M, n, K)`` of M models on the same rows, with
     ``(M, K)`` weights; the means and ``dprobs`` then gain the model axis.
-    The row masks are built class-major, like the scores of
+    The table is class-major, like the scores of
     :func:`onesided.net._head`, so with those scores every temporary and
     ``dprobs`` are class-major too and the row sums run along contiguous
     memory.  Row-major scores give the same terms up to the rounding of
     those sums.
 
-    The pass allocates three score-sized arrays and writes every later step
-    into one of them, the last becoming ``dprobs``: at 10^4 rows a fresh
-    array per numpy op costs more in page faults than in arithmetic.  The
-    row masks therefore apply as products, so a NaN score makes both of its
-    class's terms NaN, and its own ``dprobs`` entry too.
+    Each step writes into an array an earlier one made: at 10^4 rows a
+    fresh array per numpy op costs more in page faults than in arithmetic.
+    The row masks apply as products, so a NaN score makes both of its
+    class's terms NaN, and its own ``dprobs`` entry too; the trainer's
+    finite check relies on this, testing the leak terms and not the fit
+    terms, which the clamp bounds by log(1 / PROB_FLOOR).  The gradient is
+    one division, ``where(own, -fit_w, leak_w) / (s * denom)`` with ``s``
+    the clamped score of each entry, and adds ``-fit_w / (p * n)`` on
+    every row when the fit is unrestricted.
     """
-    n, K = probs.shape[-2:]
-    own = (labels == np.arange(K)[:, None]).T
-    other = ~own
-    n_own = np.bincount(labels, minlength=K)
-    n_fit = n_own if restricted else np.full(K, n)
-    n_leak = n - n_own
-    # absent columns have no rows to divide over
-    d_fit = np.maximum(n_fit, 1)
-    d_leak = np.maximum(n_leak, 1)
-    # one clipped score per entry: p on own rows, 1 - p on the others
-    nll = np.subtract(1.0, probs)
-    s = np.where(own, probs, nll)
-    np.clip(s, PROB_FLOOR, 1.0 - PROB_FLOOR, out=s)
-    np.log(s, out=nll)
-    np.negative(nll, out=nll)
-    # each row sum reads a masked product, written into one reused buffer
-    if restricted:
-        buf = np.multiply(nll, own)
-    else:
-        buf = _clamped(probs)
-        np.log(buf, out=buf)
-        np.negative(buf, out=buf)
-    fit = buf.sum(axis=-2) / d_fit
-    np.multiply(nll, other, out=nll)
-    leak = nll.sum(axis=-2) / d_leak
+    masks, neg_d, denom, absent, restricted = table
+    own = masks[0]
+    # one clamped score per entry: p on own rows, 1 - p on the others
+    logs = np.subtract(1.0, probs)
+    s = np.where(own, probs, logs)
+    np.maximum(PROB_FLOOR, s, out=s)
+    np.minimum(1.0 - PROB_FLOOR, s, out=s)
+    np.log(s, out=logs)
+    # the fit and leak row sums in one reduction over masked logs; their
+    # divisors are negative, so the logs need no negation
+    masked = np.multiply(logs[..., None, :, :], masks)
+    if not restricted:
+        clamped = np.maximum(PROB_FLOOR, probs, out=masked[..., 0, :, :])
+        np.minimum(1.0 - PROB_FLOOR, clamped, out=clamped)
+        if fit_w is not None:
+            # p n, the divisor of the fit gradient -fit_w / (p n) on
+            # every row, taken before the log overwrites p
+            fit_grad = np.multiply(clamped, -neg_d[0], out=logs)
+        np.log(clamped, out=clamped)
+    means = np.add.reduce(masked, axis=-2)
+    means /= neg_d
+    # an absent term sums masked -0.0s: make it read 0.0
+    means += 0.0
     dprobs = None
     if fit_w is not None or leak_w is not None:
-        fit_w, leak_w = _per_row(fit_w), _per_row(leak_w)
-        # -fit_w / (d_fit p) on the fit rows plus leak_w / (d_leak (1 - p))
-        # on the others, in the two buffers the sums are done with
-        np.multiply(s if restricted else _clamped(probs), d_fit, out=buf)
-        np.divide(-fit_w, buf, out=buf)
-        if restricted:
-            buf *= own
-        np.multiply(s, d_leak, out=nll)
-        np.divide(leak_w, nll, out=nll)
-        nll *= other
-        dprobs = buf
-        dprobs += nll
-        dprobs *= (probs > PROB_FLOOR) & (probs < 1.0 - PROB_FLOOR)
+        neg_fit_w = -_per_row(fit_w)
+        np.multiply(s, denom, out=s)
+        dprobs = np.divide(
+            np.where(own, neg_fit_w if restricted else 0.0, _per_row(leak_w)), s, out=s
+        )
+        if not restricted and fit_w is not None:
+            dprobs += np.divide(neg_fit_w, fit_grad, out=fit_grad)
+        inside = probs > PROB_FLOOR
+        inside &= probs < 1.0 - PROB_FLOOR
+        dprobs *= inside
         # the product gives -0.0 where a negative entry is clamped
         dprobs += 0.0
-    return ClassTerms(fit, leak, n_fit == 0, n_leak == 0, dprobs)
+    return ClassTerms(means[..., 0, :], means[..., 1, :], absent[0], absent[1], dprobs)
 
 
 def _per_row(w) -> np.ndarray:
@@ -236,7 +315,8 @@ class RestrictedFitLoss:
         self.k = k
 
     def value_and_grad(self, probs, labels):
-        terms = class_terms(probs, labels, fit_w=np.eye(probs.shape[1])[self.k])
+        K = probs.shape[1]
+        terms = class_terms(probs, label_table(labels, K), fit_w=np.eye(K)[self.k])
         return float(terms.fit[self.k]), terms.dprobs
 
 
@@ -247,7 +327,8 @@ class LeakLoss:
         self.k = k
 
     def value_and_grad(self, probs, labels):
-        terms = class_terms(probs, labels, leak_w=np.eye(probs.shape[1])[self.k])
+        K = probs.shape[1]
+        terms = class_terms(probs, label_table(labels, K), leak_w=np.eye(K)[self.k])
         return float(terms.leak[self.k]), terms.dprobs
 
 
@@ -269,9 +350,8 @@ class LagrangianLoss:
         self.last_absent_leak: np.ndarray | None = None
 
     def value_and_grad(self, probs, labels):
-        terms = class_terms(
-            probs, labels, 1.0, self.state.lambdas, restricted=self.restricted
-        )
+        table = label_table(labels, probs.shape[-1], self.restricted)
+        terms = class_terms(probs, table, 1.0, self.state.lambdas)
         self.last_leaks = terms.leak
         self.last_absent_fit = terms.absent_fit
         self.last_absent_leak = terms.absent_leak
@@ -361,6 +441,11 @@ def sgda_train_grid(
     ``epochs`` is below the interval) have no update to land and do no
     backbone work at all.
 
+    A step takes the saddle objective's terms and gradient from
+    :func:`class_terms` on its batch's slice of the epoch's
+    :func:`label_tables`: the arithmetic of :class:`LagrangianLoss`,
+    without rebuilding the label masks per batch.
+
     A non-finite loss aborts with a :class:`NumericError` naming the
     failing ``mu`` and carrying that run's last finite epoch
     (``checkpoint_epoch``, ``checkpoint_model``, ``checkpoint_state``):
@@ -410,9 +495,10 @@ def sgda_train_grid(
     n = data.n
     lr_w, lr_l = config.lr_min, config.lr_max
     decay_factor, decay_epoch = config.lr_decay
-    absent_fit = np.zeros(K, dtype=np.int64)
-    absent_leak = np.zeros(K, dtype=np.int64)
+    # batches so far in which each class's fit and leak term was absent
+    absent = np.zeros((2, K), dtype=np.int64)
     records: list = [[] for _ in range(M)]
+    record_table = label_table(data.labels, K, config.restricted)
     interval = config.backbone_update_interval
     # no backbone update lands from this epoch on: only the heads train
     frozen_from = config.epochs - config.epochs % interval
@@ -433,16 +519,16 @@ def sgda_train_grid(
         # matrices at once
         for m, log in enumerate(records):
             probs = _head(head_w[m], head_b[m], feats if feats.ndim == 2 else feats[m])
-            terms = class_terms(probs, data.labels, restricted=config.restricted)
+            terms = class_terms(probs, record_table)
             log.append(
                 EpochRecord(
                     epoch=epoch,
                     fit_sum=float(terms.fit.sum()),
-                    leaks=tuple(float(v) for v in terms.leak),
-                    lambdas=tuple(float(v) for v in state.lambdas[m]),
-                    phis=tuple(float(v) for v in state.phis[m]),
-                    absent_fit=tuple(int(v) for v in absent_fit),
-                    absent_leak=tuple(int(v) for v in absent_leak),
+                    leaks=tuple(terms.leak.tolist()),
+                    lambdas=tuple(state.lambdas[m].tolist()),
+                    phis=tuple(state.phis[m].tolist()),
+                    absent_fit=tuple(absent[0].tolist()),
+                    absent_leak=tuple(absent[1].tolist()),
                 )
             )
 
@@ -455,52 +541,64 @@ def sgda_train_grid(
                 # so far ran at the old one
                 cot /= decay_factor
         perm = np.arange(n) if config.batch_size >= n else rng.permutation(n)
+        tables, epoch_absent = label_tables(
+            np.take(data.labels, perm), K, config.restricted, config.batch_size
+        )
         # the checkpoint: each step rebinds fresh multiplier and slack
         # arrays, so references keep the epoch-start ones
         start_w, start_b = head_w.copy(), head_b.copy()
         start_lambdas, start_phis = state.lambdas, state.phis
-        try:
-            for start in range(0, n, config.batch_size):
-                idx = perm[start : start + config.batch_size]
-                loss_obj = LagrangianLoss(state, config.restricted)
-                # the backbone is fixed until the next landing, so the
-                # cached features are this batch's
-                feat = feats[..., idx, :]
-                _, dlogits, g_head_w, g_head_b = _head_grads(
-                    feat, _head(head_w, head_b, feat), data.labels[idx], loss_obj
-                )
-                # heads step now, the backbone's step waits for the landing
-                if epoch < frozen_from:
-                    rows = batch_cot[: idx.size]
-                    np.matmul(dlogits, head_w, out=rows.swapaxes(0, 1))
-                    cot[idx] += rows
-                head_w -= lr_w * g_head_w
-                head_b -= lr_w * g_head_b
-                # simultaneous update of slacks and multipliers
-                new_phis = np.maximum(
-                    0.0, state.phis - lr_w * (state.mu - state.lambdas)
-                )
-                new_lambdas = np.clip(
-                    state.lambdas + lr_l * (loss_obj.last_leaks - state.phis),
-                    0.0,
-                    lam_max,
-                )
-                state.phis = new_phis
-                state.lambdas = new_lambdas
-                absent_fit += loss_obj.last_absent_fit
-                absent_leak += loss_obj.last_absent_leak
-        except NumericError as exc:
-            m = exc.model_index
-            err = NumericError(f"training at mu={float(mus[m, 0])!r}: {exc}")
-            err.mu, err.checkpoint_epoch = float(mus[m, 0]), epoch - 1
-            # backbones land after the batches, so the failing model's is
-            # still the epoch-start one; the run ends, so it needs no copy
-            models[m].head_w, models[m].head_b = start_w[m].copy(), start_b[m].copy()
-            err.checkpoint_model = models[m]
-            err.checkpoint_state = LagrangianState(
-                start_lambdas[m], start_phis[m], err.mu
+        for start, table in zip(range(0, n, config.batch_size), tables):
+            idx = perm[start : start + config.batch_size]
+            # the backbone is fixed until the next landing, so the cached
+            # features are this batch's
+            feat = np.take(feats, idx, axis=-2)
+            probs = _head(head_w, head_b, feat)
+            lam, phis = state.lambdas, state.phis
+            terms = class_terms(probs, table, 1.0, lam)
+            gap = mus - lam
+            # the saddle value's multiplier and slack sums: finite exactly
+            # when the value is, since the fit sum is bounded and a NaN
+            # score makes its class's leak NaN too
+            finite = np.isfinite(
+                np.add.reduce(lam * terms.leak, axis=-1)
+                + np.add.reduce(gap * phis, axis=-1)
             )
-            raise err from exc
+            if not finite.all():
+                m = int(np.argmin(finite))
+                mu = float(mus[m, 0])
+                err = NumericError(
+                    f"training at mu={mu!r}: loss evaluated to a non-finite "
+                    f"value: {_saddle_value(terms, state)[m]}"
+                )
+                err.mu, err.checkpoint_epoch = mu, epoch - 1
+                # backbones land after the batches, so the failing model's
+                # is still the epoch-start one; the run ends, so it needs
+                # no copy
+                models[m].head_w, models[m].head_b = start_w[m].copy(), start_b[m].copy()
+                err.checkpoint_model = models[m]
+                err.checkpoint_state = LagrangianState(start_lambdas[m], start_phis[m], mu)
+                raise err
+            dlogits, g_head_w, g_head_b = _head_grads(feat, probs, terms.dprobs)
+            # heads step now, the backbone's step waits for the landing
+            if epoch < frozen_from:
+                rows = batch_cot[: idx.size]
+                np.matmul(dlogits, head_w, out=rows.swapaxes(0, 1))
+                cot[idx] += rows
+            head_w -= lr_w * g_head_w
+            head_b -= lr_w * g_head_b
+            # simultaneous update of slacks and multipliers, into fresh
+            # arrays; each bound is the first argument, which np.clip keeps
+            # on a tie (so 0.0, never -0.0)
+            gap *= lr_w
+            new_phis = np.maximum(0.0, np.subtract(phis, gap, out=gap), out=gap)
+            new_lambdas = np.subtract(terms.leak, phis)
+            new_lambdas *= lr_l
+            new_lambdas += lam
+            np.maximum(0.0, new_lambdas, out=new_lambdas)
+            state.lambdas = np.minimum(lam_max, new_lambdas, out=new_lambdas)
+            state.phis = new_phis
+        absent += epoch_absent
         if (epoch + 1) % interval == 0:
             if feats.ndim == 2:
                 feats = np.repeat(feats[None], M, axis=0)

@@ -367,6 +367,8 @@ def test_pipeline_missing_csv_exits_1_naming_it(tmp_path, capsys):
         (lambda d: d["train"].update(adaptive=True), "train.adaptive"),
         (lambda d: d["train"].update(lr_min=float("nan")), "lr_min"),
         (lambda d: d.update(mu_grid=[0.5, float("inf")]), "mu_grid"),
+        (lambda d: d["train"].update(lr_decay=[0.1]), "lr_decay"),
+        (lambda d: d["train"].update(lr_decay=[0.1, 2.5]), "lr_decay"),
     ],
 )
 def test_pipeline_malformed_config_exits_1(tmp_path, capsys, edit, key):

@@ -21,6 +21,7 @@ from onesided.net import (
     init_model,
 )
 from onesided.train import (
+    ClassTerms,
     GamblersLoss,
     LagrangianLoss,
     LagrangianState,
@@ -28,6 +29,8 @@ from onesided.train import (
     RestrictedFitLoss,
     TrainConfig,
     class_terms,
+    label_table,
+    label_tables,
     sgda_train,
     sgda_train_grid,
 )
@@ -75,9 +78,8 @@ def test_leak_hand_values():
 
 
 def terms_of(model, batch, restricted=True):
-    return class_terms(
-        forward_batch(model, batch.features), batch.labels, restricted=restricted
-    )
+    table = label_table(batch.labels, batch.num_classes, restricted)
+    return class_terms(forward_batch(model, batch.features), table)
 
 
 def lagrangian(model, batch, state):
@@ -217,8 +219,9 @@ def test_class_terms_and_losses_match_per_class_loop(K, n, present, seed, restri
     zero = np.zeros(K)
 
     # row-major, and class-major as `_head` stores the trainer's scores
+    table = label_table(labels, K, restricted)
     for probs in (probs, np.ascontiguousarray(probs.T).T):
-        got = class_terms(probs, labels, fit_w, leak_w, restricted)
+        got = class_terms(probs, table, fit_w, leak_w)
         fit, leak, absent_fit, absent_leak, dprobs = loop_terms(
             probs, labels, fit_w, leak_w, restricted
         )
@@ -226,7 +229,7 @@ def test_class_terms_and_losses_match_per_class_loop(K, n, present, seed, restri
         assert np.array_equal(got.absent_fit, absent_fit)
         assert np.array_equal(got.absent_leak, absent_leak)
         assert got.dprobs.tobytes() == dprobs.tobytes()
-        assert class_terms(probs, labels, restricted=restricted).dprobs is None
+        assert class_terms(probs, table).dprobs is None
 
         for k in range(K):
             e_k = np.eye(K)[k]
@@ -296,11 +299,12 @@ def test_stacked_head_and_class_terms_slices_equal_lone_models(
 
     stack = stack_of(models)
     probs = _head(stack.head_w, stack.head_b, feats)
-    terms = class_terms(probs, labels, fit_w, leak_w, restricted)
+    table = label_table(labels, K, restricted)
+    terms = class_terms(probs, table, fit_w, leak_w)
     for m, model in enumerate(models):
         lone = _head(model.head_w, model.head_b, feats if shared else feats[m])
         assert probs[m].tobytes() == lone.tobytes()
-        want = class_terms(lone, labels, fit_w[m], leak_w[m], restricted)
+        want = class_terms(lone, table, fit_w[m], leak_w[m])
         assert terms.fit[m].tobytes() == want.fit.tobytes()
         assert terms.leak[m].tobytes() == want.leak.tobytes()
         assert terms.dprobs[m].tobytes() == want.dprobs.tobytes()
@@ -322,8 +326,81 @@ def test_scores_and_class_term_gradients_are_stored_class_major(M):
     weights = np.random.default_rng(3).random(model.head_b.shape)
     for restricted in (True, False):
         for fit_w in (1.0, weights):
-            terms = class_terms(probs, batch.labels, fit_w, weights, restricted)
+            table = label_table(batch.labels, 4, restricted)
+            terms = class_terms(probs, table, fit_w, weights)
             assert terms.dprobs.swapaxes(-1, -2).flags.c_contiguous
+
+
+def assert_same_terms(got, want):
+    for name in ClassTerms._fields:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    K=st.integers(1, 6),
+    n=st.integers(1, 60),
+    batch_size=st.integers(1, 25),
+    present=st.integers(1, 6),
+    M=st.integers(0, 3),
+    restricted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_epoch_table_slices_equal_batch_tables_and_the_loop(
+    K, n, batch_size, present, M, restricted, seed
+):
+    # the trainer builds every batch's label table in one pass per epoch;
+    # each slice must give the terms a table of that batch's labels gives,
+    # byte for byte, and the per-class loop's: dprobs byte for byte, means
+    # to 1e-12.  Weights are those of all three loss objects, zeros
+    # included: a zero weight is where -0.0 appears.  The trailing batch
+    # may be short, and classes >= present miss every batch
+    rng = np.random.default_rng(seed)
+    stack = () if M == 0 else (M,)
+    logits = rng.normal(size=stack + (K, n)) * rng.choice([1.0, 30.0])
+    probs = np.exp(logits - logits.max(axis=-2, keepdims=True))
+    probs /= probs.sum(axis=-2, keepdims=True)
+    probs = probs.swapaxes(-1, -2)  # class-major, as `_head` stores scores
+    probs[..., rng.random(n) < 0.2, :] = np.eye(K)[rng.integers(0, K)]  # 0 and 1
+    labels = rng.integers(0, min(present, K), size=n)
+    lam = rng.random(stack + (K,)) * (rng.random(stack + (K,)) < 0.5)
+    zero, eye = np.zeros(stack + (K,)), np.broadcast_to(np.eye(K), stack + (K, K))
+    weights = [(1.0, lam), (zero, zero), (None, None)]
+    weights += [(eye[..., k, :], None) for k in range(K)]  # RestrictedFitLoss(k)
+    weights += [(None, eye[..., k, :]) for k in range(K)]  # LeakLoss(k)
+
+    tables, absent = label_tables(labels, K, restricted, batch_size)
+    assert len(tables) == -(-n // batch_size)
+    counted = np.zeros((2, K), dtype=np.int64)
+    for start, table in zip(range(0, n, batch_size), tables):
+        rows = slice(start, start + batch_size)
+        y, p = labels[rows], probs[..., rows, :]
+        lone = label_table(y, K, restricted)
+        counted += lone.absent
+        for fit_w, leak_w in weights:
+            got = class_terms(p, table, fit_w, leak_w)
+            want = class_terms(p, lone, fit_w, leak_w)
+            if fit_w is None and leak_w is None:
+                assert got.dprobs is None and want.dprobs is None
+                assert_same_terms(got._replace(dprobs=zero), want._replace(dprobs=zero))
+            else:
+                assert_same_terms(got, want)
+            for m in np.ndindex(stack):
+                fw = np.broadcast_to(0.0 if fit_w is None else fit_w, stack + (K,))
+                lw = np.broadcast_to(0.0 if leak_w is None else leak_w, stack + (K,))
+                fit, leak, absent_fit, absent_leak, dprobs = loop_terms(
+                    p[m], y, fw[m], lw[m], restricted
+                )
+                assert close(got.fit[m], fit) and close(got.leak[m], leak)
+                # an absent term reads 0.0, not -0.0
+                assert got.fit[m][absent_fit].tobytes() == fit[absent_fit].tobytes()
+                assert got.leak[m][absent_leak].tobytes() == leak[absent_leak].tobytes()
+                assert np.array_equal(got.absent_fit, absent_fit)
+                assert np.array_equal(got.absent_leak, absent_leak)
+                if got.dprobs is not None:
+                    assert got.dprobs[m].tobytes() == dprobs.tobytes()
+    assert np.array_equal(absent, counted)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +540,12 @@ def test_config_validation():
         TrainConfig(mu=1.0, batch_size=0)
     with pytest.raises(InputError):
         TrainConfig(mu=1.0, backbone_update_interval=0)
+    # lr_decay is exactly (factor, epoch), the epoch a whole number: at 2.5
+    # the decay would never fire
+    for bad in [(), (0.1,), (0.1, 50, 2), (0.1, 2.5), (0.0, 5), (0.1, -1)]:
+        with pytest.raises(InputError, match="lr_decay"):
+            TrainConfig(mu=1.0, lr_decay=bad)
+    assert TrainConfig(mu=1.0, lr_decay=(0.5, 3.0)).lr_decay == (0.5, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -937,6 +1020,157 @@ def test_sgda_grid_numeric_error_names_mu_and_carries_its_checkpoint(interval):
         for p, q in zip(err.checkpoint_model.weights, init.weights)
     ]
     assert any(moved) == landed
+
+
+def loss_object_grid(data, config, mus, init, head=_head):
+    """The lockstep grid stepped through ``LagrangianLoss.value_and_grad``.
+
+    The trainer's arithmetic, written with the loss object: per-batch
+    labels, the saddle value at every step tested for finiteness.  Returns
+    the models and stacked state, or, at the first non-finite value, its
+    epoch, model index and value, and that model and state as the epoch
+    began.
+    """
+    M, K, n = len(mus), data.num_classes, data.n
+    mus = np.array(mus, dtype=np.float64).reshape(-1, 1)
+    state = LagrangianState(np.zeros((M, K)), np.zeros((M, K)), mus)
+    head_w = np.repeat(init.head_w[None], M, axis=0)
+    head_b = np.repeat(init.head_b[None], M, axis=0)
+    models = [init.copy() for _ in range(M)]
+    kind, interval = init.spec.activation, config.backbone_update_interval
+    lam_max = 10.0 * mus if config.lambda_max is None else config.lambda_max
+    rng = np.random.default_rng([config.seed, 1])
+    lr_w, lr_l = config.lr_min, config.lr_max
+    feats = net_mod._backbone(init.weights, init.biases, kind, data.features)[-1]
+    cot = np.zeros((n, M, init.spec.feature_dim))
+    for epoch in range(config.epochs):
+        if epoch == config.lr_decay[1] and epoch > 0:
+            lr_w *= config.lr_decay[0]
+            lr_l *= config.lr_decay[0]
+            if epoch % interval:
+                cot /= config.lr_decay[0]
+        perm = np.arange(n) if config.batch_size >= n else rng.permutation(n)
+        start = (head_w.copy(), head_b.copy(), state.lambdas, state.phis)
+        for a in range(0, n, config.batch_size):
+            idx = perm[a : a + config.batch_size]
+            feat = feats[..., idx, :]
+            probs = head(head_w, head_b, feat)
+            loss = LagrangianLoss(state, config.restricted)
+            value, dprobs = loss.value_and_grad(probs, data.labels[idx])
+            bad = ~np.isfinite(value)
+            if bad.any():
+                m = int(np.argmax(bad))
+                model = models[m]
+                model.head_w, model.head_b = start[0][m], start[1][m]
+                return epoch, m, value[m], model, start[2][m], start[3][m]
+            inner = np.sum(dprobs * probs, axis=-1, keepdims=True)
+            dlogits = probs * (dprobs - inner)
+            cot[idx] += np.matmul(dlogits, head_w).swapaxes(0, 1)
+            head_w -= lr_w * np.matmul(dlogits.swapaxes(-1, -2), feat)
+            head_b -= lr_w * dlogits.sum(axis=-2)
+            phis = np.maximum(0.0, state.phis - lr_w * (mus - state.lambdas))
+            state.lambdas = np.clip(
+                state.lambdas + lr_l * (loss.last_leaks - state.phis), 0.0, lam_max
+            )
+            state.phis = phis
+        if (epoch + 1) % interval == 0:
+            if feats.ndim == 2:
+                feats = np.repeat(feats[None], M, axis=0)
+            for m, model in enumerate(models):
+                acts = net_mod._backbone(
+                    model.weights[:-1], model.biases[:-1], kind, data.features
+                ) + [feats[m]]
+                g_ws, g_bs = net_mod._backbone_grads(model, acts, cot[:, m])
+                for param, g in zip(model.weights + model.biases, g_ws + g_bs):
+                    param -= lr_w * g
+                feats[m] = net_mod._backbone(
+                    model.weights, model.biases, kind, data.features
+                )[-1]
+            cot[:] = 0.0
+    for m, model in enumerate(models):
+        model.head_w, model.head_b = head_w[m], head_b[m]
+    return models, state
+
+
+def poisoned_head(at_call, m):
+    """``_head`` that writes NaN into model m's stacked heads at one step."""
+    calls = 0
+
+    def head(head_w, head_b, feat):
+        nonlocal calls
+        if head_w.ndim == 3:  # a step, not the per-model record
+            calls += 1
+            if calls == at_call:
+                head_w[m, 0, 0] = np.nan
+        return _head(head_w, head_b, feat)
+
+    return head
+
+
+OVERFLOW = TrainConfig(
+    mu=1.0, epochs=6, batch_size=1000, warm_start_epochs=0, lr_max=1e308, seed=1
+)
+
+
+@pytest.mark.parametrize(
+    "config, mus, poison, fails",
+    [
+        # a NaN head in the middle model at the first step of epoch 3, past
+        # a landing (3 steps an epoch)
+        (TrainConfig(mu=1.0, epochs=4, batch_size=16, warm_start_epochs=0,
+                     backbone_update_interval=2, seed=5), (0.5, 1.0, 2.0), (10, 1), (1, 3)),
+        # the lambda overflow: mu = 1e308 makes the cap 10 * mu = inf
+        (dataclasses.replace(OVERFLOW, backbone_update_interval=20),
+         (0.5, 1e308, 2.0), None, (1, 2)),
+        (dataclasses.replace(OVERFLOW, backbone_update_interval=2),
+         (0.5, 1e308, 2.0), None, (1, 2)),
+        (dataclasses.replace(OVERFLOW, backbone_update_interval=1),
+         (0.5, 1e308, 2.0), None, (1, 2)),
+        # the slack term alone overflows: capped at 1e300, the multipliers
+        # keep lambda * leak finite while (mu - lambda) * phi is not
+        (dataclasses.replace(OVERFLOW, lambda_max=1e300), (0.5, 2.0), None, (0, 2)),
+        # nothing fails: the runs themselves must agree
+        (TrainConfig(mu=1.0, epochs=5, batch_size=16, warm_start_epochs=0,
+                     backbone_update_interval=2, lr_decay=(0.5, 3), seed=6,
+                     restricted=False), (0.0, 0.5, 4.0), None, None),
+    ],
+)
+def test_finite_check_raises_where_the_loss_object_value_is_non_finite(
+    config, mus, poison, fails
+):
+    # the trainer tests only the multiplier and slack sums of the saddle
+    # value, and words its error from the whole value; the reference tests
+    # the whole value LagrangianLoss returns at every step
+    data = overlap_blobs(40, seed=3)
+    init = init_model(SPEC, 2, seed=4)
+    def head():
+        return poisoned_head(*poison) if poison else _head
+
+    with np.errstate(all="ignore"):
+        want = loss_object_grid(data, config, mus, init, head=head())
+        with mock.patch.object(train_mod, "_head", head()):
+            if fails is None:
+                runs = sgda_train_grid(data, SPEC, config, mus, initial_model=init)
+                for m, (model, state, _) in enumerate(runs):
+                    assert flatten_params(model).tobytes() == flatten_params(
+                        want[0][m]
+                    ).tobytes()
+                    assert state.lambdas.tobytes() == want[1].lambdas[m].tobytes()
+                    assert state.phis.tobytes() == want[1].phis[m].tobytes()
+                return
+            with pytest.raises(NumericError) as ei:
+                sgda_train_grid(data, SPEC, config, mus, initial_model=init)
+    epoch, m, value, model, lambdas, phis = want
+    assert (m, epoch) == fails
+    err = ei.value
+    assert str(err) == (
+        f"training at mu={mus[m]!r}: loss evaluated to a non-finite value: {value}"
+    )
+    assert (err.mu, err.checkpoint_epoch) == (mus[m], epoch - 1)
+    assert flatten_params(err.checkpoint_model).tobytes() == flatten_params(model).tobytes()
+    assert err.checkpoint_state.lambdas.tobytes() == lambdas.tobytes()
+    assert err.checkpoint_state.phis.tobytes() == phis.tobytes()
+    assert err.checkpoint_state.mu == mus[m]
 
 
 def assert_share_no_memory(models):
