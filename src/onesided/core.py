@@ -8,6 +8,7 @@ empirical coverage/error metrics everything else is measured with.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,8 +37,14 @@ class FormatError(InputError):
 class LabeledDataset:
     """Immutable array-backed sample of labeled points.
 
-    Labels are 0-indexed and must lie in ``[0, num_classes)``.  Arrays are
-    cast to canonical dtypes and marked read-only on construction.
+    Labels are 0-indexed whole numbers in ``[0, num_classes)``; a label
+    that is not a number, not finite or not whole (``'1'``, ``nan``,
+    ``1.7``) is refused with an :class:`InputError` naming it, and
+    whole-valued floats such as ``1.0`` load as integers.  Features are
+    stored as float64 and labels in the narrowest signed integer type
+    that holds ``num_classes - 1`` (int8 up to 128 classes, int16 up to
+    32,768); a subset keeps that type.  Both arrays are copies, marked
+    read-only.
     """
 
     features: np.ndarray
@@ -46,7 +53,7 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         feats = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
-        labs = np.asarray(self.labels, dtype=np.int64).ravel()
+        labs = _whole_labels(self.labels)
         if feats.ndim != 2:
             raise InputError(f"features must be 2-D, got shape {feats.shape}")
         if feats.shape[0] != labs.shape[0]:
@@ -61,7 +68,7 @@ class LabeledDataset:
                 f"saw range [{labs.min()}, {labs.max()}]"
             )
         feats = feats.copy()
-        labs = labs.copy()
+        labs = labs.astype(np.min_scalar_type(-self.num_classes))
         feats.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -81,6 +88,32 @@ class LabeledDataset:
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
         idx = np.asarray(indices)
         return LabeledDataset(self.features[idx], self.labels[idx], self.num_classes)
+
+
+def _whole_labels(labels) -> np.ndarray:
+    """``labels`` as a flat array of exact whole numbers, or an :class:`InputError`.
+
+    Integer and boolean arrays pass as they are.  Any other label must be
+    a finite whole real number, and the first one that is not is named.
+    """
+    labs = np.asarray(labels).ravel()
+    if labs.dtype.kind in "biu":
+        return labs
+    if labs.dtype.kind == "f":
+        whole = np.isfinite(labs) & (np.floor(labs) == labs)
+    else:
+        whole = np.array([_is_whole(v) for v in labs.tolist()], dtype=bool)
+    if not whole.all():
+        i = int(np.argmin(whole))
+        bad = labs[i : i + 1].tolist()[0]
+        raise InputError(f"labels must be whole numbers, saw {bad!r} at index {i}")
+    return labs
+
+
+def _is_whole(value) -> bool:
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,11 @@ as few as it can.  What it needs of its labels (class masks, each term's
 row count, the per-entry divisor, the absences) depends only on the
 epoch's batch order, so `label_tables` builds it for every batch of an
 epoch in one vectorised pass, and once per run for the record's full
-data.  A step tests the saddle value for finiteness without forming it:
-the fit sum is at most K log(1e12), and a NaN score makes its class's
-leak term NaN too, so the value is finite exactly when the sum of its
-multiplier and slack terms is.  Only a failing step computes the whole
-value, to word its error.
+data, less the divisor, which the record never reads.  A step tests the
+saddle value for finiteness without forming it: the fit sum is at most
+K log(1e12), and a NaN score makes its class's leak term NaN too, so the
+value is finite exactly when the sum of its multiplier and slack terms
+is.  Only a failing step computes the whole value, to word its error.
 """
 
 from __future__ import annotations
@@ -149,13 +149,15 @@ class LabelTable(NamedTuple):
     class-major like the scores.  ``neg_d`` holds minus the fit and leak
     divisors ``(2, K)``: each term's row count, or 1 for an absent term.
     ``denom`` is ``(n, K)``, the fit divisor on own rows and the leak
-    divisor on the others.  ``absent`` flags the terms with no rows, and
-    ``restricted`` says whether the fit terms read their own rows only.
+    divisor on the others, or ``None`` in a lone batch's table, whose
+    gradient (if any is asked) forms it.  ``absent`` flags the terms with
+    no rows, and ``restricted`` says whether the fit terms read their own
+    rows only.
     """
 
     masks: np.ndarray
     neg_d: np.ndarray
-    denom: np.ndarray
+    denom: np.ndarray | None
     absent: np.ndarray
     restricted: bool
 
@@ -164,20 +166,22 @@ def label_tables(labels, K: int, restricted: bool = True, batch_size: int | None
     """The :class:`LabelTable` of each batch of consecutive rows.
 
     Batches take ``batch_size`` rows in order, the last one possibly
-    fewer; ``None`` makes all rows one batch.  Every table is a view of
-    arrays built in one vectorised pass over all the rows.  Returns the
-    tables and the ``(2, K)`` count of batches in which each fit and leak
-    term is absent.
+    fewer; ``None`` makes all rows one batch, whose table leaves
+    ``denom`` out.  Every table is a view of arrays built in one
+    vectorised pass over all the rows.  Returns the tables and the
+    ``(2, K)`` count of batches in which each fit and leak term is absent.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
     size = max(1, n if batch_size is None else min(batch_size, n))
     # all rows as one batch make one table, even when there are none
     starts = range(0, max(n, batch_size is None), size)
-    masks = np.empty((2, K, n), dtype=bool)
+    # rows padded to whole batches, so that a batch axis can broadcast
+    padded = len(starts) * size
+    masks = np.zeros((2, K, padded), dtype=bool)
     classes = np.arange(K)[:, None]
-    np.equal(labels, classes, out=masks[0])
-    np.not_equal(labels, classes, out=masks[1])
+    np.equal(labels, classes, out=masks[0, :, :n])
+    np.not_equal(labels, classes, out=masks[1, :, :n])
     # rows per term and batch, class-major: (2, K, batches)
     sizes = np.minimum(size, n - np.array(starts, dtype=np.intp))
     n_own = np.bincount(
@@ -188,13 +192,20 @@ def label_tables(labels, K: int, restricted: bool = True, batch_size: int | None
     np.subtract(sizes, n_own, out=counts[1])
     absent = counts == 0
     d = np.maximum(counts, 1.0, out=counts)
-    per_row = np.repeat(d, sizes, axis=2)
-    denom = np.where(masks[0], per_row[0], per_row[1]).T
+    denom = [None] * len(starts)
+    if batch_size is not None:
+        # each batch's divisors, broadcast over its rows
+        own = masks[0].reshape(K, len(starts), size)
+        rows = np.where(own, d[0][..., None], d[1][..., None]).reshape(K, padded)
+        rows = rows[:, :n].T
+        denom = [rows[a : a + size] for a in starts]
     neg_d = np.negative(d, out=d)
-    masks = masks.swapaxes(1, 2)
+    masks = masks[..., :n].swapaxes(1, 2)
     tables = [
-        LabelTable(masks[:, a : a + size], nd, denom[a : a + size], ab, restricted)
-        for a, nd, ab in zip(starts, neg_d.transpose(2, 0, 1), absent.transpose(2, 0, 1))
+        LabelTable(masks[:, a : a + size], nd, dn, ab, restricted)
+        for a, nd, dn, ab in zip(
+            starts, neg_d.transpose(2, 0, 1), denom, absent.transpose(2, 0, 1)
+        )
     ]
     return tables, absent.sum(axis=2)
 
@@ -274,6 +285,8 @@ def class_terms(probs, table: LabelTable, fit_w=None, leak_w=None) -> ClassTerms
     dprobs = None
     if fit_w is not None or leak_w is not None:
         neg_fit_w = -_per_row(fit_w)
+        if denom is None:
+            denom = np.where(own, -neg_d[0], -neg_d[1])
         np.multiply(s, denom, out=s)
         dprobs = np.divide(
             np.where(own, neg_fit_w if restricted else 0.0, _per_row(leak_w)), s, out=s

@@ -49,6 +49,32 @@ def test_dataset_validation():
         LabeledDataset([[0.0]], [-1], 2)
 
 
+@pytest.mark.parametrize(
+    "labels,named",
+    [
+        ([0.9, 1.7, 1.0], "0.9"),  # the int64 cast stored [0, 1, 1]
+        ([0, 1.5, 7], "1.5"),  # refused as not whole before the range check
+        ([0, float("nan"), 1], "nan"),
+        ([0, 1, float("inf")], "inf"),
+        (["1", "0", "1"], "'1'"),
+        ([0, 1, None], "None"),
+        ([0, 1j, 1], "0j"),  # a complex array is not real, 0j included
+    ],
+)
+def test_dataset_refuses_labels_that_are_not_whole_numbers(labels, named):
+    with pytest.raises(InputError, match="whole numbers") as exc:
+        LabeledDataset(np.zeros((3, 1)), labels, 2)
+    assert f"saw {named} at index" in str(exc.value)
+
+
+def test_dataset_loads_whole_valued_float_labels():
+    data = LabeledDataset(np.zeros((3, 1)), [0.0, 1.0, 1.0], 2)
+    assert data.labels.tolist() == [0, 1, 1]
+    assert data.labels.dtype == np.int8
+    with pytest.raises(InputError, match=r"\[0, 2\)"):
+        LabeledDataset(np.zeros((2, 1)), [0.0, 2.0], 2)
+
+
 def test_dataset_accessors():
     data = LabeledDataset([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]], [0, 1, 1], 2)
     assert data.n == 3
