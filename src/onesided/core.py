@@ -67,8 +67,10 @@ class LabeledDataset:
                 f"labels must lie in [0, {self.num_classes}), "
                 f"saw range [{labs.min()}, {labs.max()}]"
             )
-        feats = feats.copy()
-        labs = labs.astype(np.min_scalar_type(-self.num_classes))
+        self._keep(feats.copy(), labs.astype(class_index_type(self.num_classes)))
+
+    def _keep(self, feats: np.ndarray, labs: np.ndarray) -> None:
+        """Store arrays no one else holds, marked read-only."""
         feats.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -86,8 +88,23 @@ class LabeledDataset:
         return np.bincount(self.labels, minlength=self.num_classes)
 
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
+        """The rows at ``indices``, positions or a boolean mask, in that order.
+
+        Indexing already copies the rows, and rows of a checked dataset
+        need no checks, so they are stored as indexed: copied once.
+        """
         idx = np.asarray(indices)
-        return LabeledDataset(self.features[idx], self.labels[idx], self.num_classes)
+        if idx.ndim != 1:
+            raise InputError(f"subset indices must be 1-D, got shape {idx.shape}")
+        out = object.__new__(LabeledDataset)
+        object.__setattr__(out, "num_classes", self.num_classes)
+        out._keep(self.features[idx], self.labels[idx])
+        return out
+
+
+def class_index_type(num_classes: int) -> np.dtype:
+    """The narrowest signed integer type holding every class index and ``REJECT``."""
+    return np.min_scalar_type(-num_classes)
 
 
 def _whole_labels(labels) -> np.ndarray:
@@ -173,13 +190,16 @@ class Metrics:
 def assign(family: DecisionSetFamily, X: np.ndarray) -> np.ndarray:
     """Vectorized classification: class index per row, ``REJECT`` outside all sets.
 
-    Overlaps resolve toward the smallest class index.
+    Overlaps resolve toward the smallest class index.  Indices come in
+    :func:`class_index_type` of the family's set count, the type of a
+    dataset's labels: one byte per row up to 128 sets.
     """
     M = family.membership(X)
-    covered = M.any(axis=1)
-    # argmax over booleans returns the first True column
-    first = np.argmax(M, axis=1)
-    return np.where(covered, first, REJECT)
+    a = np.full(M.shape[0], REJECT, dtype=class_index_type(family.num_sets))
+    # the smallest index writes last, so it wins an overlap
+    for k in range(family.num_sets - 1, -1, -1):
+        np.copyto(a, k, where=M[:, k])
+    return a
 
 
 def evaluate(family: DecisionSetFamily, data: LabeledDataset) -> Metrics:
@@ -199,9 +219,15 @@ def evaluate(family: DecisionSetFamily, data: LabeledDataset) -> Metrics:
     a = assign(family, data.features)
     covered = a != REJECT
     coverage = float(np.mean(covered))
-    wrong = covered & (a != data.labels)
+    # class indices and labels share their narrow type: no widening copy
+    wrong = np.not_equal(a, data.labels)
+    wrong &= covered
     raw_error = float(np.mean(wrong))
-    per_class = np.bincount(a[wrong], minlength=data.num_classes) / data.n
+    # each class's wrong rows, counted from their sorted indices: bincount
+    # would first widen them to intp
+    classes = np.arange(data.num_classes, dtype=a.dtype)
+    ends = np.sort(a[wrong]).searchsorted(classes, "right")
+    per_class = np.diff(ends, prepend=0) / data.n
     return Metrics(
         coverage=coverage,
         raw_error=raw_error,

@@ -137,10 +137,19 @@ class SyntheticSpec:
             )
         if self.n < 1:
             raise InputError(f"sample size must be positive, got {self.n}")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
         if self.kind == "mixture" and self.mixture is None:
             raise InputError("mixture synthesis needs mixture parameters")
         if self.kind == "blobs" and self.blobs is None:
             object.__setattr__(self, "blobs", BlobsParams())
+        dim = 1 if self.kind == "analytic" else getattr(self, self.kind).dim
+        # the n x dim float64 features must fit in one numpy array
+        if int(self.n) * dim * 8 > np.iinfo(np.intp).max:
+            raise InputError(
+                f"sample size n={self.n} is too large for one array of "
+                f"{dim} float64 features per point"
+            )
 
 
 def synthesize(spec: SyntheticSpec) -> LabeledDataset:

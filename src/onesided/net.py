@@ -29,6 +29,12 @@ went from 1,768 minor faults and 4.1 ms to none and 1.4 ms, and a
 ``blobs_k10`` benchmark run from about 23,000 faults to under 10.  The
 scores are bit-for-bit those of the allocating version.
 
+So is the backward chain, ``_backbone_grads``, which consumes its
+operands: it may overwrite its cotangent and the hidden activations
+``acts[1:-1]``, and never writes ``acts[0]`` (the caller's inputs) or
+``acts[-1]`` (the features).  ``_backbone`` can refill given buffers, as
+the trainer's landing does with the activations the chain consumed.
+
 Everything runs in float64.  Probabilities are clamped to
 ``[PROB_FLOOR, 1 - PROB_FLOOR]`` before any logarithm, and loss objects
 zero their gradient where the clamp is active so that analytic and
@@ -153,18 +159,21 @@ def init_model(
     return SelectiveModel(spec, num_classes, weights, biases, head_w, head_b)
 
 
-def _activation_grad(h: np.ndarray, kind: str) -> np.ndarray:
-    # derivative expressed through the post-activation value
+def _activation_grad(h: np.ndarray, kind: str) -> np.ndarray | None:
+    # derivative expressed through the post-activation value; a product
+    # reads relu's boolean mask as 1.0 and 0.0, and the identity's is None
     if kind == "relu":
-        return (h > 0.0).astype(np.float64)
+        return h > 0.0
     if kind == "tanh":
         return 1.0 - h * h
-    return np.ones_like(h)
+    return None
 
 
-def _layer(h: np.ndarray, W: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
+def _layer(
+    h: np.ndarray, W: np.ndarray, b: np.ndarray, kind: str, out: np.ndarray | None = None
+) -> np.ndarray:
     """One dense layer's post-activation, computed in the matmul's own output."""
-    a = h @ W.T
+    a = np.matmul(h, W.T, out=out)
     a += b
     if kind == "relu":
         np.maximum(a, 0.0, out=a)
@@ -173,14 +182,17 @@ def _layer(h: np.ndarray, W: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray
     return a
 
 
-def _backbone(weights: list, biases: list, kind: str, X: np.ndarray) -> list:
+def _backbone(
+    weights: list, biases: list, kind: str, X: np.ndarray, out: list | None = None
+) -> list:
     """Per-layer activations of the given layers, input first.
 
-    Given every layer of a model, the last is its feature matrix.
+    Given every layer of a model, the last is its feature matrix.  Given
+    ``out``, one buffer per layer, each layer is written into its buffer.
     """
     acts = [X]
-    for W, b in zip(weights, biases):
-        acts.append(_layer(acts[-1], W, b, kind))
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        acts.append(_layer(acts[-1], W, b, kind, None if out is None else out[i]))
     return acts
 
 
@@ -278,16 +290,30 @@ def _backbone_grads(model, acts, d_h: np.ndarray) -> tuple[list, list]:
     d(loss)/d(features), shaped like ``acts[-1]``.  The chain is linear in
     ``d_h`` for a fixed backbone.  It stops at the first layer's gradients:
     the inputs' cotangent is never formed.
+
+    It works in place: it may overwrite ``d_h`` and the hidden activations
+    ``acts[1:-1]``, and never writes ``acts[0]`` or ``acts[-1]``.  Each
+    layer multiplies its cotangent by the activation's derivative in
+    place, and writes the next cotangent over the activation its weight
+    gradient has just read.  The gradients are bit for bit those of the
+    allocating chain ``da = d_h * f'(h)``, ``d_h = da @ W``.
     """
     g_ws: list = [None] * len(model.weights)
     g_bs: list = [None] * len(model.biases)
     kind = model.spec.activation
+    if not d_h.flags.c_contiguous and 1 in d_h.shape[1:] + acts[-2].shape[1:]:
+        # a width of 1 turns the weight gradient into a BLAS vector product,
+        # which sums a strided vector in another order than a contiguous one
+        d_h = d_h.copy()
+    grad = _activation_grad(acts[-1], kind)
     for i in range(len(model.weights) - 1, -1, -1):
-        da = d_h * _activation_grad(acts[i + 1], kind)
-        g_ws[i] = da.T @ acts[i]
-        g_bs[i] = da.sum(axis=0)
+        if grad is not None:
+            np.multiply(d_h, grad, out=d_h)
+        g_ws[i] = d_h.T @ acts[i]
+        g_bs[i] = d_h.sum(axis=0)
         if i:
-            d_h = da @ model.weights[i]
+            grad = _activation_grad(acts[i], kind)
+            d_h = np.matmul(d_h, model.weights[i], out=acts[i])
     return g_ws, g_bs
 
 

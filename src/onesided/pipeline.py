@@ -97,6 +97,9 @@ class RunConfig:
             raise InputError(
                 "exactly one of source_path and synthetic must be given"
             )
+        for name in ("seed", "split_seed"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
         fr = tuple(float(f) for f in self.split_fractions)
         mus = tuple(float(m) for m in self.mu_grid)
         for name, values in (("split_fractions", fr), ("mu_grid", mus)):

@@ -23,7 +23,9 @@ between those landings, every step trains the heads on cached last-layer
 features, and the per-epoch record reads them too.  A step's backbone
 gradient is linear in its features' cotangent, so the steps only sum
 those cotangents per row and each landing runs one backward over all
-rows.  The trailing epochs past the last landing skip even the sum.
+rows, in place: it consumes the summed cotangents and refills the cached
+features where they lie.  The trailing epochs past the last landing skip
+even the sum.
 
 A grid of budget prices trains in lockstep: `sgda_train_grid` holds one
 model per price, and stacks only what every step touches, the heads,
@@ -449,8 +451,11 @@ def sgda_train_grid(
     rows, so each step adds those into one ``(n, M, width)`` buffer and a
     landing runs the backbone backward once per model over all rows, with
     the cached features as its last layer: the per-batch sum up to
-    rounding (a decay inside an interval rescales the buffer).  The
-    trailing ``epochs % backbone_update_interval`` epochs (all of them when
+    rounding (a decay inside an interval rescales the buffer).  The chain
+    consumes the model's slice of the buffer and one set of hidden
+    activations that every model reuses; the stepped backbone's forward
+    pass refills those and the model's cached features.  The trailing
+    ``epochs % backbone_update_interval`` epochs (all of them when
     ``epochs`` is below the interval) have no update to land and do no
     backbone work at all.
 
@@ -545,6 +550,23 @@ def sgda_train_grid(
                 )
             )
 
+    def land() -> None:
+        # one model at a time, like the record, in one set of hidden
+        # activation buffers, freed when the landing ends
+        hidden = [np.empty((n, w)) for w in model.spec.layer_widths[1:-1]]
+        for m, mdl in enumerate(models):
+            # the cached features are the last layer's activations
+            acts = _backbone(
+                mdl.weights[:-1], mdl.biases[:-1], kind, data.features, hidden
+            ) + [feats[m]]
+            # consumes the model's cotangents and the hidden activations
+            g_ws, g_bs = _backbone_grads(mdl, acts, cot[:, m])
+            for p, g in zip(mdl.weights + mdl.biases, g_ws + g_bs):
+                p -= lr_w * g
+            # the stepped backbone's activations, over the consumed ones
+            _backbone(mdl.weights, mdl.biases, kind, data.features, acts[1:])
+        cot[:] = 0.0
+
     for epoch in range(config.epochs):
         if epoch == decay_epoch and epoch > 0:
             lr_w *= decay_factor
@@ -615,17 +637,7 @@ def sgda_train_grid(
         if (epoch + 1) % interval == 0:
             if feats.ndim == 2:
                 feats = np.repeat(feats[None], M, axis=0)
-            # one model at a time, like the record
-            for m, mdl in enumerate(models):
-                # the cached features are the last layer's activations
-                acts = _backbone(
-                    mdl.weights[:-1], mdl.biases[:-1], kind, data.features
-                ) + [feats[m]]
-                g_ws, g_bs = _backbone_grads(mdl, acts, cot[:, m])
-                for p, g in zip(mdl.weights + mdl.biases, g_ws + g_bs):
-                    p -= lr_w * g
-                feats[m] = _backbone(mdl.weights, mdl.biases, kind, data.features)[-1]
-            cot[:] = 0.0
+            land()
         record(epoch)
 
     if config.epochs == 0:

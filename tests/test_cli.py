@@ -369,6 +369,11 @@ def test_pipeline_missing_csv_exits_1_naming_it(tmp_path, capsys):
         (lambda d: d.update(mu_grid=[0.5, float("inf")]), "mu_grid"),
         (lambda d: d["train"].update(lr_decay=[0.1]), "lr_decay"),
         (lambda d: d["train"].update(lr_decay=[0.1, 2.5]), "lr_decay"),
+        (lambda d: d.update(seed=-1), "config: seed"),
+        (lambda d: d.update(split_seed=-1), "config: split_seed"),
+        (lambda d: d["synthetic"].update(seed=-1), "config.synthetic: seed"),
+        (lambda d: d["synthetic"].update(n=2**70), "config.synthetic: sample size n="),
+        (lambda d: d["synthetic"].update(n=2**62), "config.synthetic: sample size n="),
     ],
 )
 def test_pipeline_malformed_config_exits_1(tmp_path, capsys, edit, key):

@@ -1,5 +1,7 @@
 """Dataset, family, and metric contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from onesided.core import (
     InputError,
     LabeledDataset,
     assign,
+    class_index_type,
     evaluate,
 )
 
@@ -191,3 +194,82 @@ def test_per_class_error_matches_per_class_loop(K, n, density, seed):
     a = assign(fam, data.features)
     loop = np.array([np.mean((a == k) & (data.labels != k)) for k in range(K)])
     assert evaluate(fam, data).per_class_one_sided_error.tobytes() == loop.tobytes()
+
+
+def traced(fn):
+    """``fn()``, the memory it leaves allocated, and its peak above the start."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept - before, peak - before
+
+
+def test_subset_copies_its_rows_once():
+    n, rows = 100_000, 60_000
+    rng = np.random.default_rng(0)
+    data = LabeledDataset(rng.random((n, 2)), rng.integers(0, 2, n), 2)
+    idx = rng.permutation(n)[:rows]
+    sub, kept, peak = traced(lambda: data.subset(idx))
+    assert kept <= rows * (2 * 8 + 1) + 4096
+    assert peak <= kept + 4096
+    assert sub.features.tolist() == data.features[idx].tolist()
+    assert sub.labels.tolist() == data.labels[idx].tolist()
+    # the contract: read-only copies, labels in their narrow type
+    assert sub.labels.dtype == data.labels.dtype
+    for got, whole in ((sub.features, data.features), (sub.labels, data.labels)):
+        assert not got.flags.writeable
+        assert not np.shares_memory(got, whole)
+
+
+def test_subset_takes_positions_or_a_mask_and_refuses_other_shapes():
+    data = LabeledDataset([[0.0], [1.0], [2.0]], [0, 1, 1], 2)
+    assert data.subset(np.array([True, False, True])).features.tolist() == [[0.0], [2.0]]
+    empty = data.subset(np.array([], dtype=int))
+    assert empty.features.shape == (0, 1) and empty.labels.shape == (0,)
+    for bad in (np.array(1), np.array([[0, 1]])):
+        with pytest.raises(InputError, match="1-D"):
+            data.subset(bad)
+
+
+def intp_evaluation(member, labels):
+    """Class indices as ``argmax`` gives them, and the metrics read from those."""
+    covered = member.any(axis=1)
+    a = np.where(covered, np.argmax(member, axis=1), REJECT)
+    wrong = covered & (a != labels)
+    per_class = np.bincount(a[wrong], minlength=member.shape[1]) / labels.size
+    return a, (float(np.mean(covered)), float(np.mean(wrong)), per_class)
+
+
+@pytest.mark.parametrize("K", [1, 2, 10, 128, 129])
+def test_assign_gives_narrow_indices_equal_to_argmax(K):
+    n = 3000
+    rng = np.random.default_rng(K)
+    member = rng.random((n, K)) < 1.5 / K  # overlaps, empty rows and sets
+    fam = DecisionSetFamily(lambda X: member, K, 1)
+    data = LabeledDataset(np.zeros((n, 1)), rng.integers(0, K, n), K)
+    a = assign(fam, data.features)
+    assert a.dtype == class_index_type(K) == data.labels.dtype
+    want, (coverage, raw_error, per_class) = intp_evaluation(member, data.labels)
+    assert a.tolist() == want.tolist()
+    got = evaluate(fam, data)
+    assert (got.coverage, got.raw_error) == (coverage, raw_error)
+    assert got.per_class_one_sided_error.tobytes() == per_class.tobytes()
+
+
+def test_evaluate_holds_no_wide_class_indices():
+    # beyond the membership matrix, a byte per point for the indices, the
+    # covered and the wrong masks, and the wrong rows' indices, sorted
+    n = 100_000
+    rng = np.random.default_rng(3)
+    member = rng.random((n, 2)) < 0.6
+    fam = DecisionSetFamily(lambda X: member, 2, 1)
+    data = LabeledDataset(np.zeros((n, 1)), rng.integers(0, 2, n), 2)
+    want = intp_evaluation(member, data.labels)[1]
+    wrong = int(round(want[1] * n))
+    got, _, peak = traced(lambda: evaluate(fam, data))
+    assert (got.coverage, got.raw_error) == want[:2]
+    assert peak <= 3 * n + 2 * wrong + 65536
