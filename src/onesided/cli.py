@@ -43,6 +43,7 @@ from .pipeline import (
 from .select import (
     SelectionCriterion,
     SelectionGrid,
+    _score,
     default_threshold_grid,
     evaluate_grid,
 )
@@ -183,7 +184,7 @@ def _cmd_eval(args) -> int:
     except OSError as exc:
         raise InputError(f"cannot read model {args.model}: {exc}")
     data = ingest_csv(args.data, model.num_classes)
-    metrics, overlap = _measure(model, data, args.t)
+    metrics, overlap = _measure(_score(model, data), data.labels, args.t)
     print(f"coverage={metrics.coverage:.6f}")
     print(f"error={metrics.raw_error:.6f}")
     per_class = " ".join(f"{v:.6f}" for v in metrics.per_class_one_sided_error)

@@ -80,6 +80,22 @@ def coverage_error_curve(
     scores, so every point equals `evaluate` of the `harden`-ed chosen
     cell exactly.
     """
+    return _curve(models, grid, test, targets, {})
+
+
+def _curve(
+    models: Mapping[float, SelectiveModel],
+    grid: SelectionGrid,
+    test: LabeledDataset,
+    targets: Sequence[float],
+    scores: dict[float, np.ndarray],
+) -> list[CurvePoint]:
+    """`coverage_error_curve`, taking a model's test scores from ``scores``.
+
+    ``scores`` maps a mu to its model's scores on ``test``, already
+    computed; every other chosen model is scored here.  An entry is taken
+    out of ``scores`` when it is read, so its matrix is freed once used.
+    """
     targets = [float(e) for e in targets]
     if not targets:
         raise InputError("curve needs at least one target error")
@@ -92,7 +108,9 @@ def coverage_error_curve(
     for eps in targets:
         res = pick_error_constrained(grid, eps)
         if res.mu_index not in cells:
-            probs = _score(models[res.mu_star], test)
+            probs = scores.pop(res.mu_star, None)
+            if probs is None:
+                probs = _score(models[res.mu_star], test)
             cells[res.mu_index] = _cell_metrics(probs, test.labels, grid.t_values)
         cell = cells[res.mu_index][res.t_index]
         points.append(
@@ -113,11 +131,10 @@ def _overlap(probs: np.ndarray, t: float) -> float:
 
 
 def _measure(
-    model: SelectiveModel, data: LabeledDataset, t: float
+    probs: np.ndarray, labels: np.ndarray, t: float
 ) -> tuple[Metrics, float]:
-    """`evaluate` of `harden` at ``t``, and `osp_overlap`, from one scoring."""
-    probs = _score(model, data)
-    [metrics] = _cell_metrics(probs, data.labels, [t])
+    """`evaluate` of `harden` at ``t``, and `osp_overlap`, from one score matrix."""
+    [metrics] = _cell_metrics(probs, labels, [t])
     return metrics, _overlap(probs, t)
 
 

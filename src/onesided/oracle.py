@@ -166,7 +166,8 @@ class FiniteHypothesisClass:
     def _sorted_counts(self, data: LabeledDataset):
         """``(start, stop, coverage, violations)`` of every candidate.
 
-        Each class's coordinate-0 values are sorted once.  The class-k
+        Each class's coordinate-0 values are copied and sorted in place
+        once, one class at a time, so one class copy is alive.  The class-k
         points a candidate holds are one run of them: from the count at or
         below its lower bound to the count at or below its upper bound.
         Summed over the classes, the run ends are positions ``[start,
@@ -176,12 +177,15 @@ class FiniteHypothesisClass:
         candidate with a NaN bound get empty runs.
         """
         x = data.features[:, 0]
-        by_class = [np.sort(x[data.labels == k]) for k in range(data.num_classes)]
-        start = np.stack(
-            [np.searchsorted(xs, self.lo, side="right") for xs in by_class]
-        )
+        start = np.empty((data.num_classes, self.size), dtype=np.intp)
+        stop = np.empty_like(start)
+        for k in range(data.num_classes):
+            xs = x[data.labels == k]
+            xs.sort()
+            start[k] = np.searchsorted(xs, self.lo, side="right")
+            stop[k] = np.searchsorted(xs, self.hi, side="right")
+            del xs  # before the next class's copy is made
         start[:, self.open_lo] = 0
-        stop = np.stack([np.searchsorted(xs, self.hi, side="right") for xs in by_class])
         np.maximum(stop, start, out=stop)
         nan_bound = np.isnan(self.lo) | np.isnan(self.hi)
         start[:, nan_bound] = 0
@@ -571,8 +575,7 @@ def sample_analytic_example(n: int, seed: int) -> LabeledDataset:
         raise InputError("sample size must be positive")
     rng = np.random.default_rng(seed)
     x = rng.random(n)
-    y = np.where(rng.random(n) < x, 0, 1)
-    return LabeledDataset(x[:, None], y, 2)
+    return LabeledDataset(x[:, None], rng.random(n) >= x, 2)
 
 
 # ---------------------------------------------------------------------------

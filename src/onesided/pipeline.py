@@ -22,11 +22,12 @@ from pathlib import Path
 
 from .core import InputError, Metrics
 from .data import SyntheticSpec, ingest_csv, split_dataset, synthesize
-from .evaluation import _measure, coverage_error_curve
+from .evaluation import _curve, _measure
 from .net import BackboneSpec, serialize, warm_start
 from .select import (
     SelectionCriterion,
     SelectionResult,
+    _score,
     default_threshold_grid,
     evaluate_grid,
     quick_mu_grid,
@@ -402,7 +403,11 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         completed.append(stage)
 
         stage = "evaluate"
-        metrics, overlap = _measure(models[result.mu_star], test_d, result.t_star)
+        # the curve takes these scores out, so they are freed once read
+        test_scores = {result.mu_star: _score(models[result.mu_star], test_d)}
+        metrics, overlap = _measure(
+            test_scores[result.mu_star], test_d.labels, result.t_star
+        )
         row = {
             "target": config.criterion.target,
             "coverage": metrics.coverage,
@@ -426,7 +431,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         if config.curve_targets is not None:
             stage = "curve"
             curve = tuple(
-                coverage_error_curve(models, grid, test_d, config.curve_targets)
+                _curve(models, grid, test_d, config.curve_targets, test_scores)
             )
             _write_curve(out / "curve.csv", curve)
             files["curve"] = "curve.csv"

@@ -348,28 +348,18 @@ class LeakLoss:
 
 
 class LagrangianLoss:
-    """Saddle objective; also records per-batch leak values and absences.
+    """Saddle objective at the multipliers of ``state``.
 
-    ``last_leaks`` (per class) feeds the multiplier ascent step after each
-    backward pass; ``last_absent_fit`` / ``last_absent_leak`` flag classes
-    whose term was skipped because the batch had no (or only) points of
-    that class.  With a stacked state the value and ``last_leaks`` carry
-    one row per model.
+    With a stacked state the value carries one row per model.
     """
 
     def __init__(self, state: LagrangianState, restricted: bool = True):
         self.state = state
         self.restricted = restricted
-        self.last_leaks: np.ndarray | None = None
-        self.last_absent_fit: np.ndarray | None = None
-        self.last_absent_leak: np.ndarray | None = None
 
     def value_and_grad(self, probs, labels):
         table = label_table(labels, probs.shape[-1], self.restricted)
         terms = class_terms(probs, table, 1.0, self.state.lambdas)
-        self.last_leaks = terms.leak
-        self.last_absent_fit = terms.absent_fit
-        self.last_absent_leak = terms.absent_leak
         return _saddle_value(terms, self.state), terms.dprobs
 
 

@@ -130,16 +130,22 @@ def traced_targets(tree):
 def unresolved(pairs):
     """``module.attribute`` of each pair not found where it is looked up.
 
-    Like the tracer, a dotted attribute must sit in the ``__dict__`` of the
-    module or class it names, not be inherited.
+    A plain name is looked up by attribute access, as ``from module import
+    name`` does, so the package's lazy exports resolve and a name no module
+    exports does not.  Like the tracer, a dotted attribute must sit in the
+    ``__dict__`` of the module or class it names, not be inherited.
     """
     missing = set()
     for module, attr in pairs:
         owner = importlib.import_module(module)
         *path, leaf = attr.split(".")
-        for part in path:
-            owner = getattr(owner, part, None)
-        if leaf not in getattr(owner, "__dict__", {}):
+        if path:
+            for part in path:
+                owner = getattr(owner, part, None)
+            found = leaf in getattr(owner, "__dict__", {})
+        else:
+            found = hasattr(owner, leaf)
+        if not found:
             missing.add(f"{module}.{attr}")
     return missing
 

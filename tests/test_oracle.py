@@ -766,6 +766,30 @@ def test_decoupled_sweep_forms_no_membership_rows():
     assert peak < 8e6
 
 
+def test_counts_hold_one_class_copy_at_a_time():
+    # sorting each class into a second copy, and keeping every sorted
+    # class, peaks near three class copies here
+    data = sample_analytic_example(100_000, seed=3)
+    cuts = np.linspace(0.0, 1.0, 11)
+    cls = FiniteHypothesisClass.union(
+        FiniteHypothesisClass.upper_thresholds(cuts),
+        FiniteHypothesisClass.lower_thresholds(cuts),
+    )
+    class_copy = 8 * int(data.class_counts().max())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        coverage, violations = cls.counts(data)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # one class's values, the boolean mask that selects them, and 16 KiB
+    assert peak <= class_copy + data.n + 16 * 1024
+    rows = cls.membership_matrix(data.features)
+    assert np.array_equal(coverage, rows.sum(axis=1))
+    assert np.array_equal(violations[0], (rows & (data.labels != 0)).sum(axis=1))
+
+
 def test_decoupled_analytic_instance_near_optimal():
     eps = 0.04
     data = sample_analytic_example(100_000, seed=5)
@@ -814,6 +838,18 @@ def test_analytic_sample_statistics():
         for c in cuts
     ]
     assert 0.247 <= min(risks) <= 0.253
+
+
+@pytest.mark.parametrize("n", [1, 2, 999, 100_001])
+@pytest.mark.parametrize("seed", [0, 9, 123])
+def test_analytic_sample_equals_the_where_formula(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.random(n)
+    want = LabeledDataset(x[:, None], np.where(rng.random(n) < x, 0, 1), 2)
+    got = sample_analytic_example(n, seed)
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.dtype == want.labels.dtype == np.int8
+    assert got.labels.tobytes() == want.labels.tobytes()
 
 
 def test_analytic_sample_deterministic():

@@ -311,9 +311,10 @@ def test_run_pipeline_artifacts(tmp_path):
 
 
 def test_run_and_cli_eval_score_the_test_split_once_per_model(tmp_path, capsys):
-    # every test-split measure reads one score matrix: the evaluate stage
-    # scores the chosen model once, the curve each distinct picked model
-    # once, and neither the dense core.evaluate path nor osp_overlap runs
+    # every test-split measure reads one score matrix: each distinct model
+    # the evaluate stage or the curve picks is scored once, the curve
+    # reusing the evaluate stage's scores, and neither the dense
+    # core.evaluate path nor osp_overlap runs
     targets = (0.0, 0.02, 0.05, 0.2, 1.0)
     cfg = blob_config(
         tmp_path / "run",
@@ -342,13 +343,14 @@ def test_run_and_cli_eval_score_the_test_split_once_per_model(tmp_path, capsys):
     ):
         res = run_pipeline(cfg)
         picks = [pick_error_constrained(res.selection.grid, e).mu_star for e in targets]
-        distinct = list(dict.fromkeys(picks))
+        assert res.selection.mu_star in picks
+        distinct = list(dict.fromkeys([res.selection.mu_star] + picks))
         assert len(distinct) > 1
         calls = scored.call_args_list
         splits = [split_of(c) for c in calls]
-        assert splits == ["val"] * 3 + ["test"] * (1 + len(distinct))
+        assert splits == ["val"] * 3 + ["test"] * len(distinct)
         model_files = json.loads((out / "manifest.json").read_text())["files"]["models"]
-        for mu, call in zip([res.selection.mu_star] + distinct, calls[3:]):
+        for mu, call in zip(distinct, calls[3:]):
             assert (out / model_files[repr(mu)]).read_bytes() == serialize(call.args[0])
 
         scored.reset_mock()

@@ -82,6 +82,15 @@ def terms_of(model, batch, restricted=True):
     return class_terms(forward_batch(model, batch.features), table)
 
 
+class RecordingLoss(LagrangianLoss):
+    """`LagrangianLoss` keeping its last batch's class terms, for the reference loops."""
+
+    def value_and_grad(self, probs, labels):
+        table = label_table(labels, probs.shape[-1], self.restricted)
+        self.terms = class_terms(probs, table)
+        return super().value_and_grad(probs, labels)
+
+
 def lagrangian(model, batch, state):
     """The saddle objective as the trainer's loss object computes it."""
     probs = forward_batch(model, batch.features)
@@ -247,9 +256,6 @@ def test_class_terms_and_losses_match_per_class_loop(K, n, present, seed, restri
         )
         assert close(value, np.sum(fit + lam * leak + (state.mu - lam) * phi))
         assert grad.tobytes() == dprobs.tobytes()
-        assert close(loss.last_leaks, leak)
-        assert np.array_equal(loss.last_absent_fit, absent_fit)
-        assert np.array_equal(loss.last_absent_leak, absent_leak)
 
     model = small_model(seed=seed % 1000, K=K, widths=(2, 3, 3))
     batch = LabeledDataset(rng.normal(size=(n, 2)), labels, K)
@@ -616,7 +622,7 @@ def test_sgda_full_batch_is_one_exact_step():
 
     expected = init.copy()
     st = LagrangianState(np.zeros(2), np.zeros(2), 1.0)
-    loss_obj = LagrangianLoss(st)
+    loss_obj = RecordingLoss(st)
     _, grads = backward(expected, data, loss_obj)
     expected.head_w -= cfg.lr_min * grads.head_w
     expected.head_b -= cfg.lr_min * grads.head_b
@@ -628,7 +634,7 @@ def test_sgda_full_batch_is_one_exact_step():
     # lambda took one clipped ascent step from zero
     assert np.array_equal(
         state.lambdas,
-        np.clip(cfg.lr_max * loss_obj.last_leaks, 0.0, 10.0),
+        np.clip(cfg.lr_max * loss_obj.terms.leak, 0.0, 10.0),
     )
     assert not state.phis.any()
 
@@ -772,7 +778,7 @@ def reference_sgda(data, config, init):
         perm = np.arange(data.n) if full else rng.permutation(data.n)
         for start in range(0, data.n, config.batch_size):
             batch = data.subset(perm[start : start + config.batch_size])
-            loss = LagrangianLoss(state, config.restricted)
+            loss = RecordingLoss(state, config.restricted)
             _, grads = backward(model, batch, loss)
             model.head_w -= lr_w * grads.head_w
             model.head_b -= lr_w * grads.head_b
@@ -780,13 +786,13 @@ def reference_sgda(data, config, init):
                 acc += lr_w * g
             phis = np.maximum(0.0, state.phis - lr_w * (state.mu - state.lambdas))
             state.lambdas = np.clip(
-                state.lambdas + lr_l * (loss.last_leaks - state.phis),
+                state.lambdas + lr_l * (loss.terms.leak - state.phis),
                 0.0,
                 lam_max,
             )
             state.phis = phis
-            absent_fit += loss.last_absent_fit
-            absent_leak += loss.last_absent_leak
+            absent_fit += loss.terms.absent_fit
+            absent_leak += loss.terms.absent_leak
         if (epoch + 1) % config.backbone_update_interval == 0:
             for param, acc in zip(model.weights + model.biases, buf):
                 param -= acc
@@ -1055,7 +1061,7 @@ def loss_object_grid(data, config, mus, init, head=_head):
             idx = perm[a : a + config.batch_size]
             feat = feats[..., idx, :]
             probs = head(head_w, head_b, feat)
-            loss = LagrangianLoss(state, config.restricted)
+            loss = RecordingLoss(state, config.restricted)
             value, dprobs = loss.value_and_grad(probs, data.labels[idx])
             bad = ~np.isfinite(value)
             if bad.any():
@@ -1070,7 +1076,7 @@ def loss_object_grid(data, config, mus, init, head=_head):
             head_b -= lr_w * dlogits.sum(axis=-2)
             phis = np.maximum(0.0, state.phis - lr_w * (mus - state.lambdas))
             state.lambdas = np.clip(
-                state.lambdas + lr_l * (loss.last_leaks - state.phis), 0.0, lam_max
+                state.lambdas + lr_l * (loss.terms.leak - state.phis), 0.0, lam_max
             )
             state.phis = phis
         if (epoch + 1) % interval == 0:
