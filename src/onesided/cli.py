@@ -49,8 +49,6 @@ from .select import (
 )
 from .train import TrainConfig, sgda_train
 
-__all__ = ["main"]
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors surface as input errors so exit codes stay 1."""
@@ -246,8 +244,6 @@ def _cmd_pipeline(args) -> int:
         overrides["seed"] = args.seed
     if args.out_dir is not None:
         overrides["out_dir"] = args.out_dir
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.split_seed is not None:
         overrides["split_seed"] = args.split_seed
     if args.mode is not None or args.target is not None:
@@ -348,11 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--split-seed", type=int)
     p.add_argument("--out-dir")
-    p.add_argument(
-        "--workers",
-        type=int,
-        help="deprecated, no effect: the mu grid trains in lockstep",
-    )
     p.add_argument("--mode", choices=("error", "coverage"))
     p.add_argument("--target", type=float)
     p.set_defaults(func=_cmd_pipeline)

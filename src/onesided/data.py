@@ -19,20 +19,6 @@ import numpy as np
 from .core import FormatError, InputError, LabeledDataset
 from .oracle import sample_analytic_example
 
-__all__ = [
-    "MixtureParams",
-    "BlobsParams",
-    "SyntheticSpec",
-    "synthesize",
-    "mixture_posterior",
-    "mixture_oracle_coverage",
-    "two_class_mixture",
-    "ingest_csv",
-    "write_csv",
-    "split_indices",
-    "split_dataset",
-]
-
 _KINDS = ("analytic", "mixture", "blobs")
 
 
@@ -211,14 +197,13 @@ def mixture_oracle_coverage(
     params: MixtureParams,
     eps: float,
     grid_size: int = 400,
-    padding: float = 6.0,
 ) -> float:
     """Best selective coverage at raw-error budget eps for a known mixture.
 
     Accepting points in decreasing posterior confidence maximizes
     coverage per unit of error, so the optimum is a confidence
     superlevel set.  Dense-grid integration over a box holding all the
-    component mass (means plus ``padding`` standard deviations) with the
+    component mass (means plus 6 standard deviations) with the
     cell masses renormalized to 1; only 2-D mixtures are supported.
     """
     if not 0.0 <= eps <= 1.0:
@@ -227,8 +212,8 @@ def mixture_oracle_coverage(
     if means.shape[1] != 2:
         raise InputError("oracle coverage integration supports dim 2 only")
     sds = np.sqrt(np.array([np.diag(c) for c in covs]))
-    lo = (means - padding * sds).min(axis=0)
-    hi = (means + padding * sds).max(axis=0)
+    lo = (means - 6.0 * sds).min(axis=0)
+    hi = (means + 6.0 * sds).max(axis=0)
     xs = np.linspace(lo[0], hi[0], grid_size)
     ys = np.linspace(lo[1], hi[1], grid_size)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")

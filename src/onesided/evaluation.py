@@ -23,13 +23,6 @@ from .select import (
     pick_error_constrained,
 )
 
-__all__ = [
-    "CurvePoint",
-    "sr_baseline",
-    "coverage_error_curve",
-    "osp_overlap",
-]
-
 
 def sr_baseline(model: SelectiveModel, t: float) -> DecisionSetFamily:
     """Max-score baseline: predict the argmax class unless max score < t.

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -48,6 +49,8 @@ from .core import (
 )
 
 _TOL = 1e-9
+# the most table entries a joint solve or a budget grid may build
+_CAP = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +289,14 @@ def _compositions(total: int, K: int) -> np.ndarray:
     return np.diff(edges, axis=1) - 1
 
 
-def default_alpha_grid(num_classes: int, step: float | None = None) -> np.ndarray:
+def default_alpha_grid(num_classes: int) -> np.ndarray:
     """Uniform grid over budget splits summing to exactly 1, as a (G, K) array.
 
-    Step 0.1 for two classes, 0.25 for three or four, unless overridden;
-    the step must lie in (0, 1] and divide 1 evenly.
+    Step 0.1 for two classes, 0.25 otherwise.
     """
     if num_classes < 1:
         raise InputError("num_classes must be positive")
-    if step is None:
-        step = 0.1 if num_classes == 2 else 0.25
-    if not 0 < step <= 1:
-        raise InputError(f"step must lie in (0, 1], got {step}")
-    m = round(1.0 / step)
-    if abs(m * step - 1.0) > 1e-9:
-        raise InputError(f"step {step} does not divide 1 evenly")
+    m, step = (10, 0.1) if num_classes == 2 else (4, 0.25)
     return _compositions(m, num_classes) * step
 
 
@@ -309,7 +305,9 @@ def budget_alpha_grid(eps: float, n: int, num_classes: int) -> np.ndarray:
 
     On an n-point sample the constraint only distinguishes integer counts,
     so this (G, K) grid is exhaustive: any feasible joint solution's
-    per-class error counts appear as one of its rows.
+    per-class error counts appear as one of its rows.  Raises
+    :class:`CapacityError`, before building anything, when the grid would
+    hold more than 10^7 entries.
     """
     _check_eps(eps)
     if num_classes < 1 or n < 0:
@@ -317,6 +315,12 @@ def budget_alpha_grid(eps: float, n: int, num_classes: int) -> np.ndarray:
     budget = int(math.floor(eps * n + _TOL))
     if budget == 0 or eps == 0:
         return np.zeros((1, num_classes))
+    G = math.comb(budget + num_classes - 1, num_classes - 1)
+    if G * num_classes > _CAP:
+        raise CapacityError(
+            f"budget grid of G = {G} splits of {budget} errors over {num_classes} "
+            f"classes exceeds cap {_CAP} entries"
+        )
     return _compositions(budget, num_classes) / (eps * n)
 
 
@@ -381,7 +385,7 @@ def solve_sc_exact(
     data: LabeledDataset,
     hclass: FiniteHypothesisClass,
     eps: float,
-    cap: int = 10_000_000,
+    cap: int = _CAP,
 ) -> OracleSolution:
     """Exhaustive joint solve over K-tuples of candidates.
 
@@ -606,8 +610,12 @@ def erm_feasibility_trend(
     sizes = list(sample_sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InputError("sample sizes must be strictly increasing")
-    if eps < 0 or eps > 0.5:
-        raise InputError("eps outside the example's valid range")
+    if not 0 <= eps <= 0.5:
+        raise InputError(f"eps must lie in the example's valid range [0, 0.5], got {eps}")
+    if not (isinstance(seeds_per_size, numbers.Integral) and seeds_per_size >= 1):
+        raise InputError(
+            f"seeds_per_size must be a whole number >= 1, got {seeds_per_size!r}"
+        )
     target_cov = math.sqrt(2.0 * eps)
     rows = []
     for ni, n in enumerate(sizes):

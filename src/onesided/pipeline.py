@@ -34,19 +34,6 @@ from .select import (
 )
 from .train import TrainConfig, TrainingLog, sgda_train_grid
 
-__all__ = [
-    "RunConfig",
-    "PipelineResult",
-    "run_pipeline",
-    "config_to_dict",
-    "config_from_dict",
-    "synthetic_from_dict",
-    "save_config",
-    "load_config",
-    "config_hash",
-    "METRICS_COLUMNS",
-]
-
 METRICS_COLUMNS = (
     "target",
     "coverage",
@@ -74,9 +61,10 @@ class RunConfig:
     ``train`` is a template: the grid supplies ``mu`` and the run seed
     replaces ``seed``.  ``split_seed`` is deliberately separate from
     ``seed`` so seed sweeps can vary optimization while keeping the data
-    split fixed.  ``workers`` is deprecated and has no effect: the grid
-    trains in lockstep in one process.  It is still validated (at least 1)
-    and read from config files so that older configs keep loading.
+    split fixed.  ``workers`` has no effect: the grid trains in lockstep
+    in one process.  The key is still validated (at least 1) and read
+    from config files so that older configs keep loading; no command-line
+    flag sets it.
     """
 
     seed: int
@@ -251,8 +239,8 @@ def load_config(path: str | Path) -> RunConfig:
 def config_hash(config: RunConfig) -> str:
     """Hash of everything that influences results.
 
-    The output directory and the deprecated worker count do not change
-    results, so they are excluded and a rerun elsewhere hashes the same.
+    The output directory and the worker count do not change results, so
+    they are excluded and a rerun elsewhere hashes the same.
     The hashed train section still holds ``"adaptive": false``, so a config
     and the run artifacts saved before that key was removed keep their hash.
     """

@@ -21,18 +21,6 @@ import numpy as np
 from .core import DecisionSetFamily, InputError, LabeledDataset, Metrics
 from .net import SelectiveModel, forward_batch
 
-__all__ = [
-    "SelectionGrid",
-    "SelectionCriterion",
-    "SelectionResult",
-    "harden",
-    "evaluate_grid",
-    "pick_error_constrained",
-    "pick_coverage_constrained",
-    "default_threshold_grid",
-    "quick_mu_grid",
-]
-
 
 def _harden_membership(probs: np.ndarray, t: float) -> np.ndarray:
     """Membership matrix for the thresholded-argmax rule.

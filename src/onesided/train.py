@@ -36,10 +36,10 @@ model at a time.  `sgda_train` is the one-price case.
 A step's cost is its count of numpy calls, not its arithmetic (a grid of
 six on a 128-row batch at K = 2 is about 1.5k numbers), so a step makes
 as few as it can.  What it needs of its labels (class masks, each term's
-row count, the per-entry divisor, the absences) depends only on the
-epoch's batch order, so `label_tables` builds it for every batch of an
-epoch in one vectorised pass, and once per run for the record's full
-data, less the divisor, which the record never reads.  A step tests the
+row count, the per-entry divisor) depends only on the epoch's batch
+order, so `label_tables` builds it for every batch of an epoch in one
+vectorised pass, and once per run for the record's full data, less the
+divisor, which the record never reads.  A step tests the
 saddle value for finiteness without forming it: the fit sum is at most
 K log(1e12), and a NaN score makes its class's leak term NaN too, so the
 value is finite exactly when the sum of its multiplier and slack terms
@@ -152,15 +152,13 @@ class LabelTable(NamedTuple):
     divisors ``(2, K)``: each term's row count, or 1 for an absent term.
     ``denom`` is ``(n, K)``, the fit divisor on own rows and the leak
     divisor on the others, or ``None`` in a lone batch's table, whose
-    gradient (if any is asked) forms it.  ``absent`` flags the terms with
-    no rows, and ``restricted`` says whether the fit terms read their own
-    rows only.
+    gradient (if any is asked) forms it.  ``restricted`` says whether the
+    fit terms read their own rows only.
     """
 
     masks: np.ndarray
     neg_d: np.ndarray
     denom: np.ndarray | None
-    absent: np.ndarray
     restricted: bool
 
 
@@ -204,10 +202,8 @@ def label_tables(labels, K: int, restricted: bool = True, batch_size: int | None
     neg_d = np.negative(d, out=d)
     masks = masks[..., :n].swapaxes(1, 2)
     tables = [
-        LabelTable(masks[:, a : a + size], nd, dn, ab, restricted)
-        for a, nd, dn, ab in zip(
-            starts, neg_d.transpose(2, 0, 1), denom, absent.transpose(2, 0, 1)
-        )
+        LabelTable(masks[:, a : a + size], nd, dn, restricted)
+        for a, nd, dn in zip(starts, neg_d.transpose(2, 0, 1), denom)
     ]
     return tables, absent.sum(axis=2)
 
@@ -218,12 +214,10 @@ def label_table(labels, K: int, restricted: bool = True) -> LabelTable:
 
 
 class ClassTerms(NamedTuple):
-    """Per-class means and absence flags from :func:`class_terms`."""
+    """Per-class means and their gradient from :func:`class_terms`."""
 
     fit: np.ndarray
     leak: np.ndarray
-    absent_fit: np.ndarray
-    absent_leak: np.ndarray
     dprobs: np.ndarray | None
 
 
@@ -232,12 +226,12 @@ def class_terms(probs, table: LabelTable, fit_w=None, leak_w=None) -> ClassTerms
 
     ``fit[k]`` is the mean -log p_k over the class-k rows (every row unless
     ``table.restricted``), ``leak[k]`` the mean -log(1 - p_k) over the
-    other rows.  An empty row set makes a term absent: it reads 0 and its
-    ``absent_*`` flag is set.  Scores are clamped to ``[PROB_FLOOR, 1 -
-    PROB_FLOOR]`` before the log; the gradient is zero where the clamp is
-    active.  With weights (scalars or length-K vectors, ``None`` meaning
-    0), ``dprobs`` is the gradient of ``sum_k fit_w[k] * fit[k] + leak_w[k]
-    * leak[k]``.
+    other rows.  An empty row set makes a term absent: it reads 0 and adds
+    no gradient (:func:`label_tables` counts the absences).  Scores are
+    clamped to ``[PROB_FLOOR, 1 - PROB_FLOOR]`` before the log; the
+    gradient is zero where the clamp is active.  With weights (scalars or
+    length-K vectors, ``None`` meaning 0), ``dprobs`` is the gradient of
+    ``sum_k fit_w[k] * fit[k] + leak_w[k] * leak[k]``.
 
     ``table`` is the :class:`LabelTable` of the rows' labels, from
     :func:`label_tables`: the trainer builds one per batch for a whole
@@ -261,7 +255,7 @@ def class_terms(probs, table: LabelTable, fit_w=None, leak_w=None) -> ClassTerms
     the clamped score of each entry, and adds ``-fit_w / (p * n)`` on
     every row when the fit is unrestricted.
     """
-    masks, neg_d, denom, absent, restricted = table
+    masks, neg_d, denom, restricted = table
     own = masks[0]
     # one clamped score per entry: p on own rows, 1 - p on the others
     logs = np.subtract(1.0, probs)
@@ -300,7 +294,7 @@ def class_terms(probs, table: LabelTable, fit_w=None, leak_w=None) -> ClassTerms
         dprobs *= inside
         # the product gives -0.0 where a negative entry is clamped
         dprobs += 0.0
-    return ClassTerms(means[..., 0, :], means[..., 1, :], absent[0], absent[1], dprobs)
+    return ClassTerms(means[..., 0, :], means[..., 1, :], dprobs)
 
 
 def _per_row(w) -> np.ndarray:

@@ -11,7 +11,7 @@ from onesided.cli import main
 from onesided.core import NumericError
 from onesided.data import ingest_csv
 from onesided.net import deserialize, forward_batch
-from onesided.pipeline import config_to_dict
+from onesided.pipeline import config_hash, config_to_dict, load_config
 from onesided.select import SelectionCriterion
 
 
@@ -275,6 +275,19 @@ def test_oracle_refuses_non_finite_eps(tmp_path, capsys, mode):
     assert out == "" and err.startswith("error:") and "eps must be finite" in err
 
 
+def test_oracle_budget_grid_over_the_cap_exits_1(tmp_path, capsys):
+    # 1,000 points in 4 classes at eps 0.3: a budget of 300 errors splits
+    # C(303, 3) = 4,590,551 ways, 1.8e7 grid entries against a cap of 10^7
+    rows = [f"{i / 1000!r},{i % 4}" for i in range(1000)]
+    path = tmp_path / "k4.csv"
+    path.write_text("f0,label\n" + "\n".join(rows) + "\n")
+    argv = ["oracle", "--data", str(path), "--eps", "0.3", "--mode", "osp"]
+    assert run(*argv, "--budget-grid") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "G = 4590551 " in err
+    assert run(*argv) == 0
+
+
 def test_oracle_rejects_wide_data(tmp_path, capsys):
     wide = synth_csv(tmp_path / "w.csv")
     assert run("oracle", "--data", str(wide), "--eps", "0.1") == 1
@@ -327,6 +340,21 @@ def test_pipeline_subcommand_with_overrides(tmp_path, capsys):
     assert "flags=ok" in capsys.readouterr().out
     row = (out_dir / "metrics.csv").read_text().strip().splitlines()[1]
     assert row.endswith(",7")
+
+
+def test_pipeline_workers_flag_is_gone_and_the_key_still_loads(tmp_path, capsys):
+    cfg_path = pipeline_config(tmp_path, workers=1)
+    assert run("pipeline", "--config", str(cfg_path), "--workers", "2") == 1
+    assert capsys.readouterr().err.startswith("error:")
+    doc = json.loads(cfg_path.read_text())
+    assert doc["workers"] == 1 and load_config(cfg_path).workers == 1
+    # the key has no effect, so it stays out of the hash
+    hashes = set()
+    for workers in (1, 3, None):
+        doc["workers"] = workers
+        cfg_path.write_text(json.dumps(doc))
+        hashes.add(config_hash(load_config(cfg_path)))
+    assert len(hashes) == 1
 
 
 def test_pipeline_subcommand_infeasible(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 The package checks use the standard `ast` only; the benchmark check reads
 `perfbench/` with `ast` and looks the names it uses up in the package.
+The package's one public-name list is `_EXPORTS` in `__init__.py`.
 """
 
 import ast
@@ -18,13 +19,34 @@ def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def declared_all(tree):
+def assigned(tree, name):
+    """The literal value of the module's top-level assignment to ``name``, or None."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
-            return list(ast.literal_eval(node.value))
-    return []
+            return ast.literal_eval(node.value)
+    return None
+
+
+def declares_all(tree):
+    """Whether the module assigns ``__all__`` at its top level."""
+    return any(
+        isinstance(t, ast.Name) and t.id == "__all__"
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    )
+
+
+def undefined_exports(exports, trees):
+    """``module name`` for each ``_EXPORTS`` name its module does not define."""
+    return {
+        f"{module} {name}"
+        for module, names in exports.items()
+        for name in names
+        if name not in top_level_names(trees[f"{module}.py"])
+    }
 
 
 def imported_names(tree):
@@ -63,7 +85,7 @@ def used_names(tree):
             collect(node.returns)
         elif isinstance(node, ast.AnnAssign):
             collect(node.annotation)
-    return used | set(declared_all(tree))
+    return used
 
 
 def top_level_names(tree):
@@ -119,12 +141,7 @@ def package_imports(tree):
 
 def traced_targets(tree):
     """``(module, attribute)`` of each entry of the module's ``TARGETS``."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
-        ):
-            return {(module, attr) for _, module, attr in ast.literal_eval(node.value)}
-    return set()
+    return {(module, attr) for _, module, attr in assigned(tree, "TARGETS") or ()}
 
 
 def unresolved(pairs):
@@ -163,16 +180,13 @@ def test_no_unused_imports():
     assert not unused
 
 
-def test_all_entries_are_defined():
-    missing = []
-    for path in MODULES:
-        tree = parse(path)
-        missing += [
-            f"{path.name} {name}"
-            for name in declared_all(tree)
-            if name not in top_level_names(tree)
-        ]
-    assert not missing
+def test_exports_is_the_one_public_name_list():
+    # no submodule keeps a second list, and every exported name is defined
+    # at its module's top level, where the package's lazy lookup finds it
+    assert not [p.name for p in MODULES if declares_all(parse(p))]
+    exports = assigned(parse(ROOT / "src" / "onesided" / "__init__.py"), "_EXPORTS")
+    assert len(exports) == 8 and sum(map(len, exports.values())) > 60
+    assert not undefined_exports(exports, {p.name: parse(p) for p in MODULES})
 
 
 def test_private_names_are_read_in_the_package():
@@ -197,13 +211,16 @@ def test_checks_see_what_they_are_meant_to():
         "import os\n"
         "from typing import Iterable, Sequence\n"
         "from x import Quoted\n"
-        "__all__ = ['f', 'ghost']\n"
+        "__all__ = ['f']\n"
         "def f(a: 'Quoted') -> Sequence[int]:\n"
         "    return a\n"
     )
     unused = set(imported_names(tree)) - used_names(tree)
     assert unused == {"os", "Iterable"}
-    assert set(declared_all(tree)) - top_level_names(tree) == {"ghost"}
+    assert declares_all(tree) and declares_all(ast.parse("__all__ += ['g']\n"))
+    assert not declares_all(ast.parse("def f():\n    __all__ = []\n"))
+    exports = {"m": ("f", "Quoted", "ghost"), "n": ()}
+    assert undefined_exports(exports, {"m.py": tree, "n.py": ast.parse("")}) == {"m ghost"}
     trees = {
         "a.py": ast.parse(
             "from b import _imported\n"

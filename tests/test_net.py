@@ -5,6 +5,7 @@ loss values that this file evaluates through its own numpy formulas, so
 the analytic chain in ``backward`` is checked end to end.
 """
 
+import io
 import tracemalloc
 from types import SimpleNamespace
 
@@ -54,6 +55,26 @@ def test_backbone_spec_validation():
     spec = BackboneSpec((4, 8, 2))
     assert spec.input_dim == 4
     assert spec.feature_dim == 2
+
+
+def test_backbone_spec_refuses_widths_that_are_not_whole_numbers():
+    # int() used to truncate these to (2, 16, 8) and (2, 1, 8)
+    for widths in ((2, 16.5, 8), (2, True, 8), (2.0, 16, 8), (2, "16", 8), (2, None)):
+        with pytest.raises(InputError, match="layer_widths"):
+            BackboneSpec(widths)
+    # numpy integers, as a saved model's widths are, load as plain ints
+    spec = BackboneSpec(tuple(np.array([2, 16, 8], dtype=np.int64)))
+    assert spec.layer_widths == (2, 16, 8)
+    assert all(type(w) is int for w in spec.layer_widths)
+    payload = serialize(init_model(spec, 3, seed=0))
+    assert deserialize(payload).spec == spec
+    # a payload's widths pass the same check
+    arrays = dict(np.load(io.BytesIO(payload)))
+    arrays["layer_widths"] = np.array([2, 16.5, 8])
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    with pytest.raises(FormatError, match="layer_widths must be whole numbers"):
+        deserialize(buf.getvalue())
 
 
 def test_init_shapes_and_bias_zero():
@@ -337,14 +358,6 @@ def test_deserialize_truncated_payload():
     payload = serialize(small_model())
     with pytest.raises(FormatError):
         deserialize(payload[: len(payload) // 2])
-
-
-def test_deserialize_class_count_mismatch():
-    payload = serialize(small_model(K=3))
-    with pytest.raises(FormatError):
-        deserialize(payload, expected_num_classes=2)
-    with pytest.raises(FormatError):
-        deserialize(payload, expected_input_dim=7)
 
 
 def test_deserialize_garbage():

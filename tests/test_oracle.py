@@ -8,12 +8,14 @@ vectorization slip in the real solvers shows up as a disagreement.
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import onesided.oracle as oracle_mod
 from onesided.core import (
     CapacityError,
     InputError,
@@ -527,23 +529,13 @@ def test_default_alpha_grid_shapes():
     # order matters: the decoupled solver breaks ties by first-in-grid order,
     # and the rows are bit for bit the shares the loop computes
     for K in range(1, 5):
-        for step in (None, 0.5, 0.1):
-            s = step if step is not None else (0.1 if K == 2 else 0.25)
-            expected = [tuple(p * s for p in parts) for parts in _split_loop(round(1 / s), K)]
-            assert rows_of(default_alpha_grid(K, step)) == expected
+        s = 0.1 if K == 2 else 0.25
+        expected = [tuple(p * s for p in parts) for parts in _split_loop(round(1 / s), K)]
+        assert rows_of(default_alpha_grid(K)) == expected
         for eps, n in ((0.1, 40), (0.05, 97), (0.3, 20)):
             budget = math.floor(eps * n + 1e-9)
             expected = [tuple(p / (eps * n) for p in parts) for parts in _split_loop(budget, K)]
             assert rows_of(budget_alpha_grid(eps, n, K)) == expected
-
-
-def test_default_alpha_grid_refuses_bad_steps():
-    for step in (0.0, -0.25, 1.5, float("nan"), float("inf")):
-        with pytest.raises(InputError, match=r"\(0, 1\]"):
-            default_alpha_grid(2, step)
-    with pytest.raises(InputError, match="evenly"):
-        default_alpha_grid(2, 0.3)
-    assert rows_of(default_alpha_grid(2, 1.0)) == [(0.0, 1.0), (1.0, 0.0)]
 
 
 def test_decoupled_refuses_malformed_grids():
@@ -593,6 +585,20 @@ def test_budget_alpha_grid_enumerates_integer_splits():
     for n, K in ((-40, 2), (40, 0)):
         with pytest.raises(InputError, match="num_classes >= 1 and n >= 0"):
             budget_alpha_grid(0.1, n, K)
+
+
+def test_budget_alpha_grid_refuses_grids_over_the_cap_before_building():
+    # budget 300 over 4 classes: C(303, 3) = 4,590,551 rows, 1.8e7 entries
+    with pytest.raises(CapacityError, match="G = 4590551 "):
+        budget_alpha_grid(0.3, 1000, 4)
+    # 4.5e12 rows would need 98 TiB; the count alone refuses them
+    with pytest.raises(CapacityError, match="G = 4500900055001 "):
+        budget_alpha_grid(0.3, 100_000, 4)
+    # the cap counts entries, G * K: 5 x 2 fits a cap of 10, 6 x 2 does not
+    with mock.patch.object(oracle_mod, "_CAP", 10):
+        assert budget_alpha_grid(0.1, 40, 2).shape == (5, 2)
+        with pytest.raises(CapacityError, match="G = 6 .* cap 10 "):
+            budget_alpha_grid(0.1, 50, 2)
 
 
 def test_decoupled_single_class_degenerates_to_single_solve():
@@ -873,3 +879,15 @@ def test_trend_rows_and_determinism():
     assert all(r.coverage_deviation >= 0 for r in rows)
     with pytest.raises(InputError):
         erm_feasibility_trend(0.04, [100, 100], seeds_per_size=2)
+
+
+def test_trend_refuses_bad_eps_and_seed_counts_by_name():
+    # each used to pass its check: a NaN row with RuntimeWarnings, or a
+    # failure under the name eps_k
+    for eps in (float("nan"), -0.01, 0.6):
+        with pytest.raises(InputError, match="eps must lie in"):
+            erm_feasibility_trend(eps, (100,), 1)
+    for seeds in (0, -1, 2.5, None):
+        with pytest.raises(InputError, match="seeds_per_size"):
+            erm_feasibility_trend(0.02, (100,), seeds)
+    assert len(erm_feasibility_trend(0.02, (100,), np.int64(1))) == 1

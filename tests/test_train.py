@@ -83,11 +83,17 @@ def terms_of(model, batch, restricted=True):
 
 
 class RecordingLoss(LagrangianLoss):
-    """`LagrangianLoss` keeping its last batch's class terms, for the reference loops."""
+    """`LagrangianLoss` keeping its last batch's class terms, for the reference loops.
+
+    ``absent`` holds the per-class loop's fit and leak absence flags, which
+    depend on the labels alone: the first model's scores give them.
+    """
 
     def value_and_grad(self, probs, labels):
-        table = label_table(labels, probs.shape[-1], self.restricted)
-        self.terms = class_terms(probs, table)
+        K = probs.shape[-1]
+        self.terms = class_terms(probs, label_table(labels, K, self.restricted))
+        first, zero = probs.reshape(-1, *probs.shape[-2:])[0], np.zeros(K)
+        self.absent = loop_terms(first, labels, zero, zero, self.restricted)[2:4]
         return super().value_and_grad(probs, labels)
 
 
@@ -235,8 +241,9 @@ def test_class_terms_and_losses_match_per_class_loop(K, n, present, seed, restri
             probs, labels, fit_w, leak_w, restricted
         )
         assert close(got.fit, fit) and close(got.leak, leak)
-        assert np.array_equal(got.absent_fit, absent_fit)
-        assert np.array_equal(got.absent_leak, absent_leak)
+        # all rows as one batch: each term is absent in one batch or none
+        absent = label_tables(labels, K, restricted)[1]
+        assert np.array_equal(absent, [absent_fit, absent_leak])
         assert got.dprobs.tobytes() == dprobs.tobytes()
         assert class_terms(probs, table).dprobs is None
 
@@ -314,8 +321,6 @@ def test_stacked_head_and_class_terms_slices_equal_lone_models(
         assert terms.fit[m].tobytes() == want.fit.tobytes()
         assert terms.leak[m].tobytes() == want.leak.tobytes()
         assert terms.dprobs[m].tobytes() == want.dprobs.tobytes()
-        assert np.array_equal(terms.absent_fit, want.absent_fit)
-        assert np.array_equal(terms.absent_leak, want.absent_leak)
 
 
 @pytest.mark.parametrize("M", [None, 3])
@@ -382,8 +387,8 @@ def test_epoch_table_slices_equal_batch_tables_and_the_loop(
     for start, table in zip(range(0, n, batch_size), tables):
         rows = slice(start, start + batch_size)
         y, p = labels[rows], probs[..., rows, :]
-        lone = label_table(y, K, restricted)
-        counted += lone.absent
+        (lone,), lone_absent = label_tables(y, K, restricted)
+        counted += lone_absent
         for fit_w, leak_w in weights:
             got = class_terms(p, table, fit_w, leak_w)
             want = class_terms(p, lone, fit_w, leak_w)
@@ -402,8 +407,7 @@ def test_epoch_table_slices_equal_batch_tables_and_the_loop(
                 # an absent term reads 0.0, not -0.0
                 assert got.fit[m][absent_fit].tobytes() == fit[absent_fit].tobytes()
                 assert got.leak[m][absent_leak].tobytes() == leak[absent_leak].tobytes()
-                assert np.array_equal(got.absent_fit, absent_fit)
-                assert np.array_equal(got.absent_leak, absent_leak)
+                assert np.array_equal(lone_absent, [absent_fit, absent_leak])
                 if got.dprobs is not None:
                     assert got.dprobs[m].tobytes() == dprobs.tobytes()
     assert np.array_equal(absent, counted)
@@ -791,8 +795,8 @@ def reference_sgda(data, config, init):
                 lam_max,
             )
             state.phis = phis
-            absent_fit += loss.terms.absent_fit
-            absent_leak += loss.terms.absent_leak
+            absent_fit += loss.absent[0]
+            absent_leak += loss.absent[1]
         if (epoch + 1) % config.backbone_update_interval == 0:
             for param, acc in zip(model.weights + model.biases, buf):
                 param -= acc
