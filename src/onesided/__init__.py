@@ -50,6 +50,7 @@ _EXPORTS = {
         "forward_batch",
         "init_model",
         "serialize",
+        "warm_start",
     ),
     "oracle": (
         "FiniteHypothesisClass",
@@ -90,7 +91,6 @@ _EXPORTS = {
         "TrainingLog",
         "sgda_train",
         "sgda_train_grid",
-        "warm_start",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

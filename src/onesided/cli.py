@@ -20,7 +20,7 @@ from pathlib import Path
 from .core import CapacityError, InputError, NumericError, evaluate
 from .data import ingest_csv, synthesize, write_csv
 from .evaluation import _measure, coverage_error_curve
-from .net import BackboneSpec, deserialize, serialize
+from .net import BackboneSpec, deserialize, serialize, warm_start
 from .oracle import (
     FiniteHypothesisClass,
     analytic_example_coverage,
@@ -123,18 +123,9 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _backbone_from_args(args, input_dim: int) -> BackboneSpec:
-    widths = args.widths if args.widths is not None else (input_dim, 16, 8)
-    if widths[0] != input_dim:
-        raise InputError(
-            f"first backbone width {widths[0]} must equal the data dim {input_dim}"
-        )
-    return BackboneSpec(widths, args.activation)
-
-
 def _cmd_train(args) -> int:
     data = ingest_csv(args.data)
-    spec = _backbone_from_args(args, data.dim)
+    spec = BackboneSpec(args.widths or (data.dim, 16, 8), args.activation)
     config = TrainConfig(
         mu=args.mu,
         epochs=args.epochs,
@@ -148,7 +139,11 @@ def _cmd_train(args) -> int:
         lambda_max=args.lambda_max,
         restricted=not args.unrestricted,
     )
-    model, state, log = sgda_train(data, spec, config)
+    warm = warm_start(
+        data, spec, data.num_classes, config.warm_start_epochs, config.lr_min,
+        config.seed, config.batch_size,
+    )
+    model, state, log = sgda_train(data, warm, config)
     Path(args.out).write_bytes(serialize(model))
     final = log.final()
     print(
@@ -231,7 +226,6 @@ def _cmd_oracle(args) -> int:
         solution = solve_osp_decoupled(data, hclass, args.eps, alpha_grid=grid)
     metrics = evaluate(solution.family, data)
     print(f"value={solution.value!r}")
-    print(f"feasible={str(solution.feasible).lower()}")
     print(f"coverage={metrics.coverage!r}")
     print(f"error={metrics.raw_error!r}")
     return 0

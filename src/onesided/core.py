@@ -8,6 +8,7 @@ empirical coverage/error metrics everything else is measured with.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -102,6 +103,11 @@ class LabeledDataset:
         return out
 
 
+def array_fits(*shape: int) -> bool:
+    """Whether numpy can hold a float64 array of ``shape``: its byte count fits in intp."""
+    return math.prod(map(int, shape)) * 8 <= np.iinfo(np.intp).max
+
+
 def class_index_type(num_classes: int) -> np.dtype:
     """The narrowest signed integer type holding every class index and ``REJECT``."""
     return np.min_scalar_type(-num_classes)
@@ -184,7 +190,6 @@ class Metrics:
     coverage: float
     raw_error: float
     per_class_one_sided_error: np.ndarray
-    rejection_rate: float
 
 
 def assign(family: DecisionSetFamily, X: np.ndarray) -> np.ndarray:
@@ -228,9 +233,4 @@ def evaluate(family: DecisionSetFamily, data: LabeledDataset) -> Metrics:
     classes = np.arange(data.num_classes, dtype=a.dtype)
     ends = np.sort(a[wrong]).searchsorted(classes, "right")
     per_class = np.diff(ends, prepend=0) / data.n
-    return Metrics(
-        coverage=coverage,
-        raw_error=raw_error,
-        per_class_one_sided_error=per_class,
-        rejection_rate=1.0 - coverage,
-    )
+    return Metrics(coverage, raw_error, per_class)

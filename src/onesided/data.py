@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FormatError, InputError, LabeledDataset
+from .core import FormatError, InputError, LabeledDataset, array_fits
 from .oracle import sample_analytic_example
 
 _KINDS = ("analytic", "mixture", "blobs")
@@ -95,6 +95,11 @@ class BlobsParams:
             raise InputError(f"blobs need dim >= 1, got {self.dim}")
         if self.separation <= 0.0 or self.spread <= 0.0:
             raise InputError("blob separation and spread must be positive")
+        if not array_fits(self.num_classes, self.dim):
+            raise InputError(
+                f"blobs num_classes={self.num_classes} and dim={self.dim} give "
+                "means too large for one array"
+            )
 
     def means(self) -> np.ndarray:
         K = self.num_classes
@@ -130,8 +135,7 @@ class SyntheticSpec:
         if self.kind == "blobs" and self.blobs is None:
             object.__setattr__(self, "blobs", BlobsParams())
         dim = 1 if self.kind == "analytic" else getattr(self, self.kind).dim
-        # the n x dim float64 features must fit in one numpy array
-        if int(self.n) * dim * 8 > np.iinfo(np.intp).max:
+        if not array_fits(self.n, dim):
             raise InputError(
                 f"sample size n={self.n} is too large for one array of "
                 f"{dim} float64 features per point"

@@ -47,7 +47,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import FormatError, InputError, LabeledDataset, NumericError
+from .core import FormatError, InputError, LabeledDataset, NumericError, array_fits
 
 PROB_FLOOR = 1e-12
 
@@ -74,6 +74,8 @@ class BackboneSpec:
         widths = tuple(map(int, widths))
         if any(w <= 0 for w in widths):
             raise InputError(f"layer widths must be positive, got {widths}")
+        if not all(array_fits(b, a) for a, b in zip(widths, widths[1:])):
+            raise InputError(f"layer_widths {widths} give a weight matrix too large")
         if self.activation not in _ACTIVATIONS:
             raise InputError(
                 f"unknown activation {self.activation!r}, choose from {_ACTIVATIONS}"
@@ -87,6 +89,13 @@ class BackboneSpec:
     @property
     def feature_dim(self) -> int:
         return self.layer_widths[-1]
+
+    def check_dim(self, dim: int) -> None:
+        """Refuse data of ``dim`` features, unless the first width is ``dim``."""
+        if self.input_dim != dim:
+            raise InputError(
+                f"first backbone width {self.input_dim} must equal the data dim {dim}"
+            )
 
 
 class SelectiveModel:
@@ -385,6 +394,7 @@ def warm_start(
     ``epochs=0`` returns the untouched initialization; identical seeds give
     bit-identical models.
     """
+    spec.check_dim(data.dim)
     if epochs < 0:
         raise InputError("epochs must be nonnegative")
     if lr <= 0:

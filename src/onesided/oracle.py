@@ -276,17 +276,29 @@ def _check_eps(eps: float, name: str = "eps") -> None:
 def _compositions(total: int, K: int) -> np.ndarray:
     """Every split of ``total`` into K nonnegative integer parts, one per row.
 
-    Stars and bars, in ``itertools.combinations`` order of the bar
-    positions; the decoupled solver breaks ties by first-in-grid order.
+    Rows ascend lexicographically, which is the ``itertools.combinations``
+    order of stars-and-bars positions; the decoupled solver breaks ties by
+    first-in-grid order.  Each prefix of parts extends by every next part
+    its remaining budget allows, and a row reads its earlier parts back
+    through the prefix it extends.
     """
     G = math.comb(total + K - 1, K - 1)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(total + K - 1), K - 1)),
-        dtype=np.int64,
-        count=G * (K - 1),
-    ).reshape(G, K - 1)
-    edges = np.hstack([np.full((G, 1), -1), bars, np.full((G, 1), total + K - 1)])
-    return np.diff(edges, axis=1) - 1
+    out = np.empty((G, K), dtype=np.int64)
+    left = np.array([total])
+    levels = []
+    for _ in range(K - 1):
+        counts = left + 1
+        owner = np.repeat(np.arange(left.size), counts)
+        part = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+        levels.append((owner, part))
+        left = left[owner] - part
+    out[:, K - 1] = left
+    row = np.arange(G)
+    for j in range(K - 2, -1, -1):
+        owner, part = levels[j]
+        out[:, j] = part[row]
+        row = owner[row]
+    return out
 
 
 def default_alpha_grid(num_classes: int) -> np.ndarray:
@@ -334,14 +346,14 @@ class OracleSolution:
 
     ``family`` holds the recovered sets (a single set for the per-class
     problem, K disjoint sets for the joint and decoupled problems);
-    ``value`` is the achieved total empirical coverage.  ``raw_sets``, when
+    ``value`` is the achieved total empirical coverage.  Every solution
+    meets its budget, since the empty family meets any.  ``raw_sets``, when
     present, are the per-class sets before disjointification, and
     ``alpha`` is the chosen row of the budget-split grid.
     """
 
     family: DecisionSetFamily
     value: float
-    feasible: bool
     alpha: tuple | None = None
     raw_sets: tuple | None = None
     chosen_indices: tuple | None = None
@@ -350,7 +362,7 @@ class OracleSolution:
 def _empty_solution(num_sets: int, dim: int) -> OracleSolution:
     preds = [EmptySet() for _ in range(num_sets)]
     fam = DecisionSetFamily.from_predicates(preds, dim=dim)
-    return OracleSolution(fam, 0.0, True, chosen_indices=tuple([None] * num_sets))
+    return OracleSolution(fam, 0.0, chosen_indices=tuple([None] * num_sets))
 
 
 def solve_osp_exact(
@@ -376,9 +388,7 @@ def solve_osp_exact(
     idx_feas = np.flatnonzero(feasible)
     best = idx_feas[np.argmax(cov[idx_feas])]
     fam = DecisionSetFamily.from_predicates([hclass.predicate(best)], dim=data.dim)
-    return OracleSolution(
-        fam, float(cov[best] / data.n), True, chosen_indices=(int(best),)
-    )
+    return OracleSolution(fam, float(cov[best] / data.n), chosen_indices=(int(best),))
 
 
 def solve_sc_exact(
@@ -440,9 +450,7 @@ def solve_sc_exact(
     )
     preds = [hclass.predicate(i) for i in idxs]
     fam = DecisionSetFamily.from_predicates(preds, dim=data.dim)
-    return OracleSolution(
-        fam, float(total_cov.flat[flat] / data.n), True, chosen_indices=idxs
-    )
+    return OracleSolution(fam, float(total_cov.flat[flat] / data.n), chosen_indices=idxs)
 
 
 def _best_within(cov: np.ndarray, viol: np.ndarray, budgets: np.ndarray) -> np.ndarray:
@@ -534,7 +542,6 @@ def solve_osp_decoupled(
     return OracleSolution(
         fam,
         float(union[g] / n),
-        True,
         alpha=tuple(shares[g].tolist()),
         raw_sets=raw_preds,
         chosen_indices=best_choice,

@@ -355,13 +355,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         completed.append(stage)
 
         stage = "train"
-        trained = sgda_train_grid(
-            train_d,
-            config.backbone,
-            dataclasses.replace(config.train, seed=config.seed),
-            config.mu_grid,
-            initial_model=warm,
-        )
+        train = dataclasses.replace(config.train, seed=config.seed)
+        trained = sgda_train_grid(train_d, warm, train, config.mu_grid)
         models = {}
         model_dir = out / "models"
         model_dir.mkdir(exist_ok=True)

@@ -219,7 +219,7 @@ def _cell_metrics(
         raise InputError("cannot evaluate on an empty dataset")
     covered, wrong = _threshold_counts(probs, labels, _thresholds(t_values))
     return [
-        Metrics(c / n, float(w.sum() / n), w / n, 1.0 - c / n)
+        Metrics(c / n, float(w.sum() / n), w / n)
         for c, w in zip(covered.tolist(), wrong)
     ]
 

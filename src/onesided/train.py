@@ -10,40 +10,15 @@ variables phi_k, and a budget price mu:
 
 Every fit and leak loss here is a weighted view of one masked pass,
 `class_terms`, with weights fit_w and leak_w: (e_k, 0) for the fit loss,
-(0, e_k) for the leak loss, (1, lambda) for the saddle objective.  A term
-with no rows in the batch is absent: it reads 0 and adds no gradient.
-Scores are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] before every log, with
-zero gradient where the clamp is active.
-
-Network weights and slacks descend on a fast learning rate while the
-multipliers ascend on a slow one; the shared backbone accumulates its
-descent steps and applies them only every few epochs, keeping the
-per-class heads quasi-independent in between.  The backbone being fixed
-between those landings, every step trains the heads on cached last-layer
-features, and the per-epoch record reads them too.  A step's backbone
-gradient is linear in its features' cotangent, so the steps only sum
-those cotangents per row and each landing runs one backward over all
-rows, in place: it consumes the summed cotangents and refills the cached
-features where they lie.  The trailing epochs past the last landing skip
-even the sum.
-
-A grid of budget prices trains in lockstep: `sgda_train_grid` holds one
-model per price, and stacks only what every step touches, the heads,
-multipliers and slacks, with a leading mu axis.  Each model's heads are
-views of its slice of that stack; its backbone is its own and lands one
-model at a time.  `sgda_train` is the one-price case.
+(0, e_k) for the leak loss, (1, lambda) for the saddle objective.
+`sgda_train_grid` trains one model per budget price, all in lockstep,
+from the start model it is given: the pipeline and the CLI give it the
+model of `net.warm_start`.
 
 A step's cost is its count of numpy calls, not its arithmetic (a grid of
 six on a 128-row batch at K = 2 is about 1.5k numbers), so a step makes
-as few as it can.  What it needs of its labels (class masks, each term's
-row count, the per-entry divisor) depends only on the epoch's batch
-order, so `label_tables` builds it for every batch of an epoch in one
-vectorised pass, and once per run for the record's full data, less the
-divisor, which the record never reads.  A step tests the
-saddle value for finiteness without forming it: the fit sum is at most
-K log(1e12), and a NaN score makes its class's leak term NaN too, so the
-value is finite exactly when the sum of its multiplier and slack terms
-is.  Only a failing step computes the whole value, to word its error.
+as few as it can: `label_tables` builds what the steps need of their
+labels for every batch of an epoch in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -57,14 +32,12 @@ import numpy as np
 from .core import InputError, LabeledDataset, NumericError
 from .net import (
     PROB_FLOOR,
-    BackboneSpec,
     SelectiveModel,
     _backbone,
     _backbone_grads,
     _head,
     _head_grads,
     _mean_nll,
-    warm_start,
 )
 
 
@@ -96,7 +69,13 @@ class LagrangianState:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one saddle-point run."""
+    """Hyperparameters of one saddle-point run.
+
+    ``mu`` is read by :func:`sgda_train` only: a grid brings its own
+    prices.  ``warm_start_epochs`` is read by the callers that build the
+    start model with :func:`onesided.net.warm_start` (``run_pipeline`` and
+    ``onesided train``), never by the trainer.
+    """
 
     mu: float
     epochs: int = 200
@@ -407,21 +386,18 @@ class TrainingLog:
 
 
 def sgda_train_grid(
-    data: LabeledDataset,
-    spec: BackboneSpec,
-    config: TrainConfig,
-    mu_grid,
-    initial_model: SelectiveModel | None = None,
+    data: LabeledDataset, model: SelectiveModel, config: TrainConfig, mu_grid
 ) -> list:
     """One saddle-point run per budget price in ``mu_grid``, all in lockstep.
 
-    Every run starts from the same model (``initial_model`` or the warm
-    start) and, the batch order being drawn from ``config.seed`` alone,
-    sees the same batches.  So the M runs advance together: their heads,
-    multipliers and slacks are stacked with a leading mu axis, giving one
-    head pass, loss and gradient per batch for the whole grid.  Each slice
-    does the arithmetic of a lone run, so its result does not depend on
-    the other grid values.  ``config.mu`` is not read.
+    Every run starts from a copy of ``model``, whose input width and class
+    count must be the data's, and, the batch order being drawn from
+    ``config.seed`` alone, sees the same batches.  So the M runs advance
+    together: their heads, multipliers and slacks are stacked with a
+    leading mu axis, giving one head pass, loss and gradient per batch for
+    the whole grid.  Each slice does the arithmetic of a lone run, so its
+    result does not depend on the other grid values.  ``config.mu`` and
+    ``config.warm_start_epochs`` are not read.
 
     Heads and slacks take descent steps at ``lr_min`` each batch; the
     multipliers take ascent steps at ``lr_max``, clipped to
@@ -461,21 +437,12 @@ def sgda_train_grid(
     if mus.size == 0:
         raise InputError("mu grid must not be empty")
     M, K = mus.shape[0], data.num_classes
-    state = LagrangianState(np.zeros((M, K)), np.zeros((M, K)), mus)
-    if initial_model is not None:
-        if initial_model.num_classes != K:
-            raise InputError("initial model class count does not match data")
-        model = initial_model
-    else:
-        model = warm_start(
-            data,
-            spec,
-            K,
-            config.warm_start_epochs,
-            config.lr_min,
-            config.seed,
-            config.batch_size,
+    model.spec.check_dim(data.dim)
+    if model.num_classes != K:
+        raise InputError(
+            f"model has {model.num_classes} class heads but the data has {K} classes"
         )
+    state = LagrangianState(np.zeros((M, K)), np.zeros((M, K)), mus)
     # the heads train as one stack; each model's heads are views of its
     # slice, so a stacked step updates every model in place
     head_w = np.repeat(model.head_w[None], M, axis=0)
@@ -637,13 +604,10 @@ def sgda_train_grid(
 
 
 def sgda_train(
-    data: LabeledDataset,
-    spec: BackboneSpec,
-    config: TrainConfig,
-    initial_model: SelectiveModel | None = None,
+    data: LabeledDataset, model: SelectiveModel, config: TrainConfig
 ) -> tuple[SelectiveModel, LagrangianState, TrainingLog]:
-    """Warm start, then alternating descent/ascent over minibatches.
+    """Alternating descent/ascent over minibatches from ``model``.
 
     The one-price case of :func:`sgda_train_grid`, at ``config.mu``.
     """
-    return sgda_train_grid(data, spec, config, (config.mu,), initial_model)[0]
+    return sgda_train_grid(data, model, config, (config.mu,))[0]

@@ -1,6 +1,7 @@
 """Tests for the command-line front end and its exit-code contract."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -258,7 +259,7 @@ def test_oracle_exact_solves(tmp_path, capsys):
     assert run("synth", "--kind", "analytic", "--n", "200", "--seed", "3", "--out", str(an)) == 0
     assert run("oracle", "--data", str(an), "--eps", "0.04", "--mode", "sc") == 0
     sc_out = capsys.readouterr().out
-    assert "value=" in sc_out and "feasible=true" in sc_out
+    assert "value=" in sc_out and "feasible" not in sc_out
     assert run(
         "oracle", "--data", str(an), "--eps", "0.04", "--mode", "osp", "--budget-grid"
     ) == 0
@@ -511,3 +512,73 @@ def test_unknown_subcommand_and_flags(capsys):
     assert run("bogus") == 1
     assert run("train", "--nope") == 1
     capsys.readouterr()
+
+
+# A small valid pipeline config, and the values each of its leaves takes in
+# turn in the sweep below: nulls, wrong types, edge numbers, non-finite
+# floats and a size no numpy array can hold.
+SWEEP_CONFIG = {
+    "seed": 0,
+    "out_dir": "run",
+    "synthetic": {
+        "kind": "blobs", "n": 300, "seed": 0,
+        "blobs": {"num_classes": 3, "dim": 2, "separation": 4.0, "spread": 1.0},
+    },
+    "split_seed": 0,
+    "backbone": {"layer_widths": [2, 8, 4], "activation": "relu"},
+    "train": {
+        "mu": 1.0, "epochs": 2, "batch_size": 64, "lr_min": 0.02, "lr_max": 0.05,
+        "lr_decay": [0.1, 1000], "backbone_update_interval": 1, "seed": 0,
+        "warm_start_epochs": 1, "lambda_max": None, "restricted": True,
+    },
+    "criterion": {"mode": "error", "target": 0.05},
+    "mu_grid": [0.5, 1.0],
+    "t_grid": [0.0, 0.5, 0.9],
+    "curve_targets": [0.02, 0.1],
+}
+SWEEP_VALUES = (
+    None, "x", -1, 0, 1, 3, 1e308, math.nan, math.inf, [], {}, True, [math.nan], 2**70
+)
+# 2**70 epochs are a valid count, and such a run would not end
+ENDLESS = {("train", "epochs"), ("train", "warm_start_epochs")}
+
+
+def leaf_paths(doc, path=()):
+    """The key path of every scalar in ``doc``, list elements included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def test_no_config_leaf_value_escapes_the_pipeline_command(tmp_path, monkeypatch, capsys):
+    # every exit is a code: 1 with "error:", 2 with "numeric error:", or a run
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    escapes, runs = [], 0
+    for path in leaf_paths(SWEEP_CONFIG):
+        for value in SWEEP_VALUES:
+            if path in ENDLESS and value == 2**70:
+                continue
+            doc = json.loads(json.dumps(SWEEP_CONFIG))
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            config.write_text(json.dumps(doc))
+            where = f"{'.'.join(map(str, path))}={value!r}"
+            runs += 1
+            try:
+                with np.errstate(all="ignore"):
+                    code = run("pipeline", "--config", str(config))
+            except Exception as exc:
+                escapes.append(f"{where}: {type(exc).__name__}: {exc}")
+                continue
+            err = capsys.readouterr().err
+            want = {1: "error:", 2: "numeric error:"}.get(code)
+            if code not in (0, 1, 2, 3) or (want is not None and want not in err):
+                escapes.append(f"{where}: exit {code} with {err!r}")
+    assert runs == 35 * len(SWEEP_VALUES) - len(ENDLESS)
+    assert escapes == []

@@ -39,7 +39,6 @@ def test_evaluate_hand_example():
     m = evaluate(fam, data)
     assert m.coverage == 0.75
     assert m.raw_error == 0.25
-    assert m.rejection_rate == 0.25
     assert m.per_class_one_sided_error.tolist() == [0.25, 0.0]
 
 
@@ -151,7 +150,6 @@ def test_metric_identities(inst):
     data = LabeledDataset(np.array(xs)[:, None], ys, K)
     fam = DecisionSetFamily.from_predicates([upper(c) for c in cuts], dim=1)
     m = evaluate(fam, data)
-    assert abs(m.coverage + m.rejection_rate - 1.0) <= 1e-12
     assert m.raw_error <= m.coverage + 1e-12
     assert 0.0 <= m.coverage <= 1.0
     # tie-broken per-class errors always partition the raw error

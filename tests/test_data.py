@@ -53,6 +53,13 @@ def test_blobs_params_validation():
     assert np.allclose(np.linalg.norm(means, axis=1), 3.0)
 
 
+def test_blobs_params_refuse_means_no_array_can_hold():
+    # numpy used to raise "Maximum allowed dimension exceeded" in means()
+    for num_classes, dim in ((2**70, 2), (2, 2**70), (2**61, 2)):
+        with pytest.raises(InputError, match="num_classes"):
+            BlobsParams(num_classes=num_classes, dim=dim)
+
+
 def test_synthetic_spec_validation():
     with pytest.raises(InputError):
         SyntheticSpec("unknown", 10, 0)

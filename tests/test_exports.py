@@ -59,6 +59,16 @@ def test_solver_access_loads_only_core_and_oracle():
     assert run_fresh("import onesided\n" + LOADED) == ["onesided"]
 
 
+def test_warm_start_access_loads_net_and_not_the_trainer():
+    loaded = run_fresh("import onesided\nonesided.warm_start\n" + LOADED)
+    assert "onesided.net" in loaded and "onesided.train" not in loaded
+    got = run_fresh(
+        "import json, onesided, onesided.net\n"
+        "print(json.dumps(onesided.warm_start is onesided.net.warm_start))\n"
+    )
+    assert got is True
+
+
 def test_star_import_and_dir_give_the_public_names():
     got = run_fresh(
         "import json, onesided\n"

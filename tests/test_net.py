@@ -57,6 +57,14 @@ def test_backbone_spec_validation():
     assert spec.feature_dim == 2
 
 
+def test_backbone_spec_refuses_weight_matrices_no_array_can_hold():
+    # numpy used to raise "Maximum allowed dimension exceeded" at init
+    for widths in ((2**70, 8, 4), (2, 2**70, 4), (2, 8, 2**70), (2, 2**61)):
+        with pytest.raises(InputError, match="layer_widths"):
+            BackboneSpec(widths)
+    assert BackboneSpec((2, 2**58)).feature_dim == 2**58
+
+
 def test_backbone_spec_refuses_widths_that_are_not_whole_numbers():
     # int() used to truncate these to (2, 16, 8) and (2, 1, 8)
     for widths in ((2, 16.5, 8), (2, True, 8), (2.0, 16, 8), (2, "16", 8), (2, None)):

@@ -62,7 +62,6 @@ FIVE_CUTS = [0.0, 0.3, 0.6, 0.8, 1.0]
 def test_osp_exact_hand_enumeration(eps, value, index):
     cls = FiniteHypothesisClass.upper_thresholds(FIVE_CUTS)
     sol = solve_osp_exact(FIVE, cls, k=0, eps_k=eps)
-    assert sol.feasible
     assert sol.value == value
     assert sol.chosen_indices == (index,)
 
@@ -77,7 +76,6 @@ def test_osp_exact_infeasible_returns_empty():
     data = LabeledDataset([[0.5], [0.6]], [1, 1], 2)
     cls = FiniteHypothesisClass.upper_thresholds([0.0])
     sol = solve_osp_exact(data, cls, k=0, eps_k=0.0)
-    assert sol.feasible
     assert sol.value == 0.0
     assert not sol.family.membership(data.features).any()
 
@@ -300,7 +298,6 @@ def test_sc_exact_zero_budget_no_tuple():
     cls = FiniteHypothesisClass.lower_thresholds([0.5, 1.0])
     sol = solve_sc_exact(data, cls, eps=0.0)
     assert sol.value == 0.0
-    assert sol.feasible
     assert not sol.family.membership(data.features).any()
 
 
@@ -474,7 +471,6 @@ def test_sc_exact_matches_full_table_reference(inst):
     }[kind]()
     sol = solve_sc_exact(data, cls, eps)
     value, chosen = full_table_sc(data, cls, eps)
-    assert sol.feasible
     assert sol.value == value
     assert sol.chosen_indices == chosen
 
@@ -518,6 +514,17 @@ def _split_loop(total, num_classes):
 
 def rows_of(grid):
     return [tuple(row) for row in grid.tolist()]
+
+
+def test_compositions_follow_the_itertools_order():
+    # the numpy build repeats each prefix over its remaining budget; its
+    # rows must keep the loop's order, which sets the decoupled tie-breaks
+    for K in range(1, 6):
+        for total in (0, 1, 2, 5, 11):
+            got = oracle_mod._compositions(total, K)
+            assert got.dtype == np.int64
+            assert got.shape == (math.comb(total + K - 1, K - 1), K)
+            assert got.tolist() == _split_loop(total, K)
 
 
 def test_default_alpha_grid_shapes():

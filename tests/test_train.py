@@ -578,13 +578,20 @@ def overlap_blobs(n, seed, gap=2.0):
 SPEC = BackboneSpec((2, 16, 8))
 
 
+def warm_model(data, config):
+    """The start model ``onesided train`` builds: a warm start as ``config`` sets it."""
+    return warm_start(
+        data, SPEC, data.num_classes, config.warm_start_epochs, config.lr_min,
+        config.seed, config.batch_size,
+    )
+
+
 def test_sgda_zero_epochs_returns_warm_model():
     data = overlap_blobs(100, seed=1)
     cfg = TrainConfig(mu=1.0, epochs=0, warm_start_epochs=3, seed=5)
-    model, state, log = sgda_train(data, SPEC, cfg)
-    from onesided.net import warm_start
-
-    warm = warm_start(data, SPEC, 2, 3, cfg.lr_min, 5, cfg.batch_size)
+    warm = warm_model(data, cfg)
+    model, state, log = sgda_train(data, warm, cfg)
+    assert model is not warm
     assert np.array_equal(flatten_params(model), flatten_params(warm))
     assert not state.lambdas.any()
     assert len(log.records) == 1
@@ -593,8 +600,8 @@ def test_sgda_zero_epochs_returns_warm_model():
 def test_sgda_deterministic():
     data = overlap_blobs(150, seed=2)
     cfg = TrainConfig(mu=1.0, epochs=6, warm_start_epochs=2, seed=3, batch_size=32)
-    m1, s1, l1 = sgda_train(data, SPEC, cfg)
-    m2, s2, l2 = sgda_train(data, SPEC, cfg)
+    m1, s1, l1 = sgda_train(data, warm_model(data, cfg), cfg)
+    m2, s2, l2 = sgda_train(data, warm_model(data, cfg), cfg)
     assert np.array_equal(flatten_params(m1), flatten_params(m2))
     assert np.array_equal(s1.lambdas, s2.lambdas)
     assert l1.records == l2.records
@@ -606,7 +613,7 @@ def test_sgda_multipliers_stay_projected():
         mu=0.5, epochs=25, warm_start_epochs=2, seed=6, batch_size=32,
         lr_min=0.05, lr_max=0.05,
     )
-    _, state, log = sgda_train(data, SPEC, cfg)
+    _, state, log = sgda_train(data, warm_model(data, cfg), cfg)
     # with no lambda_max given, the cap is 10 * mu
     lam_max = 10.0 * cfg.mu
     for rec in log.records:
@@ -622,7 +629,7 @@ def test_sgda_full_batch_is_one_exact_step():
         mu=1.0, epochs=1, batch_size=1000, warm_start_epochs=0,
         backbone_update_interval=1, seed=0, lr_min=0.01, lr_max=0.005,
     )
-    model, state, _ = sgda_train(data, SPEC, cfg, initial_model=init)
+    model, state, _ = sgda_train(data, init, cfg)
 
     expected = init.copy()
     st = LagrangianState(np.zeros(2), np.zeros(2), 1.0)
@@ -666,7 +673,7 @@ def test_sgda_drives_leak_below_warm_start():
         lr_min=0.02, lr_max=0.1, backbone_update_interval=5,
         lr_decay=(0.1, 1000),
     )
-    model, _, _ = sgda_train(data, SPEC, cfg, initial_model=warm)
+    model, _, _ = sgda_train(data, warm, cfg)
     final_leak = terms_of(model, data).leak.sum()
     assert final_leak < warm_leak
 
@@ -682,7 +689,7 @@ def test_sgda_mu_zero_reduces_to_fit_minimization():
         batch_size=1000, backbone_update_interval=1, lr_min=0.03,
         lr_decay=(0.1, 1000),
     )
-    model, state, log = sgda_train(data, SPEC, cfg, initial_model=init)
+    model, state, log = sgda_train(data, init, cfg)
     assert not state.lambdas.any()
     assert not state.phis.any()
     for rec in log.records:
@@ -718,7 +725,7 @@ def test_sgda_counts_batches_missing_a_class():
     cfg = TrainConfig(
         mu=1.0, epochs=20, warm_start_epochs=0, seed=12, batch_size=16
     )
-    _, _, log = sgda_train(data, SPEC, cfg)
+    _, _, log = sgda_train(data, warm_model(data, cfg), cfg)
     assert log.final().absent_fit[1] > 0
     assert log.final().absent_fit[0] == 0
 
@@ -729,7 +736,7 @@ def test_sgda_aborts_on_non_finite_with_checkpoint():
     poisoned.head_w[0, 0] = np.nan
     cfg = TrainConfig(mu=1.0, epochs=3, warm_start_epochs=0, seed=2)
     with pytest.raises(NumericError) as ei:
-        sgda_train(data, SPEC, cfg, initial_model=poisoned)
+        sgda_train(data, poisoned, cfg)
     assert ei.value.checkpoint_epoch == -1
     assert ei.value.checkpoint_model is not None
 
@@ -746,8 +753,8 @@ def test_sgda_lr_decay_applies():
         backbone_update_interval=1, lr_decay=(0.1, 2), lr_min=0.05,
     )
     init = init_model(SPEC, 2, seed=17)
-    m_no, _, _ = sgda_train(data, SPEC, cfg_no, initial_model=init)
-    m_yes, _, _ = sgda_train(data, SPEC, cfg_yes, initial_model=init)
+    m_no, _, _ = sgda_train(data, init, cfg_no)
+    m_yes, _, _ = sgda_train(data, init, cfg_yes)
     assert not np.array_equal(flatten_params(m_no), flatten_params(m_yes))
 
 
@@ -866,18 +873,14 @@ def test_sgda_grid_equals_per_mu_runs(
         warm_start_epochs=1, lambda_max=lambda_max, restricted=restricted,
     )
     init = warm_start(data, SPEC, K, 1, cfg.lr_min, seed, batch_size)
-    grid = sgda_train_grid(data, SPEC, cfg, mus, initial_model=init)
+    grid = sgda_train_grid(data, init, cfg, mus)
     assert len(grid) == len(mus)
     for mu, (model, state, log) in zip(mus, grid):
         one = dataclasses.replace(cfg, mu=mu)
-        lone = sgda_train(data, SPEC, one, initial_model=init)
+        lone = sgda_train(data, init, one)
         assert_same_run((model, state, log), lone)
         assert log.records == lone[2].records
         assert_close_to_reference((model, state, log), reference_sgda(data, one, init))
-    # without an initial model the grid warm starts itself, as sgda_train does
-    if epochs == 0:
-        model, _, _ = sgda_train_grid(data, SPEC, cfg, mus[:1])[0]
-        assert flatten_params(model).tobytes() == flatten_params(init).tobytes()
 
 
 WIDE = BackboneSpec((2, 32, 16))
@@ -916,7 +919,7 @@ def test_sgda_cached_features_match_uncached_reference(
         warm_start_epochs=1, restricted=restricted,
     )
     init = warm_start(data, WIDE, K, 1, cfg.lr_min, seed, batch_size)
-    grid = sgda_train_grid(data, WIDE, cfg, mus, initial_model=init)
+    grid = sgda_train_grid(data, init, cfg, mus)
     for mu, run in zip(mus, grid):
         ref = reference_sgda(data, dataclasses.replace(cfg, mu=mu), init)
         assert len(ref[2]) == epochs
@@ -964,7 +967,7 @@ def test_sgda_deferred_landing_matches_per_batch_reference(
         seed=seed, warm_start_epochs=1, restricted=restricted,
     )
     init = warm_start(data, WIDE, K, 1, cfg.lr_min, seed, batch_size)
-    grid = sgda_train_grid(data, WIDE, cfg, mus, initial_model=init)
+    grid = sgda_train_grid(data, init, cfg, mus)
     for mu, run in zip(mus, grid):
         ref = reference_sgda(data, dataclasses.replace(cfg, mu=mu), init)
         # the backbone moved: a test that never lands would prove nothing
@@ -986,7 +989,7 @@ def test_sgda_backbone_chain_runs_once_per_model_per_landing():
         train_mod, "_backbone_grads", wraps=train_mod._backbone_grads
     )
     with full as full, chain as chain:
-        sgda_train_grid(data, SPEC, cfg, (0.5, 1.0, 2.0), initial_model=init)
+        sgda_train_grid(data, init, cfg, (0.5, 1.0, 2.0))
     assert (full.call_count, chain.call_count) == (0, 3 * 3)
 
 
@@ -1004,9 +1007,9 @@ def test_sgda_grid_numeric_error_names_mu_and_carries_its_checkpoint(interval):
     big = 1e308
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError, match="mu=1e\\+308") as ei:
-            sgda_train_grid(data, SPEC, cfg, (0.5, big, 2.0), initial_model=init)
+            sgda_train_grid(data, init, cfg, (0.5, big, 2.0))
         with pytest.raises(NumericError) as lone:
-            sgda_train(data, SPEC, dataclasses.replace(cfg, mu=big), initial_model=init)
+            sgda_train(data, init, dataclasses.replace(cfg, mu=big))
     err = ei.value
     assert err.mu == big
     assert err.checkpoint_epoch == lone.value.checkpoint_epoch == 1
@@ -1019,7 +1022,7 @@ def test_sgda_grid_numeric_error_names_mu_and_carries_its_checkpoint(interval):
     # the checkpoint is the model after the last finite epoch of that run
     short = dataclasses.replace(cfg, mu=big, epochs=err.checkpoint_epoch + 1)
     with np.errstate(all="ignore"):
-        model, _, _ = sgda_train(data, SPEC, short, initial_model=init)
+        model, _, _ = sgda_train(data, init, short)
     assert flatten_params(model).tobytes() == flatten_params(
         err.checkpoint_model
     ).tobytes()
@@ -1160,7 +1163,7 @@ def test_finite_check_raises_where_the_loss_object_value_is_non_finite(
         want = loss_object_grid(data, config, mus, init, head=head())
         with mock.patch.object(train_mod, "_head", head()):
             if fails is None:
-                runs = sgda_train_grid(data, SPEC, config, mus, initial_model=init)
+                runs = sgda_train_grid(data, init, config, mus)
                 for m, (model, state, _) in enumerate(runs):
                     assert flatten_params(model).tobytes() == flatten_params(
                         want[0][m]
@@ -1169,7 +1172,7 @@ def test_finite_check_raises_where_the_loss_object_value_is_non_finite(
                     assert state.phis.tobytes() == want[1].phis[m].tobytes()
                 return
             with pytest.raises(NumericError) as ei:
-                sgda_train_grid(data, SPEC, config, mus, initial_model=init)
+                sgda_train_grid(data, init, config, mus)
     epoch, m, value, model, lambdas, phis = want
     assert (m, epoch) == fails
     err = ei.value
@@ -1201,21 +1204,35 @@ def test_sgda_grid_models_share_no_memory():
         mu=1.0, epochs=3, batch_size=32, warm_start_epochs=0,
         backbone_update_interval=2,
     )
-    runs = sgda_train_grid(data, SPEC, cfg, (0.5, 1.0, 2.0), initial_model=init)
+    runs = sgda_train_grid(data, init, cfg, (0.5, 1.0, 2.0))
     assert_share_no_memory([model for model, _, _ in runs] + [init])
     diverging = dataclasses.replace(cfg, batch_size=1000, lr_max=1e308)
     with np.errstate(all="ignore"), pytest.raises(NumericError) as ei:
-        sgda_train_grid(data, SPEC, diverging, (0.5, 1e308), initial_model=init)
+        sgda_train_grid(data, init, diverging, (0.5, 1e308))
     assert_share_no_memory([ei.value.checkpoint_model, init])
 
 
 def test_sgda_grid_rejects_bad_grids():
     data = overlap_blobs(20, seed=1)
+    init = init_model(SPEC, 2, seed=0)
     cfg = TrainConfig(mu=1.0, epochs=1, warm_start_epochs=0)
     with pytest.raises(InputError):
-        sgda_train_grid(data, SPEC, cfg, ())
+        sgda_train_grid(data, init, cfg, ())
     with pytest.raises(InputError):
-        sgda_train_grid(data, SPEC, cfg, (1.0, -0.5))
+        sgda_train_grid(data, init, cfg, (1.0, -0.5))
+
+
+def test_sgda_grid_refuses_a_model_that_does_not_fit_the_data():
+    data = overlap_blobs(20, seed=1)
+    cfg = TrainConfig(mu=1.0, epochs=1, warm_start_epochs=0)
+    wide = init_model(BackboneSpec((3, 8)), 2, seed=0)
+    with pytest.raises(InputError, match="first backbone width 3 must equal the data dim 2"):
+        sgda_train_grid(data, wide, cfg, (1.0,))
+    three = init_model(SPEC, 3, seed=0)
+    with pytest.raises(InputError, match="3 class heads but the data has 2 classes"):
+        sgda_train_grid(data, three, cfg, (1.0,))
+    with pytest.raises(InputError, match="must equal the data dim"):
+        sgda_train(data, wide, cfg)
 
 
 def test_unrestricted_run_logs_the_unrestricted_fit_sum():
@@ -1223,7 +1240,7 @@ def test_unrestricted_run_logs_the_unrestricted_fit_sum():
     cfg = TrainConfig(
         mu=1.0, epochs=2, warm_start_epochs=1, seed=4, batch_size=32, restricted=False
     )
-    model, _, log = sgda_train(data, SPEC, cfg)
+    model, _, log = sgda_train(data, warm_model(data, cfg), cfg)
     want = terms_of(model, data, restricted=False).fit.sum()
     assert abs(log.final().fit_sum - want) <= 1e-12
     own_rows = terms_of(model, data).fit.sum()
