@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .core import CapacityError, InputError, NumericError, evaluate
-from .data import ingest_csv, synthesize, write_csv
+from .data import SyntheticSpec, ingest_csv, synthesize, write_csv
 from .evaluation import _measure, coverage_error_curve
 from .net import BackboneSpec, deserialize, serialize, warm_start
 from .oracle import (
@@ -31,6 +31,7 @@ from .oracle import (
 )
 from .pipeline import (
     GRID_COLUMNS,
+    _decode,
     _log_to_doc,
     _read_json,
     _write_curve,
@@ -38,7 +39,6 @@ from .pipeline import (
     _write_table,
     load_config,
     run_pipeline,
-    synthetic_from_dict,
 )
 from .select import (
     SelectionCriterion,
@@ -47,7 +47,7 @@ from .select import (
     default_threshold_grid,
     evaluate_grid,
 )
-from .train import TrainConfig, sgda_train
+from .train import TrainConfig, _prices, sgda_train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,6 +71,14 @@ def _comma_ints(text: str) -> tuple[int, ...]:
         raise InputError(f"expected comma-separated integers, got {text!r}")
 
 
+def _read_model(path: str):
+    """The model saved at ``path``; an unreadable file is an input error."""
+    try:
+        return deserialize(Path(path).read_bytes())
+    except OSError as exc:
+        raise InputError(f"cannot read model {path}: {exc}")
+
+
 def _load_models(args) -> tuple[dict, int]:
     """The models keyed by mu, and the class count they all share."""
     if not args.model:
@@ -79,13 +87,10 @@ def _load_models(args) -> tuple[dict, int]:
         raise InputError(
             f"got {len(args.model)} --model values but {len(args.mu)} --mu values"
         )
-    models = {}
-    for mu, path in zip(args.mu, args.model):
-        try:
-            payload = Path(path).read_bytes()
-        except OSError as exc:
-            raise InputError(f"cannot read model {path}: {exc}")
-        models[float(mu)] = deserialize(payload)
+    mus = _prices(args.mu)
+    if len(set(mus)) != len(mus):
+        raise InputError(f"--mu values must be distinct, got {mus}")
+    models = {mu: _read_model(path) for mu, path in zip(mus, args.model)}
     counts = sorted({m.num_classes for m in models.values()})
     if len(counts) > 1:
         raise InputError(f"models disagree on the class count: {counts}")
@@ -102,7 +107,7 @@ def _val_grid(args) -> tuple[dict, SelectionGrid, int]:
 
 def _cmd_synth(args) -> int:
     if args.spec_file is not None:
-        spec = synthetic_from_dict(_read_json(args.spec_file, "spec file"))
+        doc = _read_json(args.spec_file, "spec file")
     else:
         if args.kind is None:
             raise InputError("give either --spec-file or --kind")
@@ -116,8 +121,7 @@ def _cmd_synth(args) -> int:
             }
         elif args.kind == "mixture":
             raise InputError("mixture synthesis needs --spec-file for its parameters")
-        spec = synthetic_from_dict(doc)
-    data = synthesize(spec)
+    data = synthesize(_decode(SyntheticSpec, doc, "synthetic"))
     write_csv(data, args.out)
     print(f"wrote {data.n} points, dim {data.dim}, {data.num_classes} classes to {args.out}")
     return 0
@@ -172,10 +176,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        model = deserialize(Path(args.model).read_bytes())
-    except OSError as exc:
-        raise InputError(f"cannot read model {args.model}: {exc}")
+    model = _read_model(args.model)
     data = ingest_csv(args.data, model.num_classes)
     metrics, overlap = _measure(_score(model, data), data.labels, args.t)
     print(f"coverage={metrics.coverage:.6f}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +38,8 @@ class MixtureParams:
                 arrays.append(np.asarray(getattr(self, name), dtype=np.float64))
             except (TypeError, ValueError) as exc:
                 raise InputError(f"{name} must be a rectangular array of numbers: {exc}")
+            if not np.isfinite(arrays[-1]).all():
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         means, covs, priors = arrays
         if means.ndim != 2:
             raise InputError(f"means must be (K, d), got shape {means.shape}")
@@ -93,8 +96,10 @@ class BlobsParams:
             raise InputError(f"blobs need >= 2 classes, got {self.num_classes}")
         if self.dim < 1:
             raise InputError(f"blobs need dim >= 1, got {self.dim}")
-        if self.separation <= 0.0 or self.spread <= 0.0:
-            raise InputError("blob separation and spread must be positive")
+        for name in ("separation", "spread"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise InputError(f"blobs {name} must be positive and finite, got {value}")
         if not array_fits(self.num_classes, self.dim):
             raise InputError(
                 f"blobs num_classes={self.num_classes} and dim={self.dim} give "
@@ -254,7 +259,7 @@ def two_class_mixture(
     separation: float = 2.0, spread: float = 1.0
 ) -> MixtureParams:
     """Symmetric 2-D two-component mixture used by the end-to-end checks."""
-    if separation <= 0.0 or spread <= 0.0:
+    if not (separation > 0.0 and spread > 0.0):  # MixtureParams refuses inf
         raise InputError("separation and spread must be positive")
     h = separation / 2.0
     eye = ((spread**2, 0.0), (0.0, spread**2))
@@ -341,15 +346,23 @@ def write_csv(data: LabeledDataset, path: str | Path) -> None:
             writer.writerow([repr(float(v)) for v in x] + [int(y)])
 
 
+def _split_fractions(fractions, seed: int) -> tuple[float, ...]:
+    """The split rule: three positive finite fractions summing to 1, a seed >= 0."""
+    fr = tuple(float(f) for f in fractions)
+    if len(fr) != 3 or not all(0.0 < f < math.inf for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
+        raise InputError(
+            f"split_fractions must be three positive finite numbers summing to 1, got {fr}"
+        )
+    if seed < 0:
+        raise InputError(f"split_seed must be nonnegative, got {seed}")
+    return fr
+
+
 def split_indices(
     n: int, fractions: tuple[float, float, float], seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shuffled index partition of [0, n) into train/val/test blocks."""
-    fr = tuple(float(f) for f in fractions)
-    if len(fr) != 3 or any(f <= 0.0 for f in fr):
-        raise InputError(f"need three positive fractions, got {fractions}")
-    if abs(sum(fr) - 1.0) > 1e-9:
-        raise InputError(f"fractions must sum to 1, got {sum(fr)}")
+    fr = _split_fractions(fractions, seed)
     if n < 3:
         raise InputError(f"cannot three-way split {n} points")
     perm = np.random.default_rng(seed).permutation(n)

@@ -55,6 +55,14 @@ class CurvePoint:
             object.__setattr__(self, name, v)
 
 
+def _curve_targets(targets: Sequence[float]) -> tuple[float, ...]:
+    """The curve-target rule: at least one target, each in [0, 1], sorted ascending."""
+    ts = tuple(float(e) for e in targets)
+    if not ts or not all(0.0 <= e <= 1.0 for e in ts) or list(ts) != sorted(ts):
+        raise InputError(f"curve targets must be one or more ascending errors in [0, 1], got {ts}")
+    return ts
+
+
 def coverage_error_curve(
     models: Mapping[float, SelectiveModel],
     grid: SelectionGrid,
@@ -89,11 +97,7 @@ def _curve(
     computed; every other chosen model is scored here.  An entry is taken
     out of ``scores`` when it is read, so its matrix is freed once used.
     """
-    targets = [float(e) for e in targets]
-    if not targets:
-        raise InputError("curve needs at least one target error")
-    if any(b < a for a, b in zip(targets, targets[1:])):
-        raise InputError("target errors must be sorted ascending")
+    targets = _curve_targets(targets)
     if grid.mu_values != tuple(float(m) for m in models):
         raise InputError("the grid's mu values are not the models' keys")
     cells = {}

@@ -14,25 +14,25 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .core import InputError, Metrics
-from .data import SyntheticSpec, ingest_csv, split_dataset, synthesize
-from .evaluation import _curve, _measure
+from .data import SyntheticSpec, _split_fractions, ingest_csv, split_dataset, synthesize
+from .evaluation import _curve, _curve_targets, _measure
 from .net import BackboneSpec, serialize, warm_start
 from .select import (
     SelectionCriterion,
     SelectionResult,
     _score,
+    _thresholds,
     default_threshold_grid,
     evaluate_grid,
     quick_mu_grid,
 )
-from .train import TrainConfig, TrainingLog, sgda_train_grid
+from .train import TrainConfig, TrainingLog, _prices, sgda_train_grid
 
 METRICS_COLUMNS = (
     "target",
@@ -64,7 +64,9 @@ class RunConfig:
     split fixed.  ``workers`` has no effect: the grid trains in lockstep
     in one process.  The key is still validated (at least 1) and read
     from config files so that older configs keep loading; no command-line
-    flag sets it.
+    flag sets it.  The split, prices, thresholds and curve targets are
+    checked by the rules of the code that reads them; the config adds that
+    ``mu_grid`` values are distinct, since the run keys its models by mu.
     """
 
     seed: int
@@ -86,44 +88,19 @@ class RunConfig:
             raise InputError(
                 "exactly one of source_path and synthetic must be given"
             )
-        for name in ("seed", "split_seed"):
-            if getattr(self, name) < 0:
-                raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        fr = tuple(float(f) for f in self.split_fractions)
-        mus = tuple(float(m) for m in self.mu_grid)
-        for name, values in (("split_fractions", fr), ("mu_grid", mus)):
-            if not all(map(math.isfinite, values)):
-                raise InputError(f"{name} values must be finite, got {values}")
-        if len(fr) != 3 or any(f <= 0.0 for f in fr):
-            raise InputError(f"need three positive split fractions, got {fr}")
-        if abs(sum(fr) - 1.0) > 1e-9:
-            raise InputError(f"split fractions must sum to 1, got {sum(fr)}")
-        if not mus:
-            raise InputError("mu grid must not be empty")
-        if any(m < 0.0 for m in mus):
-            raise InputError("mu grid values must be nonnegative")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
+        mus = _prices(self.mu_grid)
         if len(set(mus)) != len(mus):
-            raise InputError(f"mu grid values must be distinct, got {mus}")
-        ts = tuple(float(t) for t in self.t_grid)
-        if not ts:
-            raise InputError("threshold grid must not be empty")
-        if any(not 0.0 <= t <= 1.0 for t in ts):
-            raise InputError("threshold grid values must lie in [0, 1]")
-        targets = self.curve_targets
-        if targets is not None:
-            targets = tuple(float(e) for e in targets)
-            if not targets:
-                raise InputError("curve target list must not be empty when given")
-            if any(not 0.0 <= e <= 1.0 for e in targets):
-                raise InputError("curve targets must lie in [0, 1]")
-            if any(b < a for a, b in zip(targets, targets[1:])):
-                raise InputError("curve targets must be sorted ascending")
+            raise InputError(f"mu_grid values must be distinct, got {mus}")
         if self.workers < 1:
             raise InputError(f"workers must be at least 1, got {self.workers}")
+        fr = _split_fractions(self.split_fractions, self.split_seed)
         object.__setattr__(self, "split_fractions", fr)
         object.__setattr__(self, "mu_grid", mus)
-        object.__setattr__(self, "t_grid", ts)
-        object.__setattr__(self, "curve_targets", targets)
+        object.__setattr__(self, "t_grid", tuple(_thresholds(self.t_grid).tolist()))
+        if self.curve_targets is not None:
+            object.__setattr__(self, "curve_targets", _curve_targets(self.curve_targets))
 
 
 def _plain(obj):
@@ -187,11 +164,6 @@ def _decode(cls, doc, where: str):
 def config_to_dict(config: RunConfig) -> dict:
     """Plain nested dict mirroring the config field names, JSON-ready."""
     return _plain(config)
-
-
-def synthetic_from_dict(synth: dict) -> SyntheticSpec:
-    """Build a synthetic-source spec from its nested dict form."""
-    return _decode(SyntheticSpec, synth, "synthetic")
 
 
 def config_from_dict(d: dict) -> RunConfig:

@@ -45,8 +45,10 @@ def _hardened(model: SelectiveModel, t: float) -> DecisionSetFamily:
 
 
 def _thresholds(t_values: Sequence[float]) -> np.ndarray:
-    """The thresholds as a float array, refused unless each lies in [0, 1]."""
+    """The threshold-grid rule: at least one threshold, each in [0, 1], as floats."""
     ts = np.array([float(t) for t in t_values])
+    if not ts.size:
+        raise InputError("threshold grid must not be empty")
     for t in ts:
         if not 0.0 <= t <= 1.0:
             raise InputError(f"threshold must lie in [0, 1], got {t}")
@@ -239,8 +241,6 @@ def evaluate_grid(
     if not models:
         raise InputError("selection needs at least one trained model")
     t_arr = _thresholds(t_values)
-    if not t_arr.size:
-        raise InputError("selection needs at least one threshold")
     mus = tuple(float(m) for m in models)
     cov, err = np.zeros((2, len(mus), t_arr.size))
     for i, model in enumerate(models.values()):
@@ -286,9 +286,7 @@ def pick_error_constrained(grid: SelectionGrid, eps: float) -> SelectionResult:
     fallback is the minimal-error cell (ties by the same cascade) and
     the result is flagged infeasible.
     """
-    eps = float(eps)
-    if not 0.0 <= eps <= 1.0:
-        raise InputError(f"target error must lie in [0, 1], got {eps}")
+    eps = SelectionCriterion("error", eps).target
     return _pick(
         grid,
         lambda c, e, t, mu: e <= eps,
@@ -304,9 +302,7 @@ def pick_coverage_constrained(grid: SelectionGrid, rho: float) -> SelectionResul
     feasible cell the fallback is the maximal-coverage cell (then minimal
     error, larger t, smaller mu) and the result is flagged infeasible.
     """
-    rho = float(rho)
-    if not 0.0 <= rho <= 1.0:
-        raise InputError(f"target coverage must lie in [0, 1], got {rho}")
+    rho = SelectionCriterion("coverage", rho).target
     return _pick(
         grid,
         lambda c, e, t, mu: c >= rho,

@@ -101,6 +101,8 @@ class TrainConfig:
                 raise InputError(f"{name} must be finite, got {value!r}")
         if self.mu < 0:
             raise InputError("mu must be nonnegative")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
         if self.epochs < 0 or self.warm_start_epochs < 0:
             raise InputError("epoch counts must be nonnegative")
         if self.batch_size < 1:
@@ -385,6 +387,14 @@ class TrainingLog:
         return self.records[-1]
 
 
+def _prices(mu_grid) -> tuple[float, ...]:
+    """The price-grid rule: at least one price, each finite and nonnegative."""
+    mus = tuple(float(m) for m in mu_grid)
+    if not mus or not all(0.0 <= m < math.inf for m in mus):
+        raise InputError(f"mu_grid needs one or more finite nonnegative prices, got {mus}")
+    return mus
+
+
 def sgda_train_grid(
     data: LabeledDataset, model: SelectiveModel, config: TrainConfig, mu_grid
 ) -> list:
@@ -433,9 +443,7 @@ def sgda_train_grid(
     by reference.
     Returns one ``(model, state, log)`` per grid value, in grid order.
     """
-    mus = np.array(mu_grid, dtype=np.float64).reshape(-1, 1)
-    if mus.size == 0:
-        raise InputError("mu grid must not be empty")
+    mus = np.array(_prices(mu_grid)).reshape(-1, 1)
     M, K = mus.shape[0], data.num_classes
     model.spec.check_dim(data.dim)
     if model.num_classes != K:

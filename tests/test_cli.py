@@ -11,7 +11,7 @@ import onesided.cli as cli_mod
 from onesided.cli import main
 from onesided.core import NumericError
 from onesided.data import ingest_csv
-from onesided.net import deserialize, forward_batch
+from onesided.net import BackboneSpec, deserialize, forward_batch, init_model, serialize
 from onesided.pipeline import config_hash, config_to_dict, load_config
 from onesided.select import SelectionCriterion
 
@@ -128,6 +128,47 @@ def test_train_rejects_width_mismatch(tmp_path, capsys):
     )
     assert code == 1
     assert "must equal the data dim" in capsys.readouterr().err
+
+
+def test_train_refuses_a_negative_seed(tmp_path, capsys):
+    data = synth_csv(tmp_path / "d.csv")
+    out = tmp_path / "m.npz"
+    argv = ("train", "--data", str(data), "--mu", "1.0", "--seed", "-1", "--out", str(out))
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["select", "curve"])
+@pytest.mark.parametrize(
+    "mus, message",
+    [
+        (("1", "1"), "--mu values must be distinct, got (1.0, 1.0)"),
+        (("0.5", "nan"), "mu_grid needs one or more finite nonnegative prices"),
+        (("inf",), "mu_grid needs one or more finite nonnegative prices"),
+        (("1", "-0.5"), "mu_grid needs one or more finite nonnegative prices"),
+    ],
+    ids=["repeated", "nan", "inf", "negative"],
+)
+def test_select_and_curve_refuse_a_repeated_or_non_finite_mu(
+    tmp_path, capsys, command, mus, message
+):
+    # models are keyed by mu, so a repeat would drop one of them silently
+    data = synth_csv(tmp_path / "d.csv")
+    model = tmp_path / "m.npz"
+    model.write_bytes(serialize(init_model(BackboneSpec((2, 8, 6)), 3, seed=0)))
+    capsys.readouterr()
+    argv = [command, "--val", str(data)]
+    for mu in mus:
+        argv += ["--model", str(model), "--mu", mu]
+    if command == "select":
+        argv += ["--target", "0.1"]
+    else:
+        argv += ["--test", str(data), "--targets", "0.1", "--out", str(tmp_path / "c.csv")]
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and captured.out == ""
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_select_feasible_and_grid_out(tmp_path, capsys):
@@ -541,6 +582,18 @@ SWEEP_VALUES = (
 )
 # 2**70 epochs are a valid count, and such a run would not end
 ENDLESS = {("train", "epochs"), ("train", "warm_start_epochs")}
+# the same config drawing from a two-class mixture, whose leaves are swept too
+MIXTURE_SWEEP_CONFIG = {
+    **SWEEP_CONFIG,
+    "synthetic": {
+        "kind": "mixture", "n": 300, "seed": 0,
+        "mixture": {
+            "means": [[-1.0, 0.0], [1.0, 0.0]],
+            "covariances": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]],
+            "priors": [0.5, 0.5],
+        },
+    },
+}
 
 
 def leaf_paths(doc, path=()):
@@ -554,15 +607,22 @@ def leaf_paths(doc, path=()):
 
 
 def test_no_config_leaf_value_escapes_the_pipeline_command(tmp_path, monkeypatch, capsys):
-    # every exit is a code: 1 with "error:", 2 with "numeric error:", or a run
+    # every exit is a code: 1 with "error:", 2 with "numeric error:", or a
+    # run; NaN or inf anywhere in the synthetic source exits 1
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "config.json"
     escapes, runs = [], 0
-    for path in leaf_paths(SWEEP_CONFIG):
+    sweeps = [(SWEEP_CONFIG, path) for path in leaf_paths(SWEEP_CONFIG)]
+    sweeps += [
+        (MIXTURE_SWEEP_CONFIG, path)
+        for path in leaf_paths(MIXTURE_SWEEP_CONFIG)
+        if path[:2] == ("synthetic", "mixture")
+    ]
+    for base, path in sweeps:
         for value in SWEEP_VALUES:
             if path in ENDLESS and value == 2**70:
                 continue
-            doc = json.loads(json.dumps(SWEEP_CONFIG))
+            doc = json.loads(json.dumps(base))
             node = doc
             for key in path[:-1]:
                 node = node[key]
@@ -578,7 +638,10 @@ def test_no_config_leaf_value_escapes_the_pipeline_command(tmp_path, monkeypatch
                 continue
             err = capsys.readouterr().err
             want = {1: "error:", 2: "numeric error:"}.get(code)
-            if code not in (0, 1, 2, 3) or (want is not None and want not in err):
+            non_finite = isinstance(value, float) and not math.isfinite(value)
+            if path[0] == "synthetic" and non_finite and code != 1:
+                escapes.append(f"{where}: exit {code} with {err!r}, not 1")
+            elif code not in (0, 1, 2, 3) or (want is not None and want not in err):
                 escapes.append(f"{where}: exit {code} with {err!r}")
-    assert runs == 35 * len(SWEEP_VALUES) - len(ENDLESS)
+    assert runs == (35 + 14) * len(SWEEP_VALUES) - len(ENDLESS)
     assert escapes == []

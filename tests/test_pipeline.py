@@ -12,7 +12,8 @@ from onesided.cli import main
 from onesided.core import FormatError, InputError
 from onesided.data import BlobsParams, SyntheticSpec, two_class_mixture, write_csv
 from onesided.data import split_dataset, synthesize
-from onesided.net import BackboneSpec, deserialize, forward_batch, serialize
+from onesided.evaluation import coverage_error_curve
+from onesided.net import BackboneSpec, deserialize, forward_batch, init_model, serialize
 from onesided.pipeline import (
     METRICS_COLUMNS,
     PipelineResult,
@@ -24,8 +25,13 @@ from onesided.pipeline import (
     run_pipeline,
     save_config,
 )
-from onesided.select import SelectionCriterion, pick_error_constrained
-from onesided.train import TrainConfig
+from onesided.select import (
+    SelectionCriterion,
+    evaluate_grid,
+    pick_coverage_constrained,
+    pick_error_constrained,
+)
+from onesided.train import TrainConfig, sgda_train_grid
 
 
 def quick_train(**over):
@@ -110,6 +116,60 @@ def test_run_config_rejects_non_finite_values(tmp_path, over, key):
     assert "NaN" in text or "Infinity" in text
     with pytest.raises(InputError, match=key):
         config_from_dict(json.loads(text))
+
+
+def rule_consumers():
+    """The code outside the config that reads each ruled value, by config key."""
+    data = synthesize(SyntheticSpec("blobs", 60, seed=1))
+    model = init_model(BackboneSpec((2, 8, 6)), 3, seed=0)
+    grid = evaluate_grid({0.5: model}, (0.0, 0.5), data)
+    return {
+        "split_fractions": lambda v: split_dataset(data, v, 0),
+        "split_seed": lambda v: split_dataset(data, (0.6, 0.2, 0.2), v),
+        "mu_grid": lambda v: sgda_train_grid(data, model, quick_train(), v),
+        "t_grid": lambda v: evaluate_grid({0.5: model}, v, data),
+        "curve_targets": lambda v: coverage_error_curve({0.5: model}, grid, data, v),
+        "error": lambda v: pick_error_constrained(grid, v),
+        "coverage": lambda v: pick_coverage_constrained(grid, v),
+    }
+
+
+BAD_VALUES = {
+    "split_fractions": [(NAN, 0.5, 0.5), (0.5, INF, -INF), (-0.2, 0.6, 0.6), (),
+                        (0.5, 0.5), (0.5, 0.6, 0.2)],
+    "split_seed": [-1],
+    "mu_grid": [(NAN,), (0.5, INF), (-INF,), (-0.5, 1.0), ()],
+    "t_grid": [(NAN,), (0.5, INF), (-INF,), (-0.1,), (0.5, 1.2), ()],
+    "curve_targets": [(NAN,), (INF,), (-INF,), (-0.1,), (0.1, 1.5), (), (0.1, 0.05)],
+    "error": [NAN, INF, -INF, -0.1, 1.5],
+    "coverage": [NAN, INF, -INF, -0.1, 1.5],
+}
+
+
+@pytest.mark.parametrize(
+    "key, value", [(k, v) for k, values in BAD_VALUES.items() for v in values]
+)
+def test_each_input_rule_says_the_same_in_the_config_and_its_consumer(
+    tmp_path, key, value
+):
+    # one rule, one home: the config calls the check of the code that reads
+    # the value, so both refuse it with the same InputError
+    with pytest.raises(InputError) as consumer:
+        rule_consumers()[key](value)
+    if key in ("error", "coverage"):
+        where, over = "config.criterion", {"criterion": {"mode": key, "target": value}}
+        with pytest.raises(InputError) as direct:
+            blob_config(tmp_path, criterion=SelectionCriterion(key, value))
+    else:
+        where, over = "config", {key: value}
+        with pytest.raises(InputError) as direct:
+            blob_config(tmp_path, **over)
+    assert str(direct.value) == str(consumer.value)
+    doc = config_to_dict(blob_config(tmp_path))
+    doc.update(over)
+    with pytest.raises(InputError) as loaded:
+        config_from_dict(json.loads(json.dumps(doc)))
+    assert str(loaded.value) == f"{where}: {consumer.value}"
 
 
 @pytest.mark.parametrize(
