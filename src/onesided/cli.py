@@ -6,8 +6,8 @@ model at one threshold), ``curve`` (coverage against a sweep of target
 errors), ``oracle`` (exact finite-class solves), and ``pipeline`` (the
 whole run from a config file).
 
-Exit codes: 0 success, 1 input or config error, 2 numeric error,
-3 infeasible selection (best-effort outputs are still written).
+Exit codes: 0 success, 1 input or config error or a MemoryError, 2 numeric
+error, 3 infeasible selection (best-effort outputs are still written).
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _load_models(args) -> tuple[dict, int]:
         raise InputError(
             f"got {len(args.model)} --model values but {len(args.mu)} --mu values"
         )
-    mus = _prices(args.mu)
+    mus = _prices(args.mu, "--mu")
     if len(set(mus)) != len(mus):
         raise InputError(f"--mu values must be distinct, got {mus}")
     models = {mu: _read_model(path) for mu, path in zip(mus, args.model)}
@@ -351,8 +351,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (InputError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, CapacityError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

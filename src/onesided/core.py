@@ -103,6 +103,15 @@ class LabeledDataset:
         return out
 
 
+def _seed(seed):
+    """The seed rule: a seed is a whole number >= 0.  Returns it."""
+    if not isinstance(seed, numbers.Integral):
+        raise InputError(f"seed must be a whole number, got {seed!r}")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def array_fits(*shape: int) -> bool:
     """Whether numpy can hold a float64 array of ``shape``: its byte count fits in intp."""
     return math.prod(map(int, shape)) * 8 <= np.iinfo(np.intp).max

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FormatError, InputError, LabeledDataset, array_fits
+from .core import FormatError, InputError, LabeledDataset, _seed, array_fits
 from .oracle import sample_analytic_example
 
 _KINDS = ("analytic", "mixture", "blobs")
@@ -133,8 +133,7 @@ class SyntheticSpec:
             )
         if self.n < 1:
             raise InputError(f"sample size must be positive, got {self.n}")
-        if self.seed < 0:
-            raise InputError(f"seed must be nonnegative, got {self.seed}")
+        _seed(self.seed)
         if self.kind == "mixture" and self.mixture is None:
             raise InputError("mixture synthesis needs mixture parameters")
         if self.kind == "blobs" and self.blobs is None:
@@ -255,14 +254,12 @@ def mixture_oracle_coverage(
     return float(min(coverage, 1.0))
 
 
-def two_class_mixture(
-    separation: float = 2.0, spread: float = 1.0
-) -> MixtureParams:
-    """Symmetric 2-D two-component mixture used by the end-to-end checks."""
-    if not (separation > 0.0 and spread > 0.0):  # MixtureParams refuses inf
-        raise InputError("separation and spread must be positive")
+def two_class_mixture(separation: float = 2.0) -> MixtureParams:
+    """Symmetric 2-D two-component mixture with identity covariances."""
+    if not separation > 0.0:  # MixtureParams refuses inf
+        raise InputError("separation must be positive")
     h = separation / 2.0
-    eye = ((spread**2, 0.0), (0.0, spread**2))
+    eye = ((1.0, 0.0), (0.0, 1.0))
     return MixtureParams(
         means=((-h, 0.0), (h, 0.0)),
         covariances=(eye, eye),

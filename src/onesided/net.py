@@ -41,13 +41,14 @@ finite-difference derivatives agree.
 from __future__ import annotations
 
 import io
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
-from .core import FormatError, InputError, LabeledDataset, NumericError, array_fits
+from .core import FormatError, InputError, LabeledDataset, NumericError, _seed, array_fits
 
 PROB_FLOOR = 1e-12
 
@@ -134,10 +135,6 @@ class SelectiveModel:
         self.head_w = np.asarray(head_w, dtype=np.float64)
         self.head_b = np.asarray(head_b, dtype=np.float64)
 
-    @property
-    def input_dim(self) -> int:
-        return self.spec.input_dim
-
     def copy(self) -> "SelectiveModel":
         return SelectiveModel(
             self.spec,
@@ -153,11 +150,8 @@ def init_model(
     spec: BackboneSpec, num_classes: int, seed: int | np.random.Generator
 ) -> SelectiveModel:
     """Seeded uniform init with limit sqrt(6 / (fan_in + fan_out)); zero biases."""
-    rng = (
-        seed
-        if isinstance(seed, np.random.Generator)
-        else np.random.default_rng(seed)
-    )
+    is_rng = isinstance(seed, np.random.Generator)
+    rng = seed if is_rng else np.random.default_rng(_seed(seed))
     widths = spec.layer_widths
     weights, biases = [], []
     for i in range(len(widths) - 1):
@@ -237,10 +231,7 @@ def _forward_pass(model: SelectiveModel, X: np.ndarray):
 
 def _check_batch(model: SelectiveModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.input_dim:
-        raise InputError(
-            f"model expects inputs of dim {model.input_dim}, got {X.shape[1]}"
-        )
+    model.spec.check_dim(X.shape[1])
     return X
 
 
@@ -395,11 +386,12 @@ def warm_start(
     bit-identical models.
     """
     spec.check_dim(data.dim)
-    if epochs < 0:
-        raise InputError("epochs must be nonnegative")
-    if lr <= 0:
-        raise InputError("learning rate must be positive")
-    rng = np.random.default_rng(seed)
+    for name, value, least in (("epochs", epochs, 0), ("batch_size", batch_size, 1)):
+        if not (isinstance(value, numbers.Integral) and value >= least):
+            raise InputError(f"{name} must be a whole number >= {least}, got {value!r}")
+    if not 0.0 < lr < math.inf:
+        raise InputError(f"lr must be positive and finite, got {lr!r}")
+    rng = np.random.default_rng(_seed(seed))
     model = init_model(spec, num_classes, rng)
     n = data.n
     for _ in range(epochs):

@@ -46,6 +46,7 @@ from .core import (
     DecisionSetFamily,
     InputError,
     LabeledDataset,
+    _seed,
 )
 
 _TOL = 1e-9
@@ -395,7 +396,6 @@ def solve_sc_exact(
     data: LabeledDataset,
     hclass: FiniteHypothesisClass,
     eps: float,
-    cap: int = _CAP,
 ) -> OracleSolution:
     """Exhaustive joint solve over K-tuples of candidates.
 
@@ -410,7 +410,7 @@ def solve_sc_exact(
     axis per slot: the product of the kept-list sizes, at most
     ``size ** K`` entries, after the :meth:`FiniteHypothesisClass.counts`
     pass.  Raises :class:`CapacityError` when that product exceeds
-    ``cap``.  Two sets meet on the data exactly when their runs in the
+    ``_CAP``.  Two sets meet on the data exactly when their runs in the
     sorted sample overlap, so no membership row is formed.
     """
     _check_eps(eps)
@@ -422,10 +422,10 @@ def solve_sc_exact(
         return _empty_solution(K, data.dim)
     sizes = [kk.size for kk in kept]
     n_tuples = math.prod(sizes)
-    if n_tuples > cap:
+    if n_tuples > _CAP:
         raise CapacityError(
             f"tables over the kept candidates, {' x '.join(map(str, sizes))} "
-            f"= {n_tuples} tuples, exceed cap {cap}"
+            f"= {n_tuples} tuples, exceed cap {_CAP}"
         )
 
     def slot(values: np.ndarray, k: int) -> np.ndarray:
@@ -584,7 +584,7 @@ def sample_analytic_example(n: int, seed: int) -> LabeledDataset:
     """Draw n points: x uniform on [0,1], label 0 with probability x, else 1."""
     if n <= 0:
         raise InputError("sample size must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     x = rng.random(n)
     return LabeledDataset(x[:, None], rng.random(n) >= x, 2)
 

@@ -19,7 +19,7 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import InputError, Metrics
+from .core import InputError, Metrics, _seed
 from .data import SyntheticSpec, _split_fractions, ingest_csv, split_dataset, synthesize
 from .evaluation import _curve, _curve_targets, _measure
 from .net import BackboneSpec, serialize, warm_start
@@ -88,9 +88,8 @@ class RunConfig:
             raise InputError(
                 "exactly one of source_path and synthetic must be given"
             )
-        if self.seed < 0:
-            raise InputError(f"seed must be nonnegative, got {self.seed}")
-        mus = _prices(self.mu_grid)
+        _seed(self.seed)
+        mus = _prices(self.mu_grid, "mu_grid")
         if len(set(mus)) != len(mus):
             raise InputError(f"mu_grid values must be distinct, got {mus}")
         if self.workers < 1:

@@ -9,15 +9,10 @@ variables phi_k, and a budget price mu:
     sum_k [ fit_k + lambda_k * (leak_k - phi_k) + mu * phi_k ]
 
 Every fit and leak loss here is a weighted view of one masked pass,
-`class_terms`, with weights fit_w and leak_w: (e_k, 0) for the fit loss,
-(0, e_k) for the leak loss, (1, lambda) for the saddle objective.
-`sgda_train_grid` trains one model per budget price, all in lockstep,
-from the start model it is given: the pipeline and the CLI give it the
-model of `net.warm_start`.
-
-A step's cost is its count of numpy calls, not its arithmetic (a grid of
-six on a 128-row batch at K = 2 is about 1.5k numbers), so a step makes
-as few as it can: `label_tables` builds what the steps need of their
+`class_terms`: weights (e_k, 0) give the fit loss, (0, e_k) the leak loss
+and (1, lambda) the saddle objective.  A step's cost is its count of numpy
+calls, not its arithmetic (a grid of six on a 128-row batch at K = 2 is
+about 1.5k numbers), so `label_tables` builds what the steps need of their
 labels for every batch of an epoch in one vectorised pass.
 """
 
@@ -29,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import InputError, LabeledDataset, NumericError
+from .core import InputError, LabeledDataset, NumericError, _seed
 from .net import (
     PROB_FLOOR,
     SelectiveModel,
@@ -43,13 +38,12 @@ from .net import (
 
 @dataclass
 class LagrangianState:
-    """Multipliers, slacks, and the budget price.
+    """Multipliers, slacks, and the budget price, each finite and nonnegative.
 
-    ``lambdas`` and ``phis`` are kept nonnegative by projection after
-    every update; ``mu`` prices slack and caps the multipliers.  A stack of
-    M states holds ``(M, K)`` multipliers and slacks and an ``(M, 1)``
-    column of prices.  The trainer's updates bind new arrays rather than
-    write into these, so a reference to them is a snapshot.
+    ``mu`` prices slack and caps the multipliers.  A stack of M states holds
+    ``(M, K)`` multipliers and slacks and an ``(M, 1)`` column of prices.
+    The trainer's updates bind new arrays rather than write into these, so
+    a reference to them is a snapshot.
     """
 
     lambdas: np.ndarray
@@ -61,20 +55,18 @@ class LagrangianState:
         self.phis = np.asarray(self.phis, dtype=np.float64).copy()
         if self.lambdas.shape != self.phis.shape:
             raise InputError("lambda and phi vectors must share a shape")
-        if (self.lambdas < 0).any() or (self.phis < 0).any():
-            raise InputError("multipliers and slacks must be nonnegative")
-        if np.any(np.asarray(self.mu) < 0):
-            raise InputError("budget price mu must be nonnegative")
+        if not all(((0.0 <= a) & (a < math.inf)).all() for a in (self.lambdas, self.phis)):
+            raise InputError("multipliers and slacks must be finite and nonnegative")
+        _prices(np.ravel(self.mu), "mu")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one saddle-point run.
 
-    ``mu`` is read by :func:`sgda_train` only: a grid brings its own
-    prices.  ``warm_start_epochs`` is read by the callers that build the
-    start model with :func:`onesided.net.warm_start` (``run_pipeline`` and
-    ``onesided train``), never by the trainer.
+    Only :func:`sgda_train` reads ``mu``: a grid brings its own prices.
+    Only the callers that build the start model with :func:`onesided.net.warm_start`
+    (``run_pipeline``, ``onesided train``) read ``warm_start_epochs``.
     """
 
     mu: float
@@ -92,17 +84,15 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if len(self.lr_decay) != 2:
             raise InputError(f"lr_decay must be (factor, epoch), got {self.lr_decay!r}")
-        finite = [("mu", self.mu), ("lr_min", self.lr_min), ("lr_max", self.lr_max)]
+        _prices((self.mu,), "mu")
+        _seed(self.seed)
+        finite = [("lr_min", self.lr_min), ("lr_max", self.lr_max)]
         finite += [("lr_decay", v) for v in self.lr_decay]
         if self.lambda_max is not None:
             finite.append(("lambda_max", self.lambda_max))
         for name, value in finite:
             if not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value!r}")
-        if self.mu < 0:
-            raise InputError("mu must be nonnegative")
-        if self.seed < 0:
-            raise InputError(f"seed must be nonnegative, got {self.seed}")
         if self.epochs < 0 or self.warm_start_epochs < 0:
             raise InputError("epoch counts must be nonnegative")
         if self.batch_size < 1:
@@ -175,7 +165,6 @@ def label_tables(labels, K: int, restricted: bool = True, batch_size: int | None
     d = np.maximum(counts, 1.0, out=counts)
     denom = [None] * len(starts)
     if batch_size is not None:
-        # each batch's divisors, broadcast over its rows
         own = masks[0].reshape(K, len(starts), size)
         rows = np.where(own, d[0][..., None], d[1][..., None]).reshape(K, padded)
         rows = rows[:, :n].T
@@ -214,27 +203,18 @@ def class_terms(probs, table: LabelTable, fit_w=None, leak_w=None) -> ClassTerms
     length-K vectors, ``None`` meaning 0), ``dprobs`` is the gradient of
     ``sum_k fit_w[k] * fit[k] + leak_w[k] * leak[k]``.
 
-    ``table`` is the :class:`LabelTable` of the rows' labels, from
-    :func:`label_tables`: the trainer builds one per batch for a whole
-    epoch at once, and one for all training rows per run.
-
     Scores may be a stack ``(M, n, K)`` of M models on the same rows, with
     ``(M, K)`` weights; the means and ``dprobs`` then gain the model axis.
-    The table is class-major, like the scores of
-    :func:`onesided.net._head`, so with those scores every temporary and
-    ``dprobs`` are class-major too and the row sums run along contiguous
-    memory.  Row-major scores give the same terms up to the rounding of
-    those sums.
+    The table is class-major like the scores of :func:`onesided.net._head`,
+    so the row sums run along contiguous memory; row-major scores give the
+    same terms up to the rounding of those sums.
 
     Each step writes into an array an earlier one made: at 10^4 rows a
     fresh array per numpy op costs more in page faults than in arithmetic.
     The row masks apply as products, so a NaN score makes both of its
     class's terms NaN, and its own ``dprobs`` entry too; the trainer's
     finite check relies on this, testing the leak terms and not the fit
-    terms, which the clamp bounds by log(1 / PROB_FLOOR).  The gradient is
-    one division, ``where(own, -fit_w, leak_w) / (s * denom)`` with ``s``
-    the clamped score of each entry, and adds ``-fit_w / (p * n)`` on
-    every row when the fit is unrestricted.
+    terms, which the clamp bounds by log(1 / PROB_FLOOR).
     """
     masks, neg_d, denom, restricted = table
     own = masks[0]
@@ -387,11 +367,11 @@ class TrainingLog:
         return self.records[-1]
 
 
-def _prices(mu_grid) -> tuple[float, ...]:
-    """The price-grid rule: at least one price, each finite and nonnegative."""
+def _prices(mu_grid, key: str) -> tuple[float, ...]:
+    """The price rule: at least one finite nonnegative price; errors name ``key``."""
     mus = tuple(float(m) for m in mu_grid)
     if not mus or not all(0.0 <= m < math.inf for m in mus):
-        raise InputError(f"mu_grid needs one or more finite nonnegative prices, got {mus}")
+        raise InputError(f"{key} needs one or more finite nonnegative prices, got {mus}")
     return mus
 
 
@@ -401,49 +381,35 @@ def sgda_train_grid(
     """One saddle-point run per budget price in ``mu_grid``, all in lockstep.
 
     Every run starts from a copy of ``model``, whose input width and class
-    count must be the data's, and, the batch order being drawn from
-    ``config.seed`` alone, sees the same batches.  So the M runs advance
-    together: their heads, multipliers and slacks are stacked with a
-    leading mu axis, giving one head pass, loss and gradient per batch for
-    the whole grid.  Each slice does the arithmetic of a lone run, so its
-    result does not depend on the other grid values.  ``config.mu`` and
+    count must be the data's, and sees the same batches, their order drawn
+    from ``config.seed`` alone.  So the runs' heads, multipliers and slacks
+    stack on a leading mu axis, with one head pass, loss and gradient per
+    batch for the whole grid; each slice does the arithmetic of a lone run,
+    so its result does not depend on the other grid values.  A step's terms
+    and gradient are those of :class:`LagrangianLoss`.  ``config.mu`` and
     ``config.warm_start_epochs`` are not read.
 
-    Heads and slacks take descent steps at ``lr_min`` each batch; the
-    multipliers take ascent steps at ``lr_max``, clipped to
-    ``[0, lambda_max]``.  Backbone steps land every
-    ``backbone_update_interval`` epochs; in between, the heads train on
-    cached last-layer features of the training rows, which the per-epoch
-    record reads too.  Cached and recomputed features can differ in the
-    last bit, where BLAS rounds a batch's rows unlike the full matrix's.
+    Heads and slacks descend at ``lr_min`` each batch; the multipliers
+    ascend at ``lr_max``, clipped to ``[0, lambda_max]``.  Backbone steps
+    land every ``backbone_update_interval`` epochs; in between, the heads
+    train on cached last-layer features of the training rows, which the
+    per-epoch record reads too.  Cached and recomputed features can differ
+    in the last bit, where BLAS rounds a batch's rows unlike the full
+    matrix's.  A step's backbone gradient is linear in d(loss)/d(features)
+    of its rows, so the steps sum those into one ``(n, M, width)`` buffer
+    and a landing runs the backbone backward once per model over all rows:
+    the per-batch sum up to rounding.  The trailing ``epochs %
+    backbone_update_interval`` epochs have no update to land and do no
+    backbone work.
 
-    A step's backbone gradient is linear in d(loss)/d(features) of its
-    rows, so each step adds those into one ``(n, M, width)`` buffer and a
-    landing runs the backbone backward once per model over all rows, with
-    the cached features as its last layer: the per-batch sum up to
-    rounding (a decay inside an interval rescales the buffer).  The chain
-    consumes the model's slice of the buffer and one set of hidden
-    activations that every model reuses; the stepped backbone's forward
-    pass refills those and the model's cached features.  The trailing
-    ``epochs % backbone_update_interval`` epochs (all of them when
-    ``epochs`` is below the interval) have no update to land and do no
-    backbone work at all.
-
-    A step takes the saddle objective's terms and gradient from
-    :func:`class_terms` on its batch's slice of the epoch's
-    :func:`label_tables`: the arithmetic of :class:`LagrangianLoss`,
-    without rebuilding the label masks per batch.
-
-    A non-finite loss aborts with a :class:`NumericError` naming the
-    failing ``mu`` and carrying that run's last finite epoch
-    (``checkpoint_epoch``, ``checkpoint_model``, ``checkpoint_state``):
-    its model and state as they stood when the failing epoch began.  Each
-    epoch copies only the stacked heads for it; the backbone cannot move
-    before the epoch's landing, and the multipliers and slacks are kept
-    by reference.
+    A non-finite loss, or multipliers or slacks that overflow in an epoch's
+    last step, abort with a :class:`NumericError` naming the failing ``mu``
+    and carrying that run's last finite epoch (``checkpoint_epoch``,
+    ``checkpoint_model``, ``checkpoint_state``): its model and state as they
+    stood when the failing epoch began.
     Returns one ``(model, state, log)`` per grid value, in grid order.
     """
-    mus = np.array(_prices(mu_grid)).reshape(-1, 1)
+    mus = np.array(_prices(mu_grid, "mu_grid")).reshape(-1, 1)
     M, K = mus.shape[0], data.num_classes
     model.spec.check_dim(data.dim)
     if model.num_classes != K:
@@ -514,7 +480,6 @@ def sgda_train_grid(
         # activation buffers, freed when the landing ends
         hidden = [np.empty((n, w)) for w in model.spec.layer_widths[1:-1]]
         for m, mdl in enumerate(models):
-            # the cached features are the last layer's activations
             acts = _backbone(
                 mdl.weights[:-1], mdl.biases[:-1], kind, data.features, hidden
             ) + [feats[m]]
@@ -559,20 +524,9 @@ def sgda_train_grid(
                 + np.add.reduce(gap * phis, axis=-1)
             )
             if not finite.all():
-                m = int(np.argmin(finite))
-                mu = float(mus[m, 0])
-                err = NumericError(
-                    f"training at mu={mu!r}: loss evaluated to a non-finite "
-                    f"value: {_saddle_value(terms, state)[m]}"
-                )
-                err.mu, err.checkpoint_epoch = mu, epoch - 1
-                # backbones land after the batches, so the failing model's
-                # is still the epoch-start one; the run ends, so it needs
-                # no copy
-                models[m].head_w, models[m].head_b = start_w[m].copy(), start_b[m].copy()
-                err.checkpoint_model = models[m]
-                err.checkpoint_state = LagrangianState(start_lambdas[m], start_phis[m], mu)
-                raise err
+                value = _saddle_value(terms, state)[np.argmin(finite)]
+                fault = f"loss evaluated to a non-finite value: {value}"
+                break
             dlogits, g_head_w, g_head_b = _head_grads(feat, probs, terms.dprobs)
             # heads step now, the backbone's step waits for the landing
             if epoch < frozen_from:
@@ -592,6 +546,21 @@ def sgda_train_grid(
             np.maximum(0.0, new_lambdas, out=new_lambdas)
             state.lambdas = np.minimum(lam_max, new_lambdas, out=new_lambdas)
             state.phis = new_phis
+        else:
+            # no later step checks the last one's update
+            finite = np.isfinite(np.stack([state.lambdas, state.phis])).all(axis=(0, 2))
+            fault = "multipliers or slacks overflowed"
+        if not finite.all():
+            m = int(np.argmin(finite))
+            mu = float(mus[m, 0])
+            err = NumericError(f"training at mu={mu!r}: {fault}")
+            err.mu, err.checkpoint_epoch = mu, epoch - 1
+            # backbones land after the batches, so the failing model's is
+            # still the epoch-start one; the run ends, so it needs no copy
+            models[m].head_w, models[m].head_b = start_w[m].copy(), start_b[m].copy()
+            err.checkpoint_model = models[m]
+            err.checkpoint_state = LagrangianState(start_lambdas[m], start_phis[m], mu)
+            raise err
         absent += epoch_absent
         if (epoch + 1) % interval == 0:
             if feats.ndim == 2:

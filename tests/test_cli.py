@@ -6,11 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import onesided.cli as cli_mod
+import onesided.pipeline as pipeline_mod
 from onesided.cli import main
 from onesided.core import NumericError
-from onesided.data import ingest_csv
+from onesided.data import SyntheticSpec, ingest_csv, synthesize, write_csv
 from onesided.net import BackboneSpec, deserialize, forward_batch, init_model, serialize
 from onesided.pipeline import config_hash, config_to_dict, load_config
 from onesided.select import SelectionCriterion
@@ -144,9 +147,9 @@ def test_train_refuses_a_negative_seed(tmp_path, capsys):
     "mus, message",
     [
         (("1", "1"), "--mu values must be distinct, got (1.0, 1.0)"),
-        (("0.5", "nan"), "mu_grid needs one or more finite nonnegative prices"),
-        (("inf",), "mu_grid needs one or more finite nonnegative prices"),
-        (("1", "-0.5"), "mu_grid needs one or more finite nonnegative prices"),
+        (("0.5", "nan"), "--mu needs one or more finite nonnegative prices"),
+        (("inf",), "--mu needs one or more finite nonnegative prices"),
+        (("1", "-0.5"), "--mu needs one or more finite nonnegative prices"),
     ],
     ids=["repeated", "nan", "inf", "negative"],
 )
@@ -645,3 +648,53 @@ def test_no_config_leaf_value_escapes_the_pipeline_command(tmp_path, monkeypatch
                 escapes.append(f"{where}: exit {code} with {err!r}")
     assert runs == (35 + 14) * len(SWEEP_VALUES) - len(ENDLESS)
     assert escapes == []
+
+
+@pytest.mark.parametrize(
+    "raised, message",
+    [(MemoryError(), "out of memory"),
+     (MemoryError("Unable to allocate 7.45 TiB"), "Unable to allocate 7.45 TiB")],
+)
+def test_memory_error_exits_1_after_the_error_manifest(
+    tmp_path, monkeypatch, capsys, raised, message
+):
+    # a size numpy can index but the machine cannot hold (blobs dim 10**9)
+    # fails inside a stage; the stage raises here instead of allocating
+    def boom(spec):
+        raise raised
+
+    monkeypatch.setattr(pipeline_mod, "synthesize", boom)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SWEEP_CONFIG, "out_dir": str(tmp_path / "run")}))
+    assert run("pipeline", "--config", str(config)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert (manifest["status"], manifest["stage"]) == ("error", "load_data")
+
+
+# one bad token in one cell of a valid CSV: a feature cell takes any of the
+# first, a label cell any of the second
+FEATURE_TOKENS = ("", "nan", "inf", "1e400", "x", "0.5,0.5")
+LABEL_TOKENS = ("-1", "1.5", "x")
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(row=st.integers(0, 299), column=st.integers(0, 2), draw=st.data())
+def test_one_bad_csv_cell_exits_1_naming_its_line(tmp_path, capsys, row, column, draw):
+    path = tmp_path / "data.csv"
+    write_csv(synthesize(SyntheticSpec("blobs", 300, seed=0)), path)
+    lines = path.read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    cells[column] = draw.draw(st.sampled_from(LABEL_TOKENS if column == 2 else FEATURE_TOKENS))
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    doc = {k: v for k, v in SWEEP_CONFIG.items() if k != "synthetic"}
+    doc.update(source_path=str(path), out_dir=str(tmp_path / "run"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert run("pipeline", "--config", str(config)) == 1
+    err = capsys.readouterr().err
+    # the header is line 1
+    assert err.startswith("error: ") and f" line {row + 2}: " in err

@@ -116,8 +116,15 @@ def test_separated_mixture_warm_start_accuracy():
     assert (preds == data.labels).mean() >= 0.99
 
 
+def spread_mixture(separation, spread):
+    """``two_class_mixture(separation)`` with covariances ``spread**2 * I``."""
+    h, var = separation / 2.0, spread**2
+    eye = ((var, 0.0), (0.0, var))
+    return MixtureParams(((-h, 0.0), (h, 0.0)), (eye, eye), (0.5, 0.5))
+
+
 def test_mixture_posterior_rows_normalized():
-    params = two_class_mixture(separation=3.0, spread=1.5)
+    params = spread_mixture(separation=3.0, spread=1.5)
     X = np.random.default_rng(0).normal(size=(50, 2), scale=3)
     post = mixture_posterior(params, X)
     assert post.shape == (50, 2)
@@ -129,7 +136,7 @@ def test_mixture_posterior_matches_logistic_form():
     # Equal spherical covariances and equal priors reduce the posterior
     # to a logistic function of the first coordinate.
     sep, spread = 2.0, 1.0
-    params = two_class_mixture(separation=sep, spread=spread)
+    params = spread_mixture(separation=sep, spread=spread)
     X = np.random.default_rng(1).normal(size=(40, 2), scale=2)
     post = mixture_posterior(params, X)
     h = sep / 2.0
@@ -165,7 +172,7 @@ def analytic_mixture_coverage(eps, h, sigma):
 
 
 def test_mixture_oracle_coverage_matches_closed_form():
-    params = two_class_mixture(separation=2.0, spread=1.0)
+    params = spread_mixture(separation=2.0, spread=1.0)
     for eps in (0.02, 0.05, 0.1):
         grid = mixture_oracle_coverage(params, eps, grid_size=600)
         exact = analytic_mixture_coverage(eps, 1.0, 1.0)
@@ -187,10 +194,11 @@ def test_mixture_oracle_coverage_extremes():
 def test_two_class_mixture_validation():
     with pytest.raises(InputError):
         two_class_mixture(separation=-1.0)
-    params = two_class_mixture(separation=3.0, spread=2.0)
+    params = two_class_mixture(separation=3.0)
+    assert params == spread_mixture(separation=3.0, spread=1.0)
     means, covs, priors = params.arrays()
     assert np.allclose(means, [[-1.5, 0.0], [1.5, 0.0]])
-    assert np.allclose(covs[0], 4.0 * np.eye(2))
+    assert np.allclose(covs[0], np.eye(2))
     assert priors.tolist() == [0.5, 0.5]
 
 

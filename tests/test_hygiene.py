@@ -204,6 +204,22 @@ def test_benchmark_names_resolve():
     assert not unresolved(imported | traced)
 
 
+def string_parts(tree):
+    """Every string constant of the module, each f-string's literal parts included."""
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+
+
+def test_the_seed_and_price_rules_each_have_one_message():
+    # a second copy of either rule would bring its own message, and drift
+    parts = [s for p in MODULES for s in string_parts(parse(p))]
+    assert sum(s.startswith("seed must be nonnegative") for s in parts) == 1
+    assert sum("finite nonnegative prices" in s for s in parts) == 1
+
+
 def test_checks_see_what_they_are_meant_to():
     assert {"core.py", "train.py"} <= {p.name for p in MODULES}
     tree = ast.parse(
@@ -254,3 +270,5 @@ def test_checks_see_what_they_are_meant_to():
     pairs = package_imports(bench) | traced_targets(bench)
     assert len(pairs) == 6
     assert unresolved(pairs) == {"onesided.ghost", "onesided.core.LabeledDataset.gone"}
+    rule = ast.parse('def f(seed):\n    """seed."""\n    raise E(f"seed must be {seed}")\n')
+    assert string_parts(rule) == ["seed.", "seed must be "]

@@ -36,7 +36,7 @@ def small_model(seed=0, widths=(3, 5, 4), K=3, activation="tanh"):
 
 def random_batch(model, n, seed):
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, model.input_dim))
+    X = rng.normal(size=(n, model.spec.input_dim))
     y = rng.integers(0, model.num_classes, size=n)
     return LabeledDataset(X, y, model.num_classes)
 
@@ -322,6 +322,19 @@ def test_warm_start_zero_epochs_is_init():
     model = warm_start(data, spec, 2, epochs=0, lr=0.1, seed=9)
     fresh = init_model(spec, 2, 9)
     assert np.array_equal(flatten_params(model), flatten_params(fresh))
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0), ("epochs", -1),
+     ("epochs", 1.5), ("batch_size", 0), ("batch_size", 2.5)],
+)
+def test_warm_start_refuses_a_schedule_the_train_config_refuses(name, value):
+    # a NaN or infinite rate trains a NaN model; the counts would fail
+    # inside the loop, or not at all
+    args = {"epochs": 1, "lr": 0.1, "seed": 0, "batch_size": 16, name: value}
+    with pytest.raises(InputError, match=f"^{name} must be"):
+        warm_start(blob_data(50, seed=2), BackboneSpec((2, 8, 4)), 2, **args)
 
 
 def test_warm_start_matches_per_batch_subset_loop():

@@ -304,8 +304,8 @@ def test_sc_exact_zero_budget_no_tuple():
 def test_sc_exact_cap():
     data = LabeledDataset(np.linspace(0, 1, 5)[:, None], [0, 1, 0, 1, 0], 2)
     cls = FiniteHypothesisClass.upper_thresholds(np.linspace(0, 1, 150))
-    with pytest.raises(CapacityError) as ei:
-        solve_sc_exact(data, cls, eps=0.5, cap=10_000)
+    with mock.patch.object(oracle_mod, "_CAP", 10_000), pytest.raises(CapacityError) as ei:
+        solve_sc_exact(data, cls, eps=0.5)
     assert "10000" in str(ei.value)
 
 
@@ -322,8 +322,9 @@ def test_sc_exact_cap_counts_only_the_kept_candidates():
     sol = solve_sc_exact(data, cls, eps=0.04)
     assert sol.value == 0.385
     assert sol.chosen_indices == (1594, 2365)
-    with pytest.raises(CapacityError, match="645 x 600 = 387000"):
-        solve_sc_exact(data, cls, eps=0.04, cap=387_000 - 1)
+    with mock.patch.object(oracle_mod, "_CAP", 387_000 - 1):
+        with pytest.raises(CapacityError, match="645 x 600 = 387000"):
+            solve_sc_exact(data, cls, eps=0.04)
 
 
 def naive_sc(data, cls, eps):

@@ -13,7 +13,16 @@ from onesided.core import FormatError, InputError
 from onesided.data import BlobsParams, SyntheticSpec, two_class_mixture, write_csv
 from onesided.data import split_dataset, synthesize
 from onesided.evaluation import coverage_error_curve
-from onesided.net import BackboneSpec, deserialize, forward_batch, init_model, serialize
+from onesided.net import (
+    BackboneSpec,
+    backward,
+    deserialize,
+    forward_batch,
+    init_model,
+    serialize,
+    warm_start,
+)
+from onesided.oracle import erm_feasibility_trend, sample_analytic_example
 from onesided.pipeline import (
     METRICS_COLUMNS,
     PipelineResult,
@@ -31,7 +40,7 @@ from onesided.select import (
     pick_coverage_constrained,
     pick_error_constrained,
 )
-from onesided.train import TrainConfig, sgda_train_grid
+from onesided.train import LagrangianState, LeakLoss, TrainConfig, sgda_train_grid
 
 
 def quick_train(**over):
@@ -170,6 +179,90 @@ def test_each_input_rule_says_the_same_in_the_config_and_its_consumer(
     with pytest.raises(InputError) as loaded:
         config_from_dict(json.loads(json.dumps(doc)))
     assert str(loaded.value) == f"{where}: {consumer.value}"
+
+
+def shared_rule_callers(tmp_path, capsys):
+    """Every caller of the price, seed and input-width rules, as (key, call) by rule.
+
+    Each call takes one bad value, and the CLI's raises the InputError it
+    printed.  A price error begins with the caller's name for the value;
+    the seed and width errors name none.
+    """
+    data = synthesize(SyntheticSpec("blobs", 60, seed=1))
+    spec = BackboneSpec((2, 8, 6))
+    model = init_model(spec, 3, seed=0)
+    csv, model_file = tmp_path / "d.csv", tmp_path / "m.npz"
+    write_csv(data, csv)
+    model_file.write_bytes(serialize(model))
+
+    def cli(*argv):
+        assert main([str(a) for a in argv]) == 1
+        raise InputError(capsys.readouterr().err.removeprefix("error: ").rstrip("\n"))
+
+    def grid_cli(command, mu):
+        argv = [command, "--val", csv, "--model", model_file, f"--mu={mu}"]
+        if command == "select":
+            cli(*argv, "--target", 0.1)
+        else:
+            cli(*argv, "--test", csv, "--targets", 0.1, "--out", tmp_path / "c.csv")
+
+    def blobs(dim):
+        return synthesize(SyntheticSpec("blobs", 60, seed=1, blobs=BlobsParams(dim=dim)))
+
+    def eval_cli(dim):
+        write_csv(blobs(dim), tmp_path / "wide.csv")
+        cli("eval", "--data", tmp_path / "wide.csv", "--model", model_file, "--t", 0.5)
+
+    return {
+        "price": [
+            ("mu_grid", lambda v: sgda_train_grid(data, model, quick_train(), (v,))),
+            ("mu_grid", lambda v: blob_config(tmp_path, mu_grid=(v,))),
+            ("mu", lambda v: quick_train(mu=v)),
+            ("mu", lambda v: LagrangianState(np.zeros(3), np.zeros(3), v)),
+            ("mu", lambda v: LagrangianState(np.zeros((1, 3)), np.zeros((1, 3)), [[v]])),
+            ("--mu", lambda v: grid_cli("select", v)),
+            ("--mu", lambda v: grid_cli("curve", v)),
+        ],
+        "seed": [
+            ("", lambda v: blob_config(tmp_path, seed=v)),
+            ("", lambda v: quick_train(seed=v)),
+            ("", lambda v: SyntheticSpec("blobs", 60, seed=v)),
+            ("", lambda v: warm_start(data, spec, 3, 1, 0.1, v)),
+            ("", lambda v: init_model(spec, 3, v)),
+            ("", lambda v: sample_analytic_example(10, v)),
+            ("", lambda v: erm_feasibility_trend(0.02, (10,), 1, base_seed=v)),
+        ],
+        "width": [
+            ("", lambda d: forward_batch(model, blobs(d).features)),
+            ("", lambda d: backward(model, blobs(d), LeakLoss(0))),
+            ("", lambda d: sgda_train_grid(blobs(d), model, quick_train(), (1.0,))),
+            ("", lambda d: warm_start(blobs(d), spec, 3, 1, 0.1, 0)),
+            ("", eval_cli),
+        ],
+    }
+
+
+SHARED_RULE_VALUES = {
+    "price": [NAN, INF, -INF, -1.0],
+    "seed": [NAN, INF, -INF, -1],
+    # the data's width, given to a model whose input width is 2
+    "width": [1, 3],
+}
+
+
+@pytest.mark.parametrize(
+    "rule, value", [(r, v) for r, values in SHARED_RULE_VALUES.items() for v in values]
+)
+def test_each_shared_rule_says_the_same_in_every_caller(tmp_path, capsys, rule, value):
+    # one copy of each rule: every caller refuses a value with one InputError
+    # text, apart from the name a price goes by
+    texts = set()
+    for key, call in shared_rule_callers(tmp_path, capsys)[rule]:
+        with pytest.raises(InputError) as refused:
+            call(value)
+        assert str(refused.value).startswith(key)
+        texts.add(str(refused.value).removeprefix(key))
+    assert len(texts) == 1
 
 
 @pytest.mark.parametrize(

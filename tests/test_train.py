@@ -541,6 +541,11 @@ def test_state_validation():
         LagrangianState(np.array([0.1]), np.array([-1.0]), 1.0)
     with pytest.raises(InputError):
         LagrangianState(np.array([0.1]), np.array([0.0]), -1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InputError, match="finite and nonnegative"):
+            LagrangianState(np.array([bad]), np.array([0.0]), 1.0)
+        with pytest.raises(InputError, match="finite and nonnegative"):
+            LagrangianState(np.array([0.1]), np.array([bad]), 1.0)
 
 
 def test_config_validation():
@@ -1123,6 +1128,24 @@ def poisoned_head(at_call, m):
 OVERFLOW = TrainConfig(
     mu=1.0, epochs=6, batch_size=1000, warm_start_epochs=0, lr_max=1e308, seed=1
 )
+
+
+@pytest.mark.parametrize("epochs", [2, 6])
+def test_an_overflow_in_the_last_update_of_an_epoch_ends_the_run_there(epochs):
+    # one batch an epoch, so no later step checks an epoch's update: the
+    # epoch's end does.  The capped multipliers grow past mu, and the slack
+    # step lr_min * (lambda - mu) overflows in epoch 1's update
+    cfg = dataclasses.replace(
+        OVERFLOW, epochs=epochs, lr_min=1e100, lr_max=1e300, lambda_max=1e300
+    )
+    data, init = overlap_blobs(40, seed=3), init_model(SPEC, 2, seed=4)
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as ei:
+        sgda_train_grid(data, init, cfg, (0.5, 2.0))
+    err = ei.value
+    assert str(err) == "training at mu=0.5: multipliers or slacks overflowed"
+    assert err.checkpoint_epoch == 0
+    assert np.isfinite(err.checkpoint_state.lambdas).all()
+    assert err.checkpoint_state.phis.tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize(
