@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .core import CapacityError, InputError, NumericError, evaluate
-from .data import SyntheticSpec, ingest_csv, synthesize, write_csv
+from .data import BlobsParams, SyntheticSpec, ingest_csv, synthesize, write_csv
 from .evaluation import _measure, coverage_error_curve
 from .net import BackboneSpec, deserialize, serialize, warm_start
 from .oracle import (
@@ -144,8 +144,7 @@ def _cmd_train(args) -> int:
         restricted=not args.unrestricted,
     )
     warm = warm_start(
-        data, spec, data.num_classes, config.warm_start_epochs, config.lr_min,
-        config.seed, config.batch_size,
+        data, spec, config.warm_start_epochs, config.lr_min, config.seed, config.batch_size
     )
     model, state, log = sgda_train(data, warm, config)
     Path(args.out).write_bytes(serialize(model))
@@ -266,10 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("analytic", "blobs", "mixture"))
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--separation", type=float, default=4.0)
-    p.add_argument("--spread", type=float, default=1.0)
+    p.add_argument("--classes", type=int, default=BlobsParams.num_classes)
+    p.add_argument("--dim", type=int, default=BlobsParams.dim)
+    p.add_argument("--separation", type=float, default=BlobsParams.separation)
+    p.add_argument("--spread", type=float, default=BlobsParams.spread)
     p.add_argument("--spec-file", help="JSON synthetic spec (required for mixture)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
@@ -277,16 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one constrained model")
     p.add_argument("--data", required=True)
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--lr-min", type=float, default=1e-3)
-    p.add_argument("--lr-max", type=float, default=1e-4)
-    p.add_argument("--decay-factor", type=float, default=0.1)
-    p.add_argument("--decay-epoch", type=int, default=50)
-    p.add_argument("--interval", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--warm-epochs", type=int, default=30)
-    p.add_argument("--lambda-max", type=float, default=None)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr-min", type=float, default=TrainConfig.lr_min)
+    p.add_argument("--lr-max", type=float, default=TrainConfig.lr_max)
+    p.add_argument("--decay-factor", type=float, default=TrainConfig.lr_decay[0])
+    p.add_argument("--decay-epoch", type=int, default=TrainConfig.lr_decay[1])
+    p.add_argument("--interval", type=int, default=TrainConfig.backbone_update_interval)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--warm-epochs", type=int, default=TrainConfig.warm_start_epochs)
+    p.add_argument("--lambda-max", type=float, default=TrainConfig.lambda_max)
     p.add_argument("--unrestricted", action="store_true")
     p.add_argument("--widths", type=_comma_ints, help="e.g. 2,16,8 (input width first)")
     p.add_argument("--activation", default="relu")

@@ -61,8 +61,7 @@ class LabeledDataset:
             raise InputError(
                 f"{feats.shape[0]} feature rows vs {labs.shape[0]} labels"
             )
-        if self.num_classes < 1:
-            raise InputError(f"need at least 1 class, got {self.num_classes}")
+        _count(self.num_classes, 1, "num_classes")
         if labs.size and (labs.min() < 0 or labs.max() >= self.num_classes):
             raise InputError(
                 f"labels must lie in [0, {self.num_classes}), "
@@ -110,6 +109,13 @@ def _seed(seed):
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
     return seed
+
+
+def _count(value, least: int, name: str) -> int:
+    """The count rule: a whole number (not a bool) of at least ``least``.  Returns it as an int."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        raise InputError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(value)
 
 
 def array_fits(*shape: int) -> bool:

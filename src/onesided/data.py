@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FormatError, InputError, LabeledDataset, _seed, array_fits
+from .core import FormatError, InputError, LabeledDataset, _count, _seed, array_fits
 from .oracle import sample_analytic_example
 
 _KINDS = ("analytic", "mixture", "blobs")
@@ -92,10 +92,8 @@ class BlobsParams:
     spread: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise InputError(f"blobs need >= 2 classes, got {self.num_classes}")
-        if self.dim < 1:
-            raise InputError(f"blobs need dim >= 1, got {self.dim}")
+        _count(self.num_classes, 2, "num_classes")
+        _count(self.dim, 1, "dim")
         for name in ("separation", "spread"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -131,8 +129,7 @@ class SyntheticSpec:
             raise InputError(
                 f"synthetic kind must be one of {_KINDS}, got {self.kind!r}"
             )
-        if self.n < 1:
-            raise InputError(f"sample size must be positive, got {self.n}")
+        _count(self.n, 1, "n")
         _seed(self.seed)
         if self.kind == "mixture" and self.mixture is None:
             raise InputError("mixture synthesis needs mixture parameters")
@@ -216,6 +213,7 @@ def mixture_oracle_coverage(
     """
     if not 0.0 <= eps <= 1.0:
         raise InputError(f"error budget must lie in [0, 1], got {eps}")
+    _count(grid_size, 2, "grid_size")
     means, covs, _ = params.arrays()
     if means.shape[1] != 2:
         raise InputError("oracle coverage integration supports dim 2 only")
@@ -343,15 +341,13 @@ def write_csv(data: LabeledDataset, path: str | Path) -> None:
             writer.writerow([repr(float(v)) for v in x] + [int(y)])
 
 
-def _split_fractions(fractions, seed: int) -> tuple[float, ...]:
-    """The split rule: three positive finite fractions summing to 1, a seed >= 0."""
+def _split_fractions(fractions) -> tuple[float, ...]:
+    """The split rule: three positive finite fractions summing to 1."""
     fr = tuple(float(f) for f in fractions)
     if len(fr) != 3 or not all(0.0 < f < math.inf for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
         raise InputError(
             f"split_fractions must be three positive finite numbers summing to 1, got {fr}"
         )
-    if seed < 0:
-        raise InputError(f"split_seed must be nonnegative, got {seed}")
     return fr
 
 
@@ -359,7 +355,8 @@ def split_indices(
     n: int, fractions: tuple[float, float, float], seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shuffled index partition of [0, n) into train/val/test blocks."""
-    fr = _split_fractions(fractions, seed)
+    fr = _split_fractions(fractions)
+    _count(seed, 0, "split_seed")
     if n < 3:
         raise InputError(f"cannot three-way split {n} points")
     perm = np.random.default_rng(seed).permutation(n)

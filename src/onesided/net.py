@@ -42,13 +42,12 @@ from __future__ import annotations
 
 import io
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
-from .core import FormatError, InputError, LabeledDataset, NumericError, _seed, array_fits
+from .core import FormatError, InputError, LabeledDataset, NumericError, _count, _seed, array_fits
 
 PROB_FLOOR = 1e-12
 
@@ -68,13 +67,7 @@ class BackboneSpec:
         widths = tuple(self.layer_widths)
         if len(widths) < 2:
             raise InputError("layer_widths needs at least input and output widths")
-        # a numpy integer is a whole number too; a float or a bool is not
-        whole = (isinstance(w, numbers.Integral) and not isinstance(w, bool) for w in widths)
-        if not all(whole):
-            raise InputError(f"layer_widths must be whole numbers, got {widths}")
-        widths = tuple(map(int, widths))
-        if any(w <= 0 for w in widths):
-            raise InputError(f"layer widths must be positive, got {widths}")
+        widths = tuple(_count(w, 1, "layer_widths") for w in widths)
         if not all(array_fits(b, a) for a, b in zip(widths, widths[1:])):
             raise InputError(f"layer_widths {widths} give a weight matrix too large")
         if self.activation not in _ACTIVATIONS:
@@ -111,8 +104,7 @@ class SelectiveModel:
         head_w: np.ndarray,
         head_b: np.ndarray,
     ):
-        if num_classes < 1:
-            raise InputError("need at least one class head")
+        _count(num_classes, 1, "num_classes")
         widths = spec.layer_widths
         if len(weights) != len(widths) - 1 or len(biases) != len(widths) - 1:
             raise InputError("layer parameter count does not match spec")
@@ -150,6 +142,7 @@ def init_model(
     spec: BackboneSpec, num_classes: int, seed: int | np.random.Generator
 ) -> SelectiveModel:
     """Seeded uniform init with limit sqrt(6 / (fan_in + fan_out)); zero biases."""
+    _count(num_classes, 1, "num_classes")
     is_rng = isinstance(seed, np.random.Generator)
     rng = seed if is_rng else np.random.default_rng(_seed(seed))
     widths = spec.layer_widths
@@ -374,25 +367,23 @@ CROSS_ENTROPY = _CrossEntropy()
 def warm_start(
     data: LabeledDataset,
     spec: BackboneSpec,
-    num_classes: int,
     epochs: int,
     lr: float,
     seed: int,
     batch_size: int = 128,
 ) -> SelectiveModel:
-    """Seeded init plus minibatch SGD on cross-entropy.
+    """Seeded init plus minibatch SGD on cross-entropy, one head per class of ``data``.
 
     ``epochs=0`` returns the untouched initialization; identical seeds give
     bit-identical models.
     """
     spec.check_dim(data.dim)
-    for name, value, least in (("epochs", epochs, 0), ("batch_size", batch_size, 1)):
-        if not (isinstance(value, numbers.Integral) and value >= least):
-            raise InputError(f"{name} must be a whole number >= {least}, got {value!r}")
+    _count(epochs, 0, "epochs")
+    _count(batch_size, 1, "batch_size")
     if not 0.0 < lr < math.inf:
         raise InputError(f"lr must be positive and finite, got {lr!r}")
     rng = np.random.default_rng(_seed(seed))
-    model = init_model(spec, num_classes, rng)
+    model = init_model(spec, data.num_classes, rng)
     n = data.n
     for _ in range(epochs):
         perm = np.arange(n) if batch_size >= n else rng.permutation(n)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -46,6 +45,7 @@ from .core import (
     DecisionSetFamily,
     InputError,
     LabeledDataset,
+    _count,
     _seed,
 )
 
@@ -307,8 +307,7 @@ def default_alpha_grid(num_classes: int) -> np.ndarray:
 
     Step 0.1 for two classes, 0.25 otherwise.
     """
-    if num_classes < 1:
-        raise InputError("num_classes must be positive")
+    _count(num_classes, 1, "num_classes")
     m, step = (10, 0.1) if num_classes == 2 else (4, 0.25)
     return _compositions(m, num_classes) * step
 
@@ -323,8 +322,8 @@ def budget_alpha_grid(eps: float, n: int, num_classes: int) -> np.ndarray:
     hold more than 10^7 entries.
     """
     _check_eps(eps)
-    if num_classes < 1 or n < 0:
-        raise InputError(f"need num_classes >= 1 and n >= 0, got {num_classes} and {n}")
+    _count(num_classes, 1, "num_classes")
+    _count(n, 0, "n")
     budget = int(math.floor(eps * n + _TOL))
     if budget == 0 or eps == 0:
         return np.zeros((1, num_classes))
@@ -582,8 +581,7 @@ def analytic_example_coverage(eps: float) -> tuple[float, float, float]:
 
 def sample_analytic_example(n: int, seed: int) -> LabeledDataset:
     """Draw n points: x uniform on [0,1], label 0 with probability x, else 1."""
-    if n <= 0:
-        raise InputError("sample size must be positive")
+    _count(n, 1, "n")
     rng = np.random.default_rng(_seed(seed))
     x = rng.random(n)
     return LabeledDataset(x[:, None], rng.random(n) >= x, 2)
@@ -619,10 +617,7 @@ def erm_feasibility_trend(
         raise InputError("sample sizes must be strictly increasing")
     if not 0 <= eps <= 0.5:
         raise InputError(f"eps must lie in the example's valid range [0, 0.5], got {eps}")
-    if not (isinstance(seeds_per_size, numbers.Integral) and seeds_per_size >= 1):
-        raise InputError(
-            f"seeds_per_size must be a whole number >= 1, got {seeds_per_size!r}"
-        )
+    _count(seeds_per_size, 1, "seeds_per_size")
     target_cov = math.sqrt(2.0 * eps)
     rows = []
     for ni, n in enumerate(sizes):

@@ -19,7 +19,7 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import InputError, Metrics, _seed
+from .core import InputError, Metrics, _count, _seed
 from .data import SyntheticSpec, _split_fractions, ingest_csv, split_dataset, synthesize
 from .evaluation import _curve, _curve_targets, _measure
 from .net import BackboneSpec, serialize, warm_start
@@ -92,9 +92,9 @@ class RunConfig:
         mus = _prices(self.mu_grid, "mu_grid")
         if len(set(mus)) != len(mus):
             raise InputError(f"mu_grid values must be distinct, got {mus}")
-        if self.workers < 1:
-            raise InputError(f"workers must be at least 1, got {self.workers}")
-        fr = _split_fractions(self.split_fractions, self.split_seed)
+        _count(self.workers, 1, "workers")
+        fr = _split_fractions(self.split_fractions)
+        _count(self.split_seed, 0, "split_seed")
         object.__setattr__(self, "split_fractions", fr)
         object.__setattr__(self, "mu_grid", mus)
         object.__setattr__(self, "t_grid", tuple(_thresholds(self.t_grid).tolist()))
@@ -317,7 +317,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         warm = warm_start(
             train_d,
             config.backbone,
-            data.num_classes,
             config.train.warm_start_epochs,
             config.train.lr_min,
             config.seed,

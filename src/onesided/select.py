@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import DecisionSetFamily, InputError, LabeledDataset, Metrics
+from .core import DecisionSetFamily, InputError, LabeledDataset, Metrics, _count
 from .net import SelectiveModel, forward_batch
 
 
@@ -146,11 +146,6 @@ class SelectionCriterion:
     def error_constrained(cls, eps: float) -> "SelectionCriterion":
         """Maximize coverage subject to error <= eps."""
         return cls("error", eps)
-
-    @classmethod
-    def coverage_constrained(cls, rho: float) -> "SelectionCriterion":
-        """Minimize error subject to coverage >= rho."""
-        return cls("coverage", rho)
 
     def pick(self, grid: SelectionGrid) -> "SelectionResult":
         if self.mode == "error":
@@ -313,13 +308,11 @@ def pick_coverage_constrained(grid: SelectionGrid, rho: float) -> SelectionResul
 
 def default_threshold_grid(size: int = 100) -> tuple[float, ...]:
     """Equally spaced thresholds spanning [0, 1]."""
-    if size < 2:
-        raise InputError(f"threshold grid needs at least 2 points, got {size}")
+    _count(size, 2, "size")
     return tuple(float(t) for t in np.linspace(0.0, 1.0, size))
 
 
 def quick_mu_grid(size: int = 8) -> tuple[float, ...]:
     """Log-spaced constraint weights in [0.05, 16] for fast desk-scale runs."""
-    if size < 2:
-        raise InputError(f"mu grid needs at least 2 points, got {size}")
+    _count(size, 2, "size")
     return tuple(float(m) for m in np.geomspace(0.05, 16.0, size))

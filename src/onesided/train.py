@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import InputError, LabeledDataset, NumericError, _seed
+from .core import InputError, LabeledDataset, NumericError, _count, _seed
 from .net import (
     PROB_FLOOR,
     SelectiveModel,
@@ -93,10 +93,9 @@ class TrainConfig:
         for name, value in finite:
             if not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value!r}")
-        if self.epochs < 0 or self.warm_start_epochs < 0:
-            raise InputError("epoch counts must be nonnegative")
-        if self.batch_size < 1:
-            raise InputError("batch_size must be at least 1")
+        for name, least in (("epochs", 0), ("warm_start_epochs", 0), ("batch_size", 1),
+                            ("backbone_update_interval", 1)):
+            _count(getattr(self, name), least, name)
         if self.lr_min <= 0 or self.lr_max < 0:
             raise InputError("learning rates must be positive (ascent rate may be 0)")
         factor, at_epoch = self.lr_decay
@@ -105,8 +104,6 @@ class TrainConfig:
                 f"lr_decay must be a positive factor and a whole epoch >= 0, "
                 f"got {self.lr_decay!r}"
             )
-        if self.backbone_update_interval < 1:
-            raise InputError("backbone_update_interval must be at least 1")
         if self.lambda_max is not None and self.lambda_max < 0:
             raise InputError("lambda_max must be nonnegative")
 

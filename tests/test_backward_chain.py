@@ -94,11 +94,11 @@ def test_backward_and_warm_start_bytes_are_the_allocating_chains(activation):
     spec = BackboneSpec((2, 8, 5, 4), activation)
     model = init_model(spec, 2, 3)
     got = backward(model, data, CROSS_ENTROPY)
-    warm = serialize(warm_start(data, spec, 2, epochs=3, lr=0.05, seed=6, batch_size=32))
+    warm = serialize(warm_start(data, spec, epochs=3, lr=0.05, seed=6, batch_size=32))
     with with_reference_chain():
         want = backward(model, data, CROSS_ENTROPY)
         want_warm = serialize(
-            warm_start(data, spec, 2, epochs=3, lr=0.05, seed=6, batch_size=32)
+            warm_start(data, spec, epochs=3, lr=0.05, seed=6, batch_size=32)
         )
     assert got[0] == want[0]
     for g, w in zip(

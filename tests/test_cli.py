@@ -13,10 +13,11 @@ import onesided.cli as cli_mod
 import onesided.pipeline as pipeline_mod
 from onesided.cli import main
 from onesided.core import NumericError
-from onesided.data import SyntheticSpec, ingest_csv, synthesize, write_csv
+from onesided.data import BlobsParams, SyntheticSpec, ingest_csv, synthesize, write_csv
 from onesided.net import BackboneSpec, deserialize, forward_batch, init_model, serialize
 from onesided.pipeline import config_hash, config_to_dict, load_config
 from onesided.select import SelectionCriterion
+from onesided.train import TrainConfig
 
 
 def run(*argv):
@@ -140,6 +141,22 @@ def test_train_refuses_a_negative_seed(tmp_path, capsys):
     assert run(*argv) == 1
     assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
     assert not out.exists()
+
+
+def test_train_and_synth_flags_default_to_the_dataclass_defaults(tmp_path, monkeypatch):
+    # `onesided train` without --epochs trains TrainConfig.epochs, as a config does
+    data = synth_csv(tmp_path / "d.csv")
+    seen = []
+
+    def capture(data, warm, config):
+        seen.append(config)
+        raise NumericError("stopped after reading the config")
+
+    monkeypatch.setattr(cli_mod, "sgda_train", capture)
+    assert run("train", "--data", str(data), "--mu", "1.0", "--out", str(tmp_path / "m.npz")) == 2
+    assert seen == [TrainConfig(mu=1.0)]
+    args = cli_mod.build_parser().parse_args(["synth", "--kind", "blobs", "--out", "d.csv"])
+    assert BlobsParams(args.classes, args.dim, args.separation, args.spread) == BlobsParams()
 
 
 @pytest.mark.parametrize("command", ["select", "curve"])

@@ -111,7 +111,7 @@ def test_synthesize_blobs():
 def test_separated_mixture_warm_start_accuracy():
     params = two_class_mixture(separation=8.0)
     data = synthesize(SyntheticSpec("mixture", 600, seed=4, mixture=params))
-    model = warm_start(data, BackboneSpec((2, 8)), 2, epochs=40, lr=0.1, seed=0)
+    model = warm_start(data, BackboneSpec((2, 8)), epochs=40, lr=0.1, seed=0)
     preds = forward_batch(model, data.features).argmax(axis=1)
     assert (preds == data.labels).mean() >= 0.99
 

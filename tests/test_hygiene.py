@@ -204,6 +204,17 @@ def test_benchmark_names_resolve():
     assert not unresolved(imported | traced)
 
 
+def imported_modules(tree):
+    """The modules the tree imports, by their dotted names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module)
+    return names
+
+
 def string_parts(tree):
     """Every string constant of the module, each f-string's literal parts included."""
     return [
@@ -218,6 +229,13 @@ def test_the_seed_and_price_rules_each_have_one_message():
     parts = [s for p in MODULES for s in string_parts(parse(p))]
     assert sum(s.startswith("seed must be nonnegative") for s in parts) == 1
     assert sum("finite nonnegative prices" in s for s in parts) == 1
+
+
+def test_the_count_rule_has_one_message_and_only_core_imports_numbers():
+    # a hand-written whole-number check needs `numbers`, or brings its own message
+    parts = [s for p in MODULES for s in string_parts(parse(p))]
+    assert sum("must be a whole number >= " in s for s in parts) == 1
+    assert {p.name for p in PACKAGE if "numbers" in imported_modules(parse(p))} == {"core.py"}
 
 
 def test_checks_see_what_they_are_meant_to():
@@ -272,3 +290,5 @@ def test_checks_see_what_they_are_meant_to():
     assert unresolved(pairs) == {"onesided.ghost", "onesided.core.LabeledDataset.gone"}
     rule = ast.parse('def f(seed):\n    """seed."""\n    raise E(f"seed must be {seed}")\n')
     assert string_parts(rule) == ["seed.", "seed must be "]
+    imports = ast.parse("import numbers, os.path\nfrom numbers import Real\nfrom . import core\n")
+    assert imported_modules(imports) == {"numbers", "os.path"}

@@ -108,8 +108,8 @@ def test_narrow_labels_give_the_int64_results(tmp_path, K):
                 assert all(same(x, y) for x, y in zip(a[:-1], b[:-1]))
 
     spec = BackboneSpec((1, 8, 6))
-    model = warm_start(data, spec, K, epochs=2, lr=0.05, seed=3, batch_size=64)
-    assert serialize(model) == serialize(warm_start(wide, spec, K, 2, 0.05, 3, 64))
+    model = warm_start(data, spec, epochs=2, lr=0.05, seed=3, batch_size=64)
+    assert serialize(model) == serialize(warm_start(wide, spec, 2, 0.05, 3, 64))
 
     probs = forward_batch(model, data.features)
     for loss, p in (

@@ -81,7 +81,7 @@ def test_backbone_spec_refuses_widths_that_are_not_whole_numbers():
     arrays["layer_widths"] = np.array([2, 16.5, 8])
     buf = io.BytesIO()
     np.savez(buf, **arrays)
-    with pytest.raises(FormatError, match="layer_widths must be whole numbers"):
+    with pytest.raises(FormatError, match="layer_widths must be a whole number >= 1"):
         deserialize(buf.getvalue())
 
 
@@ -310,7 +310,7 @@ def blob_data(n, seed, gap=6.0):
 def test_warm_start_fits_separable_blobs():
     data = blob_data(400, seed=0)
     model = warm_start(
-        data, BackboneSpec((2, 16, 16)), 2, epochs=50, lr=0.1, seed=1, batch_size=64
+        data, BackboneSpec((2, 16, 16)), epochs=50, lr=0.1, seed=1, batch_size=64
     )
     acc = np.mean(np.argmax(forward_batch(model, data.features), axis=1) == data.labels)
     assert acc >= 0.99
@@ -319,7 +319,7 @@ def test_warm_start_fits_separable_blobs():
 def test_warm_start_zero_epochs_is_init():
     data = blob_data(50, seed=2)
     spec = BackboneSpec((2, 8, 4))
-    model = warm_start(data, spec, 2, epochs=0, lr=0.1, seed=9)
+    model = warm_start(data, spec, epochs=0, lr=0.1, seed=9)
     fresh = init_model(spec, 2, 9)
     assert np.array_equal(flatten_params(model), flatten_params(fresh))
 
@@ -334,7 +334,7 @@ def test_warm_start_refuses_a_schedule_the_train_config_refuses(name, value):
     # inside the loop, or not at all
     args = {"epochs": 1, "lr": 0.1, "seed": 0, "batch_size": 16, name: value}
     with pytest.raises(InputError, match=f"^{name} must be"):
-        warm_start(blob_data(50, seed=2), BackboneSpec((2, 8, 4)), 2, **args)
+        warm_start(blob_data(50, seed=2), BackboneSpec((2, 8, 4)), **args)
 
 
 def test_warm_start_matches_per_batch_subset_loop():
@@ -342,7 +342,7 @@ def test_warm_start_matches_per_batch_subset_loop():
     # the subsets a LabeledDataset-per-batch loop would build
     data = blob_data(90, seed=5)
     spec = BackboneSpec((2, 8, 4))
-    got = warm_start(data, spec, 2, epochs=3, lr=0.05, seed=6, batch_size=32)
+    got = warm_start(data, spec, epochs=3, lr=0.05, seed=6, batch_size=32)
     rng = np.random.default_rng(6)
     want = init_model(spec, 2, rng)
     for _ in range(3):
@@ -357,8 +357,8 @@ def test_warm_start_matches_per_batch_subset_loop():
 def test_warm_start_deterministic():
     data = blob_data(120, seed=3)
     spec = BackboneSpec((2, 8, 4))
-    a = warm_start(data, spec, 2, epochs=5, lr=0.05, seed=4)
-    b = warm_start(data, spec, 2, epochs=5, lr=0.05, seed=4)
+    a = warm_start(data, spec, epochs=5, lr=0.05, seed=4)
+    b = warm_start(data, spec, epochs=5, lr=0.05, seed=4)
     assert np.array_equal(flatten_params(a), flatten_params(b))
 
 

@@ -590,8 +590,9 @@ def test_budget_alpha_grid_enumerates_integer_splits():
     counts = {tuple(round(a * 0.1 * 40) for a in row) for row in rows_of(grid)}
     assert counts == {(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)}
     assert rows_of(budget_alpha_grid(0.0, 40, 3)) == [(0.0, 0.0, 0.0)]
-    for n, K in ((-40, 2), (40, 0)):
-        with pytest.raises(InputError, match="num_classes >= 1 and n >= 0"):
+    for n, K, refusal in ((-40, 2, "n must be a whole number >= 0"),
+                          (40, 0, "num_classes must be a whole number >= 1")):
+        with pytest.raises(InputError, match=refusal):
             budget_alpha_grid(0.1, n, K)
 
 

@@ -9,12 +9,13 @@ import pytest
 
 import onesided.pipeline as pipeline_mod
 from onesided.cli import main
-from onesided.core import FormatError, InputError
-from onesided.data import BlobsParams, SyntheticSpec, two_class_mixture, write_csv
-from onesided.data import split_dataset, synthesize
+from onesided.core import FormatError, InputError, LabeledDataset
+from onesided.data import BlobsParams, SyntheticSpec, mixture_oracle_coverage, two_class_mixture
+from onesided.data import split_dataset, synthesize, write_csv
 from onesided.evaluation import coverage_error_curve
 from onesided.net import (
     BackboneSpec,
+    SelectiveModel,
     backward,
     deserialize,
     forward_batch,
@@ -22,7 +23,12 @@ from onesided.net import (
     serialize,
     warm_start,
 )
-from onesided.oracle import erm_feasibility_trend, sample_analytic_example
+from onesided.oracle import (
+    budget_alpha_grid,
+    default_alpha_grid,
+    erm_feasibility_trend,
+    sample_analytic_example,
+)
 from onesided.pipeline import (
     METRICS_COLUMNS,
     PipelineResult,
@@ -36,9 +42,11 @@ from onesided.pipeline import (
 )
 from onesided.select import (
     SelectionCriterion,
+    default_threshold_grid,
     evaluate_grid,
     pick_coverage_constrained,
     pick_error_constrained,
+    quick_mu_grid,
 )
 from onesided.train import LagrangianState, LeakLoss, TrainConfig, sgda_train_grid
 
@@ -182,15 +190,17 @@ def test_each_input_rule_says_the_same_in_the_config_and_its_consumer(
 
 
 def shared_rule_callers(tmp_path, capsys):
-    """Every caller of the price, seed and input-width rules, as (key, call) by rule.
+    """Every caller of the price, seed, input-width and count rules, by rule.
 
-    Each call takes one bad value, and the CLI's raises the InputError it
-    printed.  A price error begins with the caller's name for the value;
-    the seed and width errors name none.
+    A caller is ``(key, call)``, and a count caller ``(key, call, least)``
+    with its floor.  Each call takes one bad value, and the CLI's raises
+    the InputError it printed.  A price or count error begins with the
+    caller's name for the value; the seed and width errors name none.
     """
     data = synthesize(SyntheticSpec("blobs", 60, seed=1))
     spec = BackboneSpec((2, 8, 6))
     model = init_model(spec, 3, seed=0)
+    parameters = (model.weights, model.biases, model.head_w, model.head_b)
     csv, model_file = tmp_path / "d.csv", tmp_path / "m.npz"
     write_csv(data, csv)
     model_file.write_bytes(serialize(model))
@@ -227,7 +237,7 @@ def shared_rule_callers(tmp_path, capsys):
             ("", lambda v: blob_config(tmp_path, seed=v)),
             ("", lambda v: quick_train(seed=v)),
             ("", lambda v: SyntheticSpec("blobs", 60, seed=v)),
-            ("", lambda v: warm_start(data, spec, 3, 1, 0.1, v)),
+            ("", lambda v: warm_start(data, spec, 1, 0.1, v)),
             ("", lambda v: init_model(spec, 3, v)),
             ("", lambda v: sample_analytic_example(10, v)),
             ("", lambda v: erm_feasibility_trend(0.02, (10,), 1, base_seed=v)),
@@ -236,17 +246,47 @@ def shared_rule_callers(tmp_path, capsys):
             ("", lambda d: forward_batch(model, blobs(d).features)),
             ("", lambda d: backward(model, blobs(d), LeakLoss(0))),
             ("", lambda d: sgda_train_grid(blobs(d), model, quick_train(), (1.0,))),
-            ("", lambda d: warm_start(blobs(d), spec, 3, 1, 0.1, 0)),
+            ("", lambda d: warm_start(blobs(d), spec, 1, 0.1, 0)),
             ("", eval_cli),
+        ],
+        "count": [
+            ("num_classes", lambda v: LabeledDataset(np.zeros((2, 1)), [0, 0], v), 1),
+            ("epochs", lambda v: quick_train(epochs=v), 0),
+            ("warm_start_epochs", lambda v: quick_train(warm_start_epochs=v), 0),
+            ("batch_size", lambda v: quick_train(batch_size=v), 1),
+            ("backbone_update_interval", lambda v: quick_train(backbone_update_interval=v), 1),
+            ("epochs", lambda v: warm_start(data, spec, v, 0.1, 0), 0),
+            ("batch_size", lambda v: warm_start(data, spec, 1, 0.1, 0, batch_size=v), 1),
+            ("layer_widths", lambda v: BackboneSpec((2, v, 6)), 1),
+            ("num_classes", lambda v: SelectiveModel(spec, v, *parameters), 1),
+            ("num_classes", lambda v: init_model(spec, v, 0), 1),
+            ("num_classes", lambda v: BlobsParams(num_classes=v), 2),
+            ("dim", lambda v: BlobsParams(dim=v), 1),
+            ("n", lambda v: SyntheticSpec("blobs", v, seed=0), 1),
+            ("n", lambda v: sample_analytic_example(v, 0), 1),
+            ("num_classes", default_alpha_grid, 1),
+            ("num_classes", lambda v: budget_alpha_grid(0.1, 40, v), 1),
+            ("n", lambda v: budget_alpha_grid(0.1, v, 2), 0),
+            ("seeds_per_size", lambda v: erm_feasibility_trend(0.02, (10,), v), 1),
+            ("size", quick_mu_grid, 2),
+            ("size", default_threshold_grid, 2),
+            ("grid_size", lambda v: mixture_oracle_coverage(two_class_mixture(), 0.1, v), 2),
+            ("workers", lambda v: blob_config(tmp_path, workers=v), 1),
+            ("split_seed", lambda v: blob_config(tmp_path, split_seed=v), 0),
+            ("split_seed", lambda v: split_dataset(data, (0.6, 0.2, 0.2), v), 0),
         ],
     }
 
+
+# a count caller's floor less one, the one bad value that differs per caller
+BELOW_FLOOR = "least - 1"
 
 SHARED_RULE_VALUES = {
     "price": [NAN, INF, -INF, -1.0],
     "seed": [NAN, INF, -INF, -1],
     # the data's width, given to a model whose input width is 2
     "width": [1, 3],
+    "count": [1.5, NAN, True, BELOW_FLOOR],
 }
 
 
@@ -255,14 +295,14 @@ SHARED_RULE_VALUES = {
 )
 def test_each_shared_rule_says_the_same_in_every_caller(tmp_path, capsys, rule, value):
     # one copy of each rule: every caller refuses a value with one InputError
-    # text, apart from the name a price goes by
+    # text, apart from the name the value goes by and a count's floor
     texts = set()
-    for key, call in shared_rule_callers(tmp_path, capsys)[rule]:
+    for key, call, *least in shared_rule_callers(tmp_path, capsys)[rule]:
         with pytest.raises(InputError) as refused:
-            call(value)
+            call(least[0] - 1 if value == BELOW_FLOOR else value)
         assert str(refused.value).startswith(key)
-        texts.add(str(refused.value).removeprefix(key))
-    assert len(texts) == 1
+        texts.add((*least, str(refused.value).removeprefix(key)))
+    assert len(texts) == len({t[:-1] for t in texts})
 
 
 @pytest.mark.parametrize(

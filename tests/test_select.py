@@ -524,7 +524,7 @@ def test_selection_criterion_dispatch_and_validation():
     grid = hand_grid()
     err_res = SelectionCriterion.error_constrained(0.1).pick(grid)
     assert err_res == pick_error_constrained(grid, 0.1)
-    cov_res = SelectionCriterion.coverage_constrained(0.8).pick(grid)
+    cov_res = SelectionCriterion("coverage", 0.8).pick(grid)
     assert cov_res == pick_coverage_constrained(grid, 0.8)
 
 

@@ -586,8 +586,7 @@ SPEC = BackboneSpec((2, 16, 8))
 def warm_model(data, config):
     """The start model ``onesided train`` builds: a warm start as ``config`` sets it."""
     return warm_start(
-        data, SPEC, data.num_classes, config.warm_start_epochs, config.lr_min,
-        config.seed, config.batch_size,
+        data, SPEC, config.warm_start_epochs, config.lr_min, config.seed, config.batch_size,
     )
 
 
@@ -671,7 +670,7 @@ def test_sgda_drives_leak_below_warm_start():
     from onesided.net import warm_start
 
     data = tri_blobs(300, seed=8)
-    warm = warm_start(data, SPEC, 3, epochs=30, lr=0.02, seed=9, batch_size=64)
+    warm = warm_start(data, SPEC, epochs=30, lr=0.02, seed=9, batch_size=64)
     warm_leak = terms_of(warm, data).leak.sum()
     cfg = TrainConfig(
         mu=4.0, epochs=60, warm_start_epochs=0, seed=9, batch_size=64,
@@ -877,7 +876,7 @@ def test_sgda_grid_equals_per_mu_runs(
         lr_decay=(0.5, decay_epoch), backbone_update_interval=interval, seed=seed,
         warm_start_epochs=1, lambda_max=lambda_max, restricted=restricted,
     )
-    init = warm_start(data, SPEC, K, 1, cfg.lr_min, seed, batch_size)
+    init = warm_start(data, SPEC, 1, cfg.lr_min, seed, batch_size)
     grid = sgda_train_grid(data, init, cfg, mus)
     assert len(grid) == len(mus)
     for mu, (model, state, log) in zip(mus, grid):
@@ -923,7 +922,7 @@ def test_sgda_cached_features_match_uncached_reference(
         lr_decay=(0.5, 2), backbone_update_interval=interval, seed=seed,
         warm_start_epochs=1, restricted=restricted,
     )
-    init = warm_start(data, WIDE, K, 1, cfg.lr_min, seed, batch_size)
+    init = warm_start(data, WIDE, 1, cfg.lr_min, seed, batch_size)
     grid = sgda_train_grid(data, init, cfg, mus)
     for mu, run in zip(mus, grid):
         ref = reference_sgda(data, dataclasses.replace(cfg, mu=mu), init)
@@ -971,7 +970,7 @@ def test_sgda_deferred_landing_matches_per_batch_reference(
         lr_decay=(0.5, decay_epoch), backbone_update_interval=interval,
         seed=seed, warm_start_epochs=1, restricted=restricted,
     )
-    init = warm_start(data, WIDE, K, 1, cfg.lr_min, seed, batch_size)
+    init = warm_start(data, WIDE, 1, cfg.lr_min, seed, batch_size)
     grid = sgda_train_grid(data, init, cfg, mus)
     for mu, run in zip(mus, grid):
         ref = reference_sgda(data, dataclasses.replace(cfg, mu=mu), init)
