@@ -17,7 +17,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .core import CapacityError, InputError, NumericError, evaluate
+from .core import CapacityError, InputError, NumericError, _count, evaluate
 from .data import BlobsParams, SyntheticSpec, ingest_csv, synthesize, write_csv
 from .evaluation import _measure, coverage_error_curve
 from .net import BackboneSpec, deserialize, serialize, warm_start
@@ -101,7 +101,8 @@ def _val_grid(args) -> tuple[dict, SelectionGrid, int]:
     """The models keyed by mu, their grid on ``--val``, and their class count."""
     models, num_classes = _load_models(args)
     val = ingest_csv(args.val, num_classes)
-    ts = args.t_values or default_threshold_grid(args.t_size)
+    size = () if args.t_size is None else (_count(args.t_size, 2, "--t-size"),)
+    ts = args.t_values or default_threshold_grid(*size)
     return models, evaluate_grid(models, ts, val), num_classes
 
 
@@ -138,15 +139,13 @@ def _cmd_train(args) -> int:
         lr_max=args.lr_max,
         lr_decay=(args.decay_factor, args.decay_epoch),
         backbone_update_interval=args.interval,
-        seed=args.seed,
         warm_start_epochs=args.warm_epochs,
         lambda_max=args.lambda_max,
-        restricted=not args.unrestricted,
     )
     warm = warm_start(
-        data, spec, config.warm_start_epochs, config.lr_min, config.seed, config.batch_size
+        data, spec, config.warm_start_epochs, config.lr_min, args.seed, config.batch_size
     )
-    model, state, log = sgda_train(data, warm, config)
+    model, state, log = sgda_train(data, warm, config, args.seed)
     Path(args.out).write_bytes(serialize(model))
     final = log.final()
     print(
@@ -283,10 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decay-factor", type=float, default=TrainConfig.lr_decay[0])
     p.add_argument("--decay-epoch", type=int, default=TrainConfig.lr_decay[1])
     p.add_argument("--interval", type=int, default=TrainConfig.backbone_update_interval)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--seed", type=int, default=0, help="seeds the warm start and the trainer")
     p.add_argument("--warm-epochs", type=int, default=TrainConfig.warm_start_epochs)
     p.add_argument("--lambda-max", type=float, default=TrainConfig.lambda_max)
-    p.add_argument("--unrestricted", action="store_true")
     p.add_argument("--widths", type=_comma_ints, help="e.g. 2,16,8 (input width first)")
     p.add_argument("--activation", default="relu")
     p.add_argument("--out", required=True, help="model file to write")
@@ -296,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_model_grid(p):
         p.add_argument("--model", action="append", default=[])
         p.add_argument("--mu", action="append", type=float, default=[])
-        p.add_argument("--t-size", type=int, default=100)
+        p.add_argument("--t-size", type=int)
         p.add_argument("--t-values", type=_comma_floats)
 
     p = sub.add_parser("select", help="grid search over saved models")

@@ -118,6 +118,14 @@ def _count(value, least: int, name: str) -> int:
     return int(value)
 
 
+def _class_index(k, num_classes: int) -> int:
+    """The class-index rule: a count ``k`` below ``num_classes``.  Returns it as an int."""
+    k = _count(k, 0, "k")
+    if k >= num_classes:
+        raise InputError(f"class index {k} outside [0, {num_classes})")
+    return k
+
+
 def array_fits(*shape: int) -> bool:
     """Whether numpy can hold a float64 array of ``shape``: its byte count fits in intp."""
     return math.prod(map(int, shape)) * 8 <= np.iinfo(np.intp).max

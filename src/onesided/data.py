@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FormatError, InputError, LabeledDataset, _count, _seed, array_fits
-from .oracle import sample_analytic_example
+from .oracle import _check_eps, sample_analytic_example
 
 _KINDS = ("analytic", "mixture", "blobs")
 
@@ -116,7 +116,7 @@ class BlobsParams:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """A named synthetic source plus sample size and seed."""
+    """A named synthetic source plus sample size and seed, with only its kind's parameters."""
 
     kind: str
     n: int
@@ -131,6 +131,9 @@ class SyntheticSpec:
             )
         _count(self.n, 1, "n")
         _seed(self.seed)
+        for section in ("mixture", "blobs"):
+            if section != self.kind and getattr(self, section) is not None:
+                raise InputError(f"a {self.kind} source reads no {section} section")
         if self.kind == "mixture" and self.mixture is None:
             raise InputError("mixture synthesis needs mixture parameters")
         if self.kind == "blobs" and self.blobs is None:
@@ -211,8 +214,7 @@ def mixture_oracle_coverage(
     component mass (means plus 6 standard deviations) with the
     cell masses renormalized to 1; only 2-D mixtures are supported.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise InputError(f"error budget must lie in [0, 1], got {eps}")
+    _check_eps(eps)
     _count(grid_size, 2, "grid_size")
     means, covs, _ = params.arrays()
     if means.shape[1] != 2:

@@ -45,6 +45,7 @@ from .core import (
     DecisionSetFamily,
     InputError,
     LabeledDataset,
+    _class_index,
     _count,
     _seed,
 )
@@ -270,8 +271,9 @@ def canonical_cuts(x: np.ndarray) -> np.ndarray:
 
 
 def _check_eps(eps: float, name: str = "eps") -> None:
-    if not (math.isfinite(eps) and eps >= 0):
-        raise InputError(f"{name} must be finite and nonnegative, got {eps}")
+    """The budget rule: an error budget is a mass, finite and in [0, 1]."""
+    if not 0 <= eps <= 1:
+        raise InputError(f"{name} must be finite and in [0, 1], got {eps}")
 
 
 def _compositions(total: int, K: int) -> np.ndarray:
@@ -378,8 +380,7 @@ def solve_osp_exact(
     is feasible the empty set is returned with value 0: it always
     satisfies the constraint even if the class does not contain it.
     """
-    if not 0 <= k < data.num_classes:
-        raise InputError(f"class index {k} outside [0, {data.num_classes})")
+    k = _class_index(k, data.num_classes)
     _check_eps(eps_k, "eps_k")
     cov, viol = hclass.counts(data)
     feasible = viol[k] <= eps_k * data.n + _TOL

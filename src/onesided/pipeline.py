@@ -58,9 +58,9 @@ class RunConfig:
     Exactly one of ``source_path`` and ``synthetic`` names the dataset.
     The CSV is not opened here, so a saved config still loads and hashes
     after its data file has moved; a run fails at its ``load_data`` stage.
-    ``train`` is a template: the grid supplies ``mu`` and the run seed
-    replaces ``seed``.  ``split_seed`` is deliberately separate from
-    ``seed`` so seed sweeps can vary optimization while keeping the data
+    ``train`` is a template: the grid supplies ``mu``, and ``seed`` seeds
+    the warm start and the trainer.  ``split_seed`` is deliberately separate
+    from ``seed`` so seed sweeps can vary optimization while keeping the data
     split fixed.  ``workers`` has no effect: the grid trains in lockstep
     in one process.  The key is still validated (at least 1) and read
     from config files so that older configs keep loading; no command-line
@@ -165,22 +165,28 @@ def config_to_dict(config: RunConfig) -> dict:
     return _plain(config)
 
 
+# Removed train keys, each at the one value that means what a run does now:
+# plain (not Adam-scaled) steps, fit terms on each class's own rows, and the
+# default train seed, which a pipeline never read (the run seed seeds it).
+_RETIRED = {"adaptive": False, "restricted": True, "seed": 0}
+
+
 def config_from_dict(d: dict) -> RunConfig:
     """Build and validate a config from the nested dict form.
 
-    Configs saved before adaptive (Adam-scaled) steps were removed carry
-    ``"adaptive": false`` in their train section: that key is dropped, and
-    any other value of it is refused.
+    A ``_RETIRED`` key in the train section is dropped at its listed value,
+    of the listed type, or null; any other value of it is refused.
     """
     train = d.get("train") if isinstance(d, dict) else None
-    if isinstance(train, dict) and "adaptive" in train:
-        if train["adaptive"] is not False:
-            raise InputError(
-                "config.train.adaptive: adaptive steps were removed, only false "
-                f"is accepted, got {train['adaptive']!r}"
-            )
-        train = {k: v for k, v in train.items() if k != "adaptive"}
-        d = {**d, "train": train}
+    if isinstance(train, dict):
+        for key, kept in _RETIRED.items():
+            value = train.get(key)
+            if value is not None and (type(value) is not type(kept) or value != kept):
+                raise InputError(
+                    f"config.train.{key} was removed; only {json.dumps(kept)} is "
+                    f"accepted, got {value!r}"
+                )
+        d = {**d, "train": {k: v for k, v in train.items() if k not in _RETIRED}}
     return _decode(RunConfig, d, "config")
 
 
@@ -212,13 +218,13 @@ def config_hash(config: RunConfig) -> str:
 
     The output directory and the worker count do not change results, so
     they are excluded and a rerun elsewhere hashes the same.
-    The hashed train section still holds ``"adaptive": false``, so a config
-    and the run artifacts saved before that key was removed keep their hash.
+    The hashed train section still holds the ``_RETIRED`` keys, so a config
+    and the run artifacts saved before those keys were removed keep their hash.
     """
     doc = config_to_dict(config)
     del doc["out_dir"]
     del doc["workers"]
-    doc["train"]["adaptive"] = False
+    doc["train"].update(_RETIRED)
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -325,8 +331,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         completed.append(stage)
 
         stage = "train"
-        train = dataclasses.replace(config.train, seed=config.seed)
-        trained = sgda_train_grid(train_d, warm, train, config.mu_grid)
+        trained = sgda_train_grid(train_d, warm, config.train, config.mu_grid, config.seed)
         models = {}
         model_dir = out / "models"
         model_dir.mkdir(exist_ok=True)

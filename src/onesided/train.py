@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import InputError, LabeledDataset, NumericError, _count, _seed
+from .core import InputError, LabeledDataset, NumericError, _class_index, _count, _seed
 from .net import (
     PROB_FLOOR,
     SelectiveModel,
@@ -65,8 +65,9 @@ class TrainConfig:
     """Hyperparameters of one saddle-point run.
 
     Only :func:`sgda_train` reads ``mu``: a grid brings its own prices.
-    Only the callers that build the start model with :func:`onesided.net.warm_start`
-    (``run_pipeline``, ``onesided train``) read ``warm_start_epochs``.
+    The trainer takes its seed as an argument.  Only the callers that build
+    the start model with :func:`onesided.net.warm_start` (``run_pipeline``,
+    ``onesided train``) read ``warm_start_epochs``.
     """
 
     mu: float
@@ -76,16 +77,13 @@ class TrainConfig:
     lr_max: float = 1e-4
     lr_decay: tuple[float, ...] = (0.1, 50)
     backbone_update_interval: int = 20
-    seed: int = 0
     warm_start_epochs: int = 30
     lambda_max: float | None = None
-    restricted: bool = True
 
     def __post_init__(self) -> None:
         if len(self.lr_decay) != 2:
             raise InputError(f"lr_decay must be (factor, epoch), got {self.lr_decay!r}")
         _prices((self.mu,), "mu")
-        _seed(self.seed)
         finite = [("lr_min", self.lr_min), ("lr_max", self.lr_max)]
         finite += [("lr_decay", v) for v in self.lr_decay]
         if self.lambda_max is not None:
@@ -120,17 +118,15 @@ class LabelTable(NamedTuple):
     divisors ``(2, K)``: each term's row count, or 1 for an absent term.
     ``denom`` is ``(n, K)``, the fit divisor on own rows and the leak
     divisor on the others, or ``None`` in a lone batch's table, whose
-    gradient (if any is asked) forms it.  ``restricted`` says whether the
-    fit terms read their own rows only.
+    gradient (if any is asked) forms it.
     """
 
     masks: np.ndarray
     neg_d: np.ndarray
     denom: np.ndarray | None
-    restricted: bool
 
 
-def label_tables(labels, K: int, restricted: bool = True, batch_size: int | None = None):
+def label_tables(labels, K: int, batch_size: int | None = None):
     """The :class:`LabelTable` of each batch of consecutive rows.
 
     Batches take ``batch_size`` rows in order, the last one possibly
@@ -156,7 +152,7 @@ def label_tables(labels, K: int, restricted: bool = True, batch_size: int | None
         np.arange(n) // size * K + labels, minlength=len(starts) * K
     ).reshape(-1, K).T
     counts = np.empty((2, K, len(starts)))
-    counts[0] = n_own if restricted else sizes
+    counts[0] = n_own
     np.subtract(sizes, n_own, out=counts[1])
     absent = counts == 0
     d = np.maximum(counts, 1.0, out=counts)
@@ -169,15 +165,15 @@ def label_tables(labels, K: int, restricted: bool = True, batch_size: int | None
     neg_d = np.negative(d, out=d)
     masks = masks[..., :n].swapaxes(1, 2)
     tables = [
-        LabelTable(masks[:, a : a + size], nd, dn, restricted)
+        LabelTable(masks[:, a : a + size], nd, dn)
         for a, nd, dn in zip(starts, neg_d.transpose(2, 0, 1), denom)
     ]
     return tables, absent.sum(axis=2)
 
 
-def label_table(labels, K: int, restricted: bool = True) -> LabelTable:
+def label_table(labels, K: int) -> LabelTable:
     """The :class:`LabelTable` of all of ``labels`` as one batch."""
-    return label_tables(labels, K, restricted)[0][0]
+    return label_tables(labels, K)[0][0]
 
 
 class ClassTerms(NamedTuple):
@@ -191,12 +187,11 @@ class ClassTerms(NamedTuple):
 def class_terms(probs, table: LabelTable, fit_w=None, leak_w=None) -> ClassTerms:
     """Every class's fit and leak term in one masked pass over ``(n, K)`` scores.
 
-    ``fit[k]`` is the mean -log p_k over the class-k rows (every row unless
-    ``table.restricted``), ``leak[k]`` the mean -log(1 - p_k) over the
-    other rows.  An empty row set makes a term absent: it reads 0 and adds
-    no gradient (:func:`label_tables` counts the absences).  Scores are
-    clamped to ``[PROB_FLOOR, 1 - PROB_FLOOR]`` before the log; the
-    gradient is zero where the clamp is active.  With weights (scalars or
+    ``fit[k]`` is the mean -log p_k over the class-k rows, ``leak[k]`` the
+    mean -log(1 - p_k) over the other rows.  An empty row set makes a term
+    absent: it reads 0 and adds no gradient (:func:`label_tables` counts the
+    absences).  Scores are clamped to ``[PROB_FLOOR, 1 - PROB_FLOOR]`` before
+    the log; the gradient is zero where the clamp is active.  With weights (scalars or
     length-K vectors, ``None`` meaning 0), ``dprobs`` is the gradient of
     ``sum_k fit_w[k] * fit[k] + leak_w[k] * leak[k]``.
 
@@ -213,7 +208,7 @@ def class_terms(probs, table: LabelTable, fit_w=None, leak_w=None) -> ClassTerms
     finite check relies on this, testing the leak terms and not the fit
     terms, which the clamp bounds by log(1 / PROB_FLOOR).
     """
-    masks, neg_d, denom, restricted = table
+    masks, neg_d, denom = table
     own = masks[0]
     # one clamped score per entry: p on own rows, 1 - p on the others
     logs = np.subtract(1.0, probs)
@@ -224,14 +219,6 @@ def class_terms(probs, table: LabelTable, fit_w=None, leak_w=None) -> ClassTerms
     # the fit and leak row sums in one reduction over masked logs; their
     # divisors are negative, so the logs need no negation
     masked = np.multiply(logs[..., None, :, :], masks)
-    if not restricted:
-        clamped = np.maximum(PROB_FLOOR, probs, out=masked[..., 0, :, :])
-        np.minimum(1.0 - PROB_FLOOR, clamped, out=clamped)
-        if fit_w is not None:
-            # p n, the divisor of the fit gradient -fit_w / (p n) on
-            # every row, taken before the log overwrites p
-            fit_grad = np.multiply(clamped, -neg_d[0], out=logs)
-        np.log(clamped, out=clamped)
     means = np.add.reduce(masked, axis=-2)
     means /= neg_d
     # an absent term sums masked -0.0s: make it read 0.0
@@ -242,11 +229,7 @@ def class_terms(probs, table: LabelTable, fit_w=None, leak_w=None) -> ClassTerms
         if denom is None:
             denom = np.where(own, -neg_d[0], -neg_d[1])
         np.multiply(s, denom, out=s)
-        dprobs = np.divide(
-            np.where(own, neg_fit_w if restricted else 0.0, _per_row(leak_w)), s, out=s
-        )
-        if not restricted and fit_w is not None:
-            dprobs += np.divide(neg_fit_w, fit_grad, out=fit_grad)
+        dprobs = np.divide(np.where(own, neg_fit_w, _per_row(leak_w)), s, out=s)
         inside = probs > PROB_FLOOR
         inside &= probs < 1.0 - PROB_FLOOR
         dprobs *= inside
@@ -279,24 +262,26 @@ class RestrictedFitLoss:
     """Per-class fit term as a standalone differentiable loss."""
 
     def __init__(self, k: int):
-        self.k = k
+        self.k = _count(k, 0, "k")
 
     def value_and_grad(self, probs, labels):
         K = probs.shape[1]
-        terms = class_terms(probs, label_table(labels, K), fit_w=np.eye(K)[self.k])
-        return float(terms.fit[self.k]), terms.dprobs
+        k = _class_index(self.k, K)
+        terms = class_terms(probs, label_table(labels, K), fit_w=np.eye(K)[k])
+        return float(terms.fit[k]), terms.dprobs
 
 
 class LeakLoss:
     """Per-class leakage term as a standalone differentiable loss."""
 
     def __init__(self, k: int):
-        self.k = k
+        self.k = _count(k, 0, "k")
 
     def value_and_grad(self, probs, labels):
         K = probs.shape[1]
-        terms = class_terms(probs, label_table(labels, K), leak_w=np.eye(K)[self.k])
-        return float(terms.leak[self.k]), terms.dprobs
+        k = _class_index(self.k, K)
+        terms = class_terms(probs, label_table(labels, K), leak_w=np.eye(K)[k])
+        return float(terms.leak[k]), terms.dprobs
 
 
 class LagrangianLoss:
@@ -305,12 +290,11 @@ class LagrangianLoss:
     With a stacked state the value carries one row per model.
     """
 
-    def __init__(self, state: LagrangianState, restricted: bool = True):
+    def __init__(self, state: LagrangianState):
         self.state = state
-        self.restricted = restricted
 
     def value_and_grad(self, probs, labels):
-        table = label_table(labels, probs.shape[-1], self.restricted)
+        table = label_table(labels, probs.shape[-1])
         terms = class_terms(probs, table, 1.0, self.state.lambdas)
         return _saddle_value(terms, self.state), terms.dprobs
 
@@ -373,13 +357,13 @@ def _prices(mu_grid, key: str) -> tuple[float, ...]:
 
 
 def sgda_train_grid(
-    data: LabeledDataset, model: SelectiveModel, config: TrainConfig, mu_grid
+    data: LabeledDataset, model: SelectiveModel, config: TrainConfig, mu_grid, seed: int
 ) -> list:
     """One saddle-point run per budget price in ``mu_grid``, all in lockstep.
 
     Every run starts from a copy of ``model``, whose input width and class
     count must be the data's, and sees the same batches, their order drawn
-    from ``config.seed`` alone.  So the runs' heads, multipliers and slacks
+    from ``seed`` alone.  So the runs' heads, multipliers and slacks
     stack on a leading mu axis, with one head pass, loss and gradient per
     batch for the whole grid; each slice does the arithmetic of a lone run,
     so its result does not depend on the other grid values.  A step's terms
@@ -406,6 +390,7 @@ def sgda_train_grid(
     stood when the failing epoch began.
     Returns one ``(model, state, log)`` per grid value, in grid order.
     """
+    rng = np.random.default_rng([_seed(seed), 1])
     mus = np.array(_prices(mu_grid, "mu_grid")).reshape(-1, 1)
     M, K = mus.shape[0], data.num_classes
     model.spec.check_dim(data.dim)
@@ -431,14 +416,13 @@ def sgda_train_grid(
     ]
     kind = model.spec.activation
     lam_max = 10.0 * mus if config.lambda_max is None else config.lambda_max
-    rng = np.random.default_rng([config.seed, 1])
     n = data.n
     lr_w, lr_l = config.lr_min, config.lr_max
     decay_factor, decay_epoch = config.lr_decay
     # batches so far in which each class's fit and leak term was absent
     absent = np.zeros((2, K), dtype=np.int64)
     records: list = [[] for _ in range(M)]
-    record_table = label_table(data.labels, K, config.restricted)
+    record_table = label_table(data.labels, K)
     interval = config.backbone_update_interval
     # no backbone update lands from this epoch on: only the heads train
     frozen_from = config.epochs - config.epochs % interval
@@ -498,7 +482,7 @@ def sgda_train_grid(
                 cot /= decay_factor
         perm = np.arange(n) if config.batch_size >= n else rng.permutation(n)
         tables, epoch_absent = label_tables(
-            np.take(data.labels, perm), K, config.restricted, config.batch_size
+            np.take(data.labels, perm), K, config.batch_size
         )
         # the checkpoint: each step rebinds fresh multiplier and slack
         # arrays, so references keep the epoch-start ones
@@ -578,10 +562,10 @@ def sgda_train_grid(
 
 
 def sgda_train(
-    data: LabeledDataset, model: SelectiveModel, config: TrainConfig
+    data: LabeledDataset, model: SelectiveModel, config: TrainConfig, seed: int
 ) -> tuple[SelectiveModel, LagrangianState, TrainingLog]:
     """Alternating descent/ascent over minibatches from ``model``.
 
     The one-price case of :func:`sgda_train_grid`, at ``config.mu``.
     """
-    return sgda_train_grid(data, model, config, (config.mu,))[0]
+    return sgda_train_grid(data, model, config, (config.mu,), seed)[0]

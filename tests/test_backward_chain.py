@@ -135,7 +135,7 @@ def test_landing_holds_one_hidden_activation_and_one_mask_beyond_its_buffers():
     tracemalloc.start()
     try:
         with mock.patch.object(train_mod, "_head_grads", head_grads):
-            sgda_train_grid(data, init, cfg, (0.5, 2.0))
+            sgda_train_grid(data, init, cfg, (0.5, 2.0), 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

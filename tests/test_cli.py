@@ -134,6 +134,25 @@ def test_train_rejects_width_mismatch(tmp_path, capsys):
     assert "must equal the data dim" in capsys.readouterr().err
 
 
+def test_train_seed_seeds_the_warm_start_and_the_trainer(tmp_path, monkeypatch):
+    data = synth_csv(tmp_path / "d.csv")
+    seeds = []
+
+    def warm(data, spec, epochs, lr, seed, batch_size):
+        seeds.append(seed)
+        return init_model(spec, data.num_classes, seed)
+
+    def capture(data, warm, config, seed):
+        seeds.append(seed)
+        raise NumericError("stopped before training")
+
+    monkeypatch.setattr(cli_mod, "warm_start", warm)
+    monkeypatch.setattr(cli_mod, "sgda_train", capture)
+    argv = ("train", "--data", str(data), "--mu", "1.0", "--seed", "7")
+    assert run(*argv, "--out", str(tmp_path / "m.npz")) == 2
+    assert seeds == [7, 7]
+
+
 def test_train_refuses_a_negative_seed(tmp_path, capsys):
     data = synth_csv(tmp_path / "d.csv")
     out = tmp_path / "m.npz"
@@ -148,37 +167,39 @@ def test_train_and_synth_flags_default_to_the_dataclass_defaults(tmp_path, monke
     data = synth_csv(tmp_path / "d.csv")
     seen = []
 
-    def capture(data, warm, config):
-        seen.append(config)
+    def capture(data, warm, config, seed):
+        seen.append((config, seed))
         raise NumericError("stopped after reading the config")
 
     monkeypatch.setattr(cli_mod, "sgda_train", capture)
     assert run("train", "--data", str(data), "--mu", "1.0", "--out", str(tmp_path / "m.npz")) == 2
-    assert seen == [TrainConfig(mu=1.0)]
+    assert seen == [(TrainConfig(mu=1.0), 0)]
     args = cli_mod.build_parser().parse_args(["synth", "--kind", "blobs", "--out", "d.csv"])
     assert BlobsParams(args.classes, args.dim, args.separation, args.spread) == BlobsParams()
 
 
 @pytest.mark.parametrize("command", ["select", "curve"])
 @pytest.mark.parametrize(
-    "mus, message",
+    "mus, flags, message",
     [
-        (("1", "1"), "--mu values must be distinct, got (1.0, 1.0)"),
-        (("0.5", "nan"), "--mu needs one or more finite nonnegative prices"),
-        (("inf",), "--mu needs one or more finite nonnegative prices"),
-        (("1", "-0.5"), "--mu needs one or more finite nonnegative prices"),
+        (("1", "1"), (), "--mu values must be distinct, got (1.0, 1.0)"),
+        (("0.5", "nan"), (), "--mu needs one or more finite nonnegative prices"),
+        (("inf",), (), "--mu needs one or more finite nonnegative prices"),
+        (("1", "-0.5"), (), "--mu needs one or more finite nonnegative prices"),
+        (("1",), ("--t-size", "1"), "--t-size must be a whole number >= 2, got 1"),
     ],
-    ids=["repeated", "nan", "inf", "negative"],
+    ids=["repeated", "nan", "inf", "negative", "t-size"],
 )
 def test_select_and_curve_refuse_a_repeated_or_non_finite_mu(
-    tmp_path, capsys, command, mus, message
+    tmp_path, capsys, command, mus, flags, message
 ):
-    # models are keyed by mu, so a repeat would drop one of them silently
+    # models are keyed by mu, so a repeat would drop one of them silently;
+    # a refused grid flag names itself, as --mu does
     data = synth_csv(tmp_path / "d.csv")
     model = tmp_path / "m.npz"
     model.write_bytes(serialize(init_model(BackboneSpec((2, 8, 6)), 3, seed=0)))
     capsys.readouterr()
-    argv = [command, "--val", str(data)]
+    argv = [command, "--val", str(data), *flags]
     for mu in mus:
         argv += ["--model", str(model), "--mu", mu]
     if command == "select":
@@ -419,6 +440,22 @@ def test_pipeline_workers_flag_is_gone_and_the_key_still_loads(tmp_path, capsys)
     assert len(hashes) == 1
 
 
+def test_pipeline_runs_a_config_with_the_retired_train_keys(tmp_path, capsys):
+    # a config saved while `adaptive`, `restricted` and the train seed were
+    # settings holds each at its one accepted value: it runs under the hash
+    # it had then
+    cfg_path = pipeline_config(tmp_path)
+    doc = json.loads(cfg_path.read_text())
+    doc["train"].update(adaptive=False, restricted=True, seed=0)
+    cfg_path.write_text(json.dumps(doc))
+    assert run("pipeline", "--config", str(cfg_path)) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    pinned = "7f9d85e37d22b4d58be75c8a38fb42ee9aa05b7f69d43d6c601a4d563bb7cfbc"
+    assert manifest["config_hash"] == pinned
+    saved = json.loads((tmp_path / "run" / "config.json").read_text())
+    assert not {"adaptive", "restricted", "seed"} & set(saved["train"])
+
+
 def test_pipeline_subcommand_infeasible(tmp_path, capsys):
     # Overlapping blobs and a reject-nothing threshold grid make a
     # zero-error target unreachable.
@@ -454,7 +491,10 @@ def test_pipeline_missing_csv_exits_1_naming_it(tmp_path, capsys):
     [
         (lambda d: d["criterion"].pop("target"), "'target'"),
         (lambda d: d["train"].update(epochs="10"), "train.epochs"),
-        (lambda d: d["train"].update(adaptive=True), "train.adaptive"),
+        (lambda d: d["train"].update(adaptive=True), "config.train.adaptive"),
+        (lambda d: d["train"].update(restricted=False), "config.train.restricted"),
+        (lambda d: d["train"].update(seed=5), "config.train.seed"),
+        (lambda d: d["train"].update(seed=0.0), "config.train.seed"),
         (lambda d: d["train"].update(lr_min=float("nan")), "lr_min"),
         (lambda d: d.update(mu_grid=[0.5, float("inf")]), "mu_grid"),
         (lambda d: d["train"].update(lr_decay=[0.1]), "lr_decay"),

@@ -69,6 +69,16 @@ def test_synthetic_spec_validation():
         SyntheticSpec("mixture", 10, 0)
     spec = SyntheticSpec("blobs", 10, 0)
     assert spec.blobs == BlobsParams()
+    # a section the kind does not read would enter the hash and do nothing
+    mixture, blobs = two_class_mixture(), BlobsParams(num_classes=5)
+    for kind, sections, unread in [
+        ("analytic", {"blobs": blobs}, "blobs"),
+        ("analytic", {"mixture": mixture}, "mixture"),
+        ("blobs", {"mixture": mixture}, "mixture"),
+        ("mixture", {"mixture": mixture, "blobs": blobs}, "blobs"),
+    ]:
+        with pytest.raises(InputError, match=f"a {kind} source reads no {unread} section"):
+            SyntheticSpec(kind, 10, 0, **sections)
 
 
 def test_synthesize_analytic_deterministic():

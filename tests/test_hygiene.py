@@ -167,6 +167,39 @@ def unresolved(pairs):
     return missing
 
 
+def is_record(node):
+    """Whether the class is a dataclass or a NamedTuple, whose annotations are fields."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(getattr(d, "id", None) == "dataclass" for d in decorators) or any(
+        getattr(b, "id", None) == "NamedTuple" for b in node.bases
+    )
+
+
+def settable_values(tree):
+    """``(flags, parameters, fields)``: the values a caller can set in the module.
+
+    Flags are ``add_argument`` calls; parameters those of every function
+    other than ``self`` and ``cls``; fields the annotated names of every
+    dataclass and NamedTuple.
+    """
+    flags = params = fields = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            flags += 1
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            named = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            params += sum(x is not None and x.arg not in ("self", "cls") for x in named)
+        elif isinstance(node, ast.ClassDef) and is_record(node):
+            fields += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+    return flags, params, fields
+
+
+# The package's settable values at most.  A change that adds a flag, a
+# parameter or a field raises this in its own diff and says why.
+SETTABLE_CEILING = 439
+
+
 def test_no_unused_imports():
     unused = []
     for path in MODULES:
@@ -238,6 +271,11 @@ def test_the_count_rule_has_one_message_and_only_core_imports_numbers():
     assert {p.name for p in PACKAGE if "numbers" in imported_modules(parse(p))} == {"core.py"}
 
 
+def test_settable_values_stay_under_the_ceiling():
+    counts = [settable_values(parse(p)) for p in PACKAGE]
+    assert sum(map(sum, counts)) <= SETTABLE_CEILING, [sum(c) for c in zip(*counts)]
+
+
 def test_checks_see_what_they_are_meant_to():
     assert {"core.py", "train.py"} <= {p.name for p in MODULES}
     tree = ast.parse(
@@ -292,3 +330,19 @@ def test_checks_see_what_they_are_meant_to():
     assert string_parts(rule) == ["seed.", "seed must be "]
     imports = ast.parse("import numbers, os.path\nfrom numbers import Real\nfrom . import core\n")
     assert imported_modules(imports) == {"numbers", "os.path"}
+    settable = ast.parse(
+        "p.add_argument('--a')\n"
+        "def f(a, /, b=1, *c, d, **e):\n"
+        "    def g(self, cls): pass\n"
+        "class C:\n"
+        "    x: int\n"
+        "    def m(self, y): pass\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    def __post_init__(self): pass\n"
+        "class N(NamedTuple):\n"
+        "    x: int\n"
+    )
+    assert settable_values(settable) == (1, 6, 3)

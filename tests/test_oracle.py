@@ -22,6 +22,7 @@ from onesided.core import (
     LabeledDataset,
     evaluate,
 )
+from onesided.data import mixture_oracle_coverage, two_class_mixture
 from onesided.oracle import (
     EmptySet,
     FiniteHypothesisClass,
@@ -570,17 +571,45 @@ EPS_TAKERS = {
     "solve_osp_exact": lambda eps: solve_osp_exact(FIVE, FIVE_CLASS, 0, eps),
     "solve_osp_decoupled": lambda eps: solve_osp_decoupled(FIVE, FIVE_CLASS, eps),
     "budget_alpha_grid": lambda eps: budget_alpha_grid(eps, FIVE.n, 2),
+    "mixture_oracle_coverage": lambda eps: mixture_oracle_coverage(
+        two_class_mixture(), eps, 20
+    ),
 }
 FIVE_CLASS = FiniteHypothesisClass.upper_thresholds(FIVE_CUTS)
 
 
 @pytest.mark.parametrize("name", EPS_TAKERS)
-def test_non_finite_eps_is_refused(name):
-    # a NaN budget compares false with every count: it would pass as a budget of 0
-    for eps in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(InputError, match="must be finite and nonnegative"):
+def test_eps_outside_the_unit_interval_is_refused(name):
+    # a NaN budget compares false with every count: it would pass as a budget
+    # of 0.  A budget is a mass: above 1 the decoupled solver's integer
+    # budgets overflowed int64 and the budget grid asked for 10^22 entries
+    for eps in (float("nan"), float("inf"), -float("inf"), -0.1, 1.5, 1e20):
+        with pytest.raises(InputError, match=r"must be finite and in \[0, 1\]"):
             EPS_TAKERS[name](eps)
     EPS_TAKERS[name](0.2)
+    EPS_TAKERS[name](1.0)
+
+
+def test_the_whole_budget_gives_the_exact_value():
+    # 100 points, 11 upper and 11 lower cuts: at eps = 1 every split covers
+    # everything, as the joint solve does
+    data = sample_analytic_example(100, 0)
+    cuts = np.linspace(0.0, 1.0, 11)
+    hclass = FiniteHypothesisClass.union(
+        FiniteHypothesisClass.upper_thresholds(cuts),
+        FiniteHypothesisClass.lower_thresholds(cuts),
+    )
+    exact = solve_sc_exact(data, hclass, 1.0).value
+    assert exact == solve_osp_exact(data, hclass, 0, 1.0).value == 1.0
+    assert solve_osp_decoupled(data, hclass, 1.0).value == exact
+    grid = budget_alpha_grid(1.0, data.n, 2)
+    assert solve_osp_decoupled(data, hclass, 1.0, alpha_grid=grid).value == exact
+
+
+def test_class_indices_are_below_the_class_count():
+    for k in (2, 5):
+        with pytest.raises(InputError, match=f"class index {k} outside \\[0, 2\\)"):
+            solve_osp_exact(FIVE, FIVE_CLASS, k, 0.1)
 
 
 def test_budget_alpha_grid_enumerates_integer_splits():

@@ -24,10 +24,12 @@ from onesided.net import (
     warm_start,
 )
 from onesided.oracle import (
+    FiniteHypothesisClass,
     budget_alpha_grid,
     default_alpha_grid,
     erm_feasibility_trend,
     sample_analytic_example,
+    solve_osp_exact,
 )
 from onesided.pipeline import (
     METRICS_COLUMNS,
@@ -48,7 +50,14 @@ from onesided.select import (
     pick_error_constrained,
     quick_mu_grid,
 )
-from onesided.train import LagrangianState, LeakLoss, TrainConfig, sgda_train_grid
+from onesided.train import (
+    LagrangianState,
+    LeakLoss,
+    RestrictedFitLoss,
+    TrainConfig,
+    sgda_train,
+    sgda_train_grid,
+)
 
 
 def quick_train(**over):
@@ -143,7 +152,7 @@ def rule_consumers():
     return {
         "split_fractions": lambda v: split_dataset(data, v, 0),
         "split_seed": lambda v: split_dataset(data, (0.6, 0.2, 0.2), v),
-        "mu_grid": lambda v: sgda_train_grid(data, model, quick_train(), v),
+        "mu_grid": lambda v: sgda_train_grid(data, model, quick_train(), v, 0),
         "t_grid": lambda v: evaluate_grid({0.5: model}, v, data),
         "curve_targets": lambda v: coverage_error_curve({0.5: model}, grid, data, v),
         "error": lambda v: pick_error_constrained(grid, v),
@@ -201,6 +210,7 @@ def shared_rule_callers(tmp_path, capsys):
     spec = BackboneSpec((2, 8, 6))
     model = init_model(spec, 3, seed=0)
     parameters = (model.weights, model.biases, model.head_w, model.head_b)
+    line, cuts = sample_analytic_example(10, 0), FiniteHypothesisClass.upper_thresholds([0.5])
     csv, model_file = tmp_path / "d.csv", tmp_path / "m.npz"
     write_csv(data, csv)
     model_file.write_bytes(serialize(model))
@@ -225,7 +235,7 @@ def shared_rule_callers(tmp_path, capsys):
 
     return {
         "price": [
-            ("mu_grid", lambda v: sgda_train_grid(data, model, quick_train(), (v,))),
+            ("mu_grid", lambda v: sgda_train_grid(data, model, quick_train(), (v,), 0)),
             ("mu_grid", lambda v: blob_config(tmp_path, mu_grid=(v,))),
             ("mu", lambda v: quick_train(mu=v)),
             ("mu", lambda v: LagrangianState(np.zeros(3), np.zeros(3), v)),
@@ -235,7 +245,8 @@ def shared_rule_callers(tmp_path, capsys):
         ],
         "seed": [
             ("", lambda v: blob_config(tmp_path, seed=v)),
-            ("", lambda v: quick_train(seed=v)),
+            ("", lambda v: sgda_train_grid(data, model, quick_train(), (1.0,), v)),
+            ("", lambda v: sgda_train(data, model, quick_train(), v)),
             ("", lambda v: SyntheticSpec("blobs", 60, seed=v)),
             ("", lambda v: warm_start(data, spec, 1, 0.1, v)),
             ("", lambda v: init_model(spec, 3, v)),
@@ -245,7 +256,7 @@ def shared_rule_callers(tmp_path, capsys):
         "width": [
             ("", lambda d: forward_batch(model, blobs(d).features)),
             ("", lambda d: backward(model, blobs(d), LeakLoss(0))),
-            ("", lambda d: sgda_train_grid(blobs(d), model, quick_train(), (1.0,))),
+            ("", lambda d: sgda_train_grid(blobs(d), model, quick_train(), (1.0,), 0)),
             ("", lambda d: warm_start(blobs(d), spec, 1, 0.1, 0)),
             ("", eval_cli),
         ],
@@ -274,6 +285,9 @@ def shared_rule_callers(tmp_path, capsys):
             ("workers", lambda v: blob_config(tmp_path, workers=v), 1),
             ("split_seed", lambda v: blob_config(tmp_path, split_seed=v), 0),
             ("split_seed", lambda v: split_dataset(data, (0.6, 0.2, 0.2), v), 0),
+            ("k", lambda v: solve_osp_exact(line, cuts, v, 0.1), 0),
+            ("k", RestrictedFitLoss, 0),
+            ("k", LeakLoss, 0),
         ],
     }
 
@@ -424,22 +438,30 @@ def test_config_hash_is_pinned(tmp_path):
     assert config_hash(load_config(tmp_path / "config.json")) == pinned
 
 
-def test_config_with_the_removed_adaptive_key(tmp_path):
-    # every config saved before adaptive steps were removed has
-    # "adaptive": false in its train section: it loads and keeps its hash
+RETIRED = {"adaptive": False, "restricted": True, "seed": 0}
+
+
+@pytest.mark.parametrize("kept", [RETIRED, {"adaptive": False}, {"seed": None}])
+def test_config_with_removed_train_keys(tmp_path, kept):
+    # configs saved while these keys were settings hold each at its one
+    # accepted value (a null is absent): they load and keep their hash
     cfg = blob_config(tmp_path)
     doc = config_to_dict(cfg)
-    assert "adaptive" not in doc["train"]
-    doc["train"]["adaptive"] = False
+    assert not set(RETIRED) & set(doc["train"])
+    doc["train"].update(kept)
     path = tmp_path / "old.json"
     path.write_text(json.dumps(doc, sort_keys=True, indent=2))
     loaded = load_config(path)
     assert loaded == cfg
     pinned = "7abe91b6996a04e0985507a536c8750c25ca65950607dd56f99528d2b2c834b6"
     assert config_hash(loaded) == pinned
-    doc["train"]["adaptive"] = True
-    with pytest.raises(InputError, match="config.train.adaptive"):
-        config_from_dict(doc)
+    # any other value, or the value in another type, is refused by name
+    for key, value in [("adaptive", True), ("adaptive", 0), ("restricted", False),
+                       ("restricted", 1), ("seed", 5), ("seed", 0.0), ("seed", False)]:
+        bad = json.loads(json.dumps(doc))
+        bad["train"][key] = value
+        with pytest.raises(InputError, match=f"config.train.{key}"):
+            config_from_dict(bad)
 
 
 def test_readme_example_config_loads():

@@ -67,6 +67,15 @@ def test_restricted_fit_absent_class_is_zero():
     assert not grad.any()
 
 
+def test_class_losses_refuse_a_class_the_scores_lack():
+    # k is a count when the loss is built, and below K once scores arrive
+    probs, labels = np.array([[0.5, 0.5]]), np.array([0])
+    for loss in (RestrictedFitLoss, LeakLoss):
+        for k in (2, 5):
+            with pytest.raises(InputError, match=f"class index {k} outside"):
+                loss(k).value_and_grad(probs, labels)
+
+
 def test_leak_hand_values():
     # class-0 scores 0.1 and 0.9 on two non-0 points
     probs = np.array([[0.1, 0.9], [0.9, 0.1], [0.5, 0.5]])
@@ -77,8 +86,8 @@ def test_leak_hand_values():
     assert expected == pytest.approx(1.2039728043259361, abs=1e-15)
 
 
-def terms_of(model, batch, restricted=True):
-    table = label_table(batch.labels, batch.num_classes, restricted)
+def terms_of(model, batch):
+    table = label_table(batch.labels, batch.num_classes)
     return class_terms(forward_batch(model, batch.features), table)
 
 
@@ -91,9 +100,9 @@ class RecordingLoss(LagrangianLoss):
 
     def value_and_grad(self, probs, labels):
         K = probs.shape[-1]
-        self.terms = class_terms(probs, label_table(labels, K, self.restricted))
+        self.terms = class_terms(probs, label_table(labels, K))
         first, zero = probs.reshape(-1, *probs.shape[-2:])[0], np.zeros(K)
-        self.absent = loop_terms(first, labels, zero, zero, self.restricted)[2:4]
+        self.absent = loop_terms(first, labels, zero, zero)[2:4]
         return super().value_and_grad(probs, labels)
 
 
@@ -167,27 +176,18 @@ def test_lagrangian_linear_in_multipliers(which):
     assert values[2] - 2 * values[1] + values[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_unrestricted_loss_covers_all_points():
-    model = small_model(seed=5, K=2, widths=(2, 3, 3))
-    batch = random_batch(model, 9, 11)
-    probs = forward_batch(model, batch.features)
-    expected = float(np.mean(-np.log(probs[:, 0])))
-    got = terms_of(model, batch, restricted=False).fit[0]
-    assert got == pytest.approx(expected, rel=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # the class-term kernel against a per-class loop
 
 
-def loop_terms(probs, labels, fit_w, leak_w, restricted=True):
+def loop_terms(probs, labels, fit_w, leak_w):
     """Reference: each class's fit and leak term, one class at a time."""
     n, K = probs.shape
     fit, leak = np.zeros(K), np.zeros(K)
     absent_fit, absent_leak = np.zeros(K, dtype=bool), np.zeros(K, dtype=bool)
     dprobs = np.zeros_like(probs)
     for k in range(K):
-        rows = labels == k if restricted else np.ones(n, dtype=bool)
+        rows = labels == k
         if rows.any():
             p_raw = probs[rows, k]
             p = np.clip(p_raw, PROB_FLOOR, 1.0 - PROB_FLOOR)
@@ -218,9 +218,8 @@ def close(got, want):
     n=st.integers(1, 40),
     present=st.integers(1, 10),
     seed=st.integers(0, 2**32 - 1),
-    restricted=st.booleans(),
 )
-def test_class_terms_and_losses_match_per_class_loop(K, n, present, seed, restricted):
+def test_class_terms_and_losses_match_per_class_loop(K, n, present, seed):
     rng = np.random.default_rng(seed)
     logits = rng.normal(size=(n, K)) * rng.choice([1.0, 30.0])
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -234,15 +233,13 @@ def test_class_terms_and_losses_match_per_class_loop(K, n, present, seed, restri
     zero = np.zeros(K)
 
     # row-major, and class-major as `_head` stores the trainer's scores
-    table = label_table(labels, K, restricted)
+    table = label_table(labels, K)
     for probs in (probs, np.ascontiguousarray(probs.T).T):
         got = class_terms(probs, table, fit_w, leak_w)
-        fit, leak, absent_fit, absent_leak, dprobs = loop_terms(
-            probs, labels, fit_w, leak_w, restricted
-        )
+        fit, leak, absent_fit, absent_leak, dprobs = loop_terms(probs, labels, fit_w, leak_w)
         assert close(got.fit, fit) and close(got.leak, leak)
         # all rows as one batch: each term is absent in one batch or none
-        absent = label_tables(labels, K, restricted)[1]
+        absent = label_tables(labels, K)[1]
         assert np.array_equal(absent, [absent_fit, absent_leak])
         assert got.dprobs.tobytes() == dprobs.tobytes()
         assert class_terms(probs, table).dprobs is None
@@ -256,10 +253,10 @@ def test_class_terms_and_losses_match_per_class_loop(K, n, present, seed, restri
             want = loop_terms(probs, labels, zero, e_k)
             assert close(value, want[1][k]) and grad.tobytes() == want[4].tobytes()
 
-        loss = LagrangianLoss(state, restricted)
+        loss = LagrangianLoss(state)
         value, grad = loss.value_and_grad(probs, labels)
         fit, leak, absent_fit, absent_leak, dprobs = loop_terms(
-            probs, labels, np.ones(K), state.lambdas, restricted
+            probs, labels, np.ones(K), state.lambdas
         )
         assert close(value, np.sum(fit + lam * leak + (state.mu - lam) * phi))
         assert grad.tobytes() == dprobs.tobytes()
@@ -268,9 +265,7 @@ def test_class_terms_and_losses_match_per_class_loop(K, n, present, seed, restri
     batch = LabeledDataset(rng.normal(size=(n, 2)), labels, K)
     probs = forward_batch(model, batch.features)
     fit, leak = loop_terms(probs, labels, zero, zero)[:2]
-    all_rows_fit = loop_terms(probs, labels, zero, zero, restricted=False)[0]
     assert close(terms_of(model, batch).fit, fit)
-    assert close(terms_of(model, batch, restricted=False).fit, all_rows_fit)
     assert close(terms_of(model, batch).leak, leak)
     assert close(
         lagrangian(model, batch, state), np.sum(fit + lam * leak + (state.mu - lam) * phi)
@@ -285,11 +280,8 @@ def test_class_terms_and_losses_match_per_class_loop(K, n, present, seed, restri
     M=st.integers(1, 6),
     shared=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
-    restricted=st.booleans(),
 )
-def test_stacked_head_and_class_terms_slices_equal_lone_models(
-    K, width, n, M, shared, seed, restricted
-):
+def test_stacked_head_and_class_terms_slices_equal_lone_models(K, width, n, M, shared, seed):
     # the lockstep trainer scores and differentiates M models at once; each
     # slice must hold the bits of a lone model, whatever the shapes
     rng = np.random.default_rng(seed)
@@ -312,7 +304,7 @@ def test_stacked_head_and_class_terms_slices_equal_lone_models(
 
     stack = stack_of(models)
     probs = _head(stack.head_w, stack.head_b, feats)
-    table = label_table(labels, K, restricted)
+    table = label_table(labels, K)
     terms = class_terms(probs, table, fit_w, leak_w)
     for m, model in enumerate(models):
         lone = _head(model.head_w, model.head_b, feats if shared else feats[m])
@@ -335,11 +327,9 @@ def test_scores_and_class_term_gradients_are_stored_class_major(M):
     assert probs.shape[-2:] == (50, 4)
     assert probs.swapaxes(-1, -2).flags.c_contiguous
     weights = np.random.default_rng(3).random(model.head_b.shape)
-    for restricted in (True, False):
-        for fit_w in (1.0, weights):
-            table = label_table(batch.labels, 4, restricted)
-            terms = class_terms(probs, table, fit_w, weights)
-            assert terms.dprobs.swapaxes(-1, -2).flags.c_contiguous
+    for fit_w in (1.0, weights):
+        terms = class_terms(probs, label_table(batch.labels, 4), fit_w, weights)
+        assert terms.dprobs.swapaxes(-1, -2).flags.c_contiguous
 
 
 def assert_same_terms(got, want):
@@ -355,11 +345,10 @@ def assert_same_terms(got, want):
     batch_size=st.integers(1, 25),
     present=st.integers(1, 6),
     M=st.integers(0, 3),
-    restricted=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_epoch_table_slices_equal_batch_tables_and_the_loop(
-    K, n, batch_size, present, M, restricted, seed
+    K, n, batch_size, present, M, seed
 ):
     # the trainer builds every batch's label table in one pass per epoch;
     # each slice must give the terms a table of that batch's labels gives,
@@ -381,13 +370,13 @@ def test_epoch_table_slices_equal_batch_tables_and_the_loop(
     weights += [(eye[..., k, :], None) for k in range(K)]  # RestrictedFitLoss(k)
     weights += [(None, eye[..., k, :]) for k in range(K)]  # LeakLoss(k)
 
-    tables, absent = label_tables(labels, K, restricted, batch_size)
+    tables, absent = label_tables(labels, K, batch_size)
     assert len(tables) == -(-n // batch_size)
     counted = np.zeros((2, K), dtype=np.int64)
     for start, table in zip(range(0, n, batch_size), tables):
         rows = slice(start, start + batch_size)
         y, p = labels[rows], probs[..., rows, :]
-        (lone,), lone_absent = label_tables(y, K, restricted)
+        (lone,), lone_absent = label_tables(y, K)
         counted += lone_absent
         for fit_w, leak_w in weights:
             got = class_terms(p, table, fit_w, leak_w)
@@ -400,9 +389,7 @@ def test_epoch_table_slices_equal_batch_tables_and_the_loop(
             for m in np.ndindex(stack):
                 fw = np.broadcast_to(0.0 if fit_w is None else fit_w, stack + (K,))
                 lw = np.broadcast_to(0.0 if leak_w is None else leak_w, stack + (K,))
-                fit, leak, absent_fit, absent_leak, dprobs = loop_terms(
-                    p[m], y, fw[m], lw[m], restricted
-                )
+                fit, leak, absent_fit, absent_leak, dprobs = loop_terms(p[m], y, fw[m], lw[m])
                 assert close(got.fit[m], fit) and close(got.leak[m], leak)
                 # an absent term reads 0.0, not -0.0
                 assert got.fit[m][absent_fit].tobytes() == fit[absent_fit].tobytes()
@@ -583,18 +570,18 @@ def overlap_blobs(n, seed, gap=2.0):
 SPEC = BackboneSpec((2, 16, 8))
 
 
-def warm_model(data, config):
-    """The start model ``onesided train`` builds: a warm start as ``config`` sets it."""
+def warm_model(data, config, seed):
+    """The start model ``onesided train --seed`` builds: a warm start as ``config`` sets it."""
     return warm_start(
-        data, SPEC, config.warm_start_epochs, config.lr_min, config.seed, config.batch_size,
+        data, SPEC, config.warm_start_epochs, config.lr_min, seed, config.batch_size,
     )
 
 
 def test_sgda_zero_epochs_returns_warm_model():
     data = overlap_blobs(100, seed=1)
-    cfg = TrainConfig(mu=1.0, epochs=0, warm_start_epochs=3, seed=5)
-    warm = warm_model(data, cfg)
-    model, state, log = sgda_train(data, warm, cfg)
+    cfg = TrainConfig(mu=1.0, epochs=0, warm_start_epochs=3)
+    warm = warm_model(data, cfg, 5)
+    model, state, log = sgda_train(data, warm, cfg, 5)
     assert model is not warm
     assert np.array_equal(flatten_params(model), flatten_params(warm))
     assert not state.lambdas.any()
@@ -603,9 +590,9 @@ def test_sgda_zero_epochs_returns_warm_model():
 
 def test_sgda_deterministic():
     data = overlap_blobs(150, seed=2)
-    cfg = TrainConfig(mu=1.0, epochs=6, warm_start_epochs=2, seed=3, batch_size=32)
-    m1, s1, l1 = sgda_train(data, warm_model(data, cfg), cfg)
-    m2, s2, l2 = sgda_train(data, warm_model(data, cfg), cfg)
+    cfg = TrainConfig(mu=1.0, epochs=6, warm_start_epochs=2, batch_size=32)
+    m1, s1, l1 = sgda_train(data, warm_model(data, cfg, 3), cfg, 3)
+    m2, s2, l2 = sgda_train(data, warm_model(data, cfg, 3), cfg, 3)
     assert np.array_equal(flatten_params(m1), flatten_params(m2))
     assert np.array_equal(s1.lambdas, s2.lambdas)
     assert l1.records == l2.records
@@ -614,10 +601,10 @@ def test_sgda_deterministic():
 def test_sgda_multipliers_stay_projected():
     data = overlap_blobs(120, seed=4)
     cfg = TrainConfig(
-        mu=0.5, epochs=25, warm_start_epochs=2, seed=6, batch_size=32,
+        mu=0.5, epochs=25, warm_start_epochs=2, batch_size=32,
         lr_min=0.05, lr_max=0.05,
     )
-    _, state, log = sgda_train(data, warm_model(data, cfg), cfg)
+    _, state, log = sgda_train(data, warm_model(data, cfg, 6), cfg, 6)
     # with no lambda_max given, the cap is 10 * mu
     lam_max = 10.0 * cfg.mu
     for rec in log.records:
@@ -631,9 +618,9 @@ def test_sgda_full_batch_is_one_exact_step():
     init = init_model(SPEC, 2, seed=123)
     cfg = TrainConfig(
         mu=1.0, epochs=1, batch_size=1000, warm_start_epochs=0,
-        backbone_update_interval=1, seed=0, lr_min=0.01, lr_max=0.005,
+        backbone_update_interval=1, lr_min=0.01, lr_max=0.005,
     )
-    model, state, _ = sgda_train(data, init, cfg)
+    model, state, _ = sgda_train(data, init, cfg, 0)
 
     expected = init.copy()
     st = LagrangianState(np.zeros(2), np.zeros(2), 1.0)
@@ -673,11 +660,11 @@ def test_sgda_drives_leak_below_warm_start():
     warm = warm_start(data, SPEC, epochs=30, lr=0.02, seed=9, batch_size=64)
     warm_leak = terms_of(warm, data).leak.sum()
     cfg = TrainConfig(
-        mu=4.0, epochs=60, warm_start_epochs=0, seed=9, batch_size=64,
+        mu=4.0, epochs=60, warm_start_epochs=0, batch_size=64,
         lr_min=0.02, lr_max=0.1, backbone_update_interval=5,
         lr_decay=(0.1, 1000),
     )
-    model, _, _ = sgda_train(data, warm, cfg)
+    model, _, _ = sgda_train(data, warm, cfg, 9)
     final_leak = terms_of(model, data).leak.sum()
     assert final_leak < warm_leak
 
@@ -689,11 +676,11 @@ def test_sgda_mu_zero_reduces_to_fit_minimization():
     data = tri_blobs(60, seed=10)
     init = init_model(SPEC, 3, seed=21)
     cfg = TrainConfig(
-        mu=0.0, lr_max=0.0, epochs=5, warm_start_epochs=0, seed=11,
+        mu=0.0, lr_max=0.0, epochs=5, warm_start_epochs=0,
         batch_size=1000, backbone_update_interval=1, lr_min=0.03,
         lr_decay=(0.1, 1000),
     )
-    model, state, log = sgda_train(data, init, cfg)
+    model, state, log = sgda_train(data, init, cfg, 11)
     assert not state.lambdas.any()
     assert not state.phis.any()
     for rec in log.records:
@@ -726,10 +713,8 @@ def test_sgda_counts_batches_missing_a_class():
     y = np.zeros(64, dtype=int)
     y[:4] = 1  # rare class
     data = LabeledDataset(X, y, 2)
-    cfg = TrainConfig(
-        mu=1.0, epochs=20, warm_start_epochs=0, seed=12, batch_size=16
-    )
-    _, _, log = sgda_train(data, warm_model(data, cfg), cfg)
+    cfg = TrainConfig(mu=1.0, epochs=20, warm_start_epochs=0, batch_size=16)
+    _, _, log = sgda_train(data, warm_model(data, cfg, 12), cfg, 12)
     assert log.final().absent_fit[1] > 0
     assert log.final().absent_fit[0] == 0
 
@@ -738,9 +723,9 @@ def test_sgda_aborts_on_non_finite_with_checkpoint():
     data = overlap_blobs(60, seed=15)
     poisoned = init_model(SPEC, 2, seed=1)
     poisoned.head_w[0, 0] = np.nan
-    cfg = TrainConfig(mu=1.0, epochs=3, warm_start_epochs=0, seed=2)
+    cfg = TrainConfig(mu=1.0, epochs=3, warm_start_epochs=0)
     with pytest.raises(NumericError) as ei:
-        sgda_train(data, poisoned, cfg)
+        sgda_train(data, poisoned, cfg, 2)
     assert ei.value.checkpoint_epoch == -1
     assert ei.value.checkpoint_model is not None
 
@@ -749,16 +734,16 @@ def test_sgda_lr_decay_applies():
     # one fast-rate step after decay moves parameters less than before it
     data = overlap_blobs(50, seed=16)
     cfg_no = TrainConfig(
-        mu=1.0, epochs=4, warm_start_epochs=0, seed=3, batch_size=1000,
+        mu=1.0, epochs=4, warm_start_epochs=0, batch_size=1000,
         backbone_update_interval=1, lr_decay=(0.1, 1000), lr_min=0.05,
     )
     cfg_yes = TrainConfig(
-        mu=1.0, epochs=4, warm_start_epochs=0, seed=3, batch_size=1000,
+        mu=1.0, epochs=4, warm_start_epochs=0, batch_size=1000,
         backbone_update_interval=1, lr_decay=(0.1, 2), lr_min=0.05,
     )
     init = init_model(SPEC, 2, seed=17)
-    m_no, _, _ = sgda_train(data, init, cfg_no)
-    m_yes, _, _ = sgda_train(data, init, cfg_yes)
+    m_no, _, _ = sgda_train(data, init, cfg_no, 3)
+    m_yes, _, _ = sgda_train(data, init, cfg_yes, 3)
     assert not np.array_equal(flatten_params(m_no), flatten_params(m_yes))
 
 
@@ -766,13 +751,13 @@ def test_sgda_lr_decay_applies():
 # the lockstep grid
 
 
-def reference_sgda(data, config, init):
+def reference_sgda(data, config, init, seed):
     """One run of the saddle loop written per model, one LabeledDataset per batch."""
     model = init.copy()
     K = data.num_classes
     state = LagrangianState(np.zeros(K), np.zeros(K), config.mu)
     lam_max = 10.0 * config.mu if config.lambda_max is None else config.lambda_max
-    rng = np.random.default_rng([config.seed, 1])
+    rng = np.random.default_rng([seed, 1])
     lr_w, lr_l = config.lr_min, config.lr_max
     buf = [np.zeros_like(W) for W in model.weights + model.biases]
     absent_fit, absent_leak = np.zeros(K, dtype=int), np.zeros(K, dtype=int)
@@ -781,7 +766,7 @@ def reference_sgda(data, config, init):
     def record(epoch):
         probs = forward_batch(model, data.features)
         zero = np.zeros(K)
-        fit, leak = loop_terms(probs, data.labels, zero, zero, config.restricted)[:2]
+        fit, leak = loop_terms(probs, data.labels, zero, zero)[:2]
         return (epoch, float(fit.sum()), tuple(leak), tuple(state.lambdas),
                 tuple(state.phis), tuple(absent_fit), tuple(absent_leak))
 
@@ -793,7 +778,7 @@ def reference_sgda(data, config, init):
         perm = np.arange(data.n) if full else rng.permutation(data.n)
         for start in range(0, data.n, config.batch_size):
             batch = data.subset(perm[start : start + config.batch_size])
-            loss = RecordingLoss(state, config.restricted)
+            loss = RecordingLoss(state)
             _, grads = backward(model, batch, loss)
             model.head_w -= lr_w * grads.head_w
             model.head_b -= lr_w * grads.head_b
@@ -851,14 +836,12 @@ def assert_close_to_reference(got, want):
     epochs=st.integers(0, 5),
     decay_epoch=st.integers(0, 4),
     interval=st.sampled_from([1, 3]),
-    restricted=st.booleans(),
     lambda_max=st.sampled_from([None, 0.0, 0.7]),
     mus=st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0, 7.5]), min_size=1, max_size=4),
     seed=st.integers(0, 2**16),
 )
 def test_sgda_grid_equals_per_mu_runs(
-    K, n, rare, batch_size, epochs, decay_epoch, interval, restricted,
-    lambda_max, mus, seed,
+    K, n, rare, batch_size, epochs, decay_epoch, interval, lambda_max, mus, seed,
 ):
     # every mu of the lockstep grid must reproduce, bit for bit, a lone
     # sgda_train run at that mu.  The grid takes the interval's backbone
@@ -873,18 +856,18 @@ def test_sgda_grid_equals_per_mu_runs(
     data = LabeledDataset(X, y, K)
     cfg = TrainConfig(
         mu=99.0, epochs=epochs, batch_size=batch_size, lr_min=0.05, lr_max=0.3,
-        lr_decay=(0.5, decay_epoch), backbone_update_interval=interval, seed=seed,
-        warm_start_epochs=1, lambda_max=lambda_max, restricted=restricted,
+        lr_decay=(0.5, decay_epoch), backbone_update_interval=interval,
+        warm_start_epochs=1, lambda_max=lambda_max,
     )
     init = warm_start(data, SPEC, 1, cfg.lr_min, seed, batch_size)
-    grid = sgda_train_grid(data, init, cfg, mus)
+    grid = sgda_train_grid(data, init, cfg, mus, seed)
     assert len(grid) == len(mus)
     for mu, (model, state, log) in zip(mus, grid):
         one = dataclasses.replace(cfg, mu=mu)
-        lone = sgda_train(data, init, one)
+        lone = sgda_train(data, init, one, seed)
         assert_same_run((model, state, log), lone)
         assert log.records == lone[2].records
-        assert_close_to_reference((model, state, log), reference_sgda(data, one, init))
+        assert_close_to_reference((model, state, log), reference_sgda(data, one, init, seed))
 
 
 WIDE = BackboneSpec((2, 32, 16))
@@ -898,12 +881,11 @@ WIDE = BackboneSpec((2, 32, 16))
     interval=st.integers(2, 4),
     landings=st.integers(0, 2),
     tail=st.integers(1, 3),
-    restricted=st.booleans(),
     mus=st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=1, max_size=3, unique=True),
     seed=st.integers(0, 2**16),
 )
 def test_sgda_cached_features_match_uncached_reference(
-    K, n, batch_size, interval, landings, tail, restricted, mus, seed
+    K, n, batch_size, interval, landings, tail, mus, seed
 ):
     # the grid trains the heads alone on cached last-layer features once no
     # backbone update is left to land, and records from those features; the
@@ -919,13 +901,12 @@ def test_sgda_cached_features_match_uncached_reference(
     data = LabeledDataset(X, y, K)
     cfg = TrainConfig(
         mu=99.0, epochs=epochs, batch_size=batch_size, lr_min=0.02, lr_max=0.05,
-        lr_decay=(0.5, 2), backbone_update_interval=interval, seed=seed,
-        warm_start_epochs=1, restricted=restricted,
+        lr_decay=(0.5, 2), backbone_update_interval=interval, warm_start_epochs=1,
     )
     init = warm_start(data, WIDE, 1, cfg.lr_min, seed, batch_size)
-    grid = sgda_train_grid(data, init, cfg, mus)
+    grid = sgda_train_grid(data, init, cfg, mus, seed)
     for mu, run in zip(mus, grid):
-        ref = reference_sgda(data, dataclasses.replace(cfg, mu=mu), init)
+        ref = reference_sgda(data, dataclasses.replace(cfg, mu=mu), init, seed)
         assert len(ref[2]) == epochs
         assert_close_to_reference(run, ref)
 
@@ -940,15 +921,13 @@ def test_sgda_cached_features_match_uncached_reference(
     landings=st.integers(1, 3),
     tail=st.integers(0, 1),
     decay_at=st.integers(0, 11),
-    restricted=st.booleans(),
     mus=st.lists(
         st.sampled_from([0.0, 0.5, 2.0, 7.5]), min_size=1, max_size=4, unique=True
     ),
     seed=st.integers(0, 2**16),
 )
 def test_sgda_deferred_landing_matches_per_batch_reference(
-    K, batches, batch_size, one_row_tail, interval, landings, tail, decay_at,
-    restricted, mus, seed,
+    K, batches, batch_size, one_row_tail, interval, landings, tail, decay_at, mus, seed,
 ):
     # the grid takes no backbone gradient per batch: each step adds its
     # rows' feature cotangents to a buffer, and every landing runs one
@@ -968,12 +947,12 @@ def test_sgda_deferred_landing_matches_per_batch_reference(
     cfg = TrainConfig(
         mu=99.0, epochs=epochs, batch_size=batch_size, lr_min=0.02, lr_max=0.05,
         lr_decay=(0.5, decay_epoch), backbone_update_interval=interval,
-        seed=seed, warm_start_epochs=1, restricted=restricted,
+        warm_start_epochs=1,
     )
     init = warm_start(data, WIDE, 1, cfg.lr_min, seed, batch_size)
-    grid = sgda_train_grid(data, init, cfg, mus)
+    grid = sgda_train_grid(data, init, cfg, mus, seed)
     for mu, run in zip(mus, grid):
-        ref = reference_sgda(data, dataclasses.replace(cfg, mu=mu), init)
+        ref = reference_sgda(data, dataclasses.replace(cfg, mu=mu), init, seed)
         # the backbone moved: a test that never lands would prove nothing
         assert not np.array_equal(run[0].weights[0], init.weights[0])
         assert_close_to_reference(run, ref)
@@ -986,14 +965,14 @@ def test_sgda_backbone_chain_runs_once_per_model_per_landing():
     init = init_model(SPEC, 2, seed=6)
     cfg = TrainConfig(
         mu=1.0, epochs=7, batch_size=32, warm_start_epochs=0,
-        backbone_update_interval=2, seed=7,
+        backbone_update_interval=2,
     )
     full = mock.patch.object(net_mod, "_backward", wraps=net_mod._backward)
     chain = mock.patch.object(
         train_mod, "_backbone_grads", wraps=train_mod._backbone_grads
     )
     with full as full, chain as chain:
-        sgda_train_grid(data, init, cfg, (0.5, 1.0, 2.0))
+        sgda_train_grid(data, init, cfg, (0.5, 1.0, 2.0), 7)
     assert (full.call_count, chain.call_count) == (0, 3 * 3)
 
 
@@ -1005,15 +984,15 @@ def test_sgda_grid_numeric_error_names_mu_and_carries_its_checkpoint(interval):
     data = overlap_blobs(40, seed=3)
     init = init_model(SPEC, 2, seed=4)
     cfg = TrainConfig(
-        mu=1.0, epochs=6, batch_size=1000, warm_start_epochs=0, lr_max=1e308, seed=1,
+        mu=1.0, epochs=6, batch_size=1000, warm_start_epochs=0, lr_max=1e308,
         backbone_update_interval=interval,
     )
     big = 1e308
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError, match="mu=1e\\+308") as ei:
-            sgda_train_grid(data, init, cfg, (0.5, big, 2.0))
+            sgda_train_grid(data, init, cfg, (0.5, big, 2.0), 1)
         with pytest.raises(NumericError) as lone:
-            sgda_train(data, init, dataclasses.replace(cfg, mu=big))
+            sgda_train(data, init, dataclasses.replace(cfg, mu=big), 1)
     err = ei.value
     assert err.mu == big
     assert err.checkpoint_epoch == lone.value.checkpoint_epoch == 1
@@ -1026,7 +1005,7 @@ def test_sgda_grid_numeric_error_names_mu_and_carries_its_checkpoint(interval):
     # the checkpoint is the model after the last finite epoch of that run
     short = dataclasses.replace(cfg, mu=big, epochs=err.checkpoint_epoch + 1)
     with np.errstate(all="ignore"):
-        model, _, _ = sgda_train(data, init, short)
+        model, _, _ = sgda_train(data, init, short, 1)
     assert flatten_params(model).tobytes() == flatten_params(
         err.checkpoint_model
     ).tobytes()
@@ -1039,7 +1018,7 @@ def test_sgda_grid_numeric_error_names_mu_and_carries_its_checkpoint(interval):
     assert any(moved) == landed
 
 
-def loss_object_grid(data, config, mus, init, head=_head):
+def loss_object_grid(data, config, mus, init, seed, head=_head):
     """The lockstep grid stepped through ``LagrangianLoss.value_and_grad``.
 
     The trainer's arithmetic, written with the loss object: per-batch
@@ -1056,7 +1035,7 @@ def loss_object_grid(data, config, mus, init, head=_head):
     models = [init.copy() for _ in range(M)]
     kind, interval = init.spec.activation, config.backbone_update_interval
     lam_max = 10.0 * mus if config.lambda_max is None else config.lambda_max
-    rng = np.random.default_rng([config.seed, 1])
+    rng = np.random.default_rng([seed, 1])
     lr_w, lr_l = config.lr_min, config.lr_max
     feats = net_mod._backbone(init.weights, init.biases, kind, data.features)[-1]
     cot = np.zeros((n, M, init.spec.feature_dim))
@@ -1072,7 +1051,7 @@ def loss_object_grid(data, config, mus, init, head=_head):
             idx = perm[a : a + config.batch_size]
             feat = feats[..., idx, :]
             probs = head(head_w, head_b, feat)
-            loss = RecordingLoss(state, config.restricted)
+            loss = RecordingLoss(state)
             value, dprobs = loss.value_and_grad(probs, data.labels[idx])
             bad = ~np.isfinite(value)
             if bad.any():
@@ -1124,9 +1103,7 @@ def poisoned_head(at_call, m):
     return head
 
 
-OVERFLOW = TrainConfig(
-    mu=1.0, epochs=6, batch_size=1000, warm_start_epochs=0, lr_max=1e308, seed=1
-)
+OVERFLOW = TrainConfig(mu=1.0, epochs=6, batch_size=1000, warm_start_epochs=0, lr_max=1e308)
 
 
 @pytest.mark.parametrize("epochs", [2, 6])
@@ -1139,7 +1116,7 @@ def test_an_overflow_in_the_last_update_of_an_epoch_ends_the_run_there(epochs):
     )
     data, init = overlap_blobs(40, seed=3), init_model(SPEC, 2, seed=4)
     with np.errstate(all="ignore"), pytest.raises(NumericError) as ei:
-        sgda_train_grid(data, init, cfg, (0.5, 2.0))
+        sgda_train_grid(data, init, cfg, (0.5, 2.0), 1)
     err = ei.value
     assert str(err) == "training at mu=0.5: multipliers or slacks overflowed"
     assert err.checkpoint_epoch == 0
@@ -1148,30 +1125,30 @@ def test_an_overflow_in_the_last_update_of_an_epoch_ends_the_run_there(epochs):
 
 
 @pytest.mark.parametrize(
-    "config, mus, poison, fails",
+    "config, seed, mus, poison, fails",
     [
         # a NaN head in the middle model at the first step of epoch 3, past
         # a landing (3 steps an epoch)
         (TrainConfig(mu=1.0, epochs=4, batch_size=16, warm_start_epochs=0,
-                     backbone_update_interval=2, seed=5), (0.5, 1.0, 2.0), (10, 1), (1, 3)),
+                     backbone_update_interval=2), 5, (0.5, 1.0, 2.0), (10, 1), (1, 3)),
         # the lambda overflow: mu = 1e308 makes the cap 10 * mu = inf
-        (dataclasses.replace(OVERFLOW, backbone_update_interval=20),
+        (dataclasses.replace(OVERFLOW, backbone_update_interval=20), 1,
          (0.5, 1e308, 2.0), None, (1, 2)),
-        (dataclasses.replace(OVERFLOW, backbone_update_interval=2),
+        (dataclasses.replace(OVERFLOW, backbone_update_interval=2), 1,
          (0.5, 1e308, 2.0), None, (1, 2)),
-        (dataclasses.replace(OVERFLOW, backbone_update_interval=1),
+        (dataclasses.replace(OVERFLOW, backbone_update_interval=1), 1,
          (0.5, 1e308, 2.0), None, (1, 2)),
         # the slack term alone overflows: capped at 1e300, the multipliers
         # keep lambda * leak finite while (mu - lambda) * phi is not
-        (dataclasses.replace(OVERFLOW, lambda_max=1e300), (0.5, 2.0), None, (0, 2)),
+        (dataclasses.replace(OVERFLOW, lambda_max=1e300), 1, (0.5, 2.0), None, (0, 2)),
         # nothing fails: the runs themselves must agree
         (TrainConfig(mu=1.0, epochs=5, batch_size=16, warm_start_epochs=0,
-                     backbone_update_interval=2, lr_decay=(0.5, 3), seed=6,
-                     restricted=False), (0.0, 0.5, 4.0), None, None),
+                     backbone_update_interval=2, lr_decay=(0.5, 3)), 6,
+         (0.0, 0.5, 4.0), None, None),
     ],
 )
 def test_finite_check_raises_where_the_loss_object_value_is_non_finite(
-    config, mus, poison, fails
+    config, seed, mus, poison, fails
 ):
     # the trainer tests only the multiplier and slack sums of the saddle
     # value, and words its error from the whole value; the reference tests
@@ -1182,10 +1159,10 @@ def test_finite_check_raises_where_the_loss_object_value_is_non_finite(
         return poisoned_head(*poison) if poison else _head
 
     with np.errstate(all="ignore"):
-        want = loss_object_grid(data, config, mus, init, head=head())
+        want = loss_object_grid(data, config, mus, init, seed, head=head())
         with mock.patch.object(train_mod, "_head", head()):
             if fails is None:
-                runs = sgda_train_grid(data, init, config, mus)
+                runs = sgda_train_grid(data, init, config, mus, seed)
                 for m, (model, state, _) in enumerate(runs):
                     assert flatten_params(model).tobytes() == flatten_params(
                         want[0][m]
@@ -1194,7 +1171,7 @@ def test_finite_check_raises_where_the_loss_object_value_is_non_finite(
                     assert state.phis.tobytes() == want[1].phis[m].tobytes()
                 return
             with pytest.raises(NumericError) as ei:
-                sgda_train_grid(data, init, config, mus)
+                sgda_train_grid(data, init, config, mus, seed)
     epoch, m, value, model, lambdas, phis = want
     assert (m, epoch) == fails
     err = ei.value
@@ -1226,11 +1203,11 @@ def test_sgda_grid_models_share_no_memory():
         mu=1.0, epochs=3, batch_size=32, warm_start_epochs=0,
         backbone_update_interval=2,
     )
-    runs = sgda_train_grid(data, init, cfg, (0.5, 1.0, 2.0))
+    runs = sgda_train_grid(data, init, cfg, (0.5, 1.0, 2.0), 0)
     assert_share_no_memory([model for model, _, _ in runs] + [init])
     diverging = dataclasses.replace(cfg, batch_size=1000, lr_max=1e308)
     with np.errstate(all="ignore"), pytest.raises(NumericError) as ei:
-        sgda_train_grid(data, init, diverging, (0.5, 1e308))
+        sgda_train_grid(data, init, diverging, (0.5, 1e308), 0)
     assert_share_no_memory([ei.value.checkpoint_model, init])
 
 
@@ -1239,9 +1216,9 @@ def test_sgda_grid_rejects_bad_grids():
     init = init_model(SPEC, 2, seed=0)
     cfg = TrainConfig(mu=1.0, epochs=1, warm_start_epochs=0)
     with pytest.raises(InputError):
-        sgda_train_grid(data, init, cfg, ())
+        sgda_train_grid(data, init, cfg, (), 0)
     with pytest.raises(InputError):
-        sgda_train_grid(data, init, cfg, (1.0, -0.5))
+        sgda_train_grid(data, init, cfg, (1.0, -0.5), 0)
 
 
 def test_sgda_grid_refuses_a_model_that_does_not_fit_the_data():
@@ -1249,21 +1226,10 @@ def test_sgda_grid_refuses_a_model_that_does_not_fit_the_data():
     cfg = TrainConfig(mu=1.0, epochs=1, warm_start_epochs=0)
     wide = init_model(BackboneSpec((3, 8)), 2, seed=0)
     with pytest.raises(InputError, match="first backbone width 3 must equal the data dim 2"):
-        sgda_train_grid(data, wide, cfg, (1.0,))
+        sgda_train_grid(data, wide, cfg, (1.0,), 0)
     three = init_model(SPEC, 3, seed=0)
     with pytest.raises(InputError, match="3 class heads but the data has 2 classes"):
-        sgda_train_grid(data, three, cfg, (1.0,))
+        sgda_train_grid(data, three, cfg, (1.0,), 0)
     with pytest.raises(InputError, match="must equal the data dim"):
-        sgda_train(data, wide, cfg)
+        sgda_train(data, wide, cfg, 0)
 
-
-def test_unrestricted_run_logs_the_unrestricted_fit_sum():
-    data = tri_blobs(90, seed=5)
-    cfg = TrainConfig(
-        mu=1.0, epochs=2, warm_start_epochs=1, seed=4, batch_size=32, restricted=False
-    )
-    model, _, log = sgda_train(data, warm_model(data, cfg), cfg)
-    want = terms_of(model, data, restricted=False).fit.sum()
-    assert abs(log.final().fit_sum - want) <= 1e-12
-    own_rows = terms_of(model, data).fit.sum()
-    assert abs(log.final().fit_sum - own_rows) > 1e-3
