@@ -99,6 +99,8 @@ def _load_models(args) -> tuple[dict, int]:
 
 def _val_grid(args) -> tuple[dict, SelectionGrid, int]:
     """The models keyed by mu, their grid on ``--val``, and their class count."""
+    if args.t_size is not None and args.t_values is not None:
+        raise InputError("give --t-size or --t-values, not both")
     models, num_classes = _load_models(args)
     val = ingest_csv(args.val, num_classes)
     size = () if args.t_size is None else (_count(args.t_size, 2, "--t-size"),)
@@ -106,22 +108,37 @@ def _val_grid(args) -> tuple[dict, SelectionGrid, int]:
     return models, evaluate_grid(models, ts, val), num_classes
 
 
+# each blob flag and the BlobsParams field it sets
+_BLOB_FLAGS = {
+    "classes": "num_classes", "dim": "dim", "separation": "separation", "spread": "spread"
+}
+
+
 def _cmd_synth(args) -> int:
+    # a source refuses the flags it does not read, rather than drop them
+    if args.spec_file is not None:
+        source, reads = "--spec-file", ()
+    elif args.kind is None:
+        raise InputError("give either --spec-file or --kind")
+    else:
+        source = f"--kind {args.kind}"
+        reads = ("kind", "n", "seed", *(_BLOB_FLAGS if args.kind == "blobs" else ()))
+    for flag in ("kind", "n", "seed", *_BLOB_FLAGS):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise InputError(f"{source} reads no --{flag}")
     if args.spec_file is not None:
         doc = _read_json(args.spec_file, "spec file")
+    elif args.kind == "mixture":
+        raise InputError("mixture synthesis needs --spec-file for its parameters")
     else:
-        if args.kind is None:
-            raise InputError("give either --spec-file or --kind")
-        doc = {"kind": args.kind, "n": args.n, "seed": args.seed}
+        doc = {
+            "kind": args.kind,
+            "n": 1000 if args.n is None else args.n,
+            "seed": 0 if args.seed is None else args.seed,
+        }
         if args.kind == "blobs":
-            doc["blobs"] = {
-                "num_classes": args.classes,
-                "dim": args.dim,
-                "separation": args.separation,
-                "spread": args.spread,
-            }
-        elif args.kind == "mixture":
-            raise InputError("mixture synthesis needs --spec-file for its parameters")
+            # a flag left out is a null key, which takes the field default
+            doc["blobs"] = {field: getattr(args, flag) for flag, field in _BLOB_FLAGS.items()}
     data = synthesize(_decode(SyntheticSpec, doc, "synthetic"))
     write_csv(data, args.out)
     print(f"wrote {data.n} points, dim {data.dim}, {data.num_classes} classes to {args.out}")
@@ -262,12 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p.add_argument("--kind", choices=("analytic", "blobs", "mixture"))
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--classes", type=int, default=BlobsParams.num_classes)
-    p.add_argument("--dim", type=int, default=BlobsParams.dim)
-    p.add_argument("--separation", type=float, default=BlobsParams.separation)
-    p.add_argument("--spread", type=float, default=BlobsParams.spread)
+    p.add_argument("--n", type=int, help="sample size (default 1000)")
+    p.add_argument("--seed", type=int, help="default 0")
+    p.add_argument("--classes", type=int, help=f"default {BlobsParams.num_classes}")
+    p.add_argument("--dim", type=int, help=f"default {BlobsParams.dim}")
+    p.add_argument("--separation", type=float, help=f"default {BlobsParams.separation}")
+    p.add_argument("--spread", type=float, help=f"default {BlobsParams.spread}")
     p.add_argument("--spec-file", help="JSON synthetic spec (required for mixture)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)

@@ -342,6 +342,14 @@ class EpochRecord:
 
 @dataclass(frozen=True)
 class TrainingLog:
+    """One :class:`EpochRecord` per landing epoch and one for the last epoch.
+
+    A record scores every training row, so the trainer takes one only where
+    the backbone has just moved (every ``backbone_update_interval`` epochs)
+    and at the end; each counts the batches so far that lacked a term.  A
+    run of no epochs keeps one record, at epoch -1, of its start model.
+    """
+
     records: tuple
 
     def final(self) -> EpochRecord:
@@ -374,9 +382,10 @@ def sgda_train_grid(
     ascend at ``lr_max``, clipped to ``[0, lambda_max]``.  Backbone steps
     land every ``backbone_update_interval`` epochs; in between, the heads
     train on cached last-layer features of the training rows, which the
-    per-epoch record reads too.  Cached and recomputed features can differ
-    in the last bit, where BLAS rounds a batch's rows unlike the full
-    matrix's.  A step's backbone gradient is linear in d(loss)/d(features)
+    log's records read too: one after each landing and one after the last
+    epoch (see :class:`TrainingLog`).  Cached and recomputed features can
+    differ in the last bit, where BLAS rounds a batch's rows unlike the
+    full matrix's.  A step's backbone gradient is linear in d(loss)/d(features)
     of its rows, so the steps sum those into one ``(n, M, width)`` buffer
     and a landing runs the backbone backward once per model over all rows:
     the per-batch sum up to rounding.  The trailing ``epochs %
@@ -543,11 +552,13 @@ def sgda_train_grid(
             err.checkpoint_state = LagrangianState(start_lambdas[m], start_phis[m], mu)
             raise err
         absent += epoch_absent
-        if (epoch + 1) % interval == 0:
+        landing = (epoch + 1) % interval == 0
+        if landing:
             if feats.ndim == 2:
                 feats = np.repeat(feats[None], M, axis=0)
             land()
-        record(epoch)
+        if landing or epoch == config.epochs - 1:
+            record(epoch)
 
     if config.epochs == 0:
         record(-1)

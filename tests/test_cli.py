@@ -93,6 +93,30 @@ def test_synth_without_kind_or_spec(tmp_path):
     assert run("synth", "--out", str(tmp_path / "x.csv")) == 1
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--kind", "analytic", "--n", "10", "--classes", "5", "--dim", "7"),
+         "--kind analytic reads no --classes"),
+        (("--kind", "analytic", "--spread", "2"), "--kind analytic reads no --spread"),
+        (("--kind", "mixture", "--separation", "3"), "--kind mixture reads no --separation"),
+        (("--spec-file", "SPEC", "--kind", "blobs"), "--spec-file reads no --kind"),
+        (("--spec-file", "SPEC", "--n", "10"), "--spec-file reads no --n"),
+        (("--spec-file", "SPEC", "--seed", "3"), "--spec-file reads no --seed"),
+        (("--spec-file", "SPEC", "--dim", "3", "--classes", "4"), "--spec-file reads no --classes"),
+    ],
+)
+def test_synth_refuses_a_flag_its_source_does_not_read(tmp_path, capsys, flags, message):
+    # the source is a --kind or a spec file, and it would drop these flags
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"kind": "blobs", "n": 30, "seed": 0}))
+    out = tmp_path / "x.csv"
+    argv = [str(spec_file) if f == "SPEC" else f for f in flags]
+    assert run("synth", *argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_train_writes_model_and_log(tmp_path, capsys):
     data = synth_csv(tmp_path / "d.csv")
     model_path = train_model(data, tmp_path / "m.npz", log=tmp_path / "log.json")
@@ -101,7 +125,8 @@ def test_train_writes_model_and_log(tmp_path, capsys):
     assert np.allclose(forward_batch(model, X).sum(axis=1), 1.0)
     log = json.loads((tmp_path / "log.json").read_text())
     assert log["mu"] == 1.0
-    assert len(log["records"]) == 6
+    # 6 epochs at interval 3: one record per landing
+    assert [record["epoch"] for record in log["records"]] == [2, 5]
     for record in log["records"]:
         assert len(record["absent_fit"]) == 3 and len(record["absent_leak"]) == 3
     out = capsys.readouterr().out
@@ -174,8 +199,10 @@ def test_train_and_synth_flags_default_to_the_dataclass_defaults(tmp_path, monke
     monkeypatch.setattr(cli_mod, "sgda_train", capture)
     assert run("train", "--data", str(data), "--mu", "1.0", "--out", str(tmp_path / "m.npz")) == 2
     assert seen == [(TrainConfig(mu=1.0), 0)]
-    args = cli_mod.build_parser().parse_args(["synth", "--kind", "blobs", "--out", "d.csv"])
-    assert BlobsParams(args.classes, args.dim, args.separation, args.spread) == BlobsParams()
+    # `onesided synth --kind blobs` without its flags draws the default spec
+    assert run("synth", "--kind", "blobs", "--out", str(tmp_path / "b.csv")) == 0
+    spec = SyntheticSpec("blobs", 1000, 0, blobs=BlobsParams())
+    assert ingest_csv(tmp_path / "b.csv").features.tobytes() == synthesize(spec).features.tobytes()
 
 
 @pytest.mark.parametrize("command", ["select", "curve"])
@@ -210,6 +237,25 @@ def test_select_and_curve_refuse_a_repeated_or_non_finite_mu(
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {message}") and captured.out == ""
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["select", "curve"])
+def test_select_and_curve_refuse_t_size_with_t_values(tmp_path, capsys, command):
+    # --t-values lists the thresholds, so a --t-size beside it would be dropped
+    data = synth_csv(tmp_path / "d.csv")
+    model = tmp_path / "m.npz"
+    model.write_bytes(serialize(init_model(BackboneSpec((2, 8, 6)), 3, seed=0)))
+    capsys.readouterr()
+    argv = [command, "--val", str(data), "--model", str(model), "--mu", "1.0"]
+    if command == "select":
+        argv += ["--target", "0.1"]
+    else:
+        argv += ["--test", str(data), "--targets", "0.1", "--out", str(tmp_path / "c.csv")]
+    assert run(*argv, "--t-values", "0.2,0.5", "--t-size", "5") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: give --t-size or --t-values, not both\n"
+    assert captured.out == "" and not (tmp_path / "c.csv").exists()
+    assert run(*argv, "--t-values", "0.2,0.5") in (0, 3)
 
 
 def test_select_feasible_and_grid_out(tmp_path, capsys):

@@ -602,7 +602,7 @@ def test_sgda_multipliers_stay_projected():
     data = overlap_blobs(120, seed=4)
     cfg = TrainConfig(
         mu=0.5, epochs=25, warm_start_epochs=2, batch_size=32,
-        lr_min=0.05, lr_max=0.05,
+        lr_min=0.05, lr_max=0.05, backbone_update_interval=1,
     )
     _, state, log = sgda_train(data, warm_model(data, cfg, 6), cfg, 6)
     # with no lambda_max given, the cap is 10 * mu
@@ -719,6 +719,51 @@ def test_sgda_counts_batches_missing_a_class():
     assert log.final().absent_fit[0] == 0
 
 
+@pytest.mark.parametrize(
+    "epochs, interval, recorded",
+    [
+        (0, 4, [-1]),
+        (3, 4, [2]),
+        (8, 4, [3, 7]),
+        (10, 4, [3, 7, 9]),
+        (5, 1, [0, 1, 2, 3, 4]),
+        (7, 3, [2, 5, 6]),
+    ],
+)
+def test_sgda_records_each_landing_and_the_last_epoch(epochs, interval, recorded):
+    # a record scores every training row, so the trainer takes one after
+    # each backbone landing and one after the last epoch, never two for an
+    # epoch; the last one holds the run's totals and the returned model's
+    # full-data terms
+    rng = np.random.default_rng(13)
+    y = rng.choice(3, size=90, p=[0.75, 0.2, 0.05])
+    X = rng.normal(size=(90, 2)) + np.c_[np.cos(y), np.sin(y)]
+    data = LabeledDataset(X, y, 3)
+    cfg = TrainConfig(
+        mu=1.0, epochs=epochs, batch_size=8, warm_start_epochs=1, lr_min=0.02,
+        lr_max=0.05, backbone_update_interval=interval,
+    )
+    seed = 14
+    model, _, log = sgda_train(data, warm_model(data, cfg, seed), cfg, seed)
+    assert [rec.epoch for rec in log.records] == recorded
+    # the batches without a row of each class, and without a row of another
+    order = np.random.default_rng([seed, 1])
+    absent_fit, absent_leak = np.zeros(3, dtype=int), np.zeros(3, dtype=int)
+    for _ in range(epochs):
+        perm = order.permutation(data.n)
+        for start in range(0, data.n, cfg.batch_size):
+            counts = np.bincount(y[perm[start : start + cfg.batch_size]], minlength=3)
+            absent_fit += counts == 0
+            absent_leak += counts == counts.sum()
+    final = log.final()
+    assert final.absent_fit == tuple(absent_fit) and final.absent_leak == tuple(absent_leak)
+    if epochs:
+        assert absent_fit[2] > 0 and absent_leak[0] > 0
+    terms = terms_of(model, data)
+    assert close(final.fit_sum, terms.fit.sum())
+    assert close(np.array(final.leaks), terms.leak)
+
+
 def test_sgda_aborts_on_non_finite_with_checkpoint():
     data = overlap_blobs(60, seed=15)
     poisoned = init_model(SPEC, 2, seed=1)
@@ -793,11 +838,13 @@ def reference_sgda(data, config, init, seed):
             state.phis = phis
             absent_fit += loss.absent[0]
             absent_leak += loss.absent[1]
-        if (epoch + 1) % config.backbone_update_interval == 0:
+        landing = (epoch + 1) % config.backbone_update_interval == 0
+        if landing:
             for param, acc in zip(model.weights + model.biases, buf):
                 param -= acc
                 acc[:] = 0.0
-        records.append(record(epoch))
+        if landing or epoch == config.epochs - 1:
+            records.append(record(epoch))
     return model, state, records or [record(-1)]
 
 
@@ -907,7 +954,7 @@ def test_sgda_cached_features_match_uncached_reference(
     grid = sgda_train_grid(data, init, cfg, mus, seed)
     for mu, run in zip(mus, grid):
         ref = reference_sgda(data, dataclasses.replace(cfg, mu=mu), init, seed)
-        assert len(ref[2]) == epochs
+        assert len(ref[2]) == landings + 1
         assert_close_to_reference(run, ref)
 
 
