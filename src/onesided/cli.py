@@ -157,7 +157,6 @@ def _cmd_train(args) -> int:
         lr_decay=(args.decay_factor, args.decay_epoch),
         backbone_update_interval=args.interval,
         warm_start_epochs=args.warm_epochs,
-        lambda_max=args.lambda_max,
     )
     warm = warm_start(
         data, spec, config.warm_start_epochs, config.lr_min, args.seed, config.batch_size
@@ -301,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=int, default=TrainConfig.backbone_update_interval)
     p.add_argument("--seed", type=int, default=0, help="seeds the warm start and the trainer")
     p.add_argument("--warm-epochs", type=int, default=TrainConfig.warm_start_epochs)
-    p.add_argument("--lambda-max", type=float, default=TrainConfig.lambda_max)
     p.add_argument("--widths", type=_comma_ints, help="e.g. 2,16,8 (input width first)")
     p.add_argument("--activation", default="relu")
     p.add_argument("--out", required=True, help="model file to write")

@@ -84,9 +84,6 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
-
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
         """The rows at ``indices``, positions or a boolean mask, in that order.
 

@@ -166,9 +166,10 @@ def config_to_dict(config: RunConfig) -> dict:
 
 
 # Removed train keys, each at the one value that means what a run does now:
-# plain (not Adam-scaled) steps, fit terms on each class's own rows, and the
-# default train seed, which a pipeline never read (the run seed seeds it).
-_RETIRED = {"adaptive": False, "restricted": True, "seed": 0}
+# plain (not Adam-scaled) steps, fit terms on each class's own rows, the
+# default train seed, which a pipeline never read (the run seed seeds it),
+# and no multiplier cap but each price's own 10 * mu.
+_RETIRED = {"adaptive": False, "restricted": True, "seed": 0, "lambda_max": None}
 
 
 def config_from_dict(d: dict) -> RunConfig:

@@ -187,7 +187,10 @@ def _threshold_counts(
     whose top score is >= t.  Equal to counting `_harden_membership` at
     each t.  A NaN score fails ``>= t`` there, so NaN rows are dropped
     before sorting; `np.sort` would otherwise place them last, as covered.
+    Empty data, whose rates would divide by zero, is refused.
     """
+    if labels.size == 0:
+        raise InputError("cannot evaluate on an empty dataset")
     K = probs.shape[1]
     top = np.argmax(probs, axis=1)
     s = probs[np.arange(probs.shape[0]), top]
@@ -212,8 +215,6 @@ def _cell_metrics(
     coverage and errors are the same integer counts over n.
     """
     n = labels.size
-    if n == 0:
-        raise InputError("cannot evaluate on an empty dataset")
     covered, wrong = _threshold_counts(probs, labels, _thresholds(t_values))
     return [
         Metrics(c / n, float(w.sum() / n), w / n)

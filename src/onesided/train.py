@@ -64,10 +64,12 @@ class LagrangianState:
 class TrainConfig:
     """Hyperparameters of one saddle-point run.
 
-    Only :func:`sgda_train` reads ``mu``: a grid brings its own prices.
-    The trainer takes its seed as an argument.  Only the callers that build
-    the start model with :func:`onesided.net.warm_start` (``run_pipeline``,
-    ``onesided train``) read ``warm_start_epochs``.
+    Only :func:`sgda_train` reads ``mu``: a grid brings its own prices, and
+    each caps its run's multipliers at ``10 * mu``, so the run solves
+    fit + mu * sum_k leak_k.  The trainer takes its seed as an argument.
+    Only the callers that build the start model with
+    :func:`onesided.net.warm_start` (``run_pipeline``, ``onesided train``)
+    read ``warm_start_epochs``.
     """
 
     mu: float
@@ -78,7 +80,6 @@ class TrainConfig:
     lr_decay: tuple[float, ...] = (0.1, 50)
     backbone_update_interval: int = 20
     warm_start_epochs: int = 30
-    lambda_max: float | None = None
 
     def __post_init__(self) -> None:
         if len(self.lr_decay) != 2:
@@ -86,8 +87,6 @@ class TrainConfig:
         _prices((self.mu,), "mu")
         finite = [("lr_min", self.lr_min), ("lr_max", self.lr_max)]
         finite += [("lr_decay", v) for v in self.lr_decay]
-        if self.lambda_max is not None:
-            finite.append(("lambda_max", self.lambda_max))
         for name, value in finite:
             if not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value!r}")
@@ -102,8 +101,6 @@ class TrainConfig:
                 f"lr_decay must be a positive factor and a whole epoch >= 0, "
                 f"got {self.lr_decay!r}"
             )
-        if self.lambda_max is not None and self.lambda_max < 0:
-            raise InputError("lambda_max must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +376,9 @@ def sgda_train_grid(
     ``config.warm_start_epochs`` are not read.
 
     Heads and slacks descend at ``lr_min`` each batch; the multipliers
-    ascend at ``lr_max``, clipped to ``[0, lambda_max]``.  Backbone steps
+    ascend at ``lr_max``, clipped to ``[0, 10 * mu]``.  The cap is never
+    below the price, so the problem each run solves is fit + mu * sum_k leak_k:
+    the multipliers and slacks shape only the path to it.  Backbone steps
     land every ``backbone_update_interval`` epochs; in between, the heads
     train on cached last-layer features of the training rows, which the
     log's records read too: one after each landing and one after the last
@@ -424,7 +423,7 @@ def sgda_train_grid(
         for m in range(M)
     ]
     kind = model.spec.activation
-    lam_max = 10.0 * mus if config.lambda_max is None else config.lambda_max
+    lam_max = 10.0 * mus
     n = data.n
     lr_w, lr_l = config.lr_min, config.lr_max
     decay_factor, decay_epoch = config.lr_decay

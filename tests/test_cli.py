@@ -487,19 +487,19 @@ def test_pipeline_workers_flag_is_gone_and_the_key_still_loads(tmp_path, capsys)
 
 
 def test_pipeline_runs_a_config_with_the_retired_train_keys(tmp_path, capsys):
-    # a config saved while `adaptive`, `restricted` and the train seed were
-    # settings holds each at its one accepted value: it runs under the hash
-    # it had then
+    # a config saved while `adaptive`, `restricted`, the train seed and
+    # `lambda_max` were settings holds each at its one accepted value: it
+    # runs under the hash it had then
     cfg_path = pipeline_config(tmp_path)
     doc = json.loads(cfg_path.read_text())
-    doc["train"].update(adaptive=False, restricted=True, seed=0)
+    doc["train"].update(adaptive=False, restricted=True, seed=0, lambda_max=None)
     cfg_path.write_text(json.dumps(doc))
     assert run("pipeline", "--config", str(cfg_path)) == 0
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     pinned = "7f9d85e37d22b4d58be75c8a38fb42ee9aa05b7f69d43d6c601a4d563bb7cfbc"
     assert manifest["config_hash"] == pinned
     saved = json.loads((tmp_path / "run" / "config.json").read_text())
-    assert not {"adaptive", "restricted", "seed"} & set(saved["train"])
+    assert not {"adaptive", "restricted", "seed", "lambda_max"} & set(saved["train"])
 
 
 def test_pipeline_subcommand_infeasible(tmp_path, capsys):
@@ -541,6 +541,7 @@ def test_pipeline_missing_csv_exits_1_naming_it(tmp_path, capsys):
         (lambda d: d["train"].update(restricted=False), "config.train.restricted"),
         (lambda d: d["train"].update(seed=5), "config.train.seed"),
         (lambda d: d["train"].update(seed=0.0), "config.train.seed"),
+        (lambda d: d["train"].update(lambda_max=1.0), "config.train.lambda_max"),
         (lambda d: d["train"].update(lr_min=float("nan")), "lr_min"),
         (lambda d: d.update(mu_grid=[0.5, float("inf")]), "mu_grid"),
         (lambda d: d["train"].update(lr_decay=[0.1]), "lr_decay"),
@@ -655,10 +656,16 @@ def test_numeric_error_maps_to_exit_2(tmp_path, monkeypatch, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
-def test_unknown_subcommand_and_flags(capsys):
+def test_unknown_subcommand_and_flags(tmp_path, capsys):
     assert run("bogus") == 1
     assert run("train", "--nope") == 1
     capsys.readouterr()
+    # each price caps its own multipliers at 10 * mu: the second cap is gone
+    data, out = synth_csv(tmp_path / "d.csv"), tmp_path / "m.npz"
+    argv = ("train", "--data", str(data), "--mu", "1.0", "--lambda-max", "1", "--out", str(out))
+    assert run(*argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # A small valid pipeline config, and the values each of its leaves takes in

@@ -81,7 +81,6 @@ def test_dataset_accessors():
     data = LabeledDataset([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]], [0, 1, 1], 2)
     assert data.n == 3
     assert data.dim == 2
-    assert data.class_counts().tolist() == [1, 2]
     sub = data.subset(np.array([2, 0]))
     assert sub.labels.tolist() == [1, 0]
     assert sub.features.tolist() == [[4.0, 5.0], [0.0, 1.0]]

@@ -197,7 +197,7 @@ def settable_values(tree):
 
 # The package's settable values at most.  A change that adds a flag, a
 # parameter or a field raises this in its own diff and says why.
-SETTABLE_CEILING = 439
+SETTABLE_CEILING = 437
 
 
 def test_no_unused_imports():

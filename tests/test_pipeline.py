@@ -322,7 +322,7 @@ def test_each_shared_rule_says_the_same_in_every_caller(tmp_path, capsys, rule, 
 @pytest.mark.parametrize(
     "key, value",
     [("mu", NAN), ("mu", INF), ("lr_min", NAN), ("lr_max", INF),
-     ("lr_decay", (NAN, 50)), ("lr_decay", (0.1, INF)), ("lambda_max", NAN)],
+     ("lr_decay", (NAN, 50)), ("lr_decay", (0.1, INF))],
 )
 def test_train_config_rejects_non_finite_values(tmp_path, key, value):
     with pytest.raises(InputError, match=key):
@@ -421,10 +421,11 @@ def test_config_from_dict_rejects_bad_documents(tmp_path):
 def test_config_null_key_takes_the_default(tmp_path):
     doc = config_to_dict(blob_config(tmp_path))
     doc["split_seed"] = None
-    doc["train"]["lambda_max"] = None
+    doc["train"]["warm_start_epochs"] = None
     del doc["t_grid"]
     cfg = config_from_dict(doc)
-    assert cfg.split_seed == 0 and cfg.train.lambda_max is None
+    assert cfg.split_seed == 0
+    assert cfg.train.warm_start_epochs == TrainConfig.warm_start_epochs
     assert cfg.t_grid == RunConfig(seed=0, out_dir=".", synthetic=cfg.synthetic).t_grid
 
 
@@ -438,7 +439,7 @@ def test_config_hash_is_pinned(tmp_path):
     assert config_hash(load_config(tmp_path / "config.json")) == pinned
 
 
-RETIRED = {"adaptive": False, "restricted": True, "seed": 0}
+RETIRED = {"adaptive": False, "restricted": True, "seed": 0, "lambda_max": None}
 
 
 @pytest.mark.parametrize("kept", [RETIRED, {"adaptive": False}, {"seed": None}])
@@ -457,7 +458,9 @@ def test_config_with_removed_train_keys(tmp_path, kept):
     assert config_hash(loaded) == pinned
     # any other value, or the value in another type, is refused by name
     for key, value in [("adaptive", True), ("adaptive", 0), ("restricted", False),
-                       ("restricted", 1), ("seed", 5), ("seed", 0.0), ("seed", False)]:
+                       ("restricted", 1), ("seed", 5), ("seed", 0.0), ("seed", False),
+                       ("lambda_max", 0.5), ("lambda_max", 0), ("lambda_max", False),
+                       ("lambda_max", NAN)]:
         bad = json.loads(json.dumps(doc))
         bad["train"][key] = value
         with pytest.raises(InputError, match=f"config.train.{key}"):

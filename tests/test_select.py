@@ -1,5 +1,6 @@
 """Tests for hardening and (mu, t)-grid model selection."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -282,6 +283,13 @@ def test_cell_metrics_equal_evaluate_of_harden_on_score_tables(table):
 def test_cell_metrics_refuses_empty_data_and_bad_thresholds():
     with pytest.raises(InputError, match="empty"):
         _cell_metrics(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), [0.5])
+    # the grid refuses empty data with the same words, before any rate
+    # divides by zero
+    empty = LabeledDataset(np.zeros((0, 1)), np.zeros(0, dtype=np.int64), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="^cannot evaluate on an empty dataset$"):
+            evaluate_grid({1.0: random_model(0, dim=1, num_classes=2)}, [0.5], empty)
     for t in (-0.1, 1.5, np.nan):
         with pytest.raises(InputError, match="threshold"):
             _cell_metrics(np.full((3, 2), 0.5), np.zeros(3, dtype=np.int64), [t])

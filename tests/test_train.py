@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import onesided.net as net_mod
@@ -605,7 +605,7 @@ def test_sgda_multipliers_stay_projected():
         lr_min=0.05, lr_max=0.05, backbone_update_interval=1,
     )
     _, state, log = sgda_train(data, warm_model(data, cfg, 6), cfg, 6)
-    # with no lambda_max given, the cap is 10 * mu
+    # each price caps its multipliers at 10 * mu
     lam_max = 10.0 * cfg.mu
     for rec in log.records:
         assert all(0.0 <= l <= lam_max + 1e-12 for l in rec.lambdas)
@@ -801,7 +801,7 @@ def reference_sgda(data, config, init, seed):
     model = init.copy()
     K = data.num_classes
     state = LagrangianState(np.zeros(K), np.zeros(K), config.mu)
-    lam_max = 10.0 * config.mu if config.lambda_max is None else config.lambda_max
+    lam_max = 10.0 * config.mu
     rng = np.random.default_rng([seed, 1])
     lr_w, lr_l = config.lr_min, config.lr_max
     buf = [np.zeros_like(W) for W in model.weights + model.biases]
@@ -883,12 +883,15 @@ def assert_close_to_reference(got, want):
     epochs=st.integers(0, 5),
     decay_epoch=st.integers(0, 4),
     interval=st.sampled_from([1, 3]),
-    lambda_max=st.sampled_from([None, 0.0, 0.7]),
     mus=st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0, 7.5]), min_size=1, max_size=4),
     seed=st.integers(0, 2**16),
+    cap_binds=st.just(False),
 )
+# the 10 * mu cap binds on the positive price 0.1 (cap 1.0) by a record
+@example(K=2, n=48, rare=False, batch_size=4, epochs=2, decay_epoch=0, interval=1,
+         mus=[0.1, 2.0], seed=0, cap_binds=True)
 def test_sgda_grid_equals_per_mu_runs(
-    K, n, rare, batch_size, epochs, decay_epoch, interval, lambda_max, mus, seed,
+    K, n, rare, batch_size, epochs, decay_epoch, interval, mus, seed, cap_binds,
 ):
     # every mu of the lockstep grid must reproduce, bit for bit, a lone
     # sgda_train run at that mu.  The grid takes the interval's backbone
@@ -904,7 +907,7 @@ def test_sgda_grid_equals_per_mu_runs(
     cfg = TrainConfig(
         mu=99.0, epochs=epochs, batch_size=batch_size, lr_min=0.05, lr_max=0.3,
         lr_decay=(0.5, decay_epoch), backbone_update_interval=interval,
-        warm_start_epochs=1, lambda_max=lambda_max,
+        warm_start_epochs=1,
     )
     init = warm_start(data, SPEC, 1, cfg.lr_min, seed, batch_size)
     grid = sgda_train_grid(data, init, cfg, mus, seed)
@@ -915,6 +918,9 @@ def test_sgda_grid_equals_per_mu_runs(
         assert_same_run((model, state, log), lone)
         assert log.records == lone[2].records
         assert_close_to_reference((model, state, log), reference_sgda(data, one, init, seed))
+    if cap_binds:  # some record of the first, positive price sits at its cap
+        cap = 10.0 * mus[0]
+        assert cap > 0 and any(l == cap for rec in grid[0][2].records for l in rec.lambdas)
 
 
 WIDE = BackboneSpec((2, 32, 16))
@@ -1081,7 +1087,7 @@ def loss_object_grid(data, config, mus, init, seed, head=_head):
     head_b = np.repeat(init.head_b[None], M, axis=0)
     models = [init.copy() for _ in range(M)]
     kind, interval = init.spec.activation, config.backbone_update_interval
-    lam_max = 10.0 * mus if config.lambda_max is None else config.lambda_max
+    lam_max = 10.0 * mus
     rng = np.random.default_rng([seed, 1])
     lr_w, lr_l = config.lr_min, config.lr_max
     feats = net_mod._backbone(init.weights, init.biases, kind, data.features)[-1]
@@ -1156,16 +1162,15 @@ OVERFLOW = TrainConfig(mu=1.0, epochs=6, batch_size=1000, warm_start_epochs=0, l
 @pytest.mark.parametrize("epochs", [2, 6])
 def test_an_overflow_in_the_last_update_of_an_epoch_ends_the_run_there(epochs):
     # one batch an epoch, so no later step checks an epoch's update: the
-    # epoch's end does.  The capped multipliers grow past mu, and the slack
-    # step lr_min * (lambda - mu) overflows in epoch 1's update
-    cfg = dataclasses.replace(
-        OVERFLOW, epochs=epochs, lr_min=1e100, lr_max=1e300, lambda_max=1e300
-    )
+    # epoch's end does.  The multipliers, capped at 10 * mu = 1e300, grow
+    # past mu, and the slack step lr_min * (lambda - mu) overflows in
+    # epoch 1's update
+    cfg = dataclasses.replace(OVERFLOW, epochs=epochs, lr_min=1e100, lr_max=1e300)
     data, init = overlap_blobs(40, seed=3), init_model(SPEC, 2, seed=4)
     with np.errstate(all="ignore"), pytest.raises(NumericError) as ei:
-        sgda_train_grid(data, init, cfg, (0.5, 2.0), 1)
+        sgda_train_grid(data, init, cfg, (1e299, 2e299), 1)
     err = ei.value
-    assert str(err) == "training at mu=0.5: multipliers or slacks overflowed"
+    assert str(err) == "training at mu=1e+299: multipliers or slacks overflowed"
     assert err.checkpoint_epoch == 0
     assert np.isfinite(err.checkpoint_state.lambdas).all()
     assert err.checkpoint_state.phis.tolist() == [0.0, 0.0]
@@ -1185,9 +1190,9 @@ def test_an_overflow_in_the_last_update_of_an_epoch_ends_the_run_there(epochs):
          (0.5, 1e308, 2.0), None, (1, 2)),
         (dataclasses.replace(OVERFLOW, backbone_update_interval=1), 1,
          (0.5, 1e308, 2.0), None, (1, 2)),
-        # the slack term alone overflows: capped at 1e300, the multipliers
-        # keep lambda * leak finite while (mu - lambda) * phi is not
-        (dataclasses.replace(OVERFLOW, lambda_max=1e300), 1, (0.5, 2.0), None, (0, 2)),
+        # the slack term alone overflows: capped at 10 * mu = 1e300, the
+        # multipliers keep lambda * leak finite while (mu - lambda) * phi is not
+        (OVERFLOW, 1, (1e299, 2.0), None, (0, 2)),
         # nothing fails: the runs themselves must agree
         (TrainConfig(mu=1.0, epochs=5, batch_size=16, warm_start_epochs=0,
                      backbone_update_interval=2, lr_decay=(0.5, 3)), 6,
