@@ -17,7 +17,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .core import CapacityError, InputError, NumericError, _count, evaluate
+from .core import CapacityError, InputError, NumericError, _count, _prices, evaluate
 from .data import BlobsParams, SyntheticSpec, ingest_csv, synthesize, write_csv
 from .evaluation import _measure, coverage_error_curve
 from .net import BackboneSpec, deserialize, serialize, warm_start
@@ -47,7 +47,7 @@ from .select import (
     default_threshold_grid,
     evaluate_grid,
 )
-from .train import TrainConfig, _prices, sgda_train
+from .train import TrainConfig, sgda_train
 
 
 class _Parser(argparse.ArgumentParser):

@@ -98,6 +98,13 @@ class LabeledDataset:
         out._keep(self.features[idx], self.labels[idx])
         return out
 
+    def check_classes(self, num_classes: int) -> None:
+        """The class-count rule: only a ``num_classes``-class classifier reads this data."""
+        if num_classes != self.num_classes:
+            raise InputError(
+                f"classifier has {num_classes} classes but the data has {self.num_classes}"
+            )
+
 
 def _seed(seed):
     """The seed rule: a seed is a whole number >= 0.  Returns it."""
@@ -113,6 +120,28 @@ def _count(value, least: int, name: str) -> int:
     if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
         raise InputError(f"{name} must be a whole number >= {least}, got {value!r}")
     return int(value)
+
+
+def _fraction(value, name: str) -> float:
+    """The [0, 1] rule: a real number (not a bool) in [0, 1], so finite.  Returns it as a float."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 <= value <= 1):
+        raise InputError(f"{name} must be a number in [0, 1], got {value!r}")
+    return float(value)
+
+
+def _prices(mu_grid, key: str) -> tuple[float, ...]:
+    """The price rule: one or more finite nonnegative real numbers (not bools), as floats.
+
+    Errors name ``key`` and show each real price as a float, so a caller
+    that stores prices in an array says the same as one that does not.
+    """
+    mus = tuple(
+        float(m) if isinstance(m, numbers.Real) and not isinstance(m, bool) else m
+        for m in mu_grid
+    )
+    if not mus or not all(type(m) is float and 0.0 <= m < math.inf for m in mus):
+        raise InputError(f"{key} needs one or more finite nonnegative prices, got {mus}")
+    return mus
 
 
 def _class_index(k, num_classes: int) -> int:
@@ -236,11 +265,7 @@ def evaluate(family: DecisionSetFamily, data: LabeledDataset) -> Metrics:
     """
     if data.n == 0:
         raise InputError("cannot evaluate on an empty dataset")
-    if family.num_sets != data.num_classes:
-        raise InputError(
-            f"family has {family.num_sets} sets but data has "
-            f"{data.num_classes} classes"
-        )
+    data.check_classes(family.num_sets)
     a = assign(family, data.features)
     covered = a != REJECT
     coverage = float(np.mean(covered))

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FormatError, InputError, LabeledDataset, _count, _seed, array_fits
-from .oracle import _check_eps, sample_analytic_example
+from .core import FormatError, InputError, LabeledDataset, _count, _fraction, _seed, array_fits
+from .oracle import sample_analytic_example
 
 _KINDS = ("analytic", "mixture", "blobs")
 
@@ -214,7 +214,7 @@ def mixture_oracle_coverage(
     component mass (means plus 6 standard deviations) with the
     cell masses renormalized to 1; only 2-D mixtures are supported.
     """
-    _check_eps(eps)
+    eps = _fraction(eps, "eps")
     _count(grid_size, 2, "grid_size")
     means, covs, _ = params.arrays()
     if means.shape[1] != 2:

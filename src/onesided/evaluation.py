@@ -1,9 +1,9 @@
 """Experiment-level measurements over trained selective classifiers.
 
-Covers the max-score baseline, coverage-versus-error curves across a
-sweep of target error levels, and the overlap mass of raw per-class score
-sets.  Every coverage and error count comes from `select._threshold_counts`
-on one score matrix per model and split; the overlap reads the same matrix.
+The max-score baseline, coverage-versus-error curves over target errors,
+and the overlap mass of raw per-class sets.  Curves and the overlap read
+one `select._score` matrix per model and split, and every coverage and
+error count comes from `select._threshold_counts` on it.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import DecisionSetFamily, InputError, LabeledDataset, Metrics
-from .net import SelectiveModel, forward_batch
+from .core import DecisionSetFamily, InputError, LabeledDataset, Metrics, _fraction
+from .net import SelectiveModel
 from .select import (
     SelectionGrid,
     _cell_metrics,
@@ -25,11 +25,9 @@ from .select import (
 
 
 def sr_baseline(model: SelectiveModel, t: float) -> DecisionSetFamily:
-    """Max-score baseline: predict the argmax class unless max score < t.
+    """Max-score baseline: the rule of `harden`, on a model trained otherwise.
 
-    The rule of `harden`; the two differ only in how the underlying model
-    was trained.  Any finite threshold is allowed: above 1 it rejects
-    everything.
+    Any finite threshold is allowed: above 1 it rejects everything.
     """
     t = float(t)
     if not np.isfinite(t):
@@ -39,27 +37,23 @@ def sr_baseline(model: SelectiveModel, t: float) -> DecisionSetFamily:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One sweep entry: achieved test error and coverage at a target level."""
+    """One sweep entry: achieved test error and coverage at a target error, each in [0, 1]."""
 
     achieved_error: float
     achieved_coverage: float
     target_error: float
-    method: str
     feasible: bool = True
 
     def __post_init__(self) -> None:
         for name in ("achieved_error", "achieved_coverage", "target_error"):
-            v = float(getattr(self, name))
-            if not 0.0 <= v <= 1.0:
-                raise InputError(f"{name} must lie in [0, 1], got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _fraction(getattr(self, name), name))
 
 
 def _curve_targets(targets: Sequence[float]) -> tuple[float, ...]:
-    """The curve-target rule: at least one target, each in [0, 1], sorted ascending."""
-    ts = tuple(float(e) for e in targets)
-    if not ts or not all(0.0 <= e <= 1.0 for e in ts) or list(ts) != sorted(ts):
-        raise InputError(f"curve targets must be one or more ascending errors in [0, 1], got {ts}")
+    """The curve-target rule: one or more errors in [0, 1], sorted ascending."""
+    ts = tuple(_fraction(e, "curve target") for e in targets)
+    if not ts or list(ts) != sorted(ts):
+        raise InputError(f"curve targets must be one or more ascending errors, got {ts}")
     return ts
 
 
@@ -71,15 +65,11 @@ def coverage_error_curve(
 ) -> list[CurvePoint]:
     """Pick on the validation ``grid`` at each target error; measure on ``test``.
 
-    ``grid`` is `evaluate_grid` of ``models`` on validation data, so its
-    mu values must be the keys of ``models``.  Targets must be sorted
-    ascending.  A target no grid cell satisfies yields a point built from
-    the fallback cell with ``feasible`` False.
-
-    Each distinct chosen model is scored on ``test`` once, and its points
-    read the hardened counts at every grid threshold from its sorted top
-    scores, so every point equals `evaluate` of the `harden`-ed chosen
-    cell exactly.
+    ``grid`` is `evaluate_grid` of ``models``, so its mu values must be the
+    keys of ``models``; ``targets`` ascend.  A target no cell meets gives the
+    fallback cell's point with ``feasible`` False.  Each distinct chosen model
+    is scored on ``test`` once, and every point equals `evaluate` of the
+    `harden`-ed chosen cell exactly.
     """
     return _curve(models, grid, test, targets, {})
 
@@ -115,7 +105,6 @@ def _curve(
                 achieved_error=cell.raw_error,
                 achieved_coverage=cell.coverage,
                 target_error=eps,
-                method="osp",
                 feasible=res.feasible,
             )
         )
@@ -127,21 +116,19 @@ def _overlap(probs: np.ndarray, t: float) -> float:
     return float(((probs > t).sum(axis=1) >= 2).mean())
 
 
-def _measure(
-    probs: np.ndarray, labels: np.ndarray, t: float
-) -> tuple[Metrics, float]:
+def _measure(probs: np.ndarray, labels: np.ndarray, t: float) -> tuple[Metrics, float]:
     """`evaluate` of `harden` at ``t``, and `osp_overlap`, from one score matrix."""
     [metrics] = _cell_metrics(probs, labels, [t])
     return metrics, _overlap(probs, t)
 
 
 def osp_overlap(model: SelectiveModel, t: float, data: LabeledDataset) -> float:
-    """Fraction of points lying in at least two raw sets {x : f_k(x) > t}.
+    """Fraction of points in at least two raw sets {x : f_k(x) > t}.
 
-    Raw sets use a strict comparison and no argmax tie-break, so they can
-    overlap; at t >= 1/2 score normalization makes overlap impossible.
+    Raw sets compare strictly and skip the argmax tie-break, so they can
+    overlap; at t >= 1/2 normalized scores cannot.
     """
     t = float(t)
     if not np.isfinite(t):
         raise InputError(f"threshold must be finite, got {t}")
-    return _overlap(forward_batch(model, data.features), t)
+    return _overlap(_score(model, data), t)

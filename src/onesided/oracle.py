@@ -47,6 +47,7 @@ from .core import (
     LabeledDataset,
     _class_index,
     _count,
+    _fraction,
     _seed,
 )
 
@@ -270,12 +271,6 @@ def canonical_cuts(x: np.ndarray) -> np.ndarray:
 # allocations
 
 
-def _check_eps(eps: float, name: str = "eps") -> None:
-    """The budget rule: an error budget is a mass, finite and in [0, 1]."""
-    if not 0 <= eps <= 1:
-        raise InputError(f"{name} must be finite and in [0, 1], got {eps}")
-
-
 def _compositions(total: int, K: int) -> np.ndarray:
     """Every split of ``total`` into K nonnegative integer parts, one per row.
 
@@ -323,7 +318,7 @@ def budget_alpha_grid(eps: float, n: int, num_classes: int) -> np.ndarray:
     :class:`CapacityError`, before building anything, when the grid would
     hold more than 10^7 entries.
     """
-    _check_eps(eps)
+    eps = _fraction(eps, "eps")
     _count(num_classes, 1, "num_classes")
     _count(n, 0, "n")
     budget = int(math.floor(eps * n + _TOL))
@@ -381,7 +376,7 @@ def solve_osp_exact(
     satisfies the constraint even if the class does not contain it.
     """
     k = _class_index(k, data.num_classes)
-    _check_eps(eps_k, "eps_k")
+    eps_k = _fraction(eps_k, "eps_k")
     cov, viol = hclass.counts(data)
     feasible = viol[k] <= eps_k * data.n + _TOL
     if not feasible.any():
@@ -413,7 +408,7 @@ def solve_sc_exact(
     ``_CAP``.  Two sets meet on the data exactly when their runs in the
     sorted sample overlap, so no membership row is formed.
     """
-    _check_eps(eps)
+    eps = _fraction(eps, "eps")
     K = data.num_classes
     start, stop, cov, err = hclass._sorted_counts(data)
     budget = eps * data.n + _TOL
@@ -492,7 +487,7 @@ def solve_osp_decoupled(
     sample in order of their starts: O(K size log size + G K log K) time
     and O(K size + G K) memory, with no membership row.
     """
-    _check_eps(eps)
+    eps = _fraction(eps, "eps")
     K = data.num_classes
     if alpha_grid is None:
         alpha_grid = default_alpha_grid(K)

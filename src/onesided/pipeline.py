@@ -19,7 +19,7 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import InputError, Metrics, _count, _seed
+from .core import InputError, Metrics, _count, _prices, _seed
 from .data import SyntheticSpec, _split_fractions, ingest_csv, split_dataset, synthesize
 from .evaluation import _curve, _curve_targets, _measure
 from .net import BackboneSpec, serialize, warm_start
@@ -32,7 +32,7 @@ from .select import (
     evaluate_grid,
     quick_mu_grid,
 )
-from .train import TrainConfig, TrainingLog, _prices, sgda_train_grid
+from .train import TrainConfig, TrainingLog, sgda_train_grid
 
 METRICS_COLUMNS = (
     "target",
@@ -253,7 +253,7 @@ def _write_table(path: Path, columns: tuple, rows: list) -> None:
 
 def _write_curve(path: Path, points) -> None:
     rows = [
-        [p.target_error, p.achieved_error, p.achieved_coverage, p.feasible, p.method]
+        [p.target_error, p.achieved_error, p.achieved_coverage, p.feasible, "osp"]
         for p in points
     ]
     _write_table(path, CURVE_COLUMNS, rows)

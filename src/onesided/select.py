@@ -1,14 +1,10 @@
 """Hardening soft classifiers and model selection over a (mu, t) grid.
 
-A trained scorer becomes an abstaining classifier by thresholding: the
-point is assigned to its top-scoring class when that score clears ``t``
-and rejected otherwise.  Selection evaluates one hardened family per
-(constraint weight, threshold) cell on held-out data and picks the cell
-that best satisfies the chosen criterion.
-
-A model is scored once per split (`_score`), and every coverage and error
-count, for the grid, the run's test metrics and the curve alike, comes from
-`_threshold_counts` on that score matrix.  `harden` is the dense reference.
+A scorer abstains by thresholding: a point goes to its top-scoring class
+when that score is at least ``t`` and is rejected otherwise.  A model is
+scored once per split (`_score`), and every coverage and error count, for
+the grid, the run's test metrics and the curve alike, comes from
+`_threshold_counts` on that score matrix; `harden` is the dense reference.
 """
 
 from __future__ import annotations
@@ -18,16 +14,12 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import DecisionSetFamily, InputError, LabeledDataset, Metrics, _count
+from .core import DecisionSetFamily, InputError, LabeledDataset, Metrics, _count, _fraction
 from .net import SelectiveModel, forward_batch
 
 
 def _harden_membership(probs: np.ndarray, t: float) -> np.ndarray:
-    """Membership matrix for the thresholded-argmax rule.
-
-    Row i has a single True at the argmax class (ties to the smallest
-    index) when its score is at least ``t``, else all False.
-    """
+    """True at each row's top class (ties to the smallest index) when that score is >= ``t``."""
     top = np.argmax(probs, axis=1)
     rows = np.arange(probs.shape[0])
     out = np.zeros(probs.shape, dtype=bool)
@@ -45,32 +37,25 @@ def _hardened(model: SelectiveModel, t: float) -> DecisionSetFamily:
 
 
 def _thresholds(t_values: Sequence[float]) -> np.ndarray:
-    """The threshold-grid rule: at least one threshold, each in [0, 1], as floats."""
-    ts = np.array([float(t) for t in t_values])
+    """The threshold-grid rule: one or more thresholds in [0, 1], as floats."""
+    ts = np.array([_fraction(t, "threshold") for t in t_values])
     if not ts.size:
         raise InputError("threshold grid must not be empty")
-    for t in ts:
-        if not 0.0 <= t <= 1.0:
-            raise InputError(f"threshold must lie in [0, 1], got {t}")
     return ts
 
 
 def harden(model: SelectiveModel, t: float) -> DecisionSetFamily:
-    """Turn a soft scorer into disjoint decision sets at threshold ``t``.
+    """Disjoint decision sets at threshold ``t`` in [0, 1].
 
-    Set k contains x exactly when class k has the largest score on x and
-    that score is >= t.  The comparison is closed, so a score exactly at
-    the threshold is accepted.  The family is disjoint by construction.
+    Set k holds x when class k has the top score on x and that score is
+    >= t: closed, so a score exactly at ``t`` is accepted.
     """
-    return _hardened(model, float(_thresholds([t])[0]))
+    return _hardened(model, _fraction(t, "threshold"))
 
 
 def _score(model: SelectiveModel, data: LabeledDataset) -> np.ndarray:
     """``model``'s ``(n, K)`` scores on ``data``; every measurement starts here."""
-    if model.num_classes != data.num_classes:
-        raise InputError(
-            f"model has {model.num_classes} classes, data has {data.num_classes}"
-        )
+    data.check_classes(model.num_classes)
     return forward_batch(model, data.features)
 
 
@@ -127,7 +112,7 @@ class SelectionGrid:
 
 @dataclass(frozen=True)
 class SelectionCriterion:
-    """Grid-search objective: cap held-out error or floor held-out coverage."""
+    """Grid-search objective: cap held-out error or floor held-out coverage at ``target``."""
 
     mode: str
     target: float
@@ -137,10 +122,7 @@ class SelectionCriterion:
             raise InputError(
                 f"selection mode must be 'error' or 'coverage', got {self.mode!r}"
             )
-        target = float(self.target)
-        if not 0.0 <= target <= 1.0:
-            raise InputError(f"selection target must lie in [0, 1], got {target}")
-        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "target", _fraction(self.target, "target"))
 
     @classmethod
     def error_constrained(cls, eps: float) -> "SelectionCriterion":
@@ -155,18 +137,24 @@ class SelectionCriterion:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Chosen grid cell plus the full grid it came from.
+    """Chosen grid cell, by index, and the grid it came from.
 
-    ``feasible`` is False when no cell met the constraint and the result
-    is the best-effort fallback cell.
+    ``feasible`` is False when no cell met the constraint and the cell is
+    the fallback.
     """
 
-    mu_star: float
-    t_star: float
     mu_index: int
     t_index: int
     grid: SelectionGrid
     feasible: bool
+
+    @property
+    def mu_star(self) -> float:
+        return self.grid.mu_values[self.mu_index]
+
+    @property
+    def t_star(self) -> float:
+        return self.grid.t_values[self.t_index]
 
     @property
     def coverage(self) -> float:
@@ -180,14 +168,12 @@ class SelectionResult:
 def _threshold_counts(
     probs: np.ndarray, labels: np.ndarray, ts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact hardened counts at every threshold from sorted top scores.
+    """Covered count ``(T,)`` and per-class wrong count ``(T, K)`` at every t.
 
-    Returns the covered count ``(T,)`` and the per-class wrong count
-    ``(T, K)``: points whose top class is k, whose label is not k, and
-    whose top score is >= t.  Equal to counting `_harden_membership` at
-    each t.  A NaN score fails ``>= t`` there, so NaN rows are dropped
-    before sorting; `np.sort` would otherwise place them last, as covered.
-    Empty data, whose rates would divide by zero, is refused.
+    Wrong in class k: top class k, label not k, top score >= t.  Equal to
+    counting `_harden_membership` at each t.  A NaN score fails ``>= t``
+    there, so NaN rows are dropped; `np.sort` would place them last, as
+    covered.  Empty data, whose rates would divide by zero, is refused.
     """
     if labels.size == 0:
         raise InputError("cannot evaluate on an empty dataset")
@@ -209,10 +195,10 @@ def _threshold_counts(
 def _cell_metrics(
     probs: np.ndarray, labels: np.ndarray, t_values: Sequence[float]
 ) -> list[Metrics]:
-    """`Metrics` of the hardened scores at each threshold, from one sort.
+    """`Metrics` at each threshold, from one sort.
 
-    Entry j equals `core.evaluate` of `harden` at ``t_values[j]`` exactly:
-    coverage and errors are the same integer counts over n.
+    Entry j is `core.evaluate` of `harden` at ``t_values[j]`` exactly: the
+    same integer counts over n.
     """
     n = labels.size
     covered, wrong = _threshold_counts(probs, labels, _thresholds(t_values))
@@ -227,12 +213,11 @@ def evaluate_grid(
     t_values: Sequence[float],
     val: LabeledDataset,
 ) -> SelectionGrid:
-    """Fill the (mu, t) grid with held-out coverage and error.
+    """Held-out coverage and error of every (mu, t) cell.
 
-    Each model is scored once on ``val`` and `_threshold_counts` reads
-    its counts at every threshold: O(n log n + K T log n) per model
-    instead of T dense (n, K) membership scans, and bitwise equal to
-    counting `harden` membership at each t.
+    Each model is scored once on ``val`` and `_threshold_counts` reads every
+    threshold: O(n log n + K T log n) per model instead of T dense (n, K)
+    membership scans, and bitwise equal to counting `harden` membership.
     """
     if not models:
         raise InputError("selection needs at least one trained model")
@@ -270,9 +255,7 @@ def _pick(grid: SelectionGrid, admissible, key, fallback_key) -> SelectionResult
     sort_keys = [k.ravel()[cells] for k in reversed(key(*tables))]
     order = np.lexsort([-cells] + sort_keys)
     i, j = np.unravel_index(cells[order[-1]], shape)
-    return SelectionResult(
-        grid.mu_values[i], grid.t_values[j], int(i), int(j), grid, feasible
-    )
+    return SelectionResult(int(i), int(j), grid, feasible)
 
 
 def pick_error_constrained(grid: SelectionGrid, eps: float) -> SelectionResult:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import InputError, LabeledDataset, NumericError, _class_index, _count, _seed
+from .core import InputError, LabeledDataset, NumericError, _class_index, _count, _prices, _seed
 from .net import (
     PROB_FLOOR,
     SelectiveModel,
@@ -57,7 +57,8 @@ class LagrangianState:
             raise InputError("lambda and phi vectors must share a shape")
         if not all(((0.0 <= a) & (a < math.inf)).all() for a in (self.lambdas, self.phis)):
             raise InputError("multipliers and slacks must be finite and nonnegative")
-        _prices(np.ravel(self.mu), "mu")
+        mu = np.reshape(_prices(np.ravel(self.mu).tolist(), "mu"), np.shape(self.mu))
+        self.mu = float(mu) if mu.ndim == 0 else mu
 
 
 @dataclass(frozen=True)
@@ -353,14 +354,6 @@ class TrainingLog:
         return self.records[-1]
 
 
-def _prices(mu_grid, key: str) -> tuple[float, ...]:
-    """The price rule: at least one finite nonnegative price; errors name ``key``."""
-    mus = tuple(float(m) for m in mu_grid)
-    if not mus or not all(0.0 <= m < math.inf for m in mus):
-        raise InputError(f"{key} needs one or more finite nonnegative prices, got {mus}")
-    return mus
-
-
 def sgda_train_grid(
     data: LabeledDataset, model: SelectiveModel, config: TrainConfig, mu_grid, seed: int
 ) -> list:
@@ -402,10 +395,7 @@ def sgda_train_grid(
     mus = np.array(_prices(mu_grid, "mu_grid")).reshape(-1, 1)
     M, K = mus.shape[0], data.num_classes
     model.spec.check_dim(data.dim)
-    if model.num_classes != K:
-        raise InputError(
-            f"model has {model.num_classes} class heads but the data has {K} classes"
-        )
+    data.check_classes(model.num_classes)
     state = LagrangianState(np.zeros((M, K)), np.zeros((M, K)), mus)
     # the heads train as one stack; each model's heads are views of its
     # slice, so a stacked step updates every model in place

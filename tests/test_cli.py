@@ -401,7 +401,7 @@ def test_oracle_refuses_non_finite_eps(tmp_path, capsys, mode):
     capsys.readouterr()
     assert run("oracle", "--data", str(an), "--eps", "nan", "--mode", *mode) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:") and "eps must be finite" in err
+    assert out == "" and err.startswith("error:") and "eps must be a number in [0, 1], got nan" in err
 
 
 def test_oracle_budget_grid_over_the_cap_exits_1(tmp_path, capsys):

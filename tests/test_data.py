@@ -154,6 +154,11 @@ def test_mixture_posterior_matches_logistic_form():
     assert np.allclose(post[:, 1], expect, atol=1e-10)
     mid = mixture_posterior(params, np.array([[0.0, 3.7]]))
     assert np.allclose(mid, 0.5, atol=1e-12)
+    # the mixture of the README examples and the c08 runs
+    for sep in (0.5, 2.0, 6.0):
+        post = mixture_posterior(two_class_mixture(sep), X)
+        assert np.abs(post[:, 1] - 1.0 / (1.0 + np.exp(-sep * X[:, 0]))).max() <= 1e-12
+        assert np.abs(post.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def norm_cdf(z):

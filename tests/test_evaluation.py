@@ -63,13 +63,13 @@ def test_sr_baseline_matches_harden_pointwise():
 
 
 def test_curve_point_validation():
-    CurvePoint(0.1, 0.8, 0.1, "osp")
+    CurvePoint(0.1, 0.8, 0.1)
     with pytest.raises(InputError):
-        CurvePoint(1.2, 0.8, 0.1, "osp")
+        CurvePoint(1.2, 0.8, 0.1)
     with pytest.raises(InputError):
-        CurvePoint(0.1, -0.1, 0.1, "osp")
+        CurvePoint(0.1, -0.1, 0.1)
     with pytest.raises(InputError):
-        CurvePoint(0.1, 0.8, 2.0, "osp")
+        CurvePoint(0.1, 0.8, 2.0)
 
 
 def curve_setup(seed=0):
@@ -94,7 +94,6 @@ def test_curve_matches_single_selection_route():
         assert point.achieved_coverage == metrics.coverage
         assert point.target_error == eps
         assert point.feasible == res.feasible
-        assert point.method == "osp"
 
 
 def test_curve_points_equal_direct_evaluation_of_the_chosen_cell():
@@ -191,10 +190,13 @@ def test_overlap_hand_example():
 def test_overlap_extremes():
     for seed in range(4):
         model = random_model(seed, num_classes=4)
-        data = random_data(seed + 10)
+        data = random_data(seed + 10, num_classes=4)
         assert osp_overlap(model, 0.0, data) == 1.0
         for t in (0.5, 0.6, 0.9, 1.0):
             assert osp_overlap(model, t, data) == 0.0
+        # a 4-class model on 3-class data used to be scored, reading 0.0
+        with pytest.raises(InputError, match="classifier has 4 classes but the data has 3"):
+            osp_overlap(model, 0.5, random_data(seed + 10))
 
 
 def test_overlap_nonincreasing_in_t():

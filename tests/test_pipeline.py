@@ -9,10 +9,10 @@ import pytest
 
 import onesided.pipeline as pipeline_mod
 from onesided.cli import main
-from onesided.core import FormatError, InputError, LabeledDataset
+from onesided.core import FormatError, InputError, LabeledDataset, evaluate
 from onesided.data import BlobsParams, SyntheticSpec, mixture_oracle_coverage, two_class_mixture
 from onesided.data import split_dataset, synthesize, write_csv
-from onesided.evaluation import coverage_error_curve
+from onesided.evaluation import CurvePoint, coverage_error_curve, osp_overlap
 from onesided.net import (
     BackboneSpec,
     SelectiveModel,
@@ -29,7 +29,9 @@ from onesided.oracle import (
     default_alpha_grid,
     erm_feasibility_trend,
     sample_analytic_example,
+    solve_osp_decoupled,
     solve_osp_exact,
+    solve_sc_exact,
 )
 from onesided.pipeline import (
     METRICS_COLUMNS,
@@ -46,6 +48,7 @@ from onesided.select import (
     SelectionCriterion,
     default_threshold_grid,
     evaluate_grid,
+    harden,
     pick_coverage_constrained,
     pick_error_constrained,
     quick_mu_grid,
@@ -319,6 +322,107 @@ def test_each_shared_rule_says_the_same_in_every_caller(tmp_path, capsys, rule, 
     assert len(texts) == len({t[:-1] for t in texts})
 
 
+def fraction_and_price_callers(tmp_path):
+    """Every entry point of the [0, 1] and price rules, by rule.
+
+    A caller is ``(name, call)``: ``name`` is what its InputError calls the
+    value, and ``call`` takes one value and returns what the value decided,
+    so that two values can be compared by their results.
+    """
+    data = synthesize(SyntheticSpec("blobs", 60, seed=1))
+    model = init_model(BackboneSpec((2, 8, 6)), 3, seed=0)
+    models = {0.5: model}
+    grid = evaluate_grid(models, (0.0, 0.5, 0.9), data)
+    line, cuts = sample_analytic_example(10, 0), FiniteHypothesisClass.upper_thresholds([0.3, 0.6])
+    short = quick_train(epochs=1)
+
+    def cell(res):
+        return res.mu_index, res.t_index, res.feasible
+
+    def solved(sol):
+        return sol.value, sol.alpha, sol.family.membership(line.features)
+
+    return {
+        "fraction": [
+            ("threshold", lambda v: harden(model, v).membership(data.features)),
+            ("threshold", lambda v: evaluate_grid(models, [v], data).coverage),
+            ("threshold", lambda v: blob_config(tmp_path, t_grid=(v,)).t_grid),
+            ("target", lambda v: SelectionCriterion("error", v).target),
+            ("target", lambda v: cell(pick_error_constrained(grid, v))),
+            ("target", lambda v: cell(pick_coverage_constrained(grid, v))),
+            ("curve target", lambda v: coverage_error_curve(models, grid, data, [v])),
+            ("curve target", lambda v: blob_config(tmp_path, curve_targets=(v,)).curve_targets),
+            ("achieved_error", lambda v: CurvePoint(v, 0.5, 0.0)),
+            ("achieved_coverage", lambda v: CurvePoint(0.0, v, 0.0)),
+            ("target_error", lambda v: CurvePoint(0.0, 0.5, v)),
+            ("eps", lambda v: solved(solve_sc_exact(line, cuts, v))),
+            ("eps_k", lambda v: solved(solve_osp_exact(line, cuts, 0, v))),
+            ("eps", lambda v: solved(solve_osp_decoupled(line, cuts, v))),
+            ("eps", lambda v: budget_alpha_grid(v, 10, 2)),
+            ("eps", lambda v: mixture_oracle_coverage(two_class_mixture(), v, 20)),
+        ],
+        "price": [
+            ("mu_grid", lambda v: blob_config(tmp_path, mu_grid=(v,)).mu_grid),
+            ("mu", lambda v: quick_train(mu=v).mu),
+            ("mu", lambda v: LagrangianState(np.zeros(3), np.zeros(3), v).mu),
+            ("mu_grid", lambda v: sgda_train_grid(data, model, short, (v,), 0)[0][0].head_w),
+        ],
+    }
+
+
+# NaN, the infinities and out-of-range numbers used to be refused; a string,
+# None and True escaped as TypeError or were read as a number
+NOT_A_FRACTION = [None, "0.5", True, NAN, INF, -INF, -0.1, 1.5]
+
+
+@pytest.mark.parametrize(
+    "rule, value",
+    # a price has no upper bound
+    [(r, v) for r in ("fraction", "price") for v in NOT_A_FRACTION if (r, v) != ("price", 1.5)],
+    ids=repr,
+)
+def test_fraction_and_price_rules_refuse_what_is_not_a_number_in_range(tmp_path, rule, value):
+    for name, call in fraction_and_price_callers(tmp_path)[rule]:
+        with pytest.raises(InputError) as refused:
+            call(value)
+        text = str(refused.value)
+        if rule == "fraction":
+            assert text == f"{name} must be a number in [0, 1], got {value!r}"
+        else:
+            assert text.startswith(f"{name} needs one or more finite nonnegative prices")
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.int64(1), 0, 1])
+def test_fraction_and_price_rules_read_any_real_number_as_its_float(tmp_path, value):
+    for rule, callers in fraction_and_price_callers(tmp_path).items():
+        for name, call in callers:
+            np.testing.assert_equal(call(value), call(float(value)), err_msg=name)
+    stored = [
+        SelectionCriterion("error", value).target,
+        *vars(CurvePoint(value, value, value)).values(),
+        LagrangianState(np.zeros(3), np.zeros(3), value).mu,
+    ]
+    assert [type(v) for v in stored] == [float] * 4 + [bool, float]
+    # a config keeps its JSON type, so that its hash holds
+    assert type(quick_train(mu=value).mu) is type(value)
+
+
+def test_class_count_rule_refuses_a_model_of_another_count():
+    data = synthesize(SyntheticSpec("blobs", 60, seed=1))
+    model = init_model(BackboneSpec((2, 8, 6)), 4, seed=0)
+    grid = evaluate_grid({0.5: init_model(BackboneSpec((2, 8, 6)), 3, seed=0)}, (0.5,), data)
+    callers = [
+        lambda: evaluate_grid({0.5: model}, (0.5,), data),
+        lambda: coverage_error_curve({0.5: model}, grid, data, [0.1]),
+        lambda: osp_overlap(model, 0.5, data),
+        lambda: evaluate(harden(model, 0.5), data),
+        lambda: sgda_train_grid(data, model, quick_train(), (1.0,), 0),
+    ]
+    for call in callers:
+        with pytest.raises(InputError, match=r"^classifier has 4 classes but the data has 3$"):
+            call()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("mu", NAN), ("mu", INF), ("lr_min", NAN), ("lr_max", INF),
@@ -531,8 +635,8 @@ def test_run_pipeline_artifacts(tmp_path):
 def test_run_and_cli_eval_score_the_test_split_once_per_model(tmp_path, capsys):
     # every test-split measure reads one score matrix: each distinct model
     # the evaluate stage or the curve picks is scored once, the curve
-    # reusing the evaluate stage's scores, and neither the dense
-    # core.evaluate path nor osp_overlap runs
+    # reusing the evaluate stage's scores, and the dense core.evaluate
+    # path never runs; osp_overlap would score through the counted _score
     targets = (0.0, 0.02, 0.05, 0.2, 1.0)
     cfg = blob_config(
         tmp_path / "run",
@@ -557,7 +661,6 @@ def test_run_and_cli_eval_score_the_test_split_once_per_model(tmp_path, capsys):
     with (
         mock.patch("onesided.core.assign", side_effect=AssertionError("dense path")),
         mock.patch("onesided.select.forward_batch", wraps=forward_batch) as scored,
-        mock.patch("onesided.evaluation.forward_batch", wraps=forward_batch) as raw,
     ):
         res = run_pipeline(cfg)
         picks = [pick_error_constrained(res.selection.grid, e).mu_star for e in targets]
@@ -578,7 +681,6 @@ def test_run_and_cli_eval_score_the_test_split_once_per_model(tmp_path, capsys):
         t = repr(res.selection.t_star)
         assert main(["eval", "--data", str(csv), "--model", str(chosen), "--t", t]) == 0
         assert [split_of(c) for c in scored.call_args_list] == ["test"]
-        assert raw.call_count == 0
     printed = capsys.readouterr().out
     assert f"coverage={res.test_metrics.coverage:.6f}" in printed
     assert f"overlap={res.metrics_row['overlap']:.6f}" in printed

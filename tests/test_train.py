@@ -1280,7 +1280,7 @@ def test_sgda_grid_refuses_a_model_that_does_not_fit_the_data():
     with pytest.raises(InputError, match="first backbone width 3 must equal the data dim 2"):
         sgda_train_grid(data, wide, cfg, (1.0,), 0)
     three = init_model(SPEC, 3, seed=0)
-    with pytest.raises(InputError, match="3 class heads but the data has 2 classes"):
+    with pytest.raises(InputError, match="classifier has 3 classes but the data has 2"):
         sgda_train_grid(data, three, cfg, (1.0,), 0)
     with pytest.raises(InputError, match="must equal the data dim"):
         sgda_train(data, wide, cfg, 0)
