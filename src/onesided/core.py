@@ -129,6 +129,13 @@ def _fraction(value, name: str) -> float:
     return float(value)
 
 
+def _threshold(t) -> float:
+    """The threshold rule: a finite real number (not a bool).  Returns it as a float."""
+    if isinstance(t, bool) or not (isinstance(t, numbers.Real) and math.isfinite(t)):
+        raise InputError(f"threshold must be a finite number, got {t!r}")
+    return float(t)
+
+
 def _prices(mu_grid, key: str) -> tuple[float, ...]:
     """The price rule: one or more finite nonnegative real numbers (not bools), as floats.
 

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import DecisionSetFamily, InputError, LabeledDataset, Metrics, _fraction
+from .core import DecisionSetFamily, InputError, LabeledDataset, Metrics, _fraction, _threshold
 from .net import SelectiveModel
 from .select import (
     SelectionGrid,
@@ -29,10 +29,7 @@ def sr_baseline(model: SelectiveModel, t: float) -> DecisionSetFamily:
 
     Any finite threshold is allowed: above 1 it rejects everything.
     """
-    t = float(t)
-    if not np.isfinite(t):
-        raise InputError(f"threshold must be finite, got {t}")
-    return _hardened(model, t)
+    return _hardened(model, _threshold(t))
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,5 @@ def osp_overlap(model: SelectiveModel, t: float, data: LabeledDataset) -> float:
     Raw sets compare strictly and skip the argmax tie-break, so they can
     overlap; at t >= 1/2 normalized scores cannot.
     """
-    t = float(t)
-    if not np.isfinite(t):
-        raise InputError(f"threshold must be finite, got {t}")
+    t = _threshold(t)
     return _overlap(_score(model, data), t)

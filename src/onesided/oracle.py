@@ -569,7 +569,7 @@ def analytic_example_coverage(eps: float) -> tuple[float, float, float]:
     Returns ``(coverage, upper_cut, lower_cut)`` = ``(2*sqrt(eps),
     1 - sqrt(eps), sqrt(eps))``.  Valid for ``0 <= eps < 1/4``.
     """
-    if not 0.0 <= eps < 0.25:
+    if _fraction(eps, "eps") >= 0.25:
         raise InputError(f"eps must lie in [0, 0.25), got {eps}")
     r = math.sqrt(eps)
     return 2.0 * r, 1.0 - r, r
@@ -611,7 +611,7 @@ def erm_feasibility_trend(
     sizes = list(sample_sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InputError("sample sizes must be strictly increasing")
-    if not 0 <= eps <= 0.5:
+    if _fraction(eps, "eps") > 0.5:
         raise InputError(f"eps must lie in the example's valid range [0, 0.5], got {eps}")
     _count(seeds_per_size, 1, "seeds_per_size")
     target_cov = math.sqrt(2.0 * eps)

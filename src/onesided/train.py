@@ -33,6 +33,7 @@ from .net import (
     _head,
     _head_grads,
     _mean_nll,
+    _row_blocks,
 )
 
 
@@ -214,13 +215,15 @@ def class_terms(probs, table: LabelTable, fit_w=None, leak_w=None) -> ClassTerms
     np.maximum(PROB_FLOOR, s, out=s)
     np.minimum(1.0 - PROB_FLOOR, s, out=s)
     np.log(s, out=logs)
-    # the fit and leak row sums in one reduction over masked logs; their
-    # divisors are negative, so the logs need no negation
-    masked = np.multiply(logs[..., None, :, :], masks)
-    means = np.add.reduce(masked, axis=-2)
-    means /= neg_d
-    # an absent term sums masked -0.0s: make it read 0.0
-    means += 0.0
+    # the fit row sums from one masked product, the leak row sums from the
+    # logs masked in place: one (..., n, K) buffer serves both.  The
+    # divisors are negative, so the logs need no negation, and adding 0.0
+    # turns an absent term's sum of masked -0.0s into 0.0
+    fit = np.add.reduce(np.multiply(logs, own), axis=-2)
+    leak = np.add.reduce(np.multiply(logs, masks[1], out=logs), axis=-2)
+    for sums, nd in zip((fit, leak), neg_d):
+        sums /= nd
+        sums += 0.0
     dprobs = None
     if fit_w is not None or leak_w is not None:
         neg_fit_w = -_per_row(fit_w)
@@ -233,7 +236,7 @@ def class_terms(probs, table: LabelTable, fit_w=None, leak_w=None) -> ClassTerms
         dprobs *= inside
         # the product gives -0.0 where a negative entry is clamped
         dprobs += 0.0
-    return ClassTerms(means[..., 0, :], means[..., 1, :], dprobs)
+    return ClassTerms(fit, leak, dprobs)
 
 
 def _per_row(w) -> np.ndarray:
@@ -433,8 +436,10 @@ def sgda_train_grid(
         batch_cot = np.empty((min(config.batch_size, n), M, model.spec.feature_dim))
     # last-layer features of every training row under the current
     # backbones: one shared matrix until the first update lands, then
-    # one slice per model
-    feats = _backbone(model.weights, model.biases, kind, data.features)[-1]
+    # one slice per model; the shared one fills a block of rows at a time
+    feats = np.empty((n, model.spec.feature_dim))
+    for rows in _row_blocks(n):
+        feats[rows] = _backbone(model.weights, model.biases, kind, data.features[rows])[-1]
 
     def record(epoch: int) -> None:
         # one model at a time: a stacked pass would hold M (n, K) score

@@ -51,6 +51,19 @@ def test_sr_baseline_rejects_non_finite_threshold():
         sr_baseline(random_model(0), np.nan)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, "0.5", True, None])
+def test_sr_baseline_and_overlap_share_the_threshold_rule(t):
+    # a string used to score as 0.0 overlap, True to build a family, and
+    # None to escape as TypeError
+    model, data = random_model(0), random_data(1)
+    with pytest.raises(InputError, match=r"threshold must be a finite number, got "):
+        sr_baseline(model, t)
+    with pytest.raises(InputError, match=r"threshold must be a finite number, got "):
+        osp_overlap(model, t, data)
+    assert sr_baseline(model, np.float32(0.5)).num_sets == 3
+    assert osp_overlap(model, np.int64(1), data) == 0.0
+
+
 def test_sr_baseline_matches_harden_pointwise():
     # The argmax attains the max, so both rules must agree everywhere.
     for seed in range(6):

@@ -11,15 +11,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onesided.core import FormatError, InputError, LabeledDataset, NumericError
 from onesided.net import (
+    BLOCK_ROWS,
     CROSS_ENTROPY,
     BackboneSpec,
     SelectiveModel,
-    _forward_pass,
     backward,
     deserialize,
     forward_batch,
@@ -152,24 +152,51 @@ def test_forward_dim_mismatch():
         forward_batch(model, np.array([[1.0, 2.0]]))
 
 
+class _Scores:
+    """A loss of 0 that keeps the scores `backward` hands it."""
+
+    def value_and_grad(self, probs, labels):
+        self.probs = probs
+        return 0.0, np.zeros_like(probs)
+
+
+def training_scores(model, X):
+    """The scores of the forward pass that `backward` differentiates."""
+    loss = _Scores()
+    backward(model, LabeledDataset(X, np.zeros(len(X), dtype=int), model.num_classes), loss)
+    return loss.probs
+
+
+# row counts at the block boundaries: none, a row short of one block, one
+# block, and one or two blocks and a row
+BLOCK_EDGES = [0, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     activation=st.sampled_from(["relu", "tanh", "identity"]),
     hidden=st.lists(st.integers(1, 12), max_size=2),
     K=st.integers(1, 10),
-    n=st.one_of(st.just(1), st.integers(2, 300)),
+    n=st.one_of(st.just(1), st.integers(2, 300), st.sampled_from(BLOCK_EDGES)),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(activation="tanh", hidden=[1, 5], K=10, n=0, seed=0)
+@example(activation="relu", hidden=[7], K=10, n=BLOCK_ROWS - 1, seed=1)
+@example(activation="identity", hidden=[], K=10, n=BLOCK_ROWS, seed=2)
+@example(activation="relu", hidden=[7], K=10, n=BLOCK_ROWS + 1, seed=3)
+@example(activation="tanh", hidden=[1, 5], K=2, n=2 * BLOCK_ROWS + 1, seed=4)
 def test_forward_batch_equals_training_forward_pass(activation, hidden, K, n, seed):
-    # inference keeps one activation at a time; its scores must hold the
-    # bits, and the class-major layout, of the pass training differentiates
+    # inference runs one block of rows at a time; its scores must hold the
+    # bits, and the class-major layout, of the pass training differentiates.
+    # A lone row in a block would go through BLAS's matrix-vector product
+    # and round unlike the same row of a larger block.
     rng = np.random.default_rng(seed)
     model = init_model(BackboneSpec((3, *hidden, 4), activation), K, rng)
     for b in model.biases + [model.head_b]:
         b[...] = rng.normal(size=b.shape)
     X = rng.normal(size=(n, 3)) * rng.choice([1.0, 10.0])
     probs = forward_batch(model, X)
-    want = _forward_pass(model, X)[1]
+    want = training_scores(model, X)
     assert probs.tobytes() == want.tobytes()
     assert probs.strides == want.strides
 
@@ -188,6 +215,22 @@ def test_forward_batch_holds_one_activation_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * n * (32 + 16) * 8
+
+
+def test_forward_batch_holds_its_scores_and_one_block():
+    # an all-rows pass would hold n * (32 + 16) activations, 19 MB here;
+    # blocks hold the (n, K) scores and one block's worth, whatever n is
+    n, K = 50_000, 10
+    model = init_model(BackboneSpec((2, 32, 16)), K, seed=0)
+    X = np.random.default_rng(1).normal(size=(n, 2))
+    forward_batch(model, X[:10])
+    tracemalloc.start()
+    try:
+        forward_batch(model, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * n * K * 8 + 2**20
 
 
 # ---------------------------------------------------------------------------

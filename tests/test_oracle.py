@@ -868,6 +868,9 @@ def test_analytic_coverage_values():
     for bad in (-0.01, 0.25, 0.5):
         with pytest.raises(InputError):
             analytic_example_coverage(bad)
+    for bad in ("0.1", None, float("nan")):
+        with pytest.raises(InputError, match=r"eps must be a number in \[0, 1\]"):
+            analytic_example_coverage(bad)
 
 
 def test_analytic_sample_statistics():
@@ -921,10 +924,12 @@ def test_trend_rows_and_determinism():
 
 def test_trend_refuses_bad_eps_and_seed_counts_by_name():
     # each used to pass its check: a NaN row with RuntimeWarnings, or a
-    # failure under the name eps_k
-    for eps in (float("nan"), -0.01, 0.6):
-        with pytest.raises(InputError, match="eps must lie in"):
+    # failure under the name eps_k; a string or None escaped as TypeError
+    for eps in (float("nan"), -0.01, "0.1", None, True):
+        with pytest.raises(InputError, match=r"eps must be a number in \[0, 1\]"):
             erm_feasibility_trend(eps, (100,), 1)
+    with pytest.raises(InputError, match="eps must lie in"):
+        erm_feasibility_trend(0.6, (100,), 1)
     for seeds in (0, -1, 2.5, None):
         with pytest.raises(InputError, match="seeds_per_size"):
             erm_feasibility_trend(0.02, (100,), seeds)

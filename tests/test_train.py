@@ -12,10 +12,12 @@ import onesided.net as net_mod
 import onesided.train as train_mod
 from onesided.core import InputError, LabeledDataset, NumericError
 from onesided.net import (
+    BLOCK_ROWS,
     CROSS_ENTROPY,
     PROB_FLOOR,
     BackboneSpec,
     SelectiveModel,
+    _backbone,
     _head,
     forward_batch,
     init_model,
@@ -398,6 +400,46 @@ def test_epoch_table_slices_equal_batch_tables_and_the_loop(
                 if got.dprobs is not None:
                     assert got.dprobs[m].tobytes() == dprobs.tobytes()
     assert np.array_equal(absent, counted)
+
+
+def two_mask_terms(probs, table):
+    """Reference: the fit and leak means from one ``(..., 2, n, K)`` masked product."""
+    masks, neg_d, _ = table
+    logs = np.subtract(1.0, probs)
+    s = np.where(masks[0], probs, logs)
+    np.maximum(PROB_FLOOR, s, out=s)
+    np.minimum(1.0 - PROB_FLOOR, s, out=s)
+    np.log(s, out=logs)
+    means = np.add.reduce(np.multiply(logs[..., None, :, :], masks), axis=-2)
+    means /= neg_d
+    means += 0.0
+    return means[..., 0, :], means[..., 1, :]
+
+
+@pytest.mark.parametrize("K", [2, 10])
+@pytest.mark.parametrize("M", [None, 4])
+def test_class_terms_equal_the_two_mask_product_to_the_bit(K, M):
+    # class_terms sums fit from one (..., n, K) product and leak from the
+    # logs masked in place; both must hold the bits of the (2, n, K)
+    # masked product they replace, on a step's batch tables and on the
+    # record's all-rows table, absent classes and a NaN score included
+    rng = np.random.default_rng(K)
+    n, width = 1_000, 6
+    feat = rng.normal(size=(n, width))
+    head_w = rng.normal(size=(K, width) if M is None else (M, K, width)) * 4.0
+    probs = _head(head_w, rng.normal(size=head_w.shape[:-1]), feat)
+    probs[..., 7, :] = np.nan
+    labels = rng.integers(0, K - 1, size=n)  # the last class is absent
+    tables, _ = label_tables(labels, K, 128)
+    cases = [(slice(a, a + 128), t) for a, t in zip(range(0, n, 128), tables)]
+    cases.append((slice(0, n), label_table(labels, K)))
+    for rows, table in cases:
+        p = probs[..., rows, :]
+        got = class_terms(p, table, 1.0, rng.random(p.shape[:-2] + (K,)))
+        fit, leak = two_mask_terms(p, table)
+        assert got.fit.tobytes() == fit.tobytes()
+        assert got.leak.tobytes() == leak.tobytes()
+        assert np.isnan(got.leak).any() == (rows.start == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,6 +1051,26 @@ def test_sgda_deferred_landing_matches_per_batch_reference(
         # the backbone moved: a test that never lands would prove nothing
         assert not np.array_equal(run[0].weights[0], init.weights[0])
         assert_close_to_reference(run, ref)
+
+
+def test_sgda_start_features_equal_the_all_rows_backbone():
+    # the trainer caches its start features a block of rows at a time; the
+    # cache must hold the bits of one all-rows pass, which the epochs=0
+    # record scores
+    n = 2 * BLOCK_ROWS + 1
+    rng = np.random.default_rng(3)
+    data = LabeledDataset(rng.normal(size=(n, 2)) * 5.0, rng.integers(0, 3, n), 3)
+    init = init_model(BackboneSpec((2, 7, 5)), 3, seed=4)
+    for b in init.biases:
+        b[...] = rng.normal(size=b.shape)
+    cfg = TrainConfig(mu=1.0, epochs=0, warm_start_epochs=0)
+    with mock.patch.object(train_mod, "_head", wraps=train_mod._head) as head:
+        sgda_train_grid(data, init, cfg, (0.5, 1.0), 0)
+    want = _backbone(init.weights, init.biases, "relu", data.features)[-1]
+    for call in head.call_args_list:
+        feats = call.args[2]
+        assert feats.shape == want.shape and feats.tobytes() == want.tobytes()
+    assert head.call_count == 2
 
 
 def test_sgda_backbone_chain_runs_once_per_model_per_landing():
