@@ -129,11 +129,20 @@ def _fraction(value, name: str) -> float:
     return float(value)
 
 
-def _threshold(t) -> float:
-    """The threshold rule: a finite real number (not a bool).  Returns it as a float."""
+def _threshold(t, name: str = "threshold") -> float:
+    """The finite rule (thresholds, rates): a finite real number, not a bool.  Returns a float."""
     if isinstance(t, bool) or not (isinstance(t, numbers.Real) and math.isfinite(t)):
-        raise InputError(f"threshold must be a finite number, got {t!r}")
+        raise InputError(f"{name} must be a finite number, got {t!r}")
     return float(t)
+
+
+def _positive(value, name: str):
+    """The positive rule: a finite real number (not a bool) above 0.  Returns it as given."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real) and 0 < value < math.inf
+    ):
+        raise InputError(f"{name} must be a positive finite number, got {value!r}")
+    return value
 
 
 def _prices(mu_grid, key: str) -> tuple[float, ...]:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import FormatError, InputError, LabeledDataset, _count, _fraction, _seed, array_fits
+from .core import (FormatError, InputError, LabeledDataset, _count, _fraction, _positive, _seed,
+                   array_fits)
 from .oracle import sample_analytic_example
 
 _KINDS = ("analytic", "mixture", "blobs")
@@ -35,9 +35,12 @@ class MixtureParams:
         arrays = []
         for name in ("means", "covariances", "priors"):
             try:
-                arrays.append(np.asarray(getattr(self, name), dtype=np.float64))
+                a = np.asarray(getattr(self, name))
             except (TypeError, ValueError) as exc:
                 raise InputError(f"{name} must be a rectangular array of numbers: {exc}")
+            if a.dtype.kind not in "iuf":
+                raise InputError(f"{name} must be a rectangular array of numbers, got {a.dtype}")
+            arrays.append(a.astype(np.float64))
             if not np.isfinite(arrays[-1]).all():
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         means, covs, priors = arrays
@@ -95,9 +98,7 @@ class BlobsParams:
         _count(self.num_classes, 2, "num_classes")
         _count(self.dim, 1, "dim")
         for name in ("separation", "spread"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise InputError(f"blobs {name} must be positive and finite, got {value}")
+            _positive(getattr(self, name), f"blobs {name}")
         if not array_fits(self.num_classes, self.dim):
             raise InputError(
                 f"blobs num_classes={self.num_classes} and dim={self.dim} give "
@@ -256,8 +257,7 @@ def mixture_oracle_coverage(
 
 def two_class_mixture(separation: float = 2.0) -> MixtureParams:
     """Symmetric 2-D two-component mixture with identity covariances."""
-    if not separation > 0.0:  # MixtureParams refuses inf
-        raise InputError("separation must be positive")
+    _positive(separation, "separation")
     h = separation / 2.0
     eye = ((1.0, 0.0), (0.0, 1.0))
     return MixtureParams(
@@ -345,11 +345,9 @@ def write_csv(data: LabeledDataset, path: str | Path) -> None:
 
 def _split_fractions(fractions) -> tuple[float, ...]:
     """The split rule: three positive finite fractions summing to 1."""
-    fr = tuple(float(f) for f in fractions)
-    if len(fr) != 3 or not all(0.0 < f < math.inf for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
-        raise InputError(
-            f"split_fractions must be three positive finite numbers summing to 1, got {fr}"
-        )
+    fr = tuple(float(_positive(f, "split_fractions")) for f in fractions)
+    if len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9:
+        raise InputError(f"split_fractions must be three numbers summing to 1, got {fr}")
     return fr
 
 

@@ -59,6 +59,7 @@ def coverage_error_curve(
     grid: SelectionGrid,
     test: LabeledDataset,
     targets: Sequence[float],
+    scores: dict[float, np.ndarray] | None = None,
 ) -> list[CurvePoint]:
     """Pick on the validation ``grid`` at each target error; measure on ``test``.
 
@@ -66,24 +67,11 @@ def coverage_error_curve(
     keys of ``models``; ``targets`` ascend.  A target no cell meets gives the
     fallback cell's point with ``feasible`` False.  Each distinct chosen model
     is scored on ``test`` once, and every point equals `evaluate` of the
-    `harden`-ed chosen cell exactly.
+    `harden`-ed chosen cell exactly.  ``scores`` may map a mu to its model's
+    scores on ``test``, already computed; an entry is taken out of it when
+    it is read, so its matrix is freed once used.
     """
-    return _curve(models, grid, test, targets, {})
-
-
-def _curve(
-    models: Mapping[float, SelectiveModel],
-    grid: SelectionGrid,
-    test: LabeledDataset,
-    targets: Sequence[float],
-    scores: dict[float, np.ndarray],
-) -> list[CurvePoint]:
-    """`coverage_error_curve`, taking a model's test scores from ``scores``.
-
-    ``scores`` maps a mu to its model's scores on ``test``, already
-    computed; every other chosen model is scored here.  An entry is taken
-    out of ``scores`` when it is read, so its matrix is freed once used.
-    """
+    scores = {} if scores is None else scores
     targets = _curve_targets(targets)
     if grid.mu_values != tuple(float(m) for m in models):
         raise InputError("the grid's mu values are not the models' keys")

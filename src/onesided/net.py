@@ -35,13 +35,13 @@ agree.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
-from .core import FormatError, InputError, LabeledDataset, NumericError, _count, _seed, array_fits
+from .core import (FormatError, InputError, LabeledDataset, NumericError, _count, _positive, _seed,
+                   array_fits)
 
 PROB_FLOOR = 1e-12
 
@@ -372,8 +372,7 @@ def warm_start(
     spec.check_dim(data.dim)
     _count(epochs, 0, "epochs")
     _count(batch_size, 1, "batch_size")
-    if not 0.0 < lr < math.inf:
-        raise InputError(f"lr must be positive and finite, got {lr!r}")
+    _positive(lr, "lr")
     rng = np.random.default_rng(_seed(seed))
     model = init_model(spec, data.num_classes, rng)
     n = data.n

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .core import InputError, Metrics, _count, _prices, _seed
 from .data import SyntheticSpec, _split_fractions, ingest_csv, split_dataset, synthesize
-from .evaluation import _curve, _curve_targets, _measure
+from .evaluation import _curve_targets, _measure, coverage_error_curve
 from .net import BackboneSpec, serialize, warm_start
 from .select import (
     SelectionCriterion,
@@ -390,7 +390,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         if config.curve_targets is not None:
             stage = "curve"
             curve = tuple(
-                _curve(models, grid, test_d, config.curve_targets, test_scores)
+                coverage_error_curve(models, grid, test_d, config.curve_targets, test_scores)
             )
             _write_curve(out / "curve.csv", curve)
             files["curve"] = "curve.csv"

@@ -24,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import InputError, LabeledDataset, NumericError, _class_index, _count, _prices, _seed
+from .core import (InputError, LabeledDataset, NumericError, _class_index, _count, _positive,
+                   _prices, _seed, _threshold)
 from .net import (
     PROB_FLOOR,
     SelectiveModel,
@@ -87,22 +88,18 @@ class TrainConfig:
         if len(self.lr_decay) != 2:
             raise InputError(f"lr_decay must be (factor, epoch), got {self.lr_decay!r}")
         _prices((self.mu,), "mu")
-        finite = [("lr_min", self.lr_min), ("lr_max", self.lr_max)]
-        finite += [("lr_decay", v) for v in self.lr_decay]
-        for name, value in finite:
-            if not math.isfinite(value):
-                raise InputError(f"{name} must be finite, got {value!r}")
         for name, least in (("epochs", 0), ("warm_start_epochs", 0), ("batch_size", 1),
                             ("backbone_update_interval", 1)):
             _count(getattr(self, name), least, name)
-        if self.lr_min <= 0 or self.lr_max < 0:
-            raise InputError("learning rates must be positive (ascent rate may be 0)")
+        _positive(self.lr_min, "lr_min")
+        # the ascent rate may be 0
+        if _threshold(self.lr_max, "lr_max") < 0:
+            raise InputError(f"lr_max must be >= 0, got {self.lr_max!r}")
         factor, at_epoch = self.lr_decay
-        if factor <= 0 or at_epoch < 0 or at_epoch != int(at_epoch):
-            raise InputError(
-                f"lr_decay must be a positive factor and a whole epoch >= 0, "
-                f"got {self.lr_decay!r}"
-            )
+        _positive(factor, "lr_decay factor")
+        at_epoch = _threshold(at_epoch, "lr_decay epoch")
+        if at_epoch < 0 or not at_epoch.is_integer():
+            raise InputError(f"lr_decay epoch must be a whole epoch >= 0, got {self.lr_decay!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -259,30 +256,31 @@ def _saddle_value(terms: ClassTerms, state: LagrangianState):
 # loss objects for backward()
 
 
-class RestrictedFitLoss:
+class _TermLoss:
+    """Class ``k``'s term ``TERM`` of :class:`ClassTerms` (0 fit, 1 leak) as a loss."""
+
+    TERM = 0
+
+    def __init__(self, k: int):
+        self.k = _count(k, 0, "k")
+
+    def value_and_grad(self, probs, labels):
+        K = probs.shape[1]
+        k = _class_index(self.k, K)
+        weights = [None, None]
+        weights[self.TERM] = np.eye(K)[k]
+        terms = class_terms(probs, label_table(labels, K), *weights)
+        return float(terms[self.TERM][k]), terms.dprobs
+
+
+class RestrictedFitLoss(_TermLoss):
     """Per-class fit term as a standalone differentiable loss."""
 
-    def __init__(self, k: int):
-        self.k = _count(k, 0, "k")
 
-    def value_and_grad(self, probs, labels):
-        K = probs.shape[1]
-        k = _class_index(self.k, K)
-        terms = class_terms(probs, label_table(labels, K), fit_w=np.eye(K)[k])
-        return float(terms.fit[k]), terms.dprobs
-
-
-class LeakLoss:
+class LeakLoss(_TermLoss):
     """Per-class leakage term as a standalone differentiable loss."""
 
-    def __init__(self, k: int):
-        self.k = _count(k, 0, "k")
-
-    def value_and_grad(self, probs, labels):
-        K = probs.shape[1]
-        k = _class_index(self.k, K)
-        terms = class_terms(probs, label_table(labels, K), leak_w=np.eye(K)[k])
-        return float(terms.leak[k]), terms.dprobs
+    TERM = 1
 
 
 class LagrangianLoss:
@@ -308,7 +306,7 @@ class GamblersLoss:
     """
 
     def __init__(self, payoff: float):
-        self.payoff = payoff
+        self.payoff = _positive(payoff, "payoff")
 
     def value_and_grad(self, probs, labels):
         K = probs.shape[1] - 1
@@ -404,17 +402,9 @@ def sgda_train_grid(
     # slice, so a stacked step updates every model in place
     head_w = np.repeat(model.head_w[None], M, axis=0)
     head_b = np.repeat(model.head_b[None], M, axis=0)
-    models = [
-        SelectiveModel(
-            model.spec,
-            K,
-            [W.copy() for W in model.weights],
-            [b.copy() for b in model.biases],
-            head_w[m],
-            head_b[m],
-        )
-        for m in range(M)
-    ]
+    models = [model.copy() for _ in range(M)]
+    for m, mdl in enumerate(models):
+        mdl.head_w, mdl.head_b = head_w[m], head_b[m]
     kind = model.spec.activation
     lam_max = 10.0 * mus
     n = data.n

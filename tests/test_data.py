@@ -42,6 +42,21 @@ def test_mixture_params_validation():
         MixtureParams(((0.0, 0.0), (1.0, 1.0)), (eye,), (0.5, 0.5))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("means", (("0", "0"), ("1", "1"))), ("priors", (True, False)),
+     ("covariances", ((("1", 0), (0, 1)),) * 2), ("priors", (0.5 + 0j, 0.5))],
+)
+def test_mixture_params_refuse_arrays_that_are_not_numbers(field, value):
+    # strings used to be parsed as floats and bools read as 0 and 1
+    eye = ((1.0, 0.0), (0.0, 1.0))
+    args = {"means": ((0.0, 0.0), (1.0, 1.0)), "covariances": (eye, eye), "priors": (0.5, 0.5)}
+    with pytest.raises(InputError, match=f"^{field} must be a rectangular array of numbers"):
+        MixtureParams(**{**args, field: value})
+    whole = MixtureParams(((0, 0), (np.int64(1), 1)), (eye, eye), (np.float32(0.5), 0.5))
+    assert whole.means == ((0.0, 0.0), (1.0, 1.0)) and whole.priors == (0.5, 0.5)
+
+
 def test_blobs_params_validation():
     BlobsParams()
     with pytest.raises(InputError):

@@ -13,7 +13,7 @@ from onesided.evaluation import (
     sr_baseline,
 )
 from onesided.net import BackboneSpec, SelectiveModel, forward_batch, init_model
-from onesided.select import evaluate_grid, harden, pick_error_constrained
+from onesided.select import _score, evaluate_grid, harden, pick_error_constrained
 
 
 def constant_model(probs):
@@ -107,6 +107,22 @@ def test_curve_matches_single_selection_route():
         assert point.achieved_coverage == metrics.coverage
         assert point.target_error == eps
         assert point.feasible == res.feasible
+
+
+def test_curve_takes_given_scores_out_and_scores_only_the_other_models():
+    # the pipeline hands over its evaluate-stage scores: the points are the
+    # same, the entry is taken out once read, and only the other chosen
+    # model is scored
+    models, grid, test = curve_setup()
+    targets = (0.05, 0.2, 0.6)
+    assert {pick_error_constrained(grid, eps).mu_star for eps in targets} == {0.5, 4.0}
+    want = coverage_error_curve(models, grid, test, targets)
+    scores = {0.5: _score(models[0.5], test)}
+    with mock.patch("onesided.select.forward_batch", wraps=forward_batch) as scored:
+        got = coverage_error_curve(models, grid, test, targets, scores=scores)
+    assert got == want
+    assert scores == {}
+    assert [call.args[0] for call in scored.call_args_list] == [models[4.0]]
 
 
 def test_curve_points_equal_direct_evaluation_of_the_chosen_cell():

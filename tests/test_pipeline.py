@@ -54,6 +54,7 @@ from onesided.select import (
     quick_mu_grid,
 )
 from onesided.train import (
+    GamblersLoss,
     LagrangianState,
     LeakLoss,
     RestrictedFitLoss,
@@ -437,6 +438,65 @@ def test_train_config_rejects_non_finite_values(tmp_path, key, value):
         config_from_dict(json.loads(json.dumps(doc)))
 
 
+def positive_entry_points(tmp_path):
+    """Each value the positive rule checks, by the name its error gives: a call that keeps it."""
+    data = lambda: synthesize(SyntheticSpec("blobs", 30, seed=1))
+    return {
+        "lr_min": lambda v: quick_train(lr_min=v).lr_min,
+        "lr_decay factor": lambda v: quick_train(lr_decay=(v, 1000)).lr_decay[0],
+        "lr": lambda v: warm_start(data(), BackboneSpec((2, 4)), 0, v, 0),
+        "blobs separation": lambda v: BlobsParams(separation=v).separation,
+        "blobs spread": lambda v: BlobsParams(spread=v).spread,
+        "separation": lambda v: 2.0 * two_class_mixture(v).means[1][0],
+        "split_fractions": lambda v: blob_config(tmp_path, split_fractions=(v, 0.2, 0.2)),
+        "payoff": lambda v: GamblersLoss(v).payoff,
+    }
+
+
+@pytest.mark.parametrize("value", [None, "0.5", True, NAN, INF, -INF, 0, -1])
+@pytest.mark.parametrize("name", list(positive_entry_points(".")))
+def test_each_positive_value_refuses_what_is_not_a_positive_finite_number(
+    tmp_path, name, value
+):
+    # True used to pass as 1, a string to escape as TypeError (or, as a
+    # split fraction, to be read as a float)
+    with pytest.raises(InputError, match=f"^{name} must be a positive finite number, got "):
+        positive_entry_points(tmp_path)[name](value)
+
+
+@pytest.mark.parametrize("value", [None, "0.1", True, NAN, -INF, -1])
+def test_lr_max_and_the_decay_epoch_refuse_what_is_not_a_number_in_range(value):
+    # each may be 0, so they keep their own ranges after core's type test
+    with pytest.raises(InputError, match="^lr_max must be "):
+        quick_train(lr_max=value)
+    with pytest.raises(InputError, match="^lr_decay epoch must be "):
+        quick_train(lr_decay=(0.1, value))
+    assert quick_train(lr_max=0).lr_max == 0
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), np.float64(2.0)])
+def test_the_positive_rule_keeps_each_value_as_given(tmp_path, value):
+    calls = positive_entry_points(tmp_path)
+    for name in ("lr_min", "lr_decay factor", "blobs separation", "blobs spread", "payoff"):
+        assert calls[name](value) is value, name
+    assert calls["separation"](value) == 2.0
+    fractions = calls["split_fractions"](value * 0.3).split_fractions
+    assert fractions == (0.6, 0.2, 0.2) and type(fractions[0]) is float
+    blobs = BlobsParams(num_classes=3, separation=value, spread=value)
+    cfg = blob_config(
+        tmp_path,
+        train=quick_train(lr_min=value, lr_decay=(value, 1000)),
+        synthetic=SyntheticSpec("blobs", 300, seed=2, blobs=blobs),
+    )
+    # the hashes these configs had before the rule; JSON holds no np.int64
+    pinned = {
+        int: "f7cf87c5cde0eed726755c1dfa1ea0fe8d640aa6960b6ba15ed009ed8687d282",
+        np.float64: "de426de9c328c4a115959c4235404b9b3632494ee09169e3c76216191769a90c",
+    }
+    if type(value) in pinned:
+        assert config_hash(cfg) == pinned[type(value)]
+
+
 def test_config_dict_round_trip(tmp_path):
     data_file = tmp_path / "d.csv"
     write_csv(synthesize(SyntheticSpec("blobs", 30, seed=1)), data_file)
@@ -601,7 +661,13 @@ def test_config_hash_scope(tmp_path):
 
 def test_run_pipeline_artifacts(tmp_path):
     cfg = blob_config(tmp_path / "run", curve_targets=(0.02, 0.05, 0.2))
-    res = run_pipeline(cfg)
+    # the curve stage runs through the public function, where the
+    # benchmark's tracer finds it
+    with mock.patch(
+        "onesided.pipeline.coverage_error_curve", wraps=coverage_error_curve
+    ) as curve:
+        res = run_pipeline(cfg)
+    assert curve.call_count == 1
     assert isinstance(res, PipelineResult)
     out = Path(cfg.out_dir)
     for name in (
